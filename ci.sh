@@ -12,6 +12,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier-1: cargo build --release =="
 cargo build --release --workspace
 
+echo "== e2ebench builds against the workspace APIs it imports =="
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
@@ -315,11 +318,11 @@ kill -TERM "$warm_pid"
 wait "$warm_pid" || {
   echo "store gate: restarted server exited non-zero on SIGTERM" >&2; exit 1; }
 # The final snapshot proves the post-restart request was a warm cache hit.
-grep -Eq '"store_replays": [1-9]' "$warm2_metrics" || {
+grep -Eq '"store_replays":[1-9]' "$warm2_metrics" || {
   echo "store gate: final metrics report no store replays" >&2
   cat "$warm2_metrics" >&2; exit 1
 }
-grep -Eq '"cache_hits": [1-9]' "$warm2_metrics" || {
+grep -Eq '"cache_hits":[1-9]' "$warm2_metrics" || {
   echo "store gate: post-restart request did not hit the warm cache" >&2
   cat "$warm2_metrics" >&2; exit 1
 }

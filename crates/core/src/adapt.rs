@@ -57,31 +57,6 @@ impl AdaptOptions {
     pub fn builder() -> AdaptOptionsBuilder {
         AdaptOptionsBuilder::default()
     }
-
-    /// Options with a specific objective and defaults elsewhere.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `AdaptContext::with_objective` (or `AdaptOptions::builder().objective(..)`)"
-    )]
-    pub fn with_objective(objective: Objective) -> Self {
-        AdaptOptions {
-            objective,
-            ..AdaptOptions::default()
-        }
-    }
-
-    /// Options demanding a proven-optimal search.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `AdaptOptions::builder().objective(..).exact()`"
-    )]
-    pub fn exact_with_objective(objective: Objective) -> Self {
-        AdaptOptions {
-            objective,
-            exact: true,
-            ..AdaptOptions::default()
-        }
-    }
 }
 
 /// Validating builder for [`AdaptOptions`], and the entry ramp to
@@ -419,19 +394,6 @@ pub fn recalibrate_adaptation(
     }
 }
 
-/// [`adapt`] taking bare [`AdaptOptions`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `adapt` with an `AdaptContext` (e.g. `&options.into()`)"
-)]
-pub fn adapt_with_options(
-    circuit: &Circuit,
-    hw: &HardwareModel,
-    options: &AdaptOptions,
-) -> Result<Adaptation, AdaptError> {
-    adapt(circuit, hw, &AdaptContext::new(options.clone()))
-}
-
 /// Evaluates the full substitution catalog for one solve: the gate
 /// substitution rules, then — when the context carries a coupling map —
 /// the routing substitutions, appended with continuing dense ids so the
@@ -747,18 +709,6 @@ mod tests {
             })
             .try_build();
         assert!(matches!(err, Err(AdaptError::InvalidOptions(_))));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let hw = spin_qubit_model(GateTimes::D0);
-        let c = swap_chain();
-        let opts = AdaptOptions::with_objective(Objective::Fidelity);
-        let r = adapt_with_options(&c, &hw, &opts).unwrap();
-        assert!(hw.supports_circuit(&r.circuit));
-        let exact = AdaptOptions::exact_with_objective(Objective::Fidelity);
-        assert!(exact.exact);
     }
 
     #[test]

@@ -76,8 +76,6 @@ pub mod preflight;
 pub mod preprocess;
 pub mod rules;
 
-#[allow(deprecated)]
-pub use adapt::adapt_with_options;
 pub use adapt::{
     adapt, extract_circuit, recalibrate_adaptation, AdaptOptions, AdaptOptionsBuilder, Adaptation,
     Recalibration,

@@ -411,7 +411,7 @@ fn run() -> Result<ExitCode, String> {
         );
     }
 
-    let json = engine.metrics().to_json();
+    let json = engine.metrics().to_json().to_string_compact();
     match &args.metrics_out {
         Some(path) => std::fs::write(path, json + "\n")
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?,

@@ -1287,15 +1287,12 @@ mod tests {
 
         // Counters flowed through the teed tracer into the registry.
         assert_eq!(
-            engine.metrics().recalib_entries.load(Ordering::Relaxed),
+            engine.metrics().get("recalib_entries"),
             recal.entries as u64
         );
+        assert_eq!(engine.metrics().get("recalib_reused"), recal.reused as u64);
         assert_eq!(
-            engine.metrics().recalib_reused.load(Ordering::Relaxed),
-            recal.reused as u64
-        );
-        assert_eq!(
-            engine.metrics().recalib_resolved.load(Ordering::Relaxed),
+            engine.metrics().get("recalib_resolved"),
             recal.resolved as u64
         );
         let totals = qca_trace::report::counter_totals(&sink.take());
@@ -1317,16 +1314,16 @@ mod tests {
         let engine = Engine::new(EngineConfig::builder().workers(1).verify(true).build());
         let reports = engine.adapt_batch(&d0, &workload(2));
         assert!(reports.iter().all(|r| r.error.is_none()));
-        let audits_before = engine.metrics().verify_audits.load(Ordering::Relaxed);
+        let audits_before = engine.metrics().get("verify_audits");
         let recal = engine.recalibrate(&d0.with_scaled_infidelity(3.0));
         assert_eq!(recal.failed, 0);
-        let audits_after = engine.metrics().verify_audits.load(Ordering::Relaxed);
+        let audits_after = engine.metrics().get("verify_audits");
         assert_eq!(
             audits_after - audits_before,
             recal.entries as u64,
             "every refreshed adaptation must be audited"
         );
-        assert_eq!(engine.metrics().verify_failures.load(Ordering::Relaxed), 0);
+        assert_eq!(engine.metrics().get("verify_failures"), 0);
     }
 
     #[test]
@@ -1438,7 +1435,7 @@ mod tests {
         assert_eq!(reports[1].error, Some(AdaptError::Cancelled));
         // The fallback circuit is still a valid native adaptation.
         assert!(hw.supports_circuit(&reports[1].circuit));
-        assert_eq!(engine.metrics().fallbacks.load(Ordering::Relaxed), 1);
+        assert_eq!(engine.metrics().get("fallbacks"), 1);
     }
 
     #[test]
@@ -1490,7 +1487,7 @@ mod tests {
         assert!(rpt.phase_total_ns("adapt").is_some());
         assert!(rpt.phase_total_ns("omt.search").is_some());
         // The same event stream populated the metrics registry.
-        assert_eq!(engine.metrics().jobs_completed.load(Ordering::Relaxed), 2);
+        assert_eq!(engine.metrics().get("jobs_completed"), 2);
         assert_eq!(engine.metrics().solve_wall_us.count(), 2);
     }
 
@@ -1500,10 +1497,10 @@ mod tests {
         let jobs = workload(2);
         let engine = Engine::new(config(1));
         let _ = engine.adapt_batch(&hw, &jobs);
-        assert_eq!(engine.metrics().jobs_submitted.load(Ordering::Relaxed), 2);
-        assert_eq!(engine.metrics().jobs_completed.load(Ordering::Relaxed), 2);
+        assert_eq!(engine.metrics().get("jobs_submitted"), 2);
+        assert_eq!(engine.metrics().get("jobs_completed"), 2);
         assert_eq!(engine.metrics().solve_wall_us.count(), 2);
-        assert!(engine.metrics().sat_propagations.load(Ordering::Relaxed) > 0);
+        assert!(engine.metrics().get("sat_propagations") > 0);
     }
 
     #[test]
@@ -1567,8 +1564,8 @@ mod tests {
         assert!(hw.supports_circuit(&killed[0].circuit));
         // The other jobs on the same worker pool completed normally.
         assert_eq!(reports.iter().filter(|r| r.error.is_none()).count(), 2);
-        assert_eq!(engine.metrics().jobs_panicked.load(Ordering::Relaxed), 1);
-        assert_eq!(engine.metrics().jobs_completed.load(Ordering::Relaxed), 3);
+        assert_eq!(engine.metrics().get("jobs_panicked"), 1);
+        assert_eq!(engine.metrics().get("jobs_completed"), 3);
     }
 
     #[test]
@@ -1596,9 +1593,9 @@ mod tests {
                 assert!(v.certificate.is_some(), "optimal claim must be certified");
             }
         }
-        assert_eq!(engine.metrics().verify_audits.load(Ordering::Relaxed), 4);
-        assert_eq!(engine.metrics().verify_passed.load(Ordering::Relaxed), 4);
-        assert_eq!(engine.metrics().verify_failures.load(Ordering::Relaxed), 0);
+        assert_eq!(engine.metrics().get("verify_audits"), 4);
+        assert_eq!(engine.metrics().get("verify_passed"), 4);
+        assert_eq!(engine.metrics().get("verify_failures"), 0);
     }
 
     #[test]
@@ -1631,7 +1628,7 @@ mod tests {
         let second = engine.adapt_batch(&hw, &jobs);
         assert!(second[0].cache_hit);
         assert!(matches!(second[0].audit, Some(AuditOutcome::Failed(_))));
-        assert_eq!(engine.metrics().verify_failures.load(Ordering::Relaxed), 1);
+        assert_eq!(engine.metrics().get("verify_failures"), 1);
     }
 
     #[test]
@@ -1665,8 +1662,8 @@ mod tests {
             "rejection must precede encoding"
         );
         assert_eq!(rpt.phase_count("adapt"), 0, "no solve at all");
-        assert_eq!(engine.metrics().lint_rejections.load(Ordering::Relaxed), 1);
-        assert!(engine.metrics().lint_errors.load(Ordering::Relaxed) > 0);
+        assert_eq!(engine.metrics().get("lint_rejections"), 1);
+        assert!(engine.metrics().get("lint_errors") > 0);
     }
 
     #[test]
@@ -1684,11 +1681,11 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.code == qca_lint::LintCode::NonSourceBasis));
-        assert_eq!(engine.metrics().lint_warnings.load(Ordering::Relaxed), 1);
-        assert_eq!(engine.metrics().lint_errors.load(Ordering::Relaxed), 0);
-        let json = engine.metrics().to_json();
-        assert!(json.contains("\"lint_warnings\": 1"), "{json}");
-        assert!(json.contains("\"lint_errors\": 0"), "{json}");
+        assert_eq!(engine.metrics().get("lint_warnings"), 1);
+        assert_eq!(engine.metrics().get("lint_errors"), 0);
+        let json = engine.metrics().to_json().to_string_compact();
+        assert!(json.contains("\"lint_warnings\":1"), "{json}");
+        assert!(json.contains("\"lint_errors\":0"), "{json}");
     }
 
     #[test]
@@ -1713,7 +1710,7 @@ mod tests {
         let reports = strict.adapt_batch(&hw, &[AdaptJob::new(c)]);
         assert_eq!(reports[0].status, AdaptStatus::Fallback);
         assert!(matches!(reports[0].error, Some(AdaptError::Rejected(_))));
-        assert_eq!(strict.metrics().lint_rejections.load(Ordering::Relaxed), 1);
+        assert_eq!(strict.metrics().get("lint_rejections"), 1);
     }
 
     #[test]
@@ -1723,7 +1720,7 @@ mod tests {
         let engine = Engine::new(config(1));
         let reports = engine.adapt_batch(&hw, &jobs);
         assert!(reports[0].diagnostics.is_empty());
-        assert_eq!(engine.metrics().lint_warnings.load(Ordering::Relaxed), 0);
+        assert_eq!(engine.metrics().get("lint_warnings"), 0);
     }
 
     #[test]
@@ -1764,7 +1761,7 @@ mod tests {
             });
             let reports = engine.adapt_batch(&hw, &jobs);
             assert!(reports.iter().all(|r| !r.cache_hit));
-            assert_eq!(engine.metrics().store_replays.load(Ordering::Relaxed), 0);
+            assert_eq!(engine.metrics().get("store_replays"), 0);
             reports
         };
         // Cold restart: a fresh engine over the same directory replays the
@@ -1776,7 +1773,7 @@ mod tests {
             store: Some(store),
             ..EngineConfig::default()
         });
-        assert_eq!(engine.metrics().store_replays.load(Ordering::Relaxed), 2);
+        assert_eq!(engine.metrics().get("store_replays"), 2);
         let second = engine.adapt_batch(&hw, &jobs);
         for (a, b) in first.iter().zip(&second) {
             assert!(b.cache_hit, "warm-restarted entry must serve as a hit");
@@ -1820,8 +1817,8 @@ mod tests {
         });
         let reports = engine.adapt_batch(&hw, &jobs);
         assert!(reports[0].cache_hit, "disk hit presents as a cache hit");
-        assert!(engine.metrics().store_hits.load(Ordering::Relaxed) >= 1);
-        assert_eq!(engine.metrics().cache_hits.load(Ordering::Relaxed), 0);
+        assert!(engine.metrics().get("store_hits") >= 1);
+        assert_eq!(engine.metrics().get("cache_hits"), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1880,10 +1877,7 @@ mod tests {
             "exactly one smt.encode span across {N} identical concurrent jobs"
         );
         assert_eq!(
-            engine
-                .metrics()
-                .singleflight_coalesced
-                .load(Ordering::Relaxed),
+            engine.metrics().get("singleflight_coalesced"),
             (N - 1) as u64
         );
         let solved: Vec<_> = reports.iter().filter(|r| !r.cache_hit).collect();

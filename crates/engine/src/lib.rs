@@ -56,39 +56,3 @@ pub use engine::{
     JobPolicy, RecalibrationReport,
 };
 pub use pool::{EnginePool, SubmitError};
-
-use cache::AdaptCache;
-use qca_adapt::{AdaptLimits, AdaptOptions};
-use qca_circuit::Circuit;
-use qca_hw::HardwareModel;
-
-/// Canonical cache key of an adaptation request.
-#[deprecated(since = "0.2.0", note = "use `cache::AdaptCache::key`")]
-pub fn cache_key(
-    circuit: &Circuit,
-    hw: &HardwareModel,
-    options: &AdaptOptions,
-    limits: &AdaptLimits,
-) -> u64 {
-    AdaptCache::key(circuit, hw, options, limits)
-}
-
-#[cfg(test)]
-mod tests {
-    use qca_circuit::{Circuit, Gate};
-    use qca_hw::{spin_qubit_model, GateTimes};
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_root_cache_key_matches_cache_method() {
-        let mut c = Circuit::new(2);
-        c.push(Gate::Cx, &[0, 1]);
-        let hw = spin_qubit_model(GateTimes::D0);
-        let o = qca_adapt::AdaptOptions::default();
-        let l = qca_adapt::AdaptLimits::default();
-        assert_eq!(
-            super::cache_key(&c, &hw, &o, &l),
-            super::cache::AdaptCache::key(&c, &hw, &o, &l)
-        );
-    }
-}

@@ -1,14 +1,14 @@
 //! Engine metrics: lock-free counters and log-scale histograms.
 //!
 //! The registry is a [`TraceSink`]: the engine tees its tracer into it, and
-//! every `engine.*`, `verify.*`, and `lint.*` counter event lands in the matching atomic (other
+//! every counter event named in [`COUNTERS`] lands in its atomic (other
 //! events — spans, SAT gauges, OMT counters — pass through untouched, so
 //! the same stream can feed a JSONL file and the registry at once).
 //! Workers record into shared atomics while solving; nothing blocks on a
-//! metrics write. [`MetricsRegistry::to_json`] renders a snapshot as a
-//! self-contained JSON object (hand-rolled — the build environment has no
-//! serde) for the `qca-engine` CLI's `--metrics-out`.
+//! metrics write. [`MetricsRegistry::to_json`] renders a snapshot as one
+//! JSON object for `--metrics-out` and `/metrics`.
 
+use qca_trace::json::Json;
 use qca_trace::{TraceEvent, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -97,101 +97,85 @@ impl Histogram {
         self.max()
     }
 
-    /// Renders `{"count":..,"sum":..,"mean":..,"max":..,"p50":..,"p90":..,
-    /// "p95":..,"p99":..}`. The percentiles are bucket lower edges — see
+    /// `{"count":..,"sum":..,"mean":..,"max":..,"p50":..,"p90":..,"p95":..,
+    /// "p99":..}`. The percentiles are bucket lower edges — see
     /// [`Histogram::quantile`].
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"sum\":{},\"mean\":{:.1},\"max\":{},\"p50\":{},\"p90\":{},\"p95\":{},\"p99\":{}}}",
-            self.count(),
-            self.sum(),
-            self.mean(),
-            self.max(),
-            self.quantile(0.5),
-            self.quantile(0.9),
-            self.quantile(0.95),
-            self.quantile(0.99),
-        )
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("count", self.count().into()),
+            ("sum", self.sum().into()),
+            ("mean", self.mean().into()),
+            ("max", self.max().into()),
+            ("p50", self.quantile(0.5).into()),
+            ("p90", self.quantile(0.9).into()),
+            ("p95", self.quantile(0.95).into()),
+            ("p99", self.quantile(0.99).into()),
+        ])
     }
 }
 
+/// `(counter event name, JSON key)` for every counter the registry keeps,
+/// in rendering order. Each event's value is added to its counter.
+pub const COUNTERS: [(&str, &str); 33] = [
+    ("engine.jobs_submitted", "jobs_submitted"),
+    ("engine.job_completed", "jobs_completed"),
+    ("engine.cache_hit", "cache_hits"),
+    ("engine.cache_miss", "cache_misses"),
+    ("engine.status.optimal", "optimal"),
+    ("engine.status.feasible", "feasible"),
+    ("engine.status.fallback", "fallbacks"),
+    ("engine.job_panicked", "jobs_panicked"),
+    ("verify.audits", "verify_audits"),
+    ("verify.passed", "verify_passed"),
+    ("verify.failures", "verify_failures"),
+    ("lint.errors", "lint_errors"),
+    ("lint.warnings", "lint_warnings"),
+    ("lint.rejections", "lint_rejections"),
+    ("recalib.entries", "recalib_entries"),
+    ("recalib.reused", "recalib_reused"),
+    ("recalib.resolved", "recalib_resolved"),
+    ("recalib.failed", "recalib_failed"),
+    ("portfolio.races", "portfolio_races"),
+    ("sat.pre.units", "pre_units"),
+    ("sat.pre.pures", "pre_pures"),
+    ("sat.pre.subsumed", "pre_subsumed"),
+    ("sat.pre.eliminated", "pre_eliminated"),
+    ("store.hits", "store_hits"),
+    ("store.misses", "store_misses"),
+    ("store.replays", "store_replays"),
+    ("store.compactions", "store_compactions"),
+    ("singleflight.coalesced", "singleflight_coalesced"),
+    ("engine.sat_conflicts", "sat_conflicts"),
+    ("engine.sat_restarts", "sat_restarts"),
+    ("engine.sat_learnt_clauses", "sat_learnt_clauses"),
+    ("engine.sat_decisions", "sat_decisions"),
+    ("engine.sat_propagations", "sat_propagations"),
+];
+
 /// Shared counters and histograms for one [`Engine`](crate::Engine).
 ///
-/// All fields are updated with relaxed atomics; totals are exact once the
+/// All values are updated with relaxed atomics; totals are exact once the
 /// batch has been collected (the engine joins its workers before reporting).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
-    /// Jobs handed to workers.
-    pub jobs_submitted: AtomicU64,
-    /// Jobs finished (any status).
-    pub jobs_completed: AtomicU64,
-    /// Jobs answered from the cache.
-    pub cache_hits: AtomicU64,
-    /// Jobs that had to be solved.
-    pub cache_misses: AtomicU64,
-    /// Jobs that finished with a proven-optimal result.
-    pub optimal: AtomicU64,
-    /// Jobs that finished feasible but not proven optimal.
-    pub feasible: AtomicU64,
-    /// Jobs that degraded to a baseline adaptation.
-    pub fallbacks: AtomicU64,
-    /// Jobs whose worker panicked and was demoted to an error report.
-    pub jobs_panicked: AtomicU64,
-    /// Reports audited by the independent verifier.
-    pub verify_audits: AtomicU64,
-    /// Audits that confirmed the report.
-    pub verify_passed: AtomicU64,
-    /// Audits that found a discrepancy.
-    pub verify_failures: AtomicU64,
-    /// Error-severity findings from the preflight lint stage.
-    pub lint_errors: AtomicU64,
-    /// Warning-severity findings from the preflight lint stage.
-    pub lint_warnings: AtomicU64,
-    /// Jobs rejected by preflight (degraded to a baseline result).
-    pub lint_rejections: AtomicU64,
-    /// Corpus entries visited by recalibration.
-    pub recalib_entries: AtomicU64,
-    /// Recalibrated entries whose cached optimum still held (no re-solve).
-    pub recalib_reused: AtomicU64,
-    /// Recalibrated entries that needed a warm-started re-solve.
-    pub recalib_resolved: AtomicU64,
-    /// Recalibrated entries whose re-check or re-solve errored.
-    pub recalib_failed: AtomicU64,
-    /// Solver-portfolio races launched by budget-exhausted probes.
-    pub portfolio_races: AtomicU64,
-    /// Unit clauses fixed by the pre-race formula preprocessor.
-    pub pre_units: AtomicU64,
-    /// Pure literals eliminated by the preprocessor.
-    pub pre_pures: AtomicU64,
-    /// Clauses removed as subsumed (duplicates included) by the
-    /// preprocessor.
-    pub pre_subsumed: AtomicU64,
-    /// Variables removed by bounded variable elimination.
-    pub pre_eliminated: AtomicU64,
-    /// Jobs answered from the persistent store after missing the LRU.
-    pub store_hits: AtomicU64,
-    /// Lookups that missed both the LRU and the persistent store.
-    pub store_misses: AtomicU64,
-    /// Records replayed from the persistent store on warm restart.
-    pub store_replays: AtomicU64,
-    /// Snapshot compactions performed by the persistent store.
-    pub store_compactions: AtomicU64,
-    /// Concurrent identical jobs coalesced onto one in-flight solve.
-    pub singleflight_coalesced: AtomicU64,
-    /// Total SAT conflicts across all solved jobs.
-    pub sat_conflicts: AtomicU64,
-    /// Total SAT restarts across all solved jobs.
-    pub sat_restarts: AtomicU64,
-    /// Total learnt clauses across all solved jobs.
-    pub sat_learnt_clauses: AtomicU64,
-    /// Total SAT decisions across all solved jobs.
-    pub sat_decisions: AtomicU64,
-    /// Total SAT propagations across all solved jobs.
-    pub sat_propagations: AtomicU64,
-    /// Per-job solve wall time in microseconds (cache hits excluded).
+    /// One counter per [`COUNTERS`] entry, same index.
+    counters: [AtomicU64; COUNTERS.len()],
+    /// Per-job solve wall time in microseconds (cache hits excluded), fed
+    /// by `engine.solve_wall_us`.
     pub solve_wall_us: Histogram,
-    /// Per-job SAT conflicts (cache hits excluded).
+    /// Per-job SAT conflicts (cache hits excluded), fed by
+    /// `engine.sat_conflicts`.
     pub conflicts_per_job: Histogram,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            solve_wall_us: Histogram::new(),
+            conflicts_per_job: Histogram::new(),
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -200,10 +184,23 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// The counter rendered under JSON key `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `key` is not a [`COUNTERS`] key.
+    pub fn get(&self, key: &str) -> u64 {
+        let index = COUNTERS
+            .iter()
+            .position(|&(_, k)| k == key)
+            .unwrap_or_else(|| panic!("unknown metrics key {key:?}"));
+        self.counters[index].load(Ordering::Relaxed)
+    }
+
     /// Cache hit rate over completed lookups (0.0 when nothing ran).
     pub fn cache_hit_rate(&self) -> f64 {
-        let hits = self.cache_hits.load(Ordering::Relaxed);
-        let total = hits + self.cache_misses.load(Ordering::Relaxed);
+        let hits = self.get("cache_hits");
+        let total = hits + self.get("cache_misses");
         if total == 0 {
             0.0
         } else {
@@ -211,142 +208,45 @@ impl MetricsRegistry {
         }
     }
 
-    /// Renders the registry as a JSON object.
-    pub fn to_json(&self) -> String {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        format!(
-            concat!(
-                "{{\n",
-                "  \"jobs_submitted\": {},\n",
-                "  \"jobs_completed\": {},\n",
-                "  \"cache_hits\": {},\n",
-                "  \"cache_misses\": {},\n",
-                "  \"cache_hit_rate\": {:.4},\n",
-                "  \"optimal\": {},\n",
-                "  \"feasible\": {},\n",
-                "  \"fallbacks\": {},\n",
-                "  \"jobs_panicked\": {},\n",
-                "  \"verify_audits\": {},\n",
-                "  \"verify_passed\": {},\n",
-                "  \"verify_failures\": {},\n",
-                "  \"lint_errors\": {},\n",
-                "  \"lint_warnings\": {},\n",
-                "  \"lint_rejections\": {},\n",
-                "  \"recalib_entries\": {},\n",
-                "  \"recalib_reused\": {},\n",
-                "  \"recalib_resolved\": {},\n",
-                "  \"recalib_failed\": {},\n",
-                "  \"portfolio_races\": {},\n",
-                "  \"pre_units\": {},\n",
-                "  \"pre_pures\": {},\n",
-                "  \"pre_subsumed\": {},\n",
-                "  \"pre_eliminated\": {},\n",
-                "  \"store_hits\": {},\n",
-                "  \"store_misses\": {},\n",
-                "  \"store_replays\": {},\n",
-                "  \"store_compactions\": {},\n",
-                "  \"singleflight_coalesced\": {},\n",
-                "  \"sat_conflicts\": {},\n",
-                "  \"sat_restarts\": {},\n",
-                "  \"sat_learnt_clauses\": {},\n",
-                "  \"sat_decisions\": {},\n",
-                "  \"sat_propagations\": {},\n",
-                "  \"solve_wall_us\": {},\n",
-                "  \"conflicts_per_job\": {}\n",
-                "}}"
-            ),
-            load(&self.jobs_submitted),
-            load(&self.jobs_completed),
-            load(&self.cache_hits),
-            load(&self.cache_misses),
-            self.cache_hit_rate(),
-            load(&self.optimal),
-            load(&self.feasible),
-            load(&self.fallbacks),
-            load(&self.jobs_panicked),
-            load(&self.verify_audits),
-            load(&self.verify_passed),
-            load(&self.verify_failures),
-            load(&self.lint_errors),
-            load(&self.lint_warnings),
-            load(&self.lint_rejections),
-            load(&self.recalib_entries),
-            load(&self.recalib_reused),
-            load(&self.recalib_resolved),
-            load(&self.recalib_failed),
-            load(&self.portfolio_races),
-            load(&self.pre_units),
-            load(&self.pre_pures),
-            load(&self.pre_subsumed),
-            load(&self.pre_eliminated),
-            load(&self.store_hits),
-            load(&self.store_misses),
-            load(&self.store_replays),
-            load(&self.store_compactions),
-            load(&self.singleflight_coalesced),
-            load(&self.sat_conflicts),
-            load(&self.sat_restarts),
-            load(&self.sat_learnt_clauses),
-            load(&self.sat_decisions),
-            load(&self.sat_propagations),
-            self.solve_wall_us.to_json(),
-            self.conflicts_per_job.to_json(),
-        )
+    /// The registry as one JSON object: every counter under its key, the
+    /// derived `cache_hit_rate` after `cache_misses`, then the histograms.
+    pub fn to_json(&self) -> Json {
+        let mut members: Vec<(&str, Json)> = COUNTERS
+            .iter()
+            .zip(&self.counters)
+            .map(|(&(_, key), c)| (key, c.load(Ordering::Relaxed).into()))
+            .collect();
+        let after_misses = 1 + members
+            .iter()
+            .position(|(k, _)| *k == "cache_misses")
+            .expect("cache_misses is a counter");
+        members.insert(
+            after_misses,
+            ("cache_hit_rate", self.cache_hit_rate().into()),
+        );
+        members.push(("solve_wall_us", self.solve_wall_us.to_json()));
+        members.push(("conflicts_per_job", self.conflicts_per_job.to_json()));
+        Json::obj(members)
     }
 }
 
-/// Counter-event names the engine emits, mapped onto registry fields. The
-/// registry ignores every other event (spans, gauges, foreign counters), so
-/// it can sit on the same fanout as a JSONL sink.
+/// Counter events named in [`COUNTERS`] accumulate; `engine.sat_conflicts`
+/// and `engine.solve_wall_us` also feed the histograms. Every other event
+/// (spans, gauges, foreign counters) is ignored, so the registry can sit
+/// on the same fanout as a JSONL sink.
 impl TraceSink for MetricsRegistry {
     fn record(&self, event: &TraceEvent) {
         let TraceEvent::Counter { name, value, .. } = event else {
             return;
         };
         match name.as_ref() {
-            "engine.jobs_submitted" => &self.jobs_submitted,
-            "engine.job_completed" => &self.jobs_completed,
-            "engine.cache_hit" => &self.cache_hits,
-            "engine.cache_miss" => &self.cache_misses,
-            "engine.status.optimal" => &self.optimal,
-            "engine.status.feasible" => &self.feasible,
-            "engine.status.fallback" => &self.fallbacks,
-            "engine.job_panicked" => &self.jobs_panicked,
-            "verify.audits" => &self.verify_audits,
-            "verify.passed" => &self.verify_passed,
-            "verify.failures" => &self.verify_failures,
-            "lint.errors" => &self.lint_errors,
-            "lint.warnings" => &self.lint_warnings,
-            "lint.rejections" => &self.lint_rejections,
-            "recalib.entries" => &self.recalib_entries,
-            "recalib.reused" => &self.recalib_reused,
-            "recalib.resolved" => &self.recalib_resolved,
-            "recalib.failed" => &self.recalib_failed,
-            "portfolio.races" => &self.portfolio_races,
-            "sat.pre.units" => &self.pre_units,
-            "sat.pre.pures" => &self.pre_pures,
-            "sat.pre.subsumed" => &self.pre_subsumed,
-            "sat.pre.eliminated" => &self.pre_eliminated,
-            "store.hits" => &self.store_hits,
-            "store.misses" => &self.store_misses,
-            "store.replays" => &self.store_replays,
-            "store.compactions" => &self.store_compactions,
-            "singleflight.coalesced" => &self.singleflight_coalesced,
-            "engine.sat_conflicts" => {
-                self.conflicts_per_job.record(*value);
-                &self.sat_conflicts
-            }
-            "engine.sat_restarts" => &self.sat_restarts,
-            "engine.sat_learnt_clauses" => &self.sat_learnt_clauses,
-            "engine.sat_decisions" => &self.sat_decisions,
-            "engine.sat_propagations" => &self.sat_propagations,
-            "engine.solve_wall_us" => {
-                self.solve_wall_us.record(*value);
-                return;
-            }
-            _ => return,
+            "engine.solve_wall_us" => return self.solve_wall_us.record(*value),
+            "engine.sat_conflicts" => self.conflicts_per_job.record(*value),
+            _ => {}
         }
-        .fetch_add(*value, Ordering::Relaxed);
+        if let Some(index) = COUNTERS.iter().position(|&(event, _)| event == name) {
+            self.counters[index].fetch_add(*value, Ordering::Relaxed);
+        }
     }
 }
 
@@ -381,8 +281,8 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
         let json = h.to_json();
-        assert!(json.contains("\"p50\":0"), "{json}");
-        assert!(json.contains("\"p99\":0"), "{json}");
+        assert_eq!(json.get("p50"), Some(&Json::Int(0)));
+        assert_eq!(json.get("p99"), Some(&Json::Int(0)));
     }
 
     #[test]
@@ -447,21 +347,89 @@ mod tests {
         assert_eq!(h.quantile(0.99), 64);
         assert_eq!(h.quantile(1.0), 64);
         let json = h.to_json();
-        assert!(json.contains("\"p50\":32"), "{json}");
-        assert!(json.contains("\"p95\":64"), "{json}");
-        assert!(json.contains("\"p99\":64"), "{json}");
+        assert_eq!(json.get("p50"), Some(&Json::Int(32)));
+        assert_eq!(json.get("p95"), Some(&Json::Int(64)));
+        assert_eq!(json.get("p99"), Some(&Json::Int(64)));
     }
 
     #[test]
     fn hit_rate_and_json_shape() {
-        let m = MetricsRegistry::new();
-        m.cache_hits.fetch_add(3, Ordering::Relaxed);
-        m.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let m = std::sync::Arc::new(MetricsRegistry::new());
+        let tracer = qca_trace::Tracer::new(m.clone());
+        tracer.counter("engine.cache_hit", 3);
+        tracer.counter("engine.cache_miss", 1);
         assert!((m.cache_hit_rate() - 0.75).abs() < 1e-12);
         let json = m.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"cache_hit_rate\": 0.7500"));
-        assert!(json.contains("\"solve_wall_us\""));
+        assert_eq!(json.get("cache_hits"), Some(&Json::Int(3)));
+        assert_eq!(json.get("cache_hit_rate"), Some(&Json::Num(0.75)));
+        assert_eq!(
+            json.get("solve_wall_us").and_then(|h| h.get("count")),
+            Some(&Json::Int(0))
+        );
+        // Every key of the wire format, in order.
+        let keys: Vec<&str> = json
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "jobs_submitted",
+                "jobs_completed",
+                "cache_hits",
+                "cache_misses",
+                "cache_hit_rate",
+                "optimal",
+                "feasible",
+                "fallbacks",
+                "jobs_panicked",
+                "verify_audits",
+                "verify_passed",
+                "verify_failures",
+                "lint_errors",
+                "lint_warnings",
+                "lint_rejections",
+                "recalib_entries",
+                "recalib_reused",
+                "recalib_resolved",
+                "recalib_failed",
+                "portfolio_races",
+                "pre_units",
+                "pre_pures",
+                "pre_subsumed",
+                "pre_eliminated",
+                "store_hits",
+                "store_misses",
+                "store_replays",
+                "store_compactions",
+                "singleflight_coalesced",
+                "sat_conflicts",
+                "sat_restarts",
+                "sat_learnt_clauses",
+                "sat_decisions",
+                "sat_propagations",
+                "solve_wall_us",
+                "conflicts_per_job",
+            ]
+        );
+    }
+
+    #[test]
+    fn every_counter_event_lands_under_its_key() {
+        let m = std::sync::Arc::new(MetricsRegistry::new());
+        let tracer = qca_trace::Tracer::new(m.clone());
+        for (i, &(event, _)) in COUNTERS.iter().enumerate() {
+            tracer.counter(event, i as u64 + 1);
+        }
+        let json = m.to_json();
+        let text = json.to_string_compact();
+        for (i, &(_, key)) in COUNTERS.iter().enumerate() {
+            assert_eq!(m.get(key), i as u64 + 1, "{key}");
+            assert_eq!(json.get(key), Some(&Json::Int(i as i128 + 1)), "{key}");
+            assert!(text.contains(&format!("\"{key}\":{},", i + 1)), "{text}");
+        }
     }
 
     #[test]
@@ -474,47 +442,17 @@ mod tests {
             tracer.counter("engine.sat_restarts", 2);
             tracer.counter("engine.job_completed", 1);
         }
-        assert_eq!(m.sat_conflicts.load(Ordering::Relaxed), 20);
-        assert_eq!(m.sat_restarts.load(Ordering::Relaxed), 4);
-        assert_eq!(m.jobs_completed.load(Ordering::Relaxed), 2);
+        assert_eq!(m.get("sat_conflicts"), 20);
+        assert_eq!(m.get("sat_restarts"), 4);
+        assert_eq!(m.get("jobs_completed"), 2);
         assert_eq!(m.solve_wall_us.count(), 2);
         assert_eq!(m.conflicts_per_job.count(), 2);
     }
 
     #[test]
-    fn preprocessor_counters_land_in_the_registry() {
-        let m = std::sync::Arc::new(MetricsRegistry::new());
-        let tracer = qca_trace::Tracer::new(m.clone());
-        tracer.counter("sat.pre.units", 3);
-        tracer.counter("sat.pre.pures", 2);
-        tracer.counter("sat.pre.subsumed", 5);
-        tracer.counter("sat.pre.eliminated", 1);
-        assert_eq!(m.pre_units.load(Ordering::Relaxed), 3);
-        assert_eq!(m.pre_pures.load(Ordering::Relaxed), 2);
-        assert_eq!(m.pre_subsumed.load(Ordering::Relaxed), 5);
-        assert_eq!(m.pre_eliminated.load(Ordering::Relaxed), 1);
-        let json = m.to_json();
-        assert!(json.contains("\"pre_units\": 3"), "{json}");
-        assert!(json.contains("\"pre_eliminated\": 1"), "{json}");
-    }
-
-    #[test]
-    fn store_and_singleflight_counters_land_in_the_registry() {
-        let m = std::sync::Arc::new(MetricsRegistry::new());
-        let tracer = qca_trace::Tracer::new(m.clone());
-        tracer.counter("store.hits", 4);
-        tracer.counter("store.misses", 2);
-        tracer.counter("store.replays", 9);
-        tracer.counter("store.compactions", 1);
-        tracer.counter("singleflight.coalesced", 3);
-        assert_eq!(m.store_hits.load(Ordering::Relaxed), 4);
-        assert_eq!(m.store_misses.load(Ordering::Relaxed), 2);
-        assert_eq!(m.store_replays.load(Ordering::Relaxed), 9);
-        assert_eq!(m.store_compactions.load(Ordering::Relaxed), 1);
-        assert_eq!(m.singleflight_coalesced.load(Ordering::Relaxed), 3);
-        let json = m.to_json();
-        assert!(json.contains("\"store_replays\": 9"), "{json}");
-        assert!(json.contains("\"singleflight_coalesced\": 3"), "{json}");
+    #[should_panic(expected = "unknown metrics key")]
+    fn unknown_key_panics() {
+        MetricsRegistry::new().get("no_such_counter");
     }
 
     #[test]
@@ -525,8 +463,8 @@ mod tests {
         tracer.gauge("engine.sat_conflicts", 5);
         let _span = tracer.span("engine.job");
         drop(_span);
-        assert_eq!(m.sat_conflicts.load(Ordering::Relaxed), 0);
-        assert_eq!(m.sat_restarts.load(Ordering::Relaxed), 0);
+        assert_eq!(m.get("sat_conflicts"), 0);
+        assert_eq!(m.get("sat_restarts"), 0);
         assert_eq!(m.conflicts_per_job.count(), 0);
     }
 }

@@ -12,7 +12,12 @@
 //! QASM-adjacent JSON loader accepts externally described devices.
 
 use qca_circuit::hash::Fnv64;
+use qca_trace::json::{self, Json};
 use std::collections::VecDeque;
+
+/// Largest qubit count [`CouplingMap::from_json`] accepts: a bound on the
+/// adjacency allocation an untrusted document can request.
+const MAX_JSON_QUBITS: usize = 1 << 16;
 
 /// An undirected qubit-connectivity graph.
 ///
@@ -122,41 +127,54 @@ impl CouplingMap {
     /// Loads a map from a QASM-adjacent JSON document of the shape
     /// `{"num_qubits": 5, "edges": [[0, 2], [1, 2], [2, 3], [2, 4]]}`.
     /// `"coupling_map"` is accepted as an alias for `"edges"` (the Qiskit
-    /// spelling); whitespace is free-form.
+    /// spelling); whitespace is free-form. Only the top-level keys count,
+    /// and every edge must be a two-element array of qubit indices.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing field, malformed number,
-    /// or invalid edge.
+    /// Returns a description of the first syntax error, missing field,
+    /// malformed number, or invalid edge. Maps over more than 65 536
+    /// qubits are refused.
     pub fn from_json(text: &str) -> Result<CouplingMap, String> {
-        let num_qubits = json_usize_field(text, "num_qubits")
-            .ok_or_else(|| "missing or malformed \"num_qubits\" field".to_string())?;
-        let ints = json_int_list(text, "edges")
-            .or_else(|| json_int_list(text, "coupling_map"))
-            .ok_or_else(|| "missing or malformed \"edges\" array".to_string())?;
-        if ints.len() % 2 != 0 {
+        let doc = json::parse(text)?;
+        let index = |v: &Json| v.as_u64().and_then(|n| usize::try_from(n).ok());
+        let num_qubits = doc
+            .get("num_qubits")
+            .and_then(index)
+            .ok_or("missing or malformed \"num_qubits\" field")?;
+        if num_qubits > MAX_JSON_QUBITS {
             return Err(format!(
-                "edge list holds {} endpoints, expected an even count",
-                ints.len()
+                "num_qubits {num_qubits} exceeds the limit of {MAX_JSON_QUBITS}"
             ));
         }
-        let edges = ints.chunks(2).map(|pair| (pair[0], pair[1]));
+        let edges = doc
+            .get("edges")
+            .or_else(|| doc.get("coupling_map"))
+            .and_then(Json::as_arr)
+            .ok_or("missing or malformed \"edges\" array")?
+            .iter()
+            .map(|edge| match edge.as_arr() {
+                Some([a, b]) => index(a).zip(index(b)),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()
+            .ok_or("every edge must be a [a, b] pair of qubit indices")?;
         CouplingMap::new(num_qubits, edges)
     }
 
     /// Serializes the map into the JSON shape [`from_json`](Self::from_json)
     /// accepts.
     pub fn to_json(&self) -> String {
-        let edges: Vec<String> = self
+        let edges = self
             .edges
             .iter()
-            .map(|(a, b)| format!("[{a}, {b}]"))
+            .map(|&(a, b)| Json::from(vec![a, b]))
             .collect();
-        format!(
-            "{{\"num_qubits\": {}, \"edges\": [{}]}}",
-            self.num_qubits,
-            edges.join(", ")
-        )
+        Json::obj([
+            ("num_qubits", self.num_qubits.into()),
+            ("edges", Json::Arr(edges)),
+        ])
+        .to_string_compact()
     }
 
     /// Number of qubits.
@@ -283,60 +301,10 @@ impl CouplingMap {
     }
 }
 
-/// Parses the integer value of `"key": <int>` out of `text`.
-fn json_usize_field(text: &str, key: &str) -> Option<usize> {
-    let rest = after_key(text, key)?;
-    let digits: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Parses every integer inside the (possibly nested) array value of
-/// `"key": [...]`, in order of appearance.
-fn json_int_list(text: &str, key: &str) -> Option<Vec<usize>> {
-    let rest = after_key(text, key)?.trim_start();
-    if !rest.starts_with('[') {
-        return None;
-    }
-    let mut depth = 0usize;
-    let mut ints = Vec::new();
-    let mut digits = String::new();
-    for c in rest.chars() {
-        match c {
-            '[' => depth += 1,
-            ']' | ',' | ' ' | '\t' | '\n' | '\r' => {
-                if !digits.is_empty() {
-                    ints.push(digits.parse().ok()?);
-                    digits.clear();
-                }
-                if c == ']' {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(ints);
-                    }
-                }
-            }
-            d if d.is_ascii_digit() => digits.push(d),
-            _ => return None,
-        }
-    }
-    None
-}
-
-/// Slice of `text` just past the colon of `"key":`.
-fn after_key<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    rest.strip_prefix(':')
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn constructors_have_expected_edge_counts() {
@@ -437,6 +405,75 @@ mod tests {
         assert!(CouplingMap::from_json("{\"num_qubits\": 3, \"edges\": [[0]]}").is_err());
         assert!(CouplingMap::from_json("{\"num_qubits\": 3, \"edges\": [[0, 5]]}").is_err());
         assert!(CouplingMap::from_json("{\"num_qubits\": x, \"edges\": []}").is_err());
+    }
+
+    #[test]
+    fn json_reads_only_well_formed_top_level_fields() {
+        // A key inside a nested object or a string never stands in for
+        // the top-level one.
+        let nested = r#"{"meta":{"num_qubits":99},"num_qubits":3,"edges":[[0,1],[1,2]]}"#;
+        assert_eq!(
+            CouplingMap::from_json(nested).unwrap(),
+            CouplingMap::line(3)
+        );
+        let quoted = r#"{"note":"\"num_qubits\": 9","num_qubits":2,"edges":[[0,1]]}"#;
+        assert_eq!(CouplingMap::from_json(quoted).unwrap().num_qubits(), 2);
+        for bad in [
+            // Fractional qubit count.
+            r#"{"num_qubits":3.7,"edges":[[0,1]]}"#,
+            r#"{"num_qubits":-3,"edges":[[0,1]]}"#,
+            // A flat endpoint list, and a pair holding two edges.
+            r#"{"num_qubits":3,"edges":[0,1,1,2]}"#,
+            r#"{"num_qubits":3,"edges":[[0,1,1,2]]}"#,
+            r#"{"num_qubits":3,"edges":[[0,1.5]]}"#,
+            // Trailing garbage and duplicate keys.
+            r#"{"num_qubits":3,"edges":[[0,1]]} trailing garbage"#,
+            r#"{"num_qubits":3,"num_qubits":4,"edges":[]}"#,
+            // Only nested fields.
+            r#"{"meta":{"num_qubits":3,"edges":[[0,1]]}}"#,
+            r#"{"num_qubits":100000,"edges":[]}"#,
+            "[]",
+        ] {
+            assert!(CouplingMap::from_json(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    /// Fragments of coupling-map documents, recombined at random.
+    const TOKENS: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        "\"",
+        ":",
+        ",",
+        " ",
+        "\"num_qubits\"",
+        "\"edges\"",
+        "\"coupling_map\"",
+        "0",
+        "1",
+        "3",
+        "2.5",
+        "-1",
+        "99999999999999999999",
+        "null",
+        "\\",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_documents_never_panic(ix in collection::vec(0..TOKENS.len(), 0..32)) {
+            let text: String = ix.iter().map(|&i| TOKENS[i]).collect();
+            let _ = CouplingMap::from_json(&text);
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in collection::vec(0u8..=255, 0..64)) {
+            let _ = CouplingMap::from_json(&String::from_utf8_lossy(&bytes));
+        }
     }
 
     #[test]

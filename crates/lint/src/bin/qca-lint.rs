@@ -119,7 +119,7 @@ fn collect_files(paths: &[PathBuf]) -> Result<Vec<PathBuf>, String> {
 fn emit(args: &Args, file: Option<&str>, diags: &[Diagnostic]) {
     for diag in diags {
         if args.json {
-            println!("{}", render_json(file, diag));
+            println!("{}", render_json(file, diag).to_string_compact());
         } else {
             println!("{}", render_human(file, diag));
         }

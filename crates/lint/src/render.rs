@@ -6,6 +6,7 @@
 //! `code`, `severity`, `message`, `help`), omitting absent fields.
 
 use crate::diag::Diagnostic;
+use qca_trace::json::Json;
 use std::fmt::Write as _;
 
 /// Renders one diagnostic in the human `file:line:col:` style. `file` is
@@ -30,46 +31,24 @@ pub fn render_human(file: Option<&str>, d: &Diagnostic) -> String {
     out
 }
 
-/// Renders one diagnostic as a single JSON object (no trailing newline).
-pub fn render_json(file: Option<&str>, d: &Diagnostic) -> String {
-    let mut out = String::from("{");
+/// Renders one diagnostic as a single JSON object; its compact form is
+/// one `--json` line.
+pub fn render_json(file: Option<&str>, d: &Diagnostic) -> Json {
+    let mut members = Vec::with_capacity(7);
     if let Some(file) = file {
-        let _ = write!(out, "\"file\":\"{}\",", json_escape(file));
+        members.push(("file", file.into()));
     }
     if let Some(span) = d.span {
-        let _ = write!(out, "\"line\":{},\"col\":{},", span.line, span.col);
+        members.push(("line", span.line.into()));
+        members.push(("col", span.col.into()));
     }
-    let _ = write!(
-        out,
-        "\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"",
-        d.code,
-        d.severity,
-        json_escape(&d.message)
-    );
+    members.push(("code", d.code.to_string().into()));
+    members.push(("severity", d.severity.to_string().into()));
+    members.push(("message", d.message.as_str().into()));
     if let Some(help) = &d.help {
-        let _ = write!(out, ",\"help\":\"{}\"", json_escape(help));
+        members.push(("help", help.as_str().into()));
     }
-    out.push('}');
-    out
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+    Json::obj(members)
 }
 
 #[cfg(test)]
@@ -99,14 +78,9 @@ mod tests {
         let d = Diagnostic::new(LintCode::ParseError, "bad \"token\"")
             .with_span(SrcSpan { line: 1, col: 9 });
         assert_eq!(
-            render_json(Some("x.qasm"), &d),
+            render_json(Some("x.qasm"), &d).to_string_compact(),
             "{\"file\":\"x.qasm\",\"line\":1,\"col\":9,\"code\":\"QCA0001\",\
              \"severity\":\"error\",\"message\":\"bad \\\"token\\\"\"}"
         );
-    }
-
-    #[test]
-    fn json_escape_handles_control_chars() {
-        assert_eq!(json_escape("a\nb\t\"c\\\u{1}"), "a\\nb\\t\\\"c\\\\\\u0001");
     }
 }

@@ -11,7 +11,6 @@
 //! [`BenchResult::observable`](crate::report::BenchResult)).
 
 use crate::json::Json;
-use std::collections::BTreeMap;
 use std::process::Command;
 
 /// Identity of the machine and toolchain a report was produced on.
@@ -62,14 +61,14 @@ impl Fingerprint {
 
     /// Renders the fingerprint as a JSON object value.
     pub fn to_json(&self) -> Json {
-        let mut m = BTreeMap::new();
-        m.insert("cores".to_string(), Json::Num(self.cores as f64));
-        m.insert("arch".to_string(), Json::Str(self.arch.clone()));
-        m.insert("os".to_string(), Json::Str(self.os.clone()));
-        m.insert("rustc".to_string(), Json::Str(self.rustc.clone()));
-        m.insert("git_sha".to_string(), Json::Str(self.git_sha.clone()));
-        m.insert("profile".to_string(), Json::Str(self.profile.clone()));
-        Json::Obj(m)
+        Json::obj([
+            ("cores", self.cores.into()),
+            ("arch", self.arch.as_str().into()),
+            ("os", self.os.as_str().into()),
+            ("rustc", self.rustc.as_str().into()),
+            ("git_sha", self.git_sha.as_str().into()),
+            ("profile", self.profile.as_str().into()),
+        ])
     }
 
     /// Reads a fingerprint back from a parsed report.
@@ -83,8 +82,8 @@ impl Fingerprint {
         };
         let cores = value
             .get("cores")
-            .and_then(Json::as_f64)
-            .filter(|c| c.fract() == 0.0 && *c >= 1.0)
+            .and_then(Json::as_u64)
+            .filter(|c| *c >= 1)
             .ok_or("fingerprint.cores: missing or not a positive integer")?
             as usize;
         Ok(Fingerprint {
@@ -165,7 +164,7 @@ mod tests {
     fn from_json_rejects_missing_fields() {
         let mut json = sample().to_json();
         if let Json::Obj(m) = &mut json {
-            m.remove("arch");
+            m.retain(|(k, _)| k != "arch");
         }
         assert!(Fingerprint::from_json(&json).is_err());
         assert!(Fingerprint::from_json(&Json::Null).is_err());

@@ -15,7 +15,7 @@
 //! | [`report`] | The `BENCH_<pr>.json` schema: model, rendering, parsing, validation |
 //! | [`mod@compare`] | Noise-aware old-vs-new gating (flat bound **and** measured dispersion) |
 //! | [`suite`] | The benchmark suite spanning `qca-sat`, `qca-engine`, `qca-portfolio`, and `qca-serve` |
-//! | [`json`] | Dependency-free general JSON parser/writer underneath it all |
+//! | [`json`] | Re-export of `qca_trace::json`, the workspace's one JSON reader/writer |
 //!
 //! The `qca-perf` binary exposes three subcommands: `run` (measure and
 //! emit a report), `compare OLD NEW` (gate), and `check FILE` (schema
@@ -28,12 +28,12 @@
 pub mod compare;
 pub mod fingerprint;
 pub mod harness;
-pub mod json;
 pub mod report;
 pub mod suite;
 
 pub use compare::{compare, CompareConfig, CompareOutcome, Verdict};
 pub use fingerprint::Fingerprint;
 pub use harness::{measure, HarnessConfig, Measurement, SampleStats};
+pub use qca_trace::json;
 pub use report::{merge_runs, BenchReport, BenchResult, Direction, SCHEMA_VERSION};
 pub use suite::{run_suite, SuiteConfig};

@@ -102,32 +102,26 @@ pub struct BenchResult {
 
 impl BenchResult {
     fn to_json(&self) -> Json {
-        let mut m = BTreeMap::new();
-        m.insert("id".to_string(), Json::Str(self.id.clone()));
-        m.insert("layer".to_string(), Json::Str(self.layer.clone()));
-        m.insert("unit".to_string(), Json::Str(self.unit.clone()));
-        m.insert(
-            "better".to_string(),
-            Json::Str(self.better.as_str().to_string()),
-        );
-        m.insert("value".to_string(), Json::Num(self.value));
-        m.insert("dispersion".to_string(), Json::Num(self.dispersion));
-        m.insert("samples".to_string(), Json::Num(self.samples as f64));
-        m.insert(
-            "iters_per_sample".to_string(),
-            Json::Num(self.iters_per_sample as f64),
-        );
-        m.insert("observable".to_string(), Json::Bool(self.observable));
-        m.insert(
-            "metrics".to_string(),
-            Json::Obj(
-                self.metrics
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                    .collect(),
+        Json::obj([
+            ("id", self.id.as_str().into()),
+            ("layer", self.layer.as_str().into()),
+            ("unit", self.unit.as_str().into()),
+            ("better", self.better.as_str().into()),
+            ("value", self.value.into()),
+            ("dispersion", self.dispersion.into()),
+            ("samples", self.samples.into()),
+            ("iters_per_sample", self.iters_per_sample.into()),
+            ("observable", self.observable.into()),
+            (
+                "metrics",
+                Json::Obj(
+                    self.metrics
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Json::Num(*v)))
+                        .collect(),
+                ),
             ),
-        );
-        Json::Obj(m)
+        ])
     }
 
     fn from_json(value: &Json, index: usize) -> Result<BenchResult, String> {
@@ -166,17 +160,15 @@ impl BenchResult {
         if dispersion < 0.0 {
             return Err(format!("{}: negative", at("dispersion")));
         }
-        let samples = num_field("samples")?;
-        if samples < 1.0 || samples.fract() != 0.0 {
-            return Err(format!("{}: not a positive integer", at("samples")));
-        }
-        let iters = num_field("iters_per_sample")?;
-        if iters < 1.0 || iters.fract() != 0.0 {
-            return Err(format!(
-                "{}: not a positive integer",
-                at("iters_per_sample")
-            ));
-        }
+        let positive_int = |name: &str| -> Result<u64, String> {
+            value
+                .get(name)
+                .and_then(Json::as_u64)
+                .filter(|n| *n >= 1)
+                .ok_or_else(|| format!("{}: not a positive integer", at(name)))
+        };
+        let samples = positive_int("samples")?;
+        let iters = positive_int("iters_per_sample")?;
         let mut metrics = BTreeMap::new();
         if let Some(raw) = value.get("metrics") {
             let obj = raw
@@ -204,7 +196,7 @@ impl BenchResult {
             value: value_num,
             dispersion,
             samples: samples as usize,
-            iters_per_sample: iters as u64,
+            iters_per_sample: iters,
             observable: value
                 .get("observable")
                 .and_then(Json::as_bool)
@@ -316,24 +308,19 @@ impl BenchReport {
     /// Renders the report as pretty-stable JSON (one result per line is not
     /// guaranteed; the output is compact but deterministic).
     pub fn to_json_string(&self) -> String {
-        let mut m = BTreeMap::new();
-        m.insert("kind".to_string(), Json::Str(REPORT_KIND.to_string()));
-        m.insert(
-            "schema_version".to_string(),
-            Json::Num(SCHEMA_VERSION as f64),
-        );
-        m.insert("pr".to_string(), Json::Num(self.pr as f64));
-        m.insert("mode".to_string(), Json::Str(self.mode.clone()));
-        m.insert(
-            "created_unix".to_string(),
-            Json::Num(self.created_unix as f64),
-        );
-        m.insert("fingerprint".to_string(), self.fingerprint.to_json());
-        m.insert(
-            "results".to_string(),
-            Json::Arr(self.results.iter().map(BenchResult::to_json).collect()),
-        );
-        Json::Obj(m).to_string_compact()
+        Json::obj([
+            ("kind", REPORT_KIND.into()),
+            ("schema_version", SCHEMA_VERSION.into()),
+            ("pr", self.pr.into()),
+            ("mode", self.mode.as_str().into()),
+            ("created_unix", self.created_unix.into()),
+            ("fingerprint", self.fingerprint.to_json()),
+            (
+                "results",
+                Json::Arr(self.results.iter().map(BenchResult::to_json).collect()),
+            ),
+        ])
+        .to_string_compact()
     }
 
     /// Parses and validates a report. Every error names the offending
@@ -349,28 +336,26 @@ impl BenchReport {
         }
         let version = root
             .get("schema_version")
-            .and_then(Json::as_f64)
             .ok_or("schema_version: missing")?;
-        if version != SCHEMA_VERSION as f64 {
+        if version.as_u64() != Some(SCHEMA_VERSION) {
             return Err(format!(
-                "schema_version: {version} unsupported (this build reads {SCHEMA_VERSION})"
+                "schema_version: {} unsupported (this build reads {SCHEMA_VERSION})",
+                version.to_string_compact()
             ));
         }
         let pr = root
             .get("pr")
-            .and_then(Json::as_f64)
-            .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-            .ok_or("pr: missing or not a non-negative integer")? as u64;
+            .and_then(Json::as_u64)
+            .ok_or("pr: missing or not a non-negative integer")?;
         let mode = root
             .get("mode")
             .and_then(Json::as_str)
             .ok_or("mode: missing")?
             .to_string();
-        let created_unix =
-            root.get("created_unix")
-                .and_then(Json::as_f64)
-                .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-                .ok_or("created_unix: missing or not a non-negative integer")? as u64;
+        let created_unix = root
+            .get("created_unix")
+            .and_then(Json::as_u64)
+            .ok_or("created_unix: missing or not a non-negative integer")?;
         let fingerprint =
             Fingerprint::from_json(root.get("fingerprint").ok_or("fingerprint: missing")?)?;
         let raw_results = root

@@ -426,10 +426,7 @@ fn bench_cache_hit(config: &SuiteConfig) -> Option<BenchResult> {
         "cache warmup produced an unsupported circuit"
     );
     let measurement = measure(&config.harness, || engine.adapt_one(&hw, &job));
-    let hits = engine
-        .metrics()
-        .cache_hits
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let hits = engine.metrics().get("cache_hits");
     assert!(hits > 0, "cache-hit benchmark never hit the cache");
     Some(timing_result(
         config,

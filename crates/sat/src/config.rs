@@ -1,9 +1,7 @@
 //! Solver configuration: one validating builder for every tunable knob.
 //!
-//! [`SolverConfig`] replaces the former scattered mutators
-//! (`set_conflict_cap`, `set_stop_flag`, `set_conflict_budget`,
-//! `set_control` + per-call tweaking) with a single value describing how a
-//! [`Solver`] searches: VSIDS decay, restart schedule, phase
+//! [`SolverConfig`] is a single value describing how a [`Solver`]
+//! searches: VSIDS decay, restart schedule, phase
 //! policy, random seed, per-call conflict budget, and the caller-side run
 //! controls ([`SolveControl`]). A config is `Clone`, so a *portfolio* of
 //! diverse solvers is just a `Vec<SolverConfig>`; parsing the same knobs

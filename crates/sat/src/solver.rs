@@ -85,8 +85,7 @@ impl SolverStats {
 /// Groups everything a *caller* (as opposed to the encoding) may want to
 /// impose on a solve: a lifetime conflict cap, a cooperative cancellation
 /// flag, and a [`Tracer`] receiving CDCL milestones (restarts,
-/// conflict-count checkpoints) and per-solve statistics. Replaces the former
-/// scattered `set_conflict_cap` / `set_stop_flag` plumbing; install with
+/// conflict-count checkpoints) and per-solve statistics. Install with
 /// [`Solver::set_control`].
 #[derive(Debug, Clone, Default)]
 pub struct SolveControl {
@@ -291,24 +290,6 @@ impl Solver {
     /// The currently installed run controls.
     pub fn control(&self) -> &SolveControl {
         &self.config.control
-    }
-
-    /// Caps the solver's *lifetime* conflict count. `None` removes the cap.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set `SolverConfig::builder().conflict_cap(..)` or `SolveControl::conflict_cap` via `set_control`"
-    )]
-    pub fn set_conflict_cap(&mut self, cap: Option<u64>) {
-        self.config.control.conflict_cap = cap;
-    }
-
-    /// Installs a cooperative cancellation flag. `None` detaches the flag.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set `SolverConfig::builder().stop(..)` or `SolveControl::stop` via `set_control`"
-    )]
-    pub fn set_stop_flag(&mut self, stop: Option<Arc<AtomicBool>>) {
-        self.config.control.stop = stop;
     }
 
     /// `true` when the attached stop flag (if any) requests cancellation.
@@ -1649,22 +1630,6 @@ mod tests {
         // Detaching works too.
         s.set_control(SolveControl::default());
         assert_eq!(s.solve_limited(&[]), SolveOutcome::Unsat);
-    }
-
-    #[test]
-    fn deprecated_setters_still_work() {
-        #[allow(deprecated)]
-        {
-            let mut s = pigeonhole(9, 8);
-            s.set_conflict_cap(Some(10));
-            assert_eq!(s.solve_limited(&[]), SolveOutcome::Unknown);
-            let stop = Arc::new(AtomicBool::new(true));
-            s.set_conflict_cap(None);
-            s.set_stop_flag(Some(stop));
-            assert_eq!(s.solve_limited(&[]), SolveOutcome::Unknown);
-            s.set_stop_flag(None);
-            assert_eq!(s.solve_limited(&[]), SolveOutcome::Unsat);
-        }
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //!   ring) instead of collapsing onto one hot key.
 
 use qca_serve::client::Connection;
+use qca_trace::json::Json;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -341,21 +342,27 @@ fn main() -> ExitCode {
         // One self-contained object, keys stable, no stdout scraping
         // needed. `errors` keeps its own key so `jq .errors` is the whole
         // health check.
-        println!(
-            "{{\"requests\":{completed},\"ok200\":{},\"status400\":{},\"rejected429\":{},\
-             \"other\":{},\"errors\":{},\"wall_s\":{:.3},\"throughput_rps\":{rps:.1},\
-             \"latency_ms\":{{\"p50\":{:.3},\"p95\":{:.3},\"p99\":{:.3},\"max\":{:.3}}}}}",
-            total.ok200,
-            total.status400,
-            total.rejected429,
-            total.other,
-            total.transport_errors,
-            wall.as_secs_f64(),
-            ms(percentile(&total.latencies, 0.50)),
-            ms(percentile(&total.latencies, 0.95)),
-            ms(percentile(&total.latencies, 0.99)),
-            ms(total.latencies.last().copied().unwrap_or_default()),
-        );
+        let latency = Json::obj([
+            ("p50", ms(percentile(&total.latencies, 0.50)).into()),
+            ("p95", ms(percentile(&total.latencies, 0.95)).into()),
+            ("p99", ms(percentile(&total.latencies, 0.99)).into()),
+            (
+                "max",
+                ms(total.latencies.last().copied().unwrap_or_default()).into(),
+            ),
+        ]);
+        let summary = Json::obj([
+            ("requests", completed.into()),
+            ("ok200", total.ok200.into()),
+            ("status400", total.status400.into()),
+            ("rejected429", total.rejected429.into()),
+            ("other", total.other.into()),
+            ("errors", total.transport_errors.into()),
+            ("wall_s", wall.as_secs_f64().into()),
+            ("throughput_rps", rps.into()),
+            ("latency_ms", latency),
+        ]);
+        println!("{}", summary.to_string_compact());
     } else {
         println!(
             "requests={completed} ok200={} status400={} rejected429={} other={} errors={}",

@@ -18,6 +18,7 @@
 //! never hangs) and lenient where real clients vary (header whitespace,
 //! case-insensitive names, bare-LF line endings).
 
+use qca_trace::json::Json;
 use std::fmt;
 
 /// Default cap on the request head (request line + headers), bytes.
@@ -498,11 +499,14 @@ impl Response {
         }
     }
 
-    /// A JSON response (sets `Content-Type: application/json`).
-    pub fn json(status: u16, body: String) -> Response {
+    /// A JSON response: `body` in compact form plus a newline (sets
+    /// `Content-Type: application/json`).
+    pub fn json(status: u16, body: Json) -> Response {
+        let mut text = body.to_string_compact();
+        text.push('\n');
         Response::new(status)
             .with_header("Content-Type", "application/json")
-            .with_body(body.into_bytes())
+            .with_body(text.into_bytes())
     }
 
     /// A plain-text response.
@@ -637,13 +641,13 @@ mod tests {
 
     #[test]
     fn response_serializes_with_length_and_connection() {
-        let resp = Response::json(200, "{\"ok\":true}".to_string());
+        let resp = Response::json(200, Json::obj([("ok", true.into())]));
         let bytes = resp.serialize(true);
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Length: 11\r\n"));
+        assert!(text.contains("Content-Length: 12\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
-        assert!(text.ends_with("{\"ok\":true}"));
+        assert!(text.ends_with("{\"ok\":true}\n"));
         let text = String::from_utf8(Response::new(429).serialize(false)).unwrap();
         assert!(text.contains("Connection: close"));
         assert!(text.contains("429 Too Many Requests"));

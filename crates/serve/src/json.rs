@@ -1,140 +1,71 @@
-//! Minimal JSON rendering for API responses (no serde in this environment).
+//! JSON bodies of API responses, built on the workspace's one JSON
+//! reader/writer ([`qca_trace::json`]).
 
 use qca_circuit::qasm;
-use qca_engine::{AdaptReport, AuditOutcome};
+use qca_engine::{AdaptReport, AdaptStatus};
+use qca_trace::json::Json;
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// One error object: `{"error":"..."}`.
+pub fn error_body(message: &str) -> Json {
+    Json::obj([("error", message.into())])
 }
 
-/// Renders one error object: `{"error":"..."}`.
-pub fn error_body(message: &str) -> String {
-    format!("{{\"error\":\"{}\"}}\n", escape(message))
+/// Renders one [`AdaptReport`] as the compact `/v1/adapt` response object;
+/// see [`report_json`].
+pub fn report_to_json(id: &str, report: &AdaptReport, include_circuit: bool) -> String {
+    report_json(id, report, include_circuit).to_string_compact()
 }
 
-/// Renders one [`AdaptReport`] as the `/v1/adapt` response object.
+/// One [`AdaptReport`] as the `/v1/adapt` response object.
 ///
 /// `optimal` is the wire-level contract for deadline semantics: a request
 /// whose deadline expired mid-search comes back `status: "feasible"` (best
 /// incumbent) or `status: "fallback"`, and in both cases `optimal` is
 /// `false`.
-pub fn report_to_json(id: &str, report: &AdaptReport, include_circuit: bool) -> String {
-    let mut out = String::with_capacity(256);
-    out.push('{');
-    push_kv(&mut out, "request_id", &format!("\"{}\"", escape(id)));
-    push_kv(&mut out, "status", &format!("\"{}\"", report.status));
-    push_kv(
-        &mut out,
-        "optimal",
-        if matches!(report.status, qca_engine::AdaptStatus::Optimal) {
-            "true"
-        } else {
-            "false"
-        },
-    );
-    push_kv(
-        &mut out,
-        "objective_value",
-        &report
-            .objective_value
-            .map_or_else(|| "null".to_string(), |v| v.to_string()),
-    );
-    push_kv(
-        &mut out,
-        "cache_hit",
-        if report.cache_hit { "true" } else { "false" },
-    );
-    push_kv(
-        &mut out,
-        "wall_ms",
-        &format!("{:.3}", report.wall.as_secs_f64() * 1e3),
-    );
-    push_kv(&mut out, "gates", &report.circuit.len().to_string());
-    push_kv(&mut out, "qubits", &report.circuit.num_qubits().to_string());
+pub fn report_json(id: &str, report: &AdaptReport, include_circuit: bool) -> Json {
     // SWAP-insertion routing substitutions the solver chose (null for
     // fallbacks, which never went through the solver).
-    push_kv(
-        &mut out,
-        "routed",
-        &report.adaptation.as_deref().map_or_else(
-            || "null".to_string(),
-            |a| {
-                a.chosen
+    let routed = report
+        .adaptation
+        .as_deref()
+        .map(|a| a.chosen.iter().filter(|s| s.route.is_some()).count());
+    let mut members = vec![
+        ("request_id", id.into()),
+        ("status", report.status.to_string().into()),
+        (
+            "optimal",
+            matches!(report.status, AdaptStatus::Optimal).into(),
+        ),
+        ("objective_value", report.objective_value.into()),
+        ("cache_hit", report.cache_hit.into()),
+        ("wall_ms", (report.wall.as_secs_f64() * 1e3).into()),
+        ("gates", report.circuit.len().into()),
+        ("qubits", report.circuit.num_qubits().into()),
+        ("routed", routed.into()),
+        ("error", report.error.as_ref().map(|e| e.to_string()).into()),
+        ("audit", report.audit.as_ref().map(|a| a.to_string()).into()),
+        (
+            "diagnostics",
+            Json::Arr(
+                report
+                    .diagnostics
                     .iter()
-                    .filter(|s| s.route.is_some())
-                    .count()
-                    .to_string()
-            },
+                    .map(|d| qca_lint::render_json(None, d))
+                    .collect(),
+            ),
         ),
-    );
-    push_kv(
-        &mut out,
-        "error",
-        &report.error.as_ref().map_or_else(
-            || "null".to_string(),
-            |e| format!("\"{}\"", escape(&e.to_string())),
-        ),
-    );
-    push_kv(
-        &mut out,
-        "audit",
-        &match &report.audit {
-            None => "null".to_string(),
-            Some(AuditOutcome::Passed) => "\"passed\"".to_string(),
-            Some(AuditOutcome::Failed(msg)) => format!("\"failed: {}\"", escape(msg)),
-        },
-    );
-    let diags: Vec<String> = report
-        .diagnostics
-        .iter()
-        .map(|d| qca_lint::render_json(None, d))
-        .collect();
-    push_kv(&mut out, "diagnostics", &format!("[{}]", diags.join(",")));
+    ];
     if include_circuit {
-        push_kv(
-            &mut out,
-            "circuit_qasm",
-            &format!("\"{}\"", escape(&qasm::to_qasm(&report.circuit))),
-        );
+        members.push(("circuit_qasm", qasm::to_qasm(&report.circuit).into()));
     }
-    // Remove the trailing comma push_kv left behind.
-    out.pop();
-    out.push('}');
-    out
-}
-
-fn push_kv(out: &mut String, key: &str, rendered_value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(rendered_value);
-    out.push(',');
+    Json::obj(members)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qca_engine::AdaptStatus;
+    use qca_engine::AuditOutcome;
     use std::time::Duration;
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn report_json_is_well_formed_and_flags_optimality() {
@@ -160,6 +91,30 @@ mod tests {
         assert!(json.contains("\"audit\":\"passed\""));
         assert!(json.contains("\"routed\":null"));
         assert!(json.contains("\"circuit_qasm\":\""));
-        assert!(!json.contains(",}"));
+        let keys: Vec<String> = qca_trace::json::parse(&json)
+            .unwrap()
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.clone())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "request_id",
+                "status",
+                "optimal",
+                "objective_value",
+                "cache_hit",
+                "wall_ms",
+                "gates",
+                "qubits",
+                "routed",
+                "error",
+                "audit",
+                "diagnostics",
+                "circuit_qasm"
+            ]
+        );
     }
 }

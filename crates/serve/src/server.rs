@@ -81,6 +81,7 @@ use qca_engine::cache::AdaptCache;
 use qca_engine::{AdaptJob, AdaptReport, Engine, EngineConfig, EnginePool, JobPolicy, SubmitError};
 use qca_hw::{spin_qubit_model, CouplingMap, GateTimes, HardwareModel};
 use qca_store::{ShardRing, Store};
+use qca_trace::json::Json;
 use qca_trace::{jsonl, MemorySink, ScopeGuard, ScopedSink, Span, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -217,22 +218,19 @@ impl ServeMetrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Renders the counters as a JSON object.
-    pub fn to_json(&self) -> String {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        format!(
-            "{{\"requests\":{},\"ok\":{},\"client_errors\":{},\"rejected_429\":{},\
-             \"unavailable_503\":{},\"timeouts_504\":{},\"server_errors\":{},\
-             \"forwarded\":{}}}",
-            load(&self.requests),
-            load(&self.ok),
-            load(&self.client_errors),
-            load(&self.rejected),
-            load(&self.unavailable),
-            load(&self.timeouts),
-            load(&self.server_errors),
-            load(&self.forwarded),
-        )
+    /// The counters as a JSON object.
+    pub fn to_json(&self) -> Json {
+        let load = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed));
+        Json::obj([
+            ("requests", load(&self.requests)),
+            ("ok", load(&self.ok)),
+            ("client_errors", load(&self.client_errors)),
+            ("rejected_429", load(&self.rejected)),
+            ("unavailable_503", load(&self.unavailable)),
+            ("timeouts_504", load(&self.timeouts)),
+            ("server_errors", load(&self.server_errors)),
+            ("forwarded", load(&self.forwarded)),
+        ])
     }
 }
 
@@ -576,57 +574,47 @@ impl Server {
             let _ = store.flush();
         }
         if let Some(path) = &self.config.metrics_out {
-            std::fs::write(path, self.metrics_json() + "\n")?;
+            std::fs::write(path, self.metrics_json().to_string_compact() + "\n")?;
         }
         Ok(())
     }
 
     /// The `/metrics` payload: HTTP counters, the engine registry, cache
     /// shard occupancy, and persistent-store statistics.
-    pub fn metrics_json(&self) -> String {
-        format!(
-            "{{\"server\":{},\"engine\":{},\"cache\":{},\"store\":{}}}",
-            self.metrics.to_json(),
-            self.engine.metrics().to_json(),
-            self.cache_json(),
-            self.store_json(),
-        )
-    }
-
-    fn cache_json(&self) -> String {
+    pub fn metrics_json(&self) -> Json {
         let shards = self.engine.cache().shard_stats();
-        let entries: usize = shards.iter().map(|(occupancy, _)| occupancy).sum();
-        let capacity: usize = shards.iter().map(|(_, capacity)| capacity).sum();
-        let occupancy: Vec<String> = shards
-            .iter()
-            .map(|(occupancy, _)| occupancy.to_string())
-            .collect();
-        format!(
-            "{{\"entries\":{entries},\"capacity\":{capacity},\"shards\":[{}]}}",
-            occupancy.join(",")
-        )
+        let occupancy: Vec<usize> = shards.iter().map(|&(occupancy, _)| occupancy).collect();
+        let cache = Json::obj([
+            ("entries", occupancy.iter().sum::<usize>().into()),
+            (
+                "capacity",
+                shards.iter().map(|&(_, cap)| cap).sum::<usize>().into(),
+            ),
+            ("shards", occupancy.into()),
+        ]);
+        Json::obj([
+            ("server", self.metrics.to_json()),
+            ("engine", self.engine.metrics().to_json()),
+            ("cache", cache),
+            ("store", self.store_json()),
+        ])
     }
 
-    fn store_json(&self) -> String {
-        match self.engine.store() {
-            None => "null".to_string(),
-            Some(store) => {
-                let s = store.stats();
-                format!(
-                    "{{\"hits\":{},\"misses\":{},\"replays\":{},\"compactions\":{},\
-                     \"recovered_dropped_bytes\":{},\"live_records\":{},\
-                     \"wal_records\":{},\"wal_bytes\":{}}}",
-                    s.hits,
-                    s.misses,
-                    s.replays,
-                    s.compactions,
-                    s.recovered_dropped_bytes,
-                    s.live_records,
-                    s.wal_records,
-                    s.wal_bytes,
-                )
-            }
-        }
+    fn store_json(&self) -> Json {
+        let Some(store) = self.engine.store() else {
+            return Json::Null;
+        };
+        let s = store.stats();
+        Json::obj([
+            ("hits", s.hits.into()),
+            ("misses", s.misses.into()),
+            ("replays", s.replays.into()),
+            ("compactions", s.compactions.into()),
+            ("recovered_dropped_bytes", s.recovered_dropped_bytes.into()),
+            ("live_records", s.live_records.into()),
+            ("wal_records", s.wal_records.into()),
+            ("wal_bytes", s.wal_bytes.into()),
+        ])
     }
 
     // ------------------------------------------------------------------
@@ -852,9 +840,7 @@ impl Server {
         };
         match (request.method.as_str(), request.path()) {
             ("GET", "/healthz") => respond(self, st, self.healthz()),
-            ("GET", "/metrics") => {
-                respond(self, st, Response::json(200, self.metrics_json() + "\n"))
-            }
+            ("GET", "/metrics") => respond(self, st, Response::json(200, self.metrics_json())),
             ("GET", path) if path.starts_with("/v1/trace/") => {
                 let id = &path["/v1/trace/".len()..];
                 let response = match self.traces.get(id) {
@@ -898,15 +884,15 @@ impl Server {
         };
         Response::json(
             200,
-            format!(
-                "{{\"status\":\"ok\",\"state\":\"{state}\",\"queued\":{},\"queue_capacity\":{},\
-                 \"node_id\":{},\"peers\":{},\"store\":{}}}\n",
-                self.pool.queued(),
-                self.pool.capacity(),
-                self.config.node_id,
-                self.config.peers.len(),
-                self.store_json(),
-            ),
+            Json::obj([
+                ("status", "ok".into()),
+                ("state", state.into()),
+                ("queued", self.pool.queued().into()),
+                ("queue_capacity", self.pool.capacity().into()),
+                ("node_id", self.config.node_id.into()),
+                ("peers", self.config.peers.len().into()),
+                ("store", self.store_json()),
+            ]),
         )
     }
 
@@ -988,10 +974,12 @@ impl Server {
             drop(root);
             let response = Response::json(
                 200,
-                format!(
-                    "{{\"entries\":{},\"reused\":{},\"resolved\":{},\"failed\":{}}}\n",
-                    report.entries, report.reused, report.resolved, report.failed
-                ),
+                Json::obj([
+                    ("entries", report.entries.into()),
+                    ("reused", report.reused.into()),
+                    ("resolved", report.resolved.into()),
+                    ("failed", report.failed.into()),
+                ]),
             );
             let _ = tx.send(Completion::Http {
                 conn: token,
@@ -1480,34 +1468,37 @@ impl Server {
     fn render_reports(&self, pending: &Pending) -> Response {
         if pending.batch {
             let id = &pending.id;
-            let mut items = Vec::with_capacity(pending.reports.len());
-            for (index, slot) in pending.reports.iter().enumerate() {
-                match slot {
-                    Some(report) => items.push(json::report_to_json(
-                        &format!("{id}.{index}"),
-                        report,
-                        pending.include_circuit,
-                    )),
-                    None => items.push(format!(
-                        "{{\"request_id\":\"{id}.{index}\",\"error\":\"submission queue is full\"}}"
-                    )),
-                }
-            }
+            let results = pending
+                .reports
+                .iter()
+                .enumerate()
+                .map(|(index, slot)| {
+                    let item_id = format!("{id}.{index}");
+                    match slot {
+                        Some(report) => {
+                            json::report_json(&item_id, report, pending.include_circuit)
+                        }
+                        None => Json::obj([
+                            ("request_id", item_id.into()),
+                            ("error", "submission queue is full".into()),
+                        ]),
+                    }
+                })
+                .collect();
             // Partially-admitted batches still answer 200; the rejected
             // items carry their own error entries in `results`.
             Response::json(
                 200,
-                format!(
-                    "{{\"request_id\":\"{}\",\"results\":[{}]}}\n",
-                    json::escape(id),
-                    items.join(",")
-                ),
+                Json::obj([
+                    ("request_id", id.as_str().into()),
+                    ("results", Json::Arr(results)),
+                ]),
             )
         } else {
             let report = pending.reports[0].as_ref().expect("one report");
             Response::json(
                 200,
-                json::report_to_json(&pending.id, report, pending.include_circuit) + "\n",
+                json::report_json(&pending.id, report, pending.include_circuit),
             )
         }
     }
@@ -1688,7 +1679,7 @@ mod tests {
         for status in [200, 200, 400, 429, 503, 504, 500] {
             m.record(status);
         }
-        let json = m.to_json();
+        let json = m.to_json().to_string_compact();
         assert!(json.contains("\"ok\":2"), "{json}");
         assert!(json.contains("\"client_errors\":1"), "{json}");
         assert!(json.contains("\"rejected_429\":1"), "{json}");

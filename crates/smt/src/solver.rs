@@ -264,26 +264,6 @@ impl SmtSolver {
         &self.sat.control().tracer
     }
 
-    /// Installs a cooperative cancellation flag on the underlying SAT
-    /// solver.
-    #[deprecated(since = "0.1.0", note = "set `SolveControl::stop` via `set_control`")]
-    pub fn set_stop_flag(&mut self, stop: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>) {
-        let mut control = self.sat.control().clone();
-        control.stop = stop;
-        self.sat.set_control(control);
-    }
-
-    /// Caps the lifetime SAT conflict count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "set `SolveControl::conflict_cap` via `set_control`"
-    )]
-    pub fn set_conflict_cap(&mut self, cap: Option<u64>) {
-        let mut control = self.sat.control().clone();
-        control.conflict_cap = cap;
-        self.sat.set_control(control);
-    }
-
     /// Number of SAT variables allocated (Booleans plus bit-blasting
     /// auxiliaries).
     pub fn num_sat_vars(&self) -> usize {

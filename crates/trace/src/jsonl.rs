@@ -1,35 +1,19 @@
 //! JSONL serialization of [`TraceEvent`]s.
 //!
-//! The build environment has no serde, so this module hand-rolls a writer and
-//! a parser for the (flat, single-object-per-line) subset of JSON the writer
-//! emits. The parser is deliberately strict: it exists to validate trace
-//! files, not to accept arbitrary JSON.
+//! Each event is one compact JSON object per line with a fixed key order.
+//! Lines are written directly (the trace sink is on the hot path) with
+//! [`json::write_str`] escaping, and read back through the strict
+//! [`json::parse`].
 
+use crate::json::{self, Json};
 use crate::TraceEvent;
 use std::borrow::Cow;
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 fn push_str_field(out: &mut String, key: &str, value: &str) {
     out.push('"');
     out.push_str(key);
-    out.push_str("\":\"");
-    escape_into(out, value);
-    out.push('"');
+    out.push_str("\":");
+    json::write_str(value, out);
 }
 
 /// Serialize a whole event stream as JSONL text (one event per line, with
@@ -131,158 +115,29 @@ pub fn to_jsonl(event: &TraceEvent) -> String {
     s
 }
 
-/// A parsed scalar JSON value.
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    Str(String),
-    Int(i128),
-}
-
-/// Parse one flat JSON object (`{"k":"v","n":3,...}`) into key/value pairs.
-fn parse_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
-    let bytes = line.as_bytes();
-    let mut i = 0usize;
-    let err = |what: &str, at: usize| format!("{what} at byte {at}: {line}");
-
-    let skip_ws = |i: &mut usize| {
-        while *i < bytes.len() && bytes[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
-    };
-
-    fn parse_string(bytes: &[u8], i: &mut usize, line: &str) -> Result<String, String> {
-        if bytes.get(*i) != Some(&b'"') {
-            return Err(format!("expected '\"' at byte {}: {line}", *i));
-        }
-        *i += 1;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*i) {
-                None => return Err(format!("unterminated string: {line}")),
-                Some(b'"') => {
-                    *i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *i += 1;
-                    match bytes.get(*i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = line
-                                .get(*i + 1..*i + 5)
-                                .ok_or_else(|| format!("truncated \\u escape: {line}"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}: {line}"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("bad codepoint {code}: {line}"))?,
-                            );
-                            *i += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}: {line}")),
-                    }
-                    *i += 1;
-                }
-                Some(_) => {
-                    // Advance one UTF-8 scalar.
-                    let rest = &line[*i..];
-                    let c = rest.chars().next().expect("in-bounds char");
-                    out.push(c);
-                    *i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    skip_ws(&mut i);
-    if bytes.get(i) != Some(&b'{') {
-        return Err(err("expected '{'", i));
-    }
-    i += 1;
-    let mut fields = Vec::new();
-    skip_ws(&mut i);
-    if bytes.get(i) == Some(&b'}') {
-        return Ok(fields);
-    }
-    loop {
-        skip_ws(&mut i);
-        let key = parse_string(bytes, &mut i, line)?;
-        skip_ws(&mut i);
-        if bytes.get(i) != Some(&b':') {
-            return Err(err("expected ':'", i));
-        }
-        i += 1;
-        skip_ws(&mut i);
-        let value = match bytes.get(i) {
-            Some(b'"') => Scalar::Str(parse_string(bytes, &mut i, line)?),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                let start = i;
-                i += 1;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let n: i128 = line[start..i]
-                    .parse()
-                    .map_err(|_| err("bad integer", start))?;
-                Scalar::Int(n)
-            }
-            _ => return Err(err("expected string or integer value", i)),
-        };
-        fields.push((key, value));
-        skip_ws(&mut i);
-        match bytes.get(i) {
-            Some(b',') => i += 1,
-            Some(b'}') => {
-                i += 1;
-                break;
-            }
-            _ => return Err(err("expected ',' or '}'", i)),
-        }
-    }
-    skip_ws(&mut i);
-    if i != bytes.len() {
-        return Err(err("trailing garbage", i));
-    }
-    Ok(fields)
-}
-
 /// Parse one JSONL line back into a [`TraceEvent`].
 pub fn parse_jsonl_line(line: &str) -> Result<TraceEvent, String> {
-    let fields = parse_object(line)?;
-    let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let get_str = |key: &str| -> Result<String, String> {
-        match get(key) {
-            Some(Scalar::Str(s)) => Ok(s.clone()),
-            _ => Err(format!("missing string field {key:?}: {line}")),
-        }
-    };
-    let get_u64 = |key: &str| -> Result<u64, String> {
-        match get(key) {
-            Some(Scalar::Int(n)) => {
-                u64::try_from(*n).map_err(|_| format!("field {key:?} out of range: {line}"))
-            }
-            _ => Err(format!("missing integer field {key:?}: {line}")),
-        }
-    };
+    let doc = json::parse(line).map_err(|e| format!("{e}: {line}"))?;
     let opt_u64 = |key: &str| -> Result<Option<u64>, String> {
-        match get(key) {
-            None => Ok(None),
-            Some(Scalar::Int(n)) => u64::try_from(*n)
-                .map(Some)
-                .map_err(|_| format!("field {key:?} out of range: {line}")),
-            Some(_) => Err(format!("field {key:?} must be an integer: {line}")),
-        }
+        doc.get(key)
+            .map(|v| {
+                v.as_u64()
+                    .ok_or_else(|| format!("field {key:?} is not a u64: {line}"))
+            })
+            .transpose()
     };
-    let opt_str = |key: &str| -> Option<String> {
-        match get(key) {
-            Some(Scalar::Str(s)) => Some(s.clone()),
-            _ => None,
-        }
+    let opt_str = |key: &str| -> Result<Option<String>, String> {
+        doc.get(key)
+            .map(|v| {
+                v.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| format!("field {key:?} is not a string: {line}"))
+            })
+            .transpose()
     };
+    let missing = |key: &str| format!("missing field {key:?}: {line}");
+    let get_u64 = |key: &str| opt_u64(key)?.ok_or_else(|| missing(key));
+    let get_str = |key: &str| opt_str(key)?.ok_or_else(|| missing(key));
 
     match get_str("ev")?.as_str() {
         "enter" => Ok(TraceEvent::SpanEnter {
@@ -291,13 +146,13 @@ pub fn parse_jsonl_line(line: &str) -> Result<TraceEvent, String> {
             thread: get_u64("thread")?,
             t_ns: get_u64("t_ns")?,
             name: Cow::Owned(get_str("name")?),
-            detail: opt_str("detail"),
+            detail: opt_str("detail")?,
         }),
         "exit" => Ok(TraceEvent::SpanExit {
             id: get_u64("id")?,
             thread: get_u64("thread")?,
             t_ns: get_u64("t_ns")?,
-            note: opt_str("note"),
+            note: opt_str("note")?,
         }),
         "counter" => Ok(TraceEvent::Counter {
             name: Cow::Owned(get_str("name")?),
@@ -306,21 +161,16 @@ pub fn parse_jsonl_line(line: &str) -> Result<TraceEvent, String> {
             t_ns: get_u64("t_ns")?,
             value: get_u64("value")?,
         }),
-        "gauge" => {
-            let value = match get("value") {
-                Some(Scalar::Int(n)) => {
-                    i64::try_from(*n).map_err(|_| format!("gauge value out of range: {line}"))?
-                }
-                _ => return Err(format!("missing integer field \"value\": {line}")),
-            };
-            Ok(TraceEvent::Gauge {
-                name: Cow::Owned(get_str("name")?),
-                span: opt_u64("span")?,
-                thread: get_u64("thread")?,
-                t_ns: get_u64("t_ns")?,
-                value,
-            })
-        }
+        "gauge" => Ok(TraceEvent::Gauge {
+            name: Cow::Owned(get_str("name")?),
+            span: opt_u64("span")?,
+            thread: get_u64("thread")?,
+            t_ns: get_u64("t_ns")?,
+            value: doc
+                .get("value")
+                .and_then(Json::as_i64)
+                .ok_or_else(|| format!("field \"value\" is not an i64: {line}"))?,
+        }),
         other => Err(format!("unknown event kind {other:?}: {line}")),
     }
 }
@@ -413,5 +263,120 @@ mod tests {
         assert!(
             parse_jsonl_line("{\"ev\":\"exit\",\"id\":1,\"thread\":0,\"t_ns\":2} extra").is_err()
         );
+    }
+
+    #[test]
+    fn golden_lines_pin_key_order_and_spelling() {
+        let cases = [
+            (
+                TraceEvent::SpanEnter {
+                    id: 7,
+                    parent: Some(3),
+                    thread: 1,
+                    t_ns: 123_456,
+                    name: "omt.probe".into(),
+                    detail: Some("bound=5 \"q\"\n".to_string()),
+                },
+                r#"{"ev":"enter","name":"omt.probe","id":7,"parent":3,"thread":1,"t_ns":123456,"detail":"bound=5 \"q\"\n"}"#,
+            ),
+            (
+                TraceEvent::SpanEnter {
+                    id: 1,
+                    parent: None,
+                    thread: 0,
+                    t_ns: 0,
+                    name: "adapt".into(),
+                    detail: None,
+                },
+                r#"{"ev":"enter","name":"adapt","id":1,"thread":0,"t_ns":0}"#,
+            ),
+            (
+                TraceEvent::SpanExit {
+                    id: 7,
+                    thread: 1,
+                    t_ns: 200_000,
+                    note: Some("sat".into()),
+                },
+                r#"{"ev":"exit","id":7,"thread":1,"t_ns":200000,"note":"sat"}"#,
+            ),
+            (
+                TraceEvent::SpanExit {
+                    id: 1,
+                    thread: 0,
+                    t_ns: 9,
+                    note: None,
+                },
+                r#"{"ev":"exit","id":1,"thread":0,"t_ns":9}"#,
+            ),
+            (
+                TraceEvent::Counter {
+                    name: "sat.restart".into(),
+                    span: Some(7),
+                    thread: 1,
+                    t_ns: 55,
+                    value: u64::MAX,
+                },
+                r#"{"ev":"counter","name":"sat.restart","span":7,"thread":1,"t_ns":55,"value":18446744073709551615}"#,
+            ),
+            (
+                TraceEvent::Gauge {
+                    name: "omt.best".into(),
+                    span: None,
+                    thread: 0,
+                    t_ns: 55,
+                    value: i64::MIN,
+                },
+                r#"{"ev":"gauge","name":"omt.best","thread":0,"t_ns":55,"value":-9223372036854775808}"#,
+            ),
+        ];
+        for (event, line) in cases {
+            assert_eq!(to_jsonl(&event), line);
+            assert_eq!(parse_jsonl_line(line).unwrap(), event);
+        }
+    }
+
+    /// Fragments of trace lines, recombined at random.
+    const TOKENS: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        "\"",
+        ":",
+        ",",
+        "\"ev\"",
+        "\"enter\"",
+        "\"exit\"",
+        "\"counter\"",
+        "\"gauge\"",
+        "\"id\"",
+        "\"name\"",
+        "\"value\"",
+        "\"t_ns\"",
+        "\"thread\"",
+        "0",
+        "-1",
+        "18446744073709551616",
+        "1.5",
+        "null",
+        "\\",
+        "\\u",
+        "d800",
+        "é",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_lines_never_panic(ix in proptest::collection::vec(0..TOKENS.len(), 0..32)) {
+            let line: String = ix.iter().map(|&i| TOKENS[i]).collect();
+            let _ = parse_jsonl_line(&line);
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..64)) {
+            let _ = parse_jsonl_line(&String::from_utf8_lossy(&bytes));
+        }
     }
 }

@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod json;
 pub mod jsonl;
 pub mod report;
 mod sink;

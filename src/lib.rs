@@ -23,7 +23,7 @@
 //! | [`sim`] | `qca-sim` | noisy density-matrix simulator, Hellinger fidelity |
 //! | [`workloads`] | `qca-workloads` | quantum-volume and random circuits |
 //! | [`engine`] | `qca-engine` | parallel batch adaptation, result cache, metrics |
-//! | [`trace`] | `qca-trace` | hierarchical span tracing, JSONL sink, reports |
+//! | [`trace`] | `qca-trace` | hierarchical span tracing, JSONL sink, reports, the one JSON reader/writer |
 //! | [`lint`] | `qca-lint` | static diagnostics: circuit, hardware, rule-coverage, encoding lints |
 //! | [`serve`] | `qca-serve` | HTTP adaptation service: event loop, admission control, deadlines, sharding, live drain |
 //! | [`store`] | `qca-store` | persistent cache tier: WAL + snapshots, warm restart, single-flight, shard ring |

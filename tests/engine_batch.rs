@@ -78,5 +78,8 @@ fn resubmission_is_served_from_cache_with_identical_results() {
     }
     let metrics = engine.metrics();
     assert!((metrics.cache_hit_rate() - 0.5).abs() < 1e-9);
-    assert!(metrics.to_json().contains("\"cache_hits\""));
+    assert_eq!(
+        metrics.to_json().get("cache_hits").and_then(|v| v.as_u64()),
+        Some(metrics.get("cache_hits"))
+    );
 }
