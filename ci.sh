@@ -151,6 +151,27 @@ target/release/qca-engine --workers 2 --deny-warnings examples/qasm \
 grep -q 'lint=ok' "$trace_dir/lint-engine.txt" || {
   echo "lint gate: no lint verdicts in engine output" >&2; exit 1; }
 
+echo "== config gate: qca-serve and qca-engine reject the same invalid config =="
+# Both front ends validate one EngineConfig: a 9-member portfolio is not a
+# race, so each must exit non-zero with the same message (the timeout only
+# stops a server that wrongly started).
+config_msg='portfolio_members = 9 is not a race'
+if timeout 20 target/release/qca-serve --addr 127.0.0.1:0 --portfolio 9 \
+    > "$trace_dir/config-serve.txt" 2>&1; then
+  echo "config gate: qca-serve accepted --portfolio 9" >&2; exit 1
+fi
+if target/release/qca-engine --portfolio 9 examples/qasm \
+    > "$trace_dir/config-engine.txt" 2>&1; then
+  echo "config gate: qca-engine accepted --portfolio 9" >&2; exit 1
+fi
+for out in config-serve config-engine; do
+  grep -q "$config_msg" "$trace_dir/$out.txt" || {
+    echo "config gate: $out did not report '$config_msg'" >&2
+    cat "$trace_dir/$out.txt" >&2
+    exit 1
+  }
+done
+
 echo "== serve gate: qca-serve + qca-load smoke (200/400/429, drain on SIGTERM) =="
 serve_log="$trace_dir/serve.log"
 serve_metrics="$trace_dir/serve-metrics.json"

@@ -33,10 +33,14 @@ fn main() {
         ("linear / exact", Strategy::LinearSearch, None),
     ] {
         let t = Instant::now();
-        let ctx = AdaptOptions::builder()
-            .objective(Objective::Combined)
-            .strategy(strategy)
-            .context();
+        let ctx = AdaptContext {
+            options: AdaptOptions {
+                objective: Objective::Combined,
+                strategy,
+                ..AdaptOptions::default()
+            },
+            ..AdaptContext::default()
+        };
         let r = solve_model_with_budget(&pre, &hw, &catalog, &ctx, budget).expect("solve");
         println!(
             "{:<22}{:>10.2}{:>14}{:>10}{:>9}",

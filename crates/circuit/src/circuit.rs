@@ -95,16 +95,6 @@ impl Circuit {
         });
     }
 
-    /// Appends an existing instruction.
-    ///
-    /// # Panics
-    ///
-    /// Same validation as [`Circuit::push`].
-    pub fn push_instr(&mut self, instr: Instr) {
-        let Instr { gate, qubits } = instr;
-        self.push(gate, &qubits);
-    }
-
     /// Appends all instructions of `other` (qubit indices taken verbatim).
     ///
     /// # Panics

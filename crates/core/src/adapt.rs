@@ -3,7 +3,7 @@
 //! `preprocess → evaluate substitution rules → build & solve SMT model →
 //! apply chosen substitutions`.
 
-use crate::context::{AdaptContext, AdaptContextBuilder};
+use crate::context::AdaptContext;
 use crate::error::AdaptError;
 use crate::model::{Objective, SmtAdaptation};
 use crate::preprocess::{preprocess, Preprocessed};
@@ -20,6 +20,23 @@ use qca_synth::consolidate::consolidate_1q;
 /// Run-time concerns (conflict budgets, cancellation, tracing) live on
 /// [`AdaptContext`], which wraps these options; `AdaptOptions` itself stays
 /// a plain value describing the problem.
+///
+/// # Examples
+///
+/// ```
+/// use qca_adapt::{AdaptContext, AdaptOptions, Objective};
+///
+/// let options = AdaptOptions {
+///     objective: Objective::IdleTime,
+///     certify: true,
+///     ..AdaptOptions::default()
+/// };
+/// let ctx = AdaptContext {
+///     options,
+///     ..AdaptContext::default()
+/// };
+/// assert!(ctx.validate().is_ok());
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct AdaptOptions {
     /// Objective function handed to the SMT solver.
@@ -49,154 +66,6 @@ pub struct AdaptOptions {
     pub coupling: Option<CouplingMap>,
 }
 
-impl AdaptOptions {
-    /// Starts a validating builder. Chain [`limits`](AdaptOptionsBuilder::limits),
-    /// [`tracer`](AdaptOptionsBuilder::tracer), or
-    /// [`cancel`](AdaptOptionsBuilder::cancel) to transition into building a
-    /// full [`AdaptContext`].
-    pub fn builder() -> AdaptOptionsBuilder {
-        AdaptOptionsBuilder::default()
-    }
-}
-
-/// Validating builder for [`AdaptOptions`], and the entry ramp to
-/// [`AdaptContext`]: calling [`limits`](Self::limits),
-/// [`tracer`](Self::tracer), or [`cancel`](Self::cancel) transitions into an
-/// [`AdaptContextBuilder`] carrying the options configured so far.
-///
-/// # Examples
-///
-/// ```
-/// use qca_adapt::{AdaptOptions, Objective};
-///
-/// // Options only.
-/// let opts = AdaptOptions::builder().objective(Objective::IdleTime).build();
-/// assert_eq!(opts.objective, Objective::IdleTime);
-///
-/// // Transition into a context once run-time concerns appear.
-/// let ctx = AdaptOptions::builder()
-///     .objective(Objective::Combined)
-///     .exact()
-///     .limits(Some(100_000))
-///     .build();
-/// assert!(ctx.options.exact);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct AdaptOptionsBuilder {
-    objective: Objective,
-    rules: RuleOptions,
-    strategy: Strategy,
-    exact: bool,
-    certify: bool,
-    coupling: Option<CouplingMap>,
-}
-
-impl AdaptOptionsBuilder {
-    /// Sets the optimization objective.
-    pub fn objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
-        self
-    }
-
-    /// Sets the substitution-rule options.
-    pub fn rules(mut self, rules: RuleOptions) -> Self {
-        self.rules = rules;
-        self
-    }
-
-    /// Sets the OMT search strategy.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Demands a proven-optimal search (no probe budgets or gap).
-    pub fn exact(mut self) -> Self {
-        self.exact = true;
-        self
-    }
-
-    /// Enables constraint recording and certificate generation (see
-    /// [`AdaptOptions::certify`]).
-    pub fn certify(mut self) -> Self {
-        self.certify = true;
-        self
-    }
-
-    /// Sets the target qubit connectivity (see [`AdaptOptions::coupling`]).
-    pub fn coupling(mut self, coupling: CouplingMap) -> Self {
-        self.coupling = Some(coupling);
-        self
-    }
-
-    /// Transitions to context building with a total-conflict cap (`None`
-    /// for unlimited).
-    pub fn limits(self, total_conflicts: Option<u64>) -> AdaptContextBuilder {
-        self.into_context_builder().limits(total_conflicts)
-    }
-
-    /// Transitions to context building with a tracer installed.
-    pub fn tracer(self, tracer: qca_trace::Tracer) -> AdaptContextBuilder {
-        self.into_context_builder().tracer(tracer)
-    }
-
-    /// Transitions to context building with a cancellation flag installed.
-    pub fn cancel(
-        self,
-        cancel: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    ) -> AdaptContextBuilder {
-        self.into_context_builder().cancel(cancel)
-    }
-
-    /// Builds an [`AdaptContext`] with default limits, no tracer, and no
-    /// cancellation flag.
-    ///
-    /// # Panics
-    ///
-    /// When the options fail validation.
-    pub fn context(self) -> AdaptContext {
-        self.into_context_builder().build()
-    }
-
-    fn into_context_builder(self) -> AdaptContextBuilder {
-        AdaptContextBuilder {
-            options: self,
-            ..AdaptContextBuilder::default()
-        }
-    }
-
-    /// Validates and builds, returning [`AdaptError::InvalidOptions`] on a
-    /// nonsensical configuration.
-    pub fn try_build(self) -> Result<AdaptOptions, AdaptError> {
-        if self.rules.max_match_len < 2 {
-            return Err(AdaptError::InvalidOptions(format!(
-                "rules.max_match_len = {} cannot match any multi-gate pattern (minimum 2)",
-                self.rules.max_match_len
-            )));
-        }
-        Ok(AdaptOptions {
-            objective: self.objective,
-            rules: self.rules,
-            strategy: self.strategy,
-            exact: self.exact,
-            certify: self.certify,
-            coupling: self.coupling,
-        })
-    }
-
-    /// Validates and builds, panicking on an invalid configuration.
-    ///
-    /// # Panics
-    ///
-    /// When [`try_build`](Self::try_build) would return an error.
-    pub fn build(self) -> AdaptOptions {
-        match self.try_build() {
-            Ok(opts) => opts,
-            Err(e) => panic!("{e}"),
-        }
-    }
-}
-
 /// Result of a SAT-based circuit adaptation.
 #[derive(Debug, Clone)]
 pub struct Adaptation {
@@ -216,13 +85,15 @@ pub struct Adaptation {
 /// combination of substitutions with an SMT model.
 ///
 /// The [`AdaptContext`] bundles the options with run-time concerns: conflict
-/// budgets, cooperative cancellation, and span tracing. A plain
-/// `&Objective.into()` or [`AdaptContext::default`] suffices for simple
-/// calls.
+/// budgets, cooperative cancellation, and span tracing.
+/// [`AdaptContext::with_objective`] or [`AdaptContext::default`] suffices
+/// for simple calls.
 ///
 /// # Errors
 ///
-/// Propagates [`AdaptError`] from preprocessing, rule evaluation, or
+/// [`AdaptError::InvalidOptions`] when the context fails
+/// [`AdaptContext::validate`] (checked before any work); otherwise
+/// propagates [`AdaptError`] from preprocessing, rule evaluation, or
 /// solving.
 ///
 /// # Examples
@@ -254,7 +125,7 @@ pub fn adapt(
             circuit.len()
         )
     });
-    let result = adapt_inner(circuit, hw, ctx);
+    let result = ctx.validate().and_then(|()| adapt_inner(circuit, hw, ctx));
     root.set_note(match &result {
         Ok(_) => "ok",
         Err(AdaptError::Cancelled) => "cancelled",
@@ -335,8 +206,9 @@ impl Recalibration {
 ///
 /// # Errors
 ///
-/// Propagates [`AdaptError`] from preprocessing, rule evaluation, the
-/// re-check, or the fallback solve.
+/// [`AdaptError::InvalidOptions`] when the context fails
+/// [`AdaptContext::validate`]; otherwise propagates [`AdaptError`] from
+/// preprocessing, rule evaluation, the re-check, or the fallback solve.
 pub fn recalibrate_adaptation(
     circuit: &Circuit,
     hw: &HardwareModel,
@@ -344,6 +216,7 @@ pub fn recalibrate_adaptation(
     ctx: &AdaptContext,
     recheck_budget: Option<u64>,
 ) -> Result<Recalibration, AdaptError> {
+    ctx.validate()?;
     let mut root = ctx.tracer.span_with("recalibrate", || {
         format!(
             "objective={} qubits={} gates={}",
@@ -466,7 +339,7 @@ pub fn extract_circuit(pre: &Preprocessed, catalog: &[Substitution], chosen: &[u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Objective;
+    use crate::model::{AdaptLimits, Objective};
     use qca_circuit::Gate;
     use qca_hw::{spin_qubit_model, CircuitSchedule, GateTimes};
     use qca_num::phase::approx_eq_up_to_phase;
@@ -506,10 +379,14 @@ mod tests {
     fn recalibrate_matches_fresh_solve_after_drift() {
         let c = swap_chain();
         let d0 = spin_qubit_model(GateTimes::D0);
-        let ctx = AdaptOptions::builder()
-            .objective(Objective::Combined)
-            .exact()
-            .context();
+        let ctx = AdaptContext {
+            options: AdaptOptions {
+                objective: Objective::Combined,
+                exact: true,
+                ..AdaptOptions::default()
+            },
+            ..AdaptContext::default()
+        };
         let first = adapt(&c, &d0, &ctx).unwrap();
         let drifted = d0.with_scaled_infidelity(4.0);
         let r = recalibrate_adaptation(&c, &drifted, &first, &ctx, None).unwrap();
@@ -615,10 +492,10 @@ mod tests {
         use std::sync::Arc;
         let hw = spin_qubit_model(GateTimes::D0);
         let c = swap_chain();
-        let ctx = AdaptOptions::builder()
-            .objective(Objective::Fidelity)
-            .cancel(Arc::new(AtomicBool::new(true)))
-            .build();
+        let ctx = AdaptContext {
+            cancel: Some(Arc::new(AtomicBool::new(true))),
+            ..AdaptContext::with_objective(Objective::Fidelity)
+        };
         assert_eq!(adapt(&c, &hw, &ctx).unwrap_err(), AdaptError::Cancelled);
     }
 
@@ -629,10 +506,12 @@ mod tests {
         // never Infeasible, never a panic.
         let hw = spin_qubit_model(GateTimes::D0);
         let c = swap_chain();
-        let ctx = AdaptOptions::builder()
-            .objective(Objective::Combined)
-            .limits(Some(1))
-            .build();
+        let ctx = AdaptContext {
+            limits: AdaptLimits {
+                total_conflicts: Some(1),
+            },
+            ..AdaptContext::with_objective(Objective::Combined)
+        };
         match adapt(&c, &hw, &ctx) {
             Ok(r) => {
                 assert!(hw.supports_circuit(&r.circuit));
@@ -648,11 +527,13 @@ mod tests {
         let hw = spin_qubit_model(GateTimes::D0);
         let c = swap_chain();
         let plain = adapt(&c, &hw, &AdaptContext::with_objective(Objective::Fidelity)).unwrap();
-        let ctx = AdaptOptions::builder()
-            .objective(Objective::Fidelity)
-            .limits(Some(u64::MAX))
-            .cancel(Arc::new(AtomicBool::new(false)))
-            .build();
+        let ctx = AdaptContext {
+            limits: AdaptLimits {
+                total_conflicts: Some(u64::MAX),
+            },
+            cancel: Some(Arc::new(AtomicBool::new(false))),
+            ..AdaptContext::with_objective(Objective::Fidelity)
+        };
         let limited = adapt(&c, &hw, &ctx).unwrap();
         assert_eq!(plain.solver.objective_value, limited.solver.objective_value);
         assert_eq!(plain.circuit.len(), limited.circuit.len());
@@ -701,14 +582,42 @@ mod tests {
     }
 
     #[test]
-    fn invalid_rule_window_rejected() {
-        let err = AdaptOptions::builder()
-            .rules(RuleOptions {
-                max_match_len: 1,
-                ..RuleOptions::default()
-            })
-            .try_build();
-        assert!(matches!(err, Err(AdaptError::InvalidOptions(_))));
+    fn struct_literal_with_short_rule_window_is_rejected() {
+        let ctx = AdaptContext {
+            options: AdaptOptions {
+                rules: RuleOptions {
+                    max_match_len: 1,
+                    ..RuleOptions::default()
+                },
+                ..AdaptOptions::default()
+            },
+            ..AdaptContext::default()
+        };
+        assert!(matches!(
+            adapt(&swap_chain(), &spin_qubit_model(GateTimes::D0), &ctx),
+            Err(AdaptError::InvalidOptions(_))
+        ));
+    }
+
+    #[test]
+    fn struct_literal_with_zero_conflict_budget_is_rejected() {
+        let ctx = AdaptContext {
+            limits: AdaptLimits {
+                total_conflicts: Some(0),
+            },
+            ..AdaptContext::default()
+        };
+        let c = swap_chain();
+        let hw = spin_qubit_model(GateTimes::D0);
+        assert!(matches!(
+            adapt(&c, &hw, &ctx),
+            Err(AdaptError::InvalidOptions(_))
+        ));
+        let prev = adapt(&c, &hw, &AdaptContext::default()).unwrap();
+        assert!(matches!(
+            recalibrate_adaptation(&c, &hw, &prev, &ctx, None),
+            Err(AdaptError::InvalidOptions(_))
+        ));
     }
 
     #[test]
@@ -717,10 +626,10 @@ mod tests {
         let hw = spin_qubit_model(GateTimes::D0);
         let c = swap_chain();
         let (tracer, sink) = Tracer::to_memory();
-        let ctx = AdaptOptions::builder()
-            .objective(Objective::Combined)
-            .tracer(tracer)
-            .build();
+        let ctx = AdaptContext {
+            tracer,
+            ..AdaptContext::with_objective(Objective::Combined)
+        };
         adapt(&c, &hw, &ctx).unwrap();
         let events = sink.take();
         report::validate_forest(&events).unwrap();
@@ -745,6 +654,17 @@ mod tests {
         assert_eq!(rpt.roots[0].note.as_deref(), Some("ok"));
     }
 
+    fn routed(objective: Objective, coupling: CouplingMap) -> AdaptContext {
+        AdaptContext {
+            options: AdaptOptions {
+                objective,
+                coupling: Some(coupling),
+                ..AdaptOptions::default()
+            },
+            ..AdaptContext::default()
+        }
+    }
+
     fn coupled_2q_gates_ok(c: &Circuit, cm: &CouplingMap) -> bool {
         c.iter()
             .filter(|i| i.qubits.len() == 2)
@@ -758,10 +678,7 @@ mod tests {
         let hw = spin_qubit_model(GateTimes::D0);
         let c = swap_chain();
         let star = CouplingMap::star(3);
-        let ctx = AdaptOptions::builder()
-            .objective(Objective::Fidelity)
-            .coupling(star.clone())
-            .context();
+        let ctx = routed(Objective::Fidelity, star.clone());
         let r = adapt(&c, &hw, &ctx).unwrap();
         assert!(
             r.chosen.iter().any(|s| s.route.is_some()),
@@ -788,10 +705,7 @@ mod tests {
             Objective::Combined,
         ] {
             let plain = adapt(&c, &hw, &AdaptContext::with_objective(obj)).unwrap();
-            let ctx = AdaptOptions::builder()
-                .objective(obj)
-                .coupling(CouplingMap::all_to_all(3))
-                .context();
+            let ctx = routed(obj, CouplingMap::all_to_all(3));
             let full = adapt(&c, &hw, &ctx).unwrap();
             assert_eq!(plain.solver.chosen, full.solver.chosen, "{obj}");
             assert_eq!(
@@ -814,10 +728,7 @@ mod tests {
         c.push(Gate::Cx, &[0, 2]);
         c.push(Gate::Rz(0.7), &[2]);
         let line = CouplingMap::line(3);
-        let ctx = AdaptOptions::builder()
-            .objective(Objective::Combined)
-            .coupling(line.clone())
-            .context();
+        let ctx = routed(Objective::Combined, line.clone());
         let r = adapt(&c, &hw, &ctx).unwrap();
         assert!(r.chosen.iter().any(|s| s.route.is_some()));
         assert!(coupled_2q_gates_ok(&r.circuit, &line));
@@ -832,9 +743,7 @@ mod tests {
     fn coupling_smaller_than_circuit_rejected() {
         let hw = spin_qubit_model(GateTimes::D0);
         let c = swap_chain(); // 3 qubits
-        let ctx = AdaptOptions::builder()
-            .coupling(CouplingMap::line(2))
-            .context();
+        let ctx = routed(Objective::Fidelity, CouplingMap::line(2));
         assert!(matches!(
             adapt(&c, &hw, &ctx),
             Err(AdaptError::InvalidOptions(_))
@@ -846,7 +755,7 @@ mod tests {
         let hw = spin_qubit_model(GateTimes::D0);
         let c = swap_chain(); // has a block on (1, 2)
         let cm = CouplingMap::new(3, [(0, 1)]).unwrap(); // qubit 2 isolated
-        let ctx = AdaptOptions::builder().coupling(cm).context();
+        let ctx = routed(Objective::Fidelity, cm);
         match adapt(&c, &hw, &ctx) {
             Err(AdaptError::InvalidOptions(msg)) => {
                 assert!(msg.contains("no path"), "{msg}");
@@ -860,10 +769,7 @@ mod tests {
         let hw = spin_qubit_model(GateTimes::D0);
         let c = swap_chain();
         let star = CouplingMap::star(3);
-        let ctx = AdaptOptions::builder()
-            .objective(Objective::Fidelity)
-            .coupling(star.clone())
-            .context();
+        let ctx = routed(Objective::Fidelity, star.clone());
         let first = adapt(&c, &hw, &ctx).unwrap();
         // Unchanged hardware: reuse.
         let r = recalibrate_adaptation(&c, &hw, &first, &ctx, None).unwrap();
@@ -890,10 +796,7 @@ mod tests {
         let c = swap_chain();
         let flat = adapt(&c, &hw, &AdaptContext::with_objective(Objective::Fidelity)).unwrap();
         let star = CouplingMap::star(3);
-        let ctx = AdaptOptions::builder()
-            .objective(Objective::Fidelity)
-            .coupling(star.clone())
-            .context();
+        let ctx = routed(Objective::Fidelity, star.clone());
         let r = recalibrate_adaptation(&c, &hw, &flat, &ctx, None).unwrap();
         assert!(!r.reused(), "route-incomplete selection must not be reused");
         let a = r.into_adaptation();

@@ -5,15 +5,12 @@
 //! ([`AdaptLimits`]), where to report progress ([`Tracer`]), and how to
 //! interrupt (a shared cancellation flag) — into a single value that
 //! [`adapt`](crate::adapt), `solve_model`, and the underlying SMT/SAT
-//! layers all accept. Before this type existed, each concern travelled on
-//! its own side channel (`AdaptOptions::limits`, `AdaptLimits::cancel`,
-//! solver setter methods); see DESIGN.md for the migration sketch.
+//! layers all accept.
 
 use crate::adapt::AdaptOptions;
 use crate::error::AdaptError;
 use crate::model::{AdaptLimits, Objective};
-use crate::rules::RuleOptions;
-use qca_smt::omt::{PortfolioProbe, Strategy};
+use qca_smt::omt::PortfolioProbe;
 use qca_trace::Tracer;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,21 +19,31 @@ use std::sync::Arc;
 /// hardware model.
 ///
 /// Construct one with [`AdaptContext::default`] (all defaults, tracing
-/// off), [`AdaptContext::with_objective`], `From<AdaptOptions>` /
-/// `From<Objective>`, or the [builder](AdaptContext::builder) when limits,
-/// tracing, or cancellation are involved.
+/// off), [`AdaptContext::with_objective`], or a struct literal over
+/// `..AdaptContext::default()` when limits, tracing, or cancellation are
+/// involved. [`adapt`](crate::adapt) checks it with
+/// [`AdaptContext::validate`] before any work.
 ///
 /// # Examples
 ///
 /// ```
-/// use qca_adapt::{AdaptContext, AdaptOptions, Objective};
+/// use qca_adapt::{AdaptContext, AdaptLimits, AdaptOptions, Objective};
 ///
-/// // Objective-only: three equivalent spellings.
-/// let a = AdaptContext::with_objective(Objective::IdleTime);
-/// let b = AdaptContext::from(Objective::IdleTime);
-/// let c = AdaptOptions::builder().objective(Objective::IdleTime).context();
-/// assert_eq!(a.options.objective, b.options.objective);
-/// assert_eq!(a.options.objective, c.options.objective);
+/// let idle = AdaptContext::with_objective(Objective::IdleTime);
+/// assert_eq!(idle.options.objective, Objective::IdleTime);
+///
+/// let ctx = AdaptContext {
+///     options: AdaptOptions {
+///         objective: Objective::Combined,
+///         exact: true,
+///         ..AdaptOptions::default()
+///     },
+///     limits: AdaptLimits {
+///         total_conflicts: Some(500_000),
+///     },
+///     ..AdaptContext::default()
+/// };
+/// assert!(ctx.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AdaptContext {
@@ -63,25 +70,46 @@ pub struct AdaptContext {
 }
 
 impl AdaptContext {
-    /// A context with the given options and defaults elsewhere.
-    pub fn new(options: AdaptOptions) -> Self {
+    /// A context with a specific objective and defaults elsewhere.
+    pub fn with_objective(objective: Objective) -> Self {
         AdaptContext {
-            options,
+            options: AdaptOptions {
+                objective,
+                ..AdaptOptions::default()
+            },
             ..AdaptContext::default()
         }
     }
 
-    /// A context with a specific objective and defaults elsewhere.
-    pub fn with_objective(objective: Objective) -> Self {
-        AdaptContext::new(AdaptOptions {
-            objective,
-            ..AdaptOptions::default()
-        })
-    }
-
-    /// Starts a validating builder.
-    pub fn builder() -> AdaptContextBuilder {
-        AdaptContextBuilder::default()
+    /// Rejects a nonsensical configuration: a zero conflict budget, a
+    /// portfolio of fewer than two members, or a pattern window too short
+    /// to match any multi-gate rule.
+    ///
+    /// # Errors
+    ///
+    /// [`AdaptError::InvalidOptions`] naming the offending field.
+    pub fn validate(&self) -> Result<(), AdaptError> {
+        if self.limits.total_conflicts == Some(0) {
+            return Err(AdaptError::InvalidOptions(
+                "total_conflicts = Some(0) can never make progress; use None for unlimited"
+                    .to_string(),
+            ));
+        }
+        if let Some(probe) = self.portfolio {
+            if probe.members < 2 {
+                return Err(AdaptError::InvalidOptions(
+                    "portfolio with fewer than 2 members is not a race; omit it instead"
+                        .to_string(),
+                ));
+            }
+        }
+        if self.options.rules.max_match_len < 2 {
+            return Err(AdaptError::InvalidOptions(format!(
+                "rules.max_match_len = {} cannot match any multi-gate pattern (minimum 2)",
+                self.options.rules.max_match_len
+            )));
+        }
+        Ok(())
     }
 
     /// `true` when the cancellation flag (if any) is currently set.
@@ -103,145 +131,10 @@ impl AdaptContext {
     }
 }
 
-impl From<AdaptOptions> for AdaptContext {
-    fn from(options: AdaptOptions) -> Self {
-        AdaptContext::new(options)
-    }
-}
-
-impl From<Objective> for AdaptContext {
-    fn from(objective: Objective) -> Self {
-        AdaptContext::with_objective(objective)
-    }
-}
-
-/// Validating builder for [`AdaptContext`].
-///
-/// Usually reached by chaining from [`AdaptOptions::builder`]:
-///
-/// ```
-/// use qca_adapt::{AdaptOptions, Objective};
-///
-/// let ctx = AdaptOptions::builder()
-///     .objective(Objective::Combined)
-///     .exact()
-///     .limits(Some(500_000))
-///     .build();
-/// assert!(ctx.options.exact);
-/// assert_eq!(ctx.limits.total_conflicts, Some(500_000));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct AdaptContextBuilder {
-    pub(crate) options: crate::adapt::AdaptOptionsBuilder,
-    pub(crate) limits: AdaptLimits,
-    pub(crate) tracer: Tracer,
-    pub(crate) cancel: Option<Arc<AtomicBool>>,
-    pub(crate) warm_hint: Option<Vec<usize>>,
-    pub(crate) portfolio: Option<PortfolioProbe>,
-}
-
-impl AdaptContextBuilder {
-    /// Sets the optimization objective.
-    pub fn objective(mut self, objective: Objective) -> Self {
-        self.options = self.options.objective(objective);
-        self
-    }
-
-    /// Sets the substitution-rule options.
-    pub fn rules(mut self, rules: RuleOptions) -> Self {
-        self.options = self.options.rules(rules);
-        self
-    }
-
-    /// Sets the OMT search strategy.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.options = self.options.strategy(strategy);
-        self
-    }
-
-    /// Demands a proven-optimal search (no probe budgets or gap).
-    pub fn exact(mut self) -> Self {
-        self.options = self.options.exact();
-        self
-    }
-
-    /// Caps the total SAT conflicts across the whole OMT search; `None`
-    /// for unlimited.
-    pub fn limits(mut self, total_conflicts: Option<u64>) -> Self {
-        self.limits.total_conflicts = total_conflicts;
-        self
-    }
-
-    /// Installs a tracer for span/counter/gauge events.
-    pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Installs a cooperative cancellation flag.
-    pub fn cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Installs a warm-start hint: catalog ids of a known-good substitution
-    /// selection to seed the search from instead of the greedy warm start.
-    pub fn warm_hint(mut self, hint: Vec<usize>) -> Self {
-        self.warm_hint = Some(hint);
-        self
-    }
-
-    /// Enables portfolio escalation: budget-exhausted OMT probes race a
-    /// small set of diverse solver configurations instead of giving up.
-    pub fn portfolio(mut self, probe: PortfolioProbe) -> Self {
-        self.portfolio = Some(probe);
-        self
-    }
-
-    /// Validates and builds, returning [`AdaptError::InvalidOptions`] on a
-    /// nonsensical configuration (zero pattern window, zero conflict
-    /// budget).
-    pub fn try_build(self) -> Result<AdaptContext, AdaptError> {
-        if self.limits.total_conflicts == Some(0) {
-            return Err(AdaptError::InvalidOptions(
-                "total_conflicts = Some(0) can never make progress; use None for unlimited"
-                    .to_string(),
-            ));
-        }
-        if let Some(probe) = self.portfolio {
-            if probe.members < 2 {
-                return Err(AdaptError::InvalidOptions(
-                    "portfolio with fewer than 2 members is not a race; omit it instead"
-                        .to_string(),
-                ));
-            }
-        }
-        Ok(AdaptContext {
-            options: self.options.try_build()?,
-            limits: self.limits,
-            tracer: self.tracer,
-            cancel: self.cancel,
-            warm_hint: self.warm_hint,
-            portfolio: self.portfolio,
-        })
-    }
-
-    /// Validates and builds, panicking on an invalid configuration.
-    ///
-    /// # Panics
-    ///
-    /// When [`try_build`](Self::try_build) would return an error.
-    pub fn build(self) -> AdaptContext {
-        match self.try_build() {
-            Ok(ctx) => ctx,
-            Err(e) => panic!("{e}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::RuleOptions;
 
     #[test]
     fn default_context_matches_default_options() {
@@ -252,66 +145,81 @@ mod tests {
         assert!(!ctx.tracer.enabled());
         assert!(ctx.cancel.is_none());
         assert!(!ctx.cancelled());
+        assert!(ctx.warm_hint.is_none());
+        assert!(ctx.portfolio.is_none());
+        assert!(ctx.validate().is_ok());
     }
 
     #[test]
-    fn builder_round_trips_every_field() {
+    fn cancelled_follows_the_flag() {
         let flag = Arc::new(AtomicBool::new(false));
-        let (tracer, _sink) = Tracer::to_memory();
-        let ctx = AdaptContext::builder()
-            .objective(Objective::Combined)
-            .strategy(Strategy::LinearSearch)
-            .exact()
-            .limits(Some(1234))
-            .tracer(tracer)
-            .cancel(flag.clone())
-            .build();
-        assert_eq!(ctx.options.objective, Objective::Combined);
-        assert_eq!(ctx.options.strategy, Strategy::LinearSearch);
-        assert!(ctx.options.exact);
-        assert_eq!(ctx.limits.total_conflicts, Some(1234));
-        assert!(ctx.tracer.enabled());
+        let ctx = AdaptContext {
+            cancel: Some(flag.clone()),
+            ..AdaptContext::default()
+        };
         assert!(!ctx.cancelled());
         flag.store(true, Ordering::Relaxed);
         assert!(ctx.cancelled());
     }
 
     #[test]
-    fn warm_hint_and_portfolio_round_trip() {
-        let ctx = AdaptContext::builder()
-            .warm_hint(vec![0, 2])
-            .portfolio(PortfolioProbe::default())
-            .build();
-        assert_eq!(ctx.warm_hint.as_deref(), Some(&[0, 2][..]));
-        assert_eq!(ctx.portfolio, Some(PortfolioProbe::default()));
-        assert!(AdaptContext::default().warm_hint.is_none());
-        assert!(AdaptContext::default().portfolio.is_none());
-    }
-
-    #[test]
-    fn single_member_portfolio_rejected() {
-        let err = AdaptContext::builder()
-            .portfolio(PortfolioProbe {
-                members: 1,
-                ..PortfolioProbe::default()
-            })
-            .try_build();
-        assert!(matches!(err, Err(AdaptError::InvalidOptions(_))));
-    }
-
-    #[test]
-    fn zero_conflict_budget_rejected() {
-        let err = AdaptContext::builder().limits(Some(0)).try_build();
-        assert!(matches!(err, Err(AdaptError::InvalidOptions(_))));
+    fn validate_rejects_every_nonsensical_field() {
+        let ok = [
+            AdaptContext::with_objective(Objective::Combined),
+            AdaptContext {
+                limits: AdaptLimits {
+                    total_conflicts: Some(1),
+                },
+                portfolio: Some(PortfolioProbe::default()),
+                ..AdaptContext::default()
+            },
+        ];
+        for ctx in ok {
+            assert!(ctx.validate().is_ok(), "rejected {ctx:?}");
+        }
+        let rejected = [
+            AdaptContext {
+                limits: AdaptLimits {
+                    total_conflicts: Some(0),
+                },
+                ..AdaptContext::default()
+            },
+            AdaptContext {
+                portfolio: Some(PortfolioProbe {
+                    members: 1,
+                    ..PortfolioProbe::default()
+                }),
+                ..AdaptContext::default()
+            },
+            AdaptContext {
+                options: AdaptOptions {
+                    rules: RuleOptions {
+                        max_match_len: 1,
+                        ..RuleOptions::default()
+                    },
+                    ..AdaptOptions::default()
+                },
+                ..AdaptContext::default()
+            },
+        ];
+        for ctx in rejected {
+            assert!(
+                matches!(ctx.validate(), Err(AdaptError::InvalidOptions(_))),
+                "accepted {ctx:?}"
+            );
+        }
     }
 
     #[test]
     fn solve_control_mirrors_context() {
         let flag = Arc::new(AtomicBool::new(false));
-        let ctx = AdaptContext::builder()
-            .limits(Some(77))
-            .cancel(flag.clone())
-            .build();
+        let ctx = AdaptContext {
+            limits: AdaptLimits {
+                total_conflicts: Some(77),
+            },
+            cancel: Some(flag.clone()),
+            ..AdaptContext::default()
+        };
         let control = ctx.solve_control();
         assert_eq!(control.conflict_cap, Some(77));
         assert!(Arc::ptr_eq(control.stop.as_ref().unwrap(), &flag));
@@ -319,14 +227,10 @@ mod tests {
     }
 
     #[test]
-    fn conversions_set_objective() {
-        let from_obj = AdaptContext::from(Objective::IdleTime);
-        assert_eq!(from_obj.options.objective, Objective::IdleTime);
-        let opts = AdaptOptions {
-            objective: Objective::Combined,
-            ..AdaptOptions::default()
-        };
-        let from_opts = AdaptContext::from(opts);
-        assert_eq!(from_opts.options.objective, Objective::Combined);
+    fn with_objective_sets_only_the_objective() {
+        let ctx = AdaptContext::with_objective(Objective::IdleTime);
+        assert_eq!(ctx.options.objective, Objective::IdleTime);
+        assert!(!ctx.options.exact);
+        assert!(ctx.limits.total_conflicts.is_none());
     }
 }

@@ -43,7 +43,7 @@
 //! To watch where the time goes, install a tracer:
 //!
 //! ```
-//! use qca_adapt::{adapt, AdaptOptions, Objective};
+//! use qca_adapt::{adapt, AdaptContext, Objective};
 //! use qca_circuit::{Circuit, Gate};
 //! use qca_hw::{spin_qubit_model, GateTimes};
 //! use qca_trace::{report::Report, Tracer};
@@ -54,10 +54,10 @@
 //! c.push(Gate::Cx, &[0, 1]);
 //! let hw = spin_qubit_model(GateTimes::D0);
 //! let (tracer, sink) = Tracer::to_memory();
-//! let ctx = AdaptOptions::builder()
-//!     .objective(Objective::Combined)
-//!     .tracer(tracer)
-//!     .build();
+//! let ctx = AdaptContext {
+//!     tracer,
+//!     ..AdaptContext::with_objective(Objective::Combined)
+//! };
 //! adapt(&c, &hw, &ctx)?;
 //! let report = Report::from_events(&sink.take());
 //! assert!(report.phase_total_ns("omt.search").is_some());
@@ -77,10 +77,9 @@ pub mod preprocess;
 pub mod rules;
 
 pub use adapt::{
-    adapt, extract_circuit, recalibrate_adaptation, AdaptOptions, AdaptOptionsBuilder, Adaptation,
-    Recalibration,
+    adapt, extract_circuit, recalibrate_adaptation, AdaptOptions, Adaptation, Recalibration,
 };
-pub use context::{AdaptContext, AdaptContextBuilder};
+pub use context::AdaptContext;
 pub use error::AdaptError;
 pub use model::{
     evaluate_selection, recheck_optimum, AdaptLimits, Objective, RecheckOutcome, SmtAdaptation,
@@ -153,10 +152,14 @@ mod proptests {
             let hw = spin_qubit_model(GateTimes::D0);
             for obj in [Objective::Fidelity, Objective::Combined] {
                 let plain = adapt(&c, &hw, &AdaptContext::with_objective(obj)).unwrap();
-                let ctx = AdaptOptions::builder()
-                    .objective(obj)
-                    .coupling(CouplingMap::all_to_all(3))
-                    .context();
+                let ctx = AdaptContext {
+                    options: AdaptOptions {
+                        objective: obj,
+                        coupling: Some(CouplingMap::all_to_all(3)),
+                        ..AdaptOptions::default()
+                    },
+                    ..AdaptContext::default()
+                };
                 let full = adapt(&c, &hw, &ctx).unwrap();
                 prop_assert_eq!(plain.solver.chosen, full.solver.chosen);
                 prop_assert_eq!(plain.solver.objective_value, full.solver.objective_value);
@@ -174,10 +177,13 @@ mod proptests {
             use qca_hw::CouplingMap;
             let hw = spin_qubit_model(GateTimes::D0);
             let star = CouplingMap::star(3);
-            let ctx = AdaptOptions::builder()
-                .objective(Objective::Fidelity)
-                .coupling(star.clone())
-                .context();
+            let ctx = AdaptContext {
+                options: AdaptOptions {
+                    coupling: Some(star.clone()),
+                    ..AdaptOptions::default()
+                },
+                ..AdaptContext::default()
+            };
             let r = adapt(&c, &hw, &ctx).unwrap();
             prop_assert!(hw.supports_circuit(&r.circuit));
             for i in r.circuit.iter().filter(|i| i.qubits.len() == 2) {

@@ -113,11 +113,6 @@ pub struct Substitution {
 }
 
 impl Substitution {
-    /// `true` when this substitution replaces the entire block.
-    pub fn is_whole_block(&self, pre: &Preprocessed) -> bool {
-        self.ops.len() == pre.partition.blocks[self.block].ops.len()
-    }
-
     /// `true` when `self` and `other` substitute at least one common gate
     /// (and hence conflict per Eq. 1), or when both are routing plans for
     /// the same block (a block travels one path, with one realization).

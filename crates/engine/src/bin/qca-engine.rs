@@ -295,21 +295,20 @@ fn run() -> Result<ExitCode, String> {
         (None, false) => Tracer::disabled(),
     };
 
-    let mut config = EngineConfig::builder()
-        .workers(args.workers)
-        .cache_capacity(args.cache_capacity)
-        .verify(args.verify)
-        .lint(args.lint)
-        .deny_warnings(args.deny_warnings)
-        .portfolio_members(args.portfolio)
-        .tracer(tracer);
-    if let Some(budget) = args.budget {
-        config = config.job_conflict_budget(budget);
-    }
-    if let Some(ms) = args.timeout_ms {
-        config = config.job_timeout(Duration::from_millis(ms));
-    }
-    let engine = Engine::new(config.try_build()?);
+    let config = EngineConfig {
+        workers: args.workers,
+        cache_capacity: args.cache_capacity,
+        job_conflict_budget: args.budget,
+        job_timeout: args.timeout_ms.map(Duration::from_millis),
+        tracer,
+        verify: args.verify,
+        lint: args.lint || args.deny_warnings,
+        deny_warnings: args.deny_warnings,
+        portfolio_members: args.portfolio,
+        ..EngineConfig::default()
+    };
+    config.validate()?;
+    let engine = Engine::new(config);
     let jobs: Vec<AdaptJob> = named_jobs
         .iter()
         .filter_map(|(_, j)| j.as_ref().ok().cloned())

@@ -216,147 +216,57 @@ impl EngineConfig {
     /// certainly a mistake (each worker runs a full solver).
     pub const MAX_WORKERS: usize = 1024;
 
-    /// Starts a validating builder.
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder::default()
-    }
-}
-
-/// Validating builder for [`EngineConfig`].
-///
-/// # Examples
-///
-/// ```
-/// use qca_engine::EngineConfig;
-/// use std::time::Duration;
-///
-/// let config = EngineConfig::builder()
-///     .workers(2)
-///     .job_timeout(Duration::from_secs(5))
-///     .build();
-/// assert_eq!(config.workers, 2);
-/// assert!(EngineConfig::builder().job_conflict_budget(0).try_build().is_err());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct EngineConfigBuilder {
-    config: EngineConfig,
-}
-
-impl EngineConfigBuilder {
-    /// Sets the worker-thread count (`0`: one per available CPU).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Sets the result-cache capacity (0 disables caching).
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.cache_capacity = capacity;
-        self
-    }
-
-    /// Sets the default per-job conflict budget.
-    pub fn job_conflict_budget(mut self, budget: u64) -> Self {
-        self.config.job_conflict_budget = Some(budget);
-        self
-    }
-
-    /// Sets the per-job wall-clock deadline.
-    pub fn job_timeout(mut self, timeout: Duration) -> Self {
-        self.config.job_timeout = Some(timeout);
-        self
-    }
-
-    /// Installs a tracer for engine events.
-    pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.config.tracer = tracer;
-        self
-    }
-
-    /// Enables trust-but-verify mode (certified solves + per-report audits).
-    pub fn verify(mut self, verify: bool) -> Self {
-        self.config.verify = verify;
-        self
-    }
-
-    /// Enables the static preflight lint stage.
-    pub fn lint(mut self, lint: bool) -> Self {
-        self.config.lint = lint;
-        self
-    }
-
-    /// Escalates preflight warnings to rejections (implies
-    /// [`lint`](Self::lint)).
-    pub fn deny_warnings(mut self, deny: bool) -> Self {
-        self.config.deny_warnings = deny;
-        if deny {
-            self.config.lint = true;
-        }
-        self
-    }
-
-    /// Enables racing-portfolio escalation with `members` diverse solver
-    /// configurations (2–4; 0 disables).
-    pub fn portfolio_members(mut self, members: usize) -> Self {
-        self.config.portfolio_members = members;
-        self
-    }
-
-    /// Toggles formula preprocessing ahead of portfolio races (on by
-    /// default).
-    pub fn preprocess(mut self, preprocess: bool) -> Self {
-        self.config.preprocess = preprocess;
-        self
-    }
-
-    /// Attaches a persistent cache tier: the engine replays it into the
-    /// LRU at construction and appends every successful solve.
-    pub fn store(mut self, store: Arc<qca_store::Store>) -> Self {
-        self.config.store = Some(store);
-        self
-    }
-
-    /// Validates and builds, rejecting worker counts beyond
-    /// [`EngineConfig::MAX_WORKERS`], a zero deadline, and a zero conflict
-    /// budget.
-    pub fn try_build(self) -> Result<EngineConfig, String> {
-        let c = &self.config;
-        if c.workers > EngineConfig::MAX_WORKERS {
+    /// Rejects worker counts beyond [`EngineConfig::MAX_WORKERS`], a zero
+    /// deadline, a zero conflict budget, and a portfolio that is not a
+    /// race (1 or more than 4 members).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending field.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use qca_engine::EngineConfig;
+    /// use std::time::Duration;
+    ///
+    /// let config = EngineConfig {
+    ///     workers: 2,
+    ///     job_timeout: Some(Duration::from_secs(5)),
+    ///     ..EngineConfig::default()
+    /// };
+    /// assert!(config.validate().is_ok());
+    /// let zero_budget = EngineConfig {
+    ///     job_conflict_budget: Some(0),
+    ///     ..EngineConfig::default()
+    /// };
+    /// assert!(zero_budget.validate().is_err());
+    /// ```
+    pub fn validate(&self) -> Result<(), String> {
+        if self.workers > EngineConfig::MAX_WORKERS {
             return Err(format!(
                 "workers = {} exceeds the {} ceiling",
-                c.workers,
+                self.workers,
                 EngineConfig::MAX_WORKERS
             ));
         }
-        if c.job_timeout == Some(Duration::ZERO) {
+        if self.job_timeout == Some(Duration::ZERO) {
             return Err("job_timeout = 0 would cancel every job before it starts".to_string());
         }
-        if c.job_conflict_budget == Some(0) {
+        if self.job_conflict_budget == Some(0) {
             return Err(
                 "job_conflict_budget = Some(0) can never make progress; leave it unset for \
                  unlimited"
                     .to_string(),
             );
         }
-        if c.portfolio_members == 1 || c.portfolio_members > 4 {
+        if self.portfolio_members == 1 || self.portfolio_members > 4 {
             return Err(format!(
                 "portfolio_members = {} is not a race; use 0 to disable or 2-4 members",
-                c.portfolio_members
+                self.portfolio_members
             ));
         }
-        Ok(self.config)
-    }
-
-    /// Validates and builds, panicking on an invalid configuration.
-    ///
-    /// # Panics
-    ///
-    /// When [`try_build`](Self::try_build) would return an error.
-    pub fn build(self) -> EngineConfig {
-        match self.try_build() {
-            Ok(config) => config,
-            Err(e) => panic!("invalid engine config: {e}"),
-        }
+        Ok(())
     }
 }
 
@@ -476,7 +386,14 @@ pub struct RecalibrationReport {
 
 impl Engine {
     /// An engine with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// When `config` fails [`EngineConfig::validate`].
     pub fn new(config: EngineConfig) -> Engine {
+        if let Err(e) = config.validate() {
+            panic!("invalid engine config: {e}");
+        }
         let cache = AdaptCache::new(config.cache_capacity);
         let metrics = Arc::new(MetricsRegistry::new());
         let tracer = config.tracer.with_extra_sink(metrics.clone());
@@ -1263,7 +1180,10 @@ mod tests {
         let d0 = spin_qubit_model(GateTimes::D0);
         let jobs = workload(4);
         let (tracer, sink) = qca_trace::Tracer::to_memory();
-        let engine = Engine::new(EngineConfig::builder().workers(2).tracer(tracer).build());
+        let engine = Engine::new(EngineConfig {
+            tracer,
+            ..config(2)
+        });
         let reports = engine.adapt_batch(&d0, &jobs);
         assert!(reports.iter().all(|r| r.error.is_none()));
 
@@ -1311,7 +1231,10 @@ mod tests {
     #[test]
     fn recalibrate_audits_under_verify_mode() {
         let d0 = spin_qubit_model(GateTimes::D0);
-        let engine = Engine::new(EngineConfig::builder().workers(1).verify(true).build());
+        let engine = Engine::new(EngineConfig {
+            verify: true,
+            ..config(1)
+        });
         let reports = engine.adapt_batch(&d0, &workload(2));
         assert!(reports.iter().all(|r| r.error.is_none()));
         let audits_before = engine.metrics().get("verify_audits");
@@ -1328,24 +1251,14 @@ mod tests {
 
     #[test]
     fn portfolio_config_gates_on_spare_workers() {
-        assert!(EngineConfig::builder()
-            .portfolio_members(1)
-            .try_build()
-            .is_err());
-        assert!(EngineConfig::builder()
-            .portfolio_members(5)
-            .try_build()
-            .is_err());
         let hw = spin_qubit_model(GateTimes::D0);
         // Plenty of spare workers: the job runs portfolio-eligible.
         let (tracer, sink) = qca_trace::Tracer::to_memory();
-        let engine = Engine::new(
-            EngineConfig::builder()
-                .workers(4)
-                .portfolio_members(3)
-                .tracer(tracer)
-                .build(),
-        );
+        let engine = Engine::new(EngineConfig {
+            portfolio_members: 3,
+            tracer,
+            ..config(4)
+        });
         let reports = engine.adapt_batch(&hw, &workload(1));
         assert!(reports[0].error.is_none());
         let totals = qca_trace::report::counter_totals(&sink.take());
@@ -1353,13 +1266,11 @@ mod tests {
         // A single-worker pool never has the two spare workers a race
         // needs, so the job solves single-config.
         let (tracer, sink) = qca_trace::Tracer::to_memory();
-        let engine = Engine::new(
-            EngineConfig::builder()
-                .workers(1)
-                .portfolio_members(3)
-                .tracer(tracer)
-                .build(),
-        );
+        let engine = Engine::new(EngineConfig {
+            portfolio_members: 3,
+            tracer,
+            ..config(1)
+        });
         let _ = engine.adapt_batch(&hw, &workload(1));
         let totals = qca_trace::report::counter_totals(&sink.take());
         assert_eq!(totals.get("portfolio.eligible_jobs"), None);
@@ -1474,7 +1385,10 @@ mod tests {
         let hw = spin_qubit_model(GateTimes::D0);
         let jobs = workload(2);
         let (tracer, sink) = qca_trace::Tracer::to_memory();
-        let engine = Engine::new(EngineConfig::builder().workers(1).tracer(tracer).build());
+        let engine = Engine::new(EngineConfig {
+            tracer,
+            ..config(1)
+        });
         let _ = engine.adapt_batch(&hw, &jobs);
         let events = sink.take();
         qca_trace::report::validate_forest(&events).unwrap();
@@ -1504,28 +1418,51 @@ mod tests {
     }
 
     #[test]
-    fn config_builder_validates() {
-        assert!(EngineConfig::builder()
-            .workers(EngineConfig::MAX_WORKERS + 1)
-            .try_build()
-            .is_err());
-        assert!(EngineConfig::builder()
-            .job_timeout(Duration::ZERO)
-            .try_build()
-            .is_err());
-        assert!(EngineConfig::builder()
-            .job_conflict_budget(0)
-            .try_build()
-            .is_err());
-        let ok = EngineConfig::builder()
-            .workers(4)
-            .cache_capacity(64)
-            .job_conflict_budget(10_000)
-            .job_timeout(Duration::from_secs(1))
-            .build();
-        assert_eq!(ok.workers, 4);
-        assert_eq!(ok.cache_capacity, 64);
-        assert_eq!(ok.job_conflict_budget, Some(10_000));
+    fn validate_rejects_every_bad_knob() {
+        let ok = [
+            EngineConfig::default(),
+            EngineConfig {
+                cache_capacity: 64,
+                job_conflict_budget: Some(10_000),
+                job_timeout: Some(Duration::from_secs(1)),
+                portfolio_members: 4,
+                ..config(EngineConfig::MAX_WORKERS)
+            },
+        ];
+        for c in ok {
+            assert!(c.validate().is_ok(), "rejected {c:?}");
+        }
+        let rejected = [
+            config(EngineConfig::MAX_WORKERS + 1),
+            EngineConfig {
+                job_timeout: Some(Duration::ZERO),
+                ..EngineConfig::default()
+            },
+            EngineConfig {
+                job_conflict_budget: Some(0),
+                ..EngineConfig::default()
+            },
+            EngineConfig {
+                portfolio_members: 1,
+                ..EngineConfig::default()
+            },
+            EngineConfig {
+                portfolio_members: 5,
+                ..EngineConfig::default()
+            },
+        ];
+        for c in rejected {
+            assert!(c.validate().is_err(), "accepted {c:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "portfolio_members = 5")]
+    fn engine_new_panics_on_invalid_config() {
+        let _ = Engine::new(EngineConfig {
+            portfolio_members: 5,
+            ..EngineConfig::default()
+        });
     }
 
     /// A sink that panics on the first `engine.cache_miss` counter it sees —
@@ -1552,7 +1489,10 @@ mod tests {
         let tracer = qca_trace::Tracer::new(Arc::new(PanicOnce {
             armed: AtomicBool::new(true),
         }));
-        let engine = Engine::new(EngineConfig::builder().workers(2).tracer(tracer).build());
+        let engine = Engine::new(EngineConfig {
+            tracer,
+            ..config(2)
+        });
         let reports = engine.adapt_batch(&hw, &jobs);
         assert_eq!(reports.len(), jobs.len(), "batch completes despite panic");
         let killed: Vec<_> = reports
@@ -1572,7 +1512,10 @@ mod tests {
     fn verify_mode_audits_every_report_including_cache_hits() {
         let hw = spin_qubit_model(GateTimes::D0);
         let jobs = workload(2);
-        let engine = Engine::new(EngineConfig::builder().workers(1).verify(true).build());
+        let engine = Engine::new(EngineConfig {
+            verify: true,
+            ..config(1)
+        });
         let first = engine.adapt_batch(&hw, &jobs);
         let second = engine.adapt_batch(&hw, &jobs);
         assert!(second.iter().all(|r| r.cache_hit));
@@ -1603,7 +1546,10 @@ mod tests {
         let hw = spin_qubit_model(GateTimes::D0);
         let mut jobs = workload(1);
         jobs[0].cancel = Some(Arc::new(AtomicBool::new(true)));
-        let engine = Engine::new(EngineConfig::builder().workers(1).verify(true).build());
+        let engine = Engine::new(EngineConfig {
+            verify: true,
+            ..config(1)
+        });
         let reports = engine.adapt_batch(&hw, &jobs);
         assert_eq!(reports[0].status, AdaptStatus::Fallback);
         assert!(reports[0].adaptation.is_none());
@@ -1614,7 +1560,10 @@ mod tests {
     fn verify_mode_flags_corrupted_cache_entries() {
         let hw = spin_qubit_model(GateTimes::D0);
         let jobs = workload(1);
-        let engine = Engine::new(EngineConfig::builder().workers(1).verify(true).build());
+        let engine = Engine::new(EngineConfig {
+            verify: true,
+            ..config(1)
+        });
         let first = engine.adapt_batch(&hw, &jobs);
         assert_eq!(first[0].audit, Some(AuditOutcome::Passed));
         // Corrupt the cached entry behind the engine's back: the next hit
@@ -1640,13 +1589,11 @@ mod tests {
         let mut c = Circuit::new(2);
         c.push(Gate::Cx, &[0, 1]);
         let (tracer, sink) = qca_trace::Tracer::to_memory();
-        let engine = Engine::new(
-            EngineConfig::builder()
-                .workers(1)
-                .lint(true)
-                .tracer(tracer)
-                .build(),
-        );
+        let engine = Engine::new(EngineConfig {
+            lint: true,
+            tracer,
+            ..config(1)
+        });
         let reports = engine.adapt_batch(&hw, &[AdaptJob::new(c)]);
         assert_eq!(reports[0].status, AdaptStatus::Fallback);
         assert!(matches!(reports[0].error, Some(AdaptError::Rejected(_))));
@@ -1674,7 +1621,10 @@ mod tests {
         let mut c = Circuit::new(2);
         c.push(Gate::H, &[0]);
         c.push(Gate::Swap, &[0, 1]);
-        let engine = Engine::new(EngineConfig::builder().workers(1).lint(true).build());
+        let engine = Engine::new(EngineConfig {
+            lint: true,
+            ..config(1)
+        });
         let reports = engine.adapt_batch(&hw, &[AdaptJob::new(c)]);
         assert_ne!(reports[0].status, AdaptStatus::Fallback);
         assert!(reports[0]
@@ -1696,17 +1646,19 @@ mod tests {
         c.push(Gate::H, &[0]); // QCA0104 self-inverse pair: a warning.
         c.push(Gate::Cx, &[0, 1]);
         // Plain lint: warned but solved.
-        let lenient = Engine::new(EngineConfig::builder().workers(1).lint(true).build());
+        let lenient = Engine::new(EngineConfig {
+            lint: true,
+            ..config(1)
+        });
         let reports = lenient.adapt_batch(&hw, &[AdaptJob::new(c.clone())]);
         assert_ne!(reports[0].status, AdaptStatus::Fallback);
         assert_eq!(reports[0].diagnostics.len(), 1);
         // deny-warnings: the same job is rejected.
-        let strict = Engine::new(
-            EngineConfig::builder()
-                .workers(1)
-                .deny_warnings(true)
-                .build(),
-        );
+        let strict = Engine::new(EngineConfig {
+            lint: true,
+            deny_warnings: true,
+            ..config(1)
+        });
         let reports = strict.adapt_batch(&hw, &[AdaptJob::new(c)]);
         assert_eq!(reports[0].status, AdaptStatus::Fallback);
         assert!(matches!(reports[0].error, Some(AdaptError::Rejected(_))));
@@ -1863,12 +1815,10 @@ mod tests {
             misses: AtomicUsize::new(0),
             encodes: AtomicUsize::new(0),
         });
-        let engine = Engine::new(
-            EngineConfig::builder()
-                .workers(N)
-                .tracer(qca_trace::Tracer::new(gate.clone()))
-                .build(),
-        );
+        let engine = Engine::new(EngineConfig {
+            tracer: qca_trace::Tracer::new(gate.clone()),
+            ..config(N)
+        });
         let jobs: Vec<AdaptJob> = (0..N).map(|_| AdaptJob::new(c.clone())).collect();
         let reports = engine.adapt_batch(&hw, &jobs);
         assert_eq!(

@@ -22,7 +22,7 @@
 //!   atomic counters and log-scale histograms (cache hit rate, solve wall
 //!   time, SAT conflicts/restarts, fallback count), dumped as JSON by the
 //!   `qca-engine` CLI. Install your own tracer via
-//!   [`EngineConfig::builder`](EngineConfig) to watch the same event stream
+//!   [`EngineConfig::tracer`] to watch the same event stream
 //!   (plus per-job `engine.job` spans and the full solve-pipeline spans)
 //!   live.
 //!
@@ -52,7 +52,7 @@ pub mod metrics;
 pub mod pool;
 
 pub use engine::{
-    AdaptJob, AdaptReport, AdaptStatus, AuditOutcome, Engine, EngineConfig, EngineConfigBuilder,
-    JobPolicy, RecalibrationReport,
+    AdaptJob, AdaptReport, AdaptStatus, AuditOutcome, Engine, EngineConfig, JobPolicy,
+    RecalibrationReport,
 };
 pub use pool::{EnginePool, SubmitError};

@@ -107,12 +107,6 @@ impl CMat {
         &self.data
     }
 
-    /// Mutable borrow of the row-major element storage.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [C64] {
-        &mut self.data
-    }
-
     /// Conjugate transpose (dagger).
     pub fn adjoint(&self) -> CMat {
         let mut m = CMat::zeros(self.cols, self.rows);

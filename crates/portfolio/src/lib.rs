@@ -111,42 +111,40 @@ pub struct RaceResult {
 /// restart schedule (luby vs geometric), and phase policy, with per-member
 /// seed jitter derived from `seed`.
 pub fn presets(n: usize, seed: u64) -> Vec<SolverConfig> {
-    let blueprints: [fn() -> qca_sat::SolverConfigBuilder; 4] = [
+    let blueprints = [
         // The incumbent: default decay, luby restarts, saved phases.
-        || SolverConfig::builder(),
+        SolverConfig::default(),
         // Aggressive: fast decay, short geometric restarts, random phases.
-        || {
-            SolverConfig::builder()
-                .decay(0.85)
-                .restart(RestartSchedule::Geometric {
-                    initial: 128,
-                    factor: 1.3,
-                })
-                .phase(PhasePolicy::Random)
+        SolverConfig {
+            decay: Some(0.85),
+            restart: RestartSchedule::Geometric {
+                initial: 128,
+                factor: 1.3,
+            },
+            phase: PhasePolicy::Random,
+            ..SolverConfig::default()
         },
         // Conservative: slow decay, long luby base, positive phases.
-        || {
-            SolverConfig::builder()
-                .decay(0.99)
-                .restart(RestartSchedule::Luby { base: 256 })
-                .phase(PhasePolicy::Positive)
+        SolverConfig {
+            decay: Some(0.99),
+            restart: RestartSchedule::Luby { base: 256 },
+            phase: PhasePolicy::Positive,
+            ..SolverConfig::default()
         },
         // Contrarian: default decay, geometric restarts, negative phases.
-        || {
-            SolverConfig::builder()
-                .restart(RestartSchedule::Geometric {
-                    initial: 100,
-                    factor: 1.5,
-                })
-                .phase(PhasePolicy::Negative)
+        SolverConfig {
+            restart: RestartSchedule::Geometric {
+                initial: 100,
+                factor: 1.5,
+            },
+            phase: PhasePolicy::Negative,
+            ..SolverConfig::default()
         },
     ];
     (0..n.max(1))
-        .map(|i| {
-            blueprints[i % blueprints.len()]()
-                .seed(seed ^ (0x9e37_79b9 * (i as u64 + 1)))
-                .build()
-                .expect("presets are valid by construction")
+        .map(|i| SolverConfig {
+            seed: seed ^ (0x9e37_79b9 * (i as u64 + 1)),
+            ..blueprints[i % blueprints.len()].clone()
         })
         .collect()
 }

@@ -7,11 +7,11 @@
 //! qsat [--stats] [--conflicts N] [--proof FILE] [--config SPEC] [--preprocess] -   # stdin
 //! ```
 //!
-//! `--preprocess` (or `--config preprocess=true`) runs the proof-logging
-//! static preprocessor (`qca_sat::analyze`) before search: the solver then
-//! races the simplified formula, SAT models are extended back to the
-//! original variables before the `v` lines are printed, and with `--proof`
-//! the preprocessor's derivations prefix the solver's DRAT stream so the
+//! `--preprocess` runs the proof-logging static preprocessor
+//! (`qca_sat::analyze`) before search: the solver then races the
+//! simplified formula, SAT models are extended back to the original
+//! variables before the `v` lines are printed, and with `--proof` the
+//! preprocessor's derivations prefix the solver's DRAT stream so the
 //! combined proof still checks against the ORIGINAL formula.
 //!
 //! `--config` takes a `key=value,...` spec mapping 1:1 onto
@@ -136,7 +136,6 @@ fn main() -> ExitCode {
         }
     };
     let num_vars = cnf.num_vars;
-    let run_preprocess = run_preprocess || config.preprocess;
     // The proof sink is created *before* anything consumes clauses so that
     // both the preprocessor's derivations and the solver's input
     // simplification are logged into one stream.

@@ -1,4 +1,4 @@
-//! Solver configuration: one validating builder for every tunable knob.
+//! Solver configuration: one plain struct for every tunable knob.
 //!
 //! [`SolverConfig`] is a single value describing how a [`Solver`]
 //! searches: VSIDS decay, restart schedule, phase
@@ -7,11 +7,9 @@
 //! diverse solvers is just a `Vec<SolverConfig>`; parsing the same knobs
 //! from a `decay=0.95,restart=luby` string keeps CLI presets reproducible.
 
-use crate::proof::ProofSink;
-use crate::solver::{SolveControl, Solver};
-use qca_trace::Tracer;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use crate::solver::SolveControl;
+#[cfg(doc)]
+use crate::solver::Solver;
 
 /// Restart schedule for the CDCL search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,12 +116,13 @@ impl XorShift64 {
     }
 }
 
-/// A validated, cloneable description of how a [`Solver`] searches.
+/// A cloneable description of how a [`Solver`] searches.
 ///
-/// Built with [`SolverConfig::builder`] (which validates every field) or
-/// parsed from a `key=value,...` string with [`SolverConfig::parse`];
-/// consumed by [`Solver::with_config`]. Because the config is `Clone`, a
-/// racing portfolio is simply a `Vec<SolverConfig>` of presets.
+/// Built as a struct literal over `..SolverConfig::default()` or parsed
+/// from a `key=value,...` string with [`SolverConfig::parse`]; consumed by
+/// [`Solver::with_config`], which checks it with
+/// [`SolverConfig::validate`]. Because the config is `Clone`, a racing
+/// portfolio is simply a `Vec<SolverConfig>` of presets.
 ///
 /// The run controls ([`SolveControl`]: lifetime conflict cap, stop flag,
 /// tracer) and the per-call conflict budget live here too, so *all* budget
@@ -143,21 +142,38 @@ pub struct SolverConfig {
     /// Per-call conflict budget: each `solve*` call gives up with
     /// `Unknown` after roughly this many conflicts *of its own*.
     pub conflict_budget: Option<u64>,
-    /// Ask front ends that hold a whole formula (`qsat`, the portfolio
-    /// race, the engine's OMT probes) to run the proof-logging
-    /// preprocessor ([`crate::analyze::preprocess`]) before search. The
-    /// solver itself ignores the flag — preprocessing needs the full CNF,
-    /// which the incremental `add_clause` API never sees at once.
-    pub preprocess: bool,
     /// Caller-side run controls: lifetime conflict cap, cooperative stop
     /// flag, tracer.
     pub control: SolveControl,
 }
 
 impl SolverConfig {
-    /// Starts a validating builder over the default configuration.
-    pub fn builder() -> SolverConfigBuilder {
-        SolverConfigBuilder::default()
+    /// Checks every knob: both decays in (0, 1), a Luby base ≥ 1, and a
+    /// geometric schedule with `initial` ≥ 1 and a finite `factor` > 1.
+    ///
+    /// # Errors
+    ///
+    /// The [`ConfigError`] variant naming the first out-of-range knob.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if let Some(d) = self.decay {
+            if !(d > 0.0 && d < 1.0) {
+                return Err(ConfigError::InvalidDecay(d));
+            }
+        }
+        if let Some(d) = self.clause_decay {
+            if !(d > 0.0 && d < 1.0) {
+                return Err(ConfigError::InvalidClauseDecay(d));
+            }
+        }
+        match self.restart {
+            RestartSchedule::Luby { base: 0 } => Err(ConfigError::InvalidLubyBase),
+            RestartSchedule::Geometric { initial, factor }
+                if initial == 0 || !factor.is_finite() || factor <= 1.0 =>
+            {
+                Err(ConfigError::InvalidGeometric { initial, factor })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Effective VSIDS decay (default 0.95).
@@ -180,15 +196,13 @@ impl SolverConfig {
     /// * `phase=saved|positive|negative|random`
     /// * `seed=N`
     /// * `budget=N` — per-call conflict budget
-    /// * `preprocess=true|false` — run the proof-logging preprocessor
-    ///   before search (honored by whole-formula front ends)
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] on unknown keys, malformed values, or values
-    /// that fail the builder's validation.
+    /// that fail [`SolverConfig::validate`].
     pub fn parse(spec: &str) -> Result<SolverConfig, ConfigError> {
-        let mut b = SolverConfig::builder();
+        let mut c = SolverConfig::default();
         for item in spec.split(',').filter(|s| !s.trim().is_empty()) {
             let (key, value) = item
                 .split_once('=')
@@ -196,20 +210,20 @@ impl SolverConfig {
             let (key, value) = (key.trim(), value.trim());
             let bad = |what: &str| ConfigError::Parse(format!("invalid {what}: `{value}`"));
             match key {
-                "decay" => b = b.decay(value.parse().map_err(|_| bad("decay"))?),
+                "decay" => c.decay = Some(value.parse().map_err(|_| bad("decay"))?),
                 "clause_decay" => {
-                    b = b.clause_decay(value.parse().map_err(|_| bad("clause_decay"))?)
+                    c.clause_decay = Some(value.parse().map_err(|_| bad("clause_decay"))?)
                 }
                 "restart" => {
                     let mut parts = value.split(':');
                     let kind = parts.next().unwrap_or("");
-                    b = match kind {
+                    c.restart = match kind {
                         "luby" => {
                             let base = match parts.next() {
                                 Some(s) => s.parse().map_err(|_| bad("luby base"))?,
                                 None => 100,
                             };
-                            b.restart(RestartSchedule::Luby { base })
+                            RestartSchedule::Luby { base }
                         }
                         "geometric" => {
                             let initial = match parts.next() {
@@ -220,7 +234,7 @@ impl SolverConfig {
                                 Some(s) => s.parse().map_err(|_| bad("geometric factor"))?,
                                 None => 1.3,
                             };
-                            b.restart(RestartSchedule::Geometric { initial, factor })
+                            RestartSchedule::Geometric { initial, factor }
                         }
                         other => {
                             return Err(ConfigError::Parse(format!(
@@ -233,7 +247,7 @@ impl SolverConfig {
                     }
                 }
                 "phase" => {
-                    b = b.phase(match value {
+                    c.phase = match value {
                         "saved" => PhasePolicy::Saved,
                         "positive" => PhasePolicy::Positive,
                         "negative" => PhasePolicy::Negative,
@@ -243,21 +257,15 @@ impl SolverConfig {
                                 "unknown phase policy `{other}`"
                             )))
                         }
-                    })
+                    }
                 }
-                "seed" => b = b.seed(value.parse().map_err(|_| bad("seed"))?),
-                "budget" => b = b.conflict_budget(Some(value.parse().map_err(|_| bad("budget"))?)),
-                "preprocess" => {
-                    b = b.preprocess(match value {
-                        "true" | "on" | "1" => true,
-                        "false" | "off" | "0" => false,
-                        _ => return Err(bad("preprocess")),
-                    })
-                }
+                "seed" => c.seed = value.parse().map_err(|_| bad("seed"))?,
+                "budget" => c.conflict_budget = Some(value.parse().map_err(|_| bad("budget"))?),
                 other => return Err(ConfigError::Parse(format!("unknown config key `{other}`"))),
             }
         }
-        b.build()
+        c.validate()?;
+        Ok(c)
     }
 
     /// A short human-readable summary (`decay=0.95 restart=luby:100
@@ -275,20 +283,15 @@ impl SolverConfig {
             PhasePolicy::Negative => "negative",
             PhasePolicy::Random => "random",
         };
-        let pre = if self.preprocess {
-            " preprocess=on"
-        } else {
-            ""
-        };
         format!(
-            "decay={} restart={restart} phase={phase} seed={}{pre}",
+            "decay={} restart={restart} phase={phase} seed={}",
             self.var_decay(),
             self.seed
         )
     }
 }
 
-/// Validation or parse failure from [`SolverConfigBuilder::build`] /
+/// Validation or parse failure from [`SolverConfig::validate`] /
 /// [`SolverConfig::parse`].
 #[derive(Debug)]
 pub enum ConfigError {
@@ -329,158 +332,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Validating builder for [`SolverConfig`]; see [`SolverConfig::builder`].
-///
-/// Every knob of the solver is set here — including the run controls that
-/// used to need separate `set_*` calls — and checked once in
-/// [`SolverConfigBuilder::build`]. A DRAT proof sink (not cloneable, hence
-/// not part of the config value) can be attached too, in which case
-/// [`SolverConfigBuilder::build_solver`] installs it on the constructed
-/// solver.
-#[derive(Debug, Default)]
-pub struct SolverConfigBuilder {
-    config: SolverConfig,
-    proof: Option<Box<dyn ProofSink>>,
-}
-
-impl SolverConfigBuilder {
-    /// Sets the VSIDS variable-activity decay (validated to (0, 1)).
-    #[must_use]
-    pub fn decay(mut self, decay: f64) -> Self {
-        self.config.decay = Some(decay);
-        self
-    }
-
-    /// Sets the learnt-clause activity decay (validated to (0, 1)).
-    #[must_use]
-    pub fn clause_decay(mut self, decay: f64) -> Self {
-        self.config.clause_decay = Some(decay);
-        self
-    }
-
-    /// Sets the restart schedule.
-    #[must_use]
-    pub fn restart(mut self, restart: RestartSchedule) -> Self {
-        self.config.restart = restart;
-        self
-    }
-
-    /// Sets the decision polarity policy.
-    #[must_use]
-    pub fn phase(mut self, phase: PhasePolicy) -> Self {
-        self.config.phase = phase;
-        self
-    }
-
-    /// Sets the polarity-PRNG seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the per-call conflict budget.
-    #[must_use]
-    pub fn conflict_budget(mut self, budget: Option<u64>) -> Self {
-        self.config.conflict_budget = budget;
-        self
-    }
-
-    /// Asks whole-formula front ends to run the proof-logging
-    /// preprocessor before search (see [`SolverConfig::preprocess`]).
-    #[must_use]
-    pub fn preprocess(mut self, preprocess: bool) -> Self {
-        self.config.preprocess = preprocess;
-        self
-    }
-
-    /// Sets the lifetime conflict cap (see [`SolveControl::conflict_cap`]).
-    #[must_use]
-    pub fn conflict_cap(mut self, cap: Option<u64>) -> Self {
-        self.config.control.conflict_cap = cap;
-        self
-    }
-
-    /// Attaches a cooperative stop flag (see [`SolveControl::stop`]).
-    #[must_use]
-    pub fn stop(mut self, stop: Arc<AtomicBool>) -> Self {
-        self.config.control.stop = Some(stop);
-        self
-    }
-
-    /// Installs a tracer (see [`SolveControl::tracer`]).
-    #[must_use]
-    pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.config.control.tracer = tracer;
-        self
-    }
-
-    /// Attaches a DRAT proof sink, installed by
-    /// [`SolverConfigBuilder::build_solver`]. Proof sinks are not `Clone`,
-    /// so they are carried by the builder rather than the config value.
-    #[must_use]
-    pub fn proof(mut self, sink: Box<dyn ProofSink>) -> Self {
-        self.proof = Some(sink);
-        self
-    }
-
-    fn validate(&self) -> Result<(), ConfigError> {
-        if let Some(d) = self.config.decay {
-            if !(d > 0.0 && d < 1.0) {
-                return Err(ConfigError::InvalidDecay(d));
-            }
-        }
-        if let Some(d) = self.config.clause_decay {
-            if !(d > 0.0 && d < 1.0) {
-                return Err(ConfigError::InvalidClauseDecay(d));
-            }
-        }
-        match self.config.restart {
-            RestartSchedule::Luby { base: 0 } => Err(ConfigError::InvalidLubyBase),
-            RestartSchedule::Geometric { initial, factor }
-                if initial == 0 || !factor.is_finite() || factor <= 1.0 =>
-            {
-                Err(ConfigError::InvalidGeometric { initial, factor })
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Validates and returns the configuration value.
-    ///
-    /// # Errors
-    ///
-    /// Any variant of [`ConfigError`] for out-of-range knobs; also an error
-    /// if a proof sink was attached (a sink cannot live in the cloneable
-    /// config — use [`SolverConfigBuilder::build_solver`] instead).
-    pub fn build(self) -> Result<SolverConfig, ConfigError> {
-        self.validate()?;
-        if self.proof.is_some() {
-            return Err(ConfigError::Parse(
-                "a proof sink cannot be stored in a SolverConfig; \
-                 use build_solver() to construct the solver directly"
-                    .into(),
-            ));
-        }
-        Ok(self.config)
-    }
-
-    /// Validates the configuration and constructs a [`Solver`] from it,
-    /// installing the proof sink if one was attached.
-    ///
-    /// # Errors
-    ///
-    /// Same validation failures as [`SolverConfigBuilder::build`].
-    pub fn build_solver(mut self) -> Result<Solver, ConfigError> {
-        self.validate()?;
-        let mut solver = Solver::with_config(self.config);
-        if let Some(sink) = self.proof.take() {
-            solver.set_proof(sink);
-        }
-        Ok(solver)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,51 +347,63 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_every_knob() {
-        assert!(SolverConfig::builder().decay(0.9).build().is_ok());
+    fn validate_checks_every_knob() {
+        let geometric = |initial, factor| RestartSchedule::Geometric { initial, factor };
+        let ok = [
+            SolverConfig::default(),
+            SolverConfig {
+                decay: Some(0.9),
+                ..SolverConfig::default()
+            },
+            SolverConfig {
+                restart: geometric(128, 1.3),
+                ..SolverConfig::default()
+            },
+        ];
+        for c in ok {
+            assert!(c.validate().is_ok(), "rejected {c:?}");
+        }
+        let rejected = [
+            SolverConfig {
+                decay: Some(1.0),
+                ..SolverConfig::default()
+            },
+            SolverConfig {
+                decay: Some(0.0),
+                ..SolverConfig::default()
+            },
+            SolverConfig {
+                clause_decay: Some(-0.5),
+                ..SolverConfig::default()
+            },
+            SolverConfig {
+                restart: RestartSchedule::Luby { base: 0 },
+                ..SolverConfig::default()
+            },
+            SolverConfig {
+                restart: geometric(0, 1.5),
+                ..SolverConfig::default()
+            },
+            SolverConfig {
+                restart: geometric(100, 1.0),
+                ..SolverConfig::default()
+            },
+        ];
+        let errors: Vec<ConfigError> = rejected
+            .iter()
+            .map(|c| c.validate().expect_err("accepted an out-of-range knob"))
+            .collect();
         assert!(matches!(
-            SolverConfig::builder().decay(1.0).build(),
-            Err(ConfigError::InvalidDecay(_))
+            errors[..],
+            [
+                ConfigError::InvalidDecay(_),
+                ConfigError::InvalidDecay(_),
+                ConfigError::InvalidClauseDecay(_),
+                ConfigError::InvalidLubyBase,
+                ConfigError::InvalidGeometric { .. },
+                ConfigError::InvalidGeometric { .. },
+            ]
         ));
-        assert!(matches!(
-            SolverConfig::builder().decay(0.0).build(),
-            Err(ConfigError::InvalidDecay(_))
-        ));
-        assert!(matches!(
-            SolverConfig::builder().clause_decay(-0.5).build(),
-            Err(ConfigError::InvalidClauseDecay(_))
-        ));
-        assert!(matches!(
-            SolverConfig::builder()
-                .restart(RestartSchedule::Luby { base: 0 })
-                .build(),
-            Err(ConfigError::InvalidLubyBase)
-        ));
-        assert!(matches!(
-            SolverConfig::builder()
-                .restart(RestartSchedule::Geometric {
-                    initial: 0,
-                    factor: 1.5
-                })
-                .build(),
-            Err(ConfigError::InvalidGeometric { .. })
-        ));
-        assert!(matches!(
-            SolverConfig::builder()
-                .restart(RestartSchedule::Geometric {
-                    initial: 100,
-                    factor: 1.0
-                })
-                .build(),
-            Err(ConfigError::InvalidGeometric { .. })
-        ));
-        assert!(SolverConfig::builder()
-            .restart(RestartSchedule::Geometric {
-                initial: 128,
-                factor: 1.3
-            })
-            .build()
-            .is_ok());
     }
 
     #[test]
@@ -560,13 +423,6 @@ mod tests {
             }
         );
         assert_eq!(c.conflict_budget, Some(1000));
-
-        let c = SolverConfig::parse("preprocess=true,seed=3").unwrap();
-        assert!(c.preprocess);
-        assert!(c.describe().contains("preprocess=on"), "{}", c.describe());
-        let c = SolverConfig::parse("preprocess=off").unwrap();
-        assert!(!c.preprocess);
-        assert!(!c.describe().contains("preprocess"), "{}", c.describe());
 
         // Bare schedule names pick their documented defaults.
         let c = SolverConfig::parse("restart=geometric").unwrap();

@@ -30,11 +30,6 @@ pub fn encode_xor(s: &mut Solver, out: Lit, a: Lit, b: Lit) {
     s.add_clause(&[out, a, !b]);
 }
 
-/// Adds clauses asserting `a -> b`.
-pub fn encode_implies(s: &mut Solver, a: Lit, b: Lit) {
-    s.add_clause(&[!a, b]);
-}
-
 /// Adds clauses asserting `out <-> conjunction of lits`.
 ///
 /// # Panics

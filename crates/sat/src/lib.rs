@@ -49,7 +49,7 @@ pub use analyze::{
     analyze, preprocess, FormulaReport, PreprocessOptions, PreprocessResult, PreprocessStats,
     Reconstruction,
 };
-pub use config::{ConfigError, PhasePolicy, RestartSchedule, SolverConfig, SolverConfigBuilder};
+pub use config::{ConfigError, PhasePolicy, RestartSchedule, SolverConfig};
 pub use exchange::{ClauseExchange, ExchangeHandle, ImportFilter};
 pub use lit::{LBool, Lit, Var};
 pub use proof::{FileProof, MemoryProof, ProofSink, ProofStep};

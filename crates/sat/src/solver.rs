@@ -179,10 +179,15 @@ impl Solver {
         Solver::with_config(SolverConfig::default())
     }
 
-    /// Creates an empty solver searching as described by `config` (assumed
-    /// already validated — construct it with [`SolverConfig::builder`] or
-    /// [`SolverConfig::parse`]).
+    /// Creates an empty solver searching as described by `config`.
+    ///
+    /// # Panics
+    ///
+    /// When `config` fails [`SolverConfig::validate`].
     pub fn with_config(config: SolverConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("invalid solver config: {e}");
+        }
         let rng = XorShift64::new(config.seed);
         Solver {
             clauses: Vec::new(),
@@ -324,11 +329,6 @@ impl Solver {
         self.proof.take()
     }
 
-    /// `true` while a proof sink is installed.
-    pub fn proof_enabled(&self) -> bool {
-        self.proof.is_some()
-    }
-
     /// Flushes the installed proof sink (no-op without one).
     ///
     /// # Errors
@@ -430,14 +430,6 @@ impl Solver {
             num_vars: self.num_vars(),
             clauses,
         }
-    }
-
-    /// Raises a variable's branching priority by bumping its VSIDS activity,
-    /// steering the solver toward deciding it early. Useful when a model has
-    /// a small set of semantic decision variables whose assignment
-    /// functionally determines large auxiliary encodings.
-    pub fn boost_variable(&mut self, v: Var) {
-        self.bump_var(v);
     }
 
     #[inline]
@@ -1688,15 +1680,15 @@ mod tests {
     fn with_config_steers_search_knobs() {
         use crate::config::{PhasePolicy, RestartSchedule, SolverConfig};
         // Geometric restarts + positive phase still refute pigeonhole...
-        let cfg = SolverConfig::builder()
-            .decay(0.9)
-            .restart(RestartSchedule::Geometric {
+        let cfg = SolverConfig {
+            decay: Some(0.9),
+            restart: RestartSchedule::Geometric {
                 initial: 50,
                 factor: 1.5,
-            })
-            .phase(PhasePolicy::Positive)
-            .build()
-            .unwrap();
+            },
+            phase: PhasePolicy::Positive,
+            ..SolverConfig::default()
+        };
         let mut s = Solver::with_config(cfg.clone());
         let vs: Vec<Var> = (0..72).map(|_| s.new_var()).collect();
         let var = |p: usize, h: usize| vs[p * 8 + h];
@@ -1714,13 +1706,11 @@ mod tests {
         assert_eq!(s.solve_limited(&[]), SolveOutcome::Unsat);
         assert_eq!(s.config().var_decay(), 0.9);
         // ...and so does a random-phase member with a seed.
-        let mut s = Solver::with_config(
-            SolverConfig::builder()
-                .phase(PhasePolicy::Random)
-                .seed(7)
-                .build()
-                .unwrap(),
-        );
+        let mut s = Solver::with_config(SolverConfig {
+            phase: PhasePolicy::Random,
+            seed: 7,
+            ..SolverConfig::default()
+        });
         let vs: Vec<Var> = (0..30).map(|_| s.new_var()).collect();
         let var = |p: usize, h: usize| vs[p * 5 + h];
         for p in 0..6 {
@@ -1738,13 +1728,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "decay must be in (0, 1), got 1.5")]
+    fn with_config_panics_on_invalid_config() {
+        use crate::config::SolverConfig;
+        let _ = Solver::with_config(SolverConfig {
+            decay: Some(1.5),
+            ..SolverConfig::default()
+        });
+    }
+
+    #[test]
     fn phase_policies_fix_unconstrained_polarity() {
         use crate::config::{PhasePolicy, SolverConfig};
         for (policy, expect) in [
             (PhasePolicy::Positive, true),
             (PhasePolicy::Negative, false),
         ] {
-            let mut s = Solver::with_config(SolverConfig::builder().phase(policy).build().unwrap());
+            let mut s = Solver::with_config(SolverConfig {
+                phase: policy,
+                ..SolverConfig::default()
+            });
             let a = s.new_var();
             let b = s.new_var();
             s.add_clause(&[a.positive(), b.positive()]);
@@ -1756,11 +1759,11 @@ mod tests {
     #[test]
     fn config_budget_and_cap_share_one_accounting() {
         use crate::config::SolverConfig;
-        // Budget via the builder behaves exactly like set_conflict_budget.
-        let cfg = SolverConfig::builder()
-            .conflict_budget(Some(10))
-            .build()
-            .unwrap();
+        // Budget via the config behaves exactly like set_conflict_budget.
+        let cfg = SolverConfig {
+            conflict_budget: Some(10),
+            ..SolverConfig::default()
+        };
         let mut s = pigeonhole(9, 8);
         s.set_conflict_budget(cfg.conflict_budget);
         assert_eq!(s.solve_limited(&[]), SolveOutcome::Unknown);

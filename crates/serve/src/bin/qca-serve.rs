@@ -139,7 +139,7 @@ fn main() -> ExitCode {
     let server = match Server::bind(config) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("qca-serve: cannot bind: {e}");
+            eprintln!("qca-serve: cannot start: {e}");
             return ExitCode::FAILURE;
         }
     };

@@ -20,7 +20,7 @@
 //!   5-qubit Starmon-5 device); the solver routes uncoupled gates with
 //!   SWAP insertions and the response gains a `routed` count
 //! * `exact=1` — run the search to proven optimality
-//! * `budget=N` — total SAT conflict cap
+//! * `budget=N` — total SAT conflict cap (N ≥ 1)
 //! * `deadline_ms=N` — wall-clock deadline: maps to a deterministic
 //!   conflict budget ([`AdaptLimits::for_deadline`]) *and* a watchdog-armed
 //!   cancellation flag; an expired deadline degrades the result
@@ -420,34 +420,40 @@ impl Server {
     /// `?trace=1` requests and are discarded otherwise — while
     /// `engine.*`/`serve.*`/`store.*` counters always feed the metrics
     /// registry.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] when the engine configuration
+    /// derived from `config` fails [`EngineConfig::validate`] (checked
+    /// before anything is bound or opened); otherwise the bind or store
+    /// open error.
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let store = match &config.store_dir {
-            Some(dir) => Some(Arc::new(Store::open(dir)?)),
-            None => None,
-        };
-        let tracer = Tracer::new(Arc::new(ScopedSink::new()));
-        let engine = Arc::new(Engine::new(EngineConfig {
+        let mut engine_config = EngineConfig {
             workers: config.workers,
             cache_capacity: config.cache_capacity,
             job_conflict_budget: None,
             job_timeout: None,
-            tracer: tracer.clone(),
+            tracer: Tracer::new(Arc::new(ScopedSink::new())),
             verify: config.verify,
             lint: config.lint,
             deny_warnings: config.deny_warnings,
             portfolio_members: config.portfolio_members,
             preprocess: true,
-            store,
-        }));
-        let workers = if config.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            config.workers
+            store: None,
         };
-        let pool = EnginePool::new(engine.clone(), workers, config.queue_capacity);
+        engine_config
+            .validate()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        let listener = TcpListener::bind(&config.addr)?;
+        if let Some(dir) = &config.store_dir {
+            engine_config.store = Some(Arc::new(Store::open(dir)?));
+        }
+        let engine = Arc::new(Engine::new(engine_config));
+        let pool = EnginePool::new(
+            engine.clone(),
+            engine.effective_workers(),
+            config.queue_capacity,
+        );
         // serve.request spans go through the engine's teed tracer so the
         // metrics registry sees them alongside engine.* events.
         let tracer = engine.tracer().clone();
@@ -1033,13 +1039,21 @@ impl Server {
             Some("all") => Some(CouplingKind::AllToAll),
             Some(other) => return Err(bad(format!("unknown coupling topology {other:?}"))),
         };
+        let budget = match parse_u64("budget")? {
+            Some(0) => {
+                return Err(bad(
+                    "budget=0 can never make progress; omit it for unlimited".to_string(),
+                ))
+            }
+            budget => budget,
+        };
         let deny_warnings = parse_bool("deny_warnings", self.config.deny_warnings)?;
         Ok(RequestOptions {
             objective,
             times,
             coupling,
             exact: parse_bool("exact", false)?,
-            budget: parse_u64("budget")?,
+            budget,
             deadline,
             policy: JobPolicy {
                 verify: parse_bool("verify", self.config.verify)?,

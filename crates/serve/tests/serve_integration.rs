@@ -67,6 +67,39 @@ fn small_config() -> ServeConfig {
     }
 }
 
+#[test]
+fn bind_rejects_an_invalid_engine_config() {
+    for (config, message) in [
+        (
+            ServeConfig {
+                portfolio_members: 9,
+                ..small_config()
+            },
+            "portfolio_members = 9",
+        ),
+        (
+            ServeConfig {
+                portfolio_members: 1,
+                ..small_config()
+            },
+            "portfolio_members = 1",
+        ),
+        (
+            ServeConfig {
+                workers: qca_engine::EngineConfig::MAX_WORKERS + 1,
+                ..small_config()
+            },
+            "ceiling",
+        ),
+    ] {
+        let Err(err) = Server::bind(config) else {
+            panic!("invalid config must not bind");
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains(message), "{err}");
+    }
+}
+
 /// Pulls `"request_id":"..."` out of a response body.
 fn request_id(body: &str) -> String {
     let start = body

@@ -181,8 +181,13 @@ fn every_endpoint_answers_strict_json_with_and_without_a_store() {
         assert_eq!(status, 200);
         assert_eq!(keys(&recal), ["entries", "reused", "resolved", "failed"]);
 
-        let (status, doc) = call(&mut conn, "POST", "/v1/adapt", "not qasm \"at\" all\n");
-        assert_error_body(status, &doc, 400);
+        for (target, body) in [
+            ("/v1/adapt", "not qasm \"at\" all\n"),
+            ("/v1/adapt?budget=0", QASM),
+        ] {
+            let (status, doc) = call(&mut conn, "POST", target, body);
+            assert_error_body(status, &doc, 400);
+        }
         let (status, doc) = call(&mut conn, "GET", "/nope", "");
         assert_error_body(status, &doc, 404);
         let (status, doc) = call(&mut conn, "PUT", "/v1/adapt", "");

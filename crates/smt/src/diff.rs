@@ -46,11 +46,6 @@ impl DiffGraph {
         self.n
     }
 
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the constraint `x_to >= x_from + weight`.
     ///
     /// # Panics

@@ -437,11 +437,14 @@ mod tests {
     fn audits_certified_adaptation_end_to_end() {
         let hw = spin_qubit_model(GateTimes::D0);
         let c = swap_chain();
-        let ctx: AdaptContext = AdaptOptions::builder()
-            .objective(Objective::Fidelity)
-            .exact()
-            .certify()
-            .context();
+        let ctx = AdaptContext {
+            options: AdaptOptions {
+                exact: true,
+                certify: true,
+                ..AdaptOptions::default()
+            },
+            ..AdaptContext::default()
+        };
         let r = adapt(&c, &hw, &ctx).unwrap();
         assert!(r.solver.verification.is_some(), "certify attaches data");
         assert!(r.solver.optimal, "exact search proves optimality");
@@ -486,10 +489,13 @@ mod tests {
         let hw = spin_qubit_model(GateTimes::D0);
         let c = swap_chain();
         let star = CouplingMap::star(3);
-        let ctx: AdaptContext = AdaptOptions::builder()
-            .objective(Objective::Fidelity)
-            .coupling(star.clone())
-            .context();
+        let ctx = AdaptContext {
+            options: AdaptOptions {
+                coupling: Some(star.clone()),
+                ..AdaptOptions::default()
+            },
+            ..AdaptContext::default()
+        };
         let r = adapt(&c, &hw, &ctx).unwrap();
         assert!(
             r.chosen.iter().any(|s| s.route.is_some()),

@@ -40,13 +40,17 @@ fn optimized_kak_variant_is_sound_and_never_worse_on_fidelity() {
     let hw = spin_qubit_model(GateTimes::D0);
     for c in circuits() {
         let generic = adapt(&c, &hw, &AdaptContext::with_objective(Objective::Fidelity)).unwrap();
-        let ctx = AdaptOptions::builder()
-            .objective(Objective::Fidelity)
-            .rules(RuleOptions {
-                optimized_kak: true,
-                ..RuleOptions::default()
-            })
-            .context();
+        let ctx = AdaptContext {
+            options: AdaptOptions {
+                objective: Objective::Fidelity,
+                rules: RuleOptions {
+                    optimized_kak: true,
+                    ..RuleOptions::default()
+                },
+                ..AdaptOptions::default()
+            },
+            ..AdaptContext::default()
+        };
         let optimized = adapt(&c, &hw, &ctx).unwrap();
         assert!(approx_eq_up_to_phase(
             &optimized.circuit.unitary(),
@@ -73,10 +77,14 @@ fn exact_search_agrees_with_budgeted_on_fidelity_objective() {
         let exact = adapt(
             &c,
             &hw,
-            &AdaptOptions::builder()
-                .objective(Objective::Fidelity)
-                .exact()
-                .context(),
+            &AdaptContext {
+                options: AdaptOptions {
+                    objective: Objective::Fidelity,
+                    exact: true,
+                    ..AdaptOptions::default()
+                },
+                ..AdaptContext::default()
+            },
         )
         .unwrap();
         assert!(exact.solver.optimal);

@@ -54,13 +54,12 @@ fn infeasible_job_is_rejected_before_any_encoding() {
     c.push(Gate::Cx, &[0, 1]);
 
     let (tracer, sink) = Tracer::to_memory();
-    let engine = Engine::new(
-        EngineConfig::builder()
-            .workers(1)
-            .lint(true)
-            .tracer(tracer)
-            .build(),
-    );
+    let engine = Engine::new(EngineConfig {
+        workers: 1,
+        lint: true,
+        tracer,
+        ..EngineConfig::default()
+    });
     let reports = engine.adapt_batch(&hw, &[AdaptJob::new(c)]);
     assert_eq!(reports[0].status, AdaptStatus::Fallback);
     assert!(matches!(reports[0].error, Some(AdaptError::Rejected(_))));
@@ -88,7 +87,11 @@ fn metrics_json_exposes_lint_counters() {
             ))
         })
         .collect();
-    let engine = Engine::new(EngineConfig::builder().workers(2).lint(true).build());
+    let engine = Engine::new(EngineConfig {
+        workers: 2,
+        lint: true,
+        ..EngineConfig::default()
+    });
     let reports = engine.adapt_batch(&hw, &jobs);
     assert_eq!(reports.len(), 3);
 

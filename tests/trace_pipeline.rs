@@ -3,7 +3,7 @@
 //! tree accounts for essentially all of the adaptation's wall time.
 
 use proptest::prelude::*;
-use qca::adapt::{adapt, AdaptContext, AdaptOptions, Objective};
+use qca::adapt::{adapt, AdaptContext, Objective};
 use qca::hw::{spin_qubit_model, GateTimes};
 use qca::trace::{jsonl, report, JsonlSink, Tracer};
 use qca::workloads::{random_template_circuit, DEFAULT_TEMPLATE_GATES};
@@ -29,10 +29,10 @@ fn jsonl_trace_has_one_span_per_pipeline_phase() {
     let hw = spin_qubit_model(GateTimes::D0);
 
     let tracer = Tracer::new(Arc::new(JsonlSink::create(&path).unwrap()));
-    let ctx = AdaptOptions::builder()
-        .objective(Objective::Combined)
-        .tracer(tracer)
-        .build();
+    let ctx = AdaptContext {
+        tracer,
+        ..AdaptContext::with_objective(Objective::Combined)
+    };
     adapt(&circuit, &hw, &ctx).unwrap();
 
     let text = std::fs::read_to_string(&path).unwrap();
