@@ -15,6 +15,9 @@ cargo build --release --workspace
 echo "== e2ebench builds against the workspace APIs it imports =="
 cargo build --release --offline --manifest-path e2ebench/Cargo.toml
 
+echo "== e2ebench unit tests (plan/Zipf seed determinism, percentile helpers) =="
+cargo test --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== tier-1: cargo test -q =="
 cargo test -q
 

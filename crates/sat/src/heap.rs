@@ -73,45 +73,55 @@ impl ActivityHeap {
         }
     }
 
+    /// Moves the element at `i` up past every parent of lower activity,
+    /// shifting those parents down into the hole it leaves.
     fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let x = self.heap[i];
+        let ax = activity[x as usize];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if activity[self.heap[i] as usize] > activity[self.heap[parent] as usize] {
-                self.swap(i, parent);
+            let p = self.heap[parent];
+            if ax > activity[p as usize] {
+                self.heap[i] = p;
+                self.positions[p as usize] = i as u32;
                 i = parent;
             } else {
                 break;
             }
         }
+        self.heap[i] = x;
+        self.positions[x as usize] = i as u32;
     }
 
+    /// Moves the element at `i` down while a child has higher activity,
+    /// taking the left child on a tie between the two.
     fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let n = self.heap.len();
+        let x = self.heap[i];
+        let ax = activity[x as usize];
         loop {
             let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut largest = i;
-            if l < self.heap.len()
-                && activity[self.heap[l] as usize] > activity[self.heap[largest] as usize]
-            {
-                largest = l;
-            }
-            if r < self.heap.len()
-                && activity[self.heap[r] as usize] > activity[self.heap[largest] as usize]
-            {
-                largest = r;
-            }
-            if largest == i {
+            if l >= n {
                 break;
             }
-            self.swap(i, largest);
-            i = largest;
+            let r = l + 1;
+            let child =
+                if r < n && activity[self.heap[r] as usize] > activity[self.heap[l] as usize] {
+                    r
+                } else {
+                    l
+                };
+            let c = self.heap[child];
+            if activity[c as usize] > ax {
+                self.heap[i] = c;
+                self.positions[c as usize] = i as u32;
+                i = child;
+            } else {
+                break;
+            }
         }
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.positions[self.heap[a] as usize] = a as u32;
-        self.positions[self.heap[b] as usize] = b as u32;
+        self.heap[i] = x;
+        self.positions[x as usize] = i as u32;
     }
 }
 

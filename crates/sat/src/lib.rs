@@ -36,6 +36,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analyze;
+mod arena;
 pub mod config;
 pub mod dimacs;
 pub mod encode;

@@ -150,7 +150,7 @@ impl fmt::Display for Lit {
     }
 }
 
-/// Three-valued assignment state of a variable.
+/// Three-valued assignment state of a variable or literal.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum LBool {
     /// Assigned true.
@@ -160,28 +160,6 @@ pub enum LBool {
     /// Not assigned.
     #[default]
     Undef,
-}
-
-impl LBool {
-    /// Builds from a Boolean.
-    #[inline]
-    pub fn from_bool(b: bool) -> LBool {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
-
-    /// Negation; `Undef` stays `Undef`.
-    #[inline]
-    pub fn negate(self) -> LBool {
-        match self {
-            LBool::True => LBool::False,
-            LBool::False => LBool::True,
-            LBool::Undef => LBool::Undef,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -214,12 +192,5 @@ mod tests {
     fn code_round_trip() {
         let l = Var::from_index(12).negative();
         assert_eq!(Lit::from_code(l.code()), l);
-    }
-
-    #[test]
-    fn lbool_negate() {
-        assert_eq!(LBool::True.negate(), LBool::False);
-        assert_eq!(LBool::Undef.negate(), LBool::Undef);
-        assert_eq!(LBool::from_bool(true), LBool::True);
     }
 }

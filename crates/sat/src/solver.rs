@@ -10,7 +10,17 @@
 //! * activity-based learnt-clause database reduction,
 //! * incremental solving under assumptions with failed-assumption
 //!   (unsat-core) extraction.
+//!
+//! Clauses live in one flat [`ClauseArena`] (header, literals, and a learnt
+//! clause's activity, addressed by offset) that database reduction compacts
+//! once half of it is garbage. Assignments are kept per literal, indexed by
+//! [`Lit::code`], so reading a literal's value is one load. Conflict
+//! analysis and its minimisation reuse solver-owned buffers. Storage does
+//! not steer the search: decisions, propagation order, learnt clauses,
+//! deletions and DRAT steps follow from the CDCL rules alone, and
+//! `tests/search_trajectory.rs` pins them on fixed instances.
 
+use crate::arena::{ClauseArena, ClauseRef};
 use crate::config::{PhasePolicy, SolverConfig, XorShift64};
 use crate::exchange::ExchangeHandle;
 use crate::heap::ActivityHeap;
@@ -19,17 +29,6 @@ use crate::proof::ProofSink;
 use qca_trace::Tracer;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Reference to a clause in the solver's arena.
-type ClauseRef = u32;
-
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    activity: f64,
-    learnt: bool,
-    deleted: bool,
-}
 
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
@@ -137,10 +136,10 @@ pub enum SolveOutcome {
 /// ```
 #[derive(Debug)]
 pub struct Solver {
-    clauses: Vec<Clause>,
-    free_slots: Vec<ClauseRef>,
+    arena: ClauseArena,
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// Value of every literal, indexed by [`Lit::code`].
+    values: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<Option<ClauseRef>>,
     trail: Vec<Lit>,
@@ -153,6 +152,8 @@ pub struct Solver {
     is_priority: Vec<bool>,
     phase: Vec<bool>,
     seen: Vec<bool>,
+    /// The clause [`Solver::analyze`] learns, asserting literal first.
+    learnt: Vec<Lit>,
     cla_inc: f64,
     ok: bool,
     model: Vec<LBool>,
@@ -190,10 +191,9 @@ impl Solver {
         }
         let rng = XorShift64::new(config.seed);
         Solver {
-            clauses: Vec::new(),
-            free_slots: Vec::new(),
+            arena: ClauseArena::default(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            values: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -206,6 +206,7 @@ impl Solver {
             is_priority: Vec::new(),
             phase: Vec::new(),
             seen: Vec::new(),
+            learnt: Vec::new(),
             cla_inc: 1.0,
             ok: true,
             model: Vec::new(),
@@ -228,8 +229,8 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.assigns.len());
-        self.assigns.push(LBool::Undef);
+        let v = Var::from_index(self.level.len());
+        self.values.extend([LBool::Undef; 2]);
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
@@ -265,7 +266,7 @@ impl Solver {
 
     /// Number of variables allocated so far.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Number of original (problem) clauses currently in the database.
@@ -375,13 +376,6 @@ impl Solver {
         }
     }
 
-    #[inline]
-    fn proof_delete(&mut self, lits: &[Lit]) {
-        if let Some(p) = self.proof.as_mut() {
-            p.delete_clause(lits);
-        }
-    }
-
     /// Connects this solver to a shared [`ClauseExchange`] as one portfolio
     /// member: short learnt clauses passing the handle's caps are published,
     /// and foreign clauses are imported at every restart. Import is
@@ -408,8 +402,10 @@ impl Solver {
     /// Exports the solver's current formula as a CNF over the same variable
     /// numbering: the level-0 trail as unit clauses (units are enqueued
     /// directly and never stored in the clause database) plus every live
-    /// stored clause — original, derived, and learnt alike. Learnt and
-    /// derived clauses are consequences of the rest, so the export is
+    /// stored clause — original, derived, and learnt alike, in arena order
+    /// (the order they were stored in; compaction keeps it) with each
+    /// clause's literals in their current watch order. Learnt and derived
+    /// clauses are consequences of the rest, so the export is
     /// equisatisfiable with the solver's formula and every model of it maps
     /// back verbatim; this is what portfolio members race on.
     pub fn export_formula(&self) -> crate::dimacs::Cnf {
@@ -421,9 +417,9 @@ impl Solver {
         for &l in &self.trail[..root] {
             clauses.push(vec![l]);
         }
-        for c in &self.clauses {
-            if !c.deleted {
-                clauses.push(c.lits.clone());
+        for cref in self.arena.iter() {
+            if !self.arena.is_deleted(cref) {
+                clauses.push(self.arena.lits(cref).to_vec());
             }
         }
         crate::dimacs::Cnf {
@@ -434,12 +430,7 @@ impl Solver {
 
     #[inline]
     fn lit_value(&self, l: Lit) -> LBool {
-        let v = self.assigns[l.var().index()];
-        if l.is_positive() {
-            v
-        } else {
-            v.negate()
-        }
+        self.values[l.code()]
     }
 
     #[inline]
@@ -498,9 +489,8 @@ impl Solver {
         // A simplified clause that lost literals (or a derived clause, which
         // the checker has never seen) is a derivation step of its own; a
         // clause passed through verbatim is already in the input formula.
-        if self.proof.is_some() && (dropped_lits || !record) && !simplified.is_empty() {
-            let emit = simplified.clone();
-            self.proof_add(&emit);
+        if (dropped_lits || !record) && !simplified.is_empty() {
+            self.proof_add(&simplified);
         }
         match simplified.len() {
             0 => {
@@ -517,35 +507,24 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach_clause(simplified, false);
+                self.attach_clause(&simplified, false);
                 self.n_original_clauses += 1;
                 true
             }
         }
     }
 
-    fn alloc_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
-        let clause = Clause {
-            lits,
-            activity: 0.0,
-            learnt,
-            deleted: false,
-        };
-        if let Some(slot) = self.free_slots.pop() {
-            self.clauses[slot as usize] = clause;
-            slot
-        } else {
-            self.clauses.push(clause);
-            (self.clauses.len() - 1) as ClauseRef
-        }
-    }
-
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let (l0, l1) = (lits[0], lits[1]);
-        let cref = self.alloc_clause(lits, learnt);
-        self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
-        self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
+        let cref = self.arena.alloc(lits, learnt);
+        self.watches[(!lits[0]).code()].push(Watcher {
+            cref,
+            blocker: lits[1],
+        });
+        self.watches[(!lits[1]).code()].push(Watcher {
+            cref,
+            blocker: lits[0],
+        });
         if learnt {
             self.stats.learnt_clauses += 1;
         }
@@ -553,11 +532,8 @@ impl Solver {
     }
 
     fn detach_clause(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = &self.clauses[cref as usize];
-            (c.lits[0], c.lits[1])
-        };
-        for l in [l0, l1] {
+        let lits = self.arena.lits(cref);
+        for l in [lits[0], lits[1]] {
             let ws = &mut self.watches[(!l).code()];
             if let Some(pos) = ws.iter().position(|w| w.cref == cref) {
                 ws.swap_remove(pos);
@@ -565,29 +541,21 @@ impl Solver {
         }
         // Only learnt clauses are ever detached (database reduction); their
         // removal must reach the proof so the checker's database matches.
-        let deleted_lits = if self.proof.is_some() && self.clauses[cref as usize].learnt {
-            Some(self.clauses[cref as usize].lits.clone())
-        } else {
-            None
-        };
-        let c = &mut self.clauses[cref as usize];
-        c.deleted = true;
-        if c.learnt {
+        if self.arena.is_learnt(cref) {
             self.stats.learnt_clauses -= 1;
             self.stats.deleted_clauses += 1;
+            if let Some(p) = self.proof.as_mut() {
+                p.delete_clause(self.arena.lits(cref));
+            }
         }
-        c.lits.clear();
-        c.lits.shrink_to_fit();
-        self.free_slots.push(cref);
-        if let Some(lits) = deleted_lits {
-            self.proof_delete(&lits);
-        }
+        self.arena.free(cref);
     }
 
     fn unchecked_enqueue(&mut self, l: Lit, from: Option<ClauseRef>) {
         debug_assert_eq!(self.lit_value(l), LBool::Undef);
+        self.values[l.code()] = LBool::True;
+        self.values[(!l).code()] = LBool::False;
         let v = l.var().index();
-        self.assigns[v] = LBool::from_bool(l.is_positive());
         self.level[v] = self.decision_level() as u32;
         self.reason[v] = from;
         self.trail.push(l);
@@ -600,62 +568,53 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_lit = !p;
             let mut ws = std::mem::take(&mut self.watches[p.code()]);
+            let n = ws.len();
             let mut i = 0;
             let mut j = 0;
-            'watchers: while i < ws.len() {
+            while i < n {
                 let w = ws[i];
                 i += 1;
-                if self.lit_value(w.blocker) == LBool::True {
+                if self.values[w.blocker.code()] == LBool::True {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                let first;
-                {
-                    let c = &mut self.clauses[w.cref as usize];
-                    let false_lit = !p;
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
-                    first = c.lits[0];
+                let lits = self.arena.lits_mut(w.cref);
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                if first != w.blocker && self.lit_value(first) == LBool::True {
-                    ws[j] = Watcher {
-                        cref: w.cref,
-                        blocker: first,
-                    };
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
+                let kept = Watcher {
+                    cref: w.cref,
+                    blocker: first,
+                };
+                if first != w.blocker && self.values[first.code()] == LBool::True {
+                    ws[j] = kept;
                     j += 1;
                     continue;
                 }
                 // Search a replacement watch.
-                let len = self.clauses[w.cref as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[w.cref as usize].lits[k];
-                    if self.lit_value(lk) != LBool::False {
-                        self.clauses[w.cref as usize].lits.swap(1, k);
-                        self.watches[(!lk).code()].push(Watcher {
-                            cref: w.cref,
-                            blocker: first,
-                        });
-                        continue 'watchers;
-                    }
+                let values = &self.values;
+                if let Some(k) = lits[2..]
+                    .iter()
+                    .position(|l| values[l.code()] != LBool::False)
+                {
+                    lits.swap(1, k + 2);
+                    self.watches[(!lits[1]).code()].push(kept);
+                    continue;
                 }
                 // Unit or conflicting.
-                ws[j] = Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                };
+                ws[j] = kept;
                 j += 1;
-                if self.lit_value(first) == LBool::False {
+                if self.values[first.code()] == LBool::False {
                     confl = Some(w.cref);
                     self.qhead = self.trail.len();
-                    while i < ws.len() {
-                        ws[j] = ws[i];
-                        j += 1;
-                        i += 1;
-                    }
+                    ws.copy_within(i..n, j);
+                    j += n - i;
+                    i = n;
                 } else {
                     self.unchecked_enqueue(first, Some(w.cref));
                 }
@@ -681,12 +640,10 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref as usize];
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for cl in &mut self.clauses {
-                cl.activity *= 1e-20;
-            }
+        let activity = self.arena.activity(cref) + self.cla_inc;
+        self.arena.set_activity(cref, activity);
+        if activity > 1e20 {
+            self.arena.scale_activities(1e-20);
             self.cla_inc *= 1e-20;
         }
     }
@@ -742,7 +699,7 @@ impl Solver {
                 }
             }
             _ => {
-                self.attach_clause(simplified, true);
+                self.attach_clause(&simplified, true);
             }
         }
     }
@@ -780,23 +737,25 @@ impl Solver {
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backtrack level.
-    fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, usize) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder slot 0
+    /// First-UIP conflict analysis. Leaves the learnt clause in
+    /// `self.learnt` (asserting literal first) and returns the backtrack
+    /// level.
+    fn analyze(&mut self, mut confl: ClauseRef) -> usize {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::from_code(0)); // placeholder slot 0
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let cur_level = self.decision_level() as u32;
 
         loop {
-            if self.clauses[confl as usize].learnt {
+            if self.arena.is_learnt(confl) {
                 self.bump_clause(confl);
             }
             let start = usize::from(p.is_some());
-            let nlits = self.clauses[confl as usize].lits.len();
-            for k in start..nlits {
-                let q = self.clauses[confl as usize].lits[k];
+            for k in start..self.arena.len(confl) {
+                let q = self.arena.lits(confl)[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -830,36 +789,31 @@ impl Solver {
         for &l in &learnt[1..] {
             self.seen[l.var().index()] = true;
         }
-        // Basic clause minimization: drop literals implied by the rest.
-        let mut k = 1;
-        let mut kept = Vec::with_capacity(learnt.len());
-        kept.push(learnt[0]);
-        while k < learnt.len() {
+        // Basic clause minimization: drop literals implied by the rest. Kept
+        // literals are swapped to the front in their order; dropped ones
+        // collect behind them so their marks can still be cleared.
+        let mut kept = 1;
+        for k in 1..learnt.len() {
             let l = learnt[k];
-            k += 1;
-            let redundant = match self.reason[l.var().index()] {
-                None => false,
-                Some(r) => {
-                    let c = &self.clauses[r as usize];
-                    c.lits.iter().all(|&q| {
-                        q.var() == l.var()
-                            || self.seen[q.var().index()]
-                            || self.level[q.var().index()] == 0
-                    })
-                }
-            };
+            let redundant = self.reason[l.var().index()].is_some_and(|r| {
+                self.arena.lits(r).iter().all(|&q| {
+                    q.var() == l.var()
+                        || self.seen[q.var().index()]
+                        || self.level[q.var().index()] == 0
+                })
+            });
             if redundant {
                 self.stats.minimized_literals += 1;
             } else {
-                kept.push(l);
+                learnt.swap(kept, k);
+                kept += 1;
             }
         }
         // Clear seen flags.
-        for &l in &learnt[1..] {
+        for &l in &learnt {
             self.seen[l.var().index()] = false;
         }
-        self.seen[learnt[0].var().index()] = false;
-        let mut learnt = kept;
+        learnt.truncate(kept);
 
         // Find backtrack level: max level among learnt[1..].
         let bt_level = if learnt.len() == 1 {
@@ -874,7 +828,8 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()] as usize
         };
-        (learnt, bt_level)
+        self.learnt = learnt;
+        bt_level
     }
 
     /// Computes the set of assumption literals responsible for forcing `!p`.
@@ -899,9 +854,7 @@ impl Solver {
                     self.conflict_core.push(!self.trail[i]);
                 }
                 Some(r) => {
-                    let nlits = self.clauses[r as usize].lits.len();
-                    for k in 1..nlits {
-                        let q = self.clauses[r as usize].lits[k];
+                    for &q in &self.arena.lits(r)[1..] {
                         if self.level[q.var().index()] > 0 {
                             self.seen[q.var().index()] = true;
                         }
@@ -913,8 +866,9 @@ impl Solver {
         self.seen[p.var().index()] = false;
         // conflict_core currently holds literals l whose conjunction of !l is
         // implied; keep the assumption literals themselves (the failed set).
-        let core: Vec<Lit> = self.conflict_core.iter().map(|&l| !l).collect();
-        self.conflict_core = core;
+        for l in &mut self.conflict_core {
+            *l = !*l;
+        }
     }
 
     fn cancel_until(&mut self, target: usize) {
@@ -926,7 +880,8 @@ impl Solver {
             let l = self.trail[i];
             let v = l.var().index();
             self.phase[v] = l.is_positive();
-            self.assigns[v] = LBool::Undef;
+            self.values[l.code()] = LBool::Undef;
+            self.values[(!l).code()] = LBool::Undef;
             self.reason[v] = None;
             self.heap.insert(v, &self.activity);
             if self.is_priority[v] {
@@ -940,29 +895,31 @@ impl Solver {
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.priority_heap.pop_max(&self.activity) {
-            if self.assigns[v] == LBool::Undef {
-                return Some(Var::from_index(v));
+            let v = Var::from_index(v);
+            if self.lit_value(v.positive()) == LBool::Undef {
+                return Some(v);
             }
         }
         while let Some(v) = self.heap.pop_max(&self.activity) {
-            if self.assigns[v] == LBool::Undef {
-                return Some(Var::from_index(v));
+            let v = Var::from_index(v);
+            if self.lit_value(v.positive()) == LBool::Undef {
+                return Some(v);
             }
         }
         None
     }
 
-    /// Reduces the learnt-clause database, removing the low-activity half.
+    /// Reduces the learnt-clause database, removing the low-activity half,
+    /// and compacts the arena once half of it is garbage.
     fn reduce_db(&mut self) {
         let mut learnts: Vec<(ClauseRef, f64, usize)> = self
-            .clauses
+            .arena
             .iter()
-            .enumerate()
-            .filter(|(_, c)| c.learnt && !c.deleted)
-            .map(|(i, c)| (i as ClauseRef, c.activity, c.lits.len()))
+            .filter(|&c| self.arena.is_learnt(c) && !self.arena.is_deleted(c))
+            .map(|c| (c, self.arena.activity(c), self.arena.len(c)))
             .collect();
         // Sort ascending by activity (ties: longer first for removal).
-        learnts.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(b.2.cmp(&a.2)));
+        learnts.sort_by(|a, b| a.1.total_cmp(&b.1).then(b.2.cmp(&a.2)));
         let n_remove = learnts.len() / 2;
         let mut removed = 0;
         for &(cref, _, len) in &learnts {
@@ -975,14 +932,27 @@ impl Solver {
             self.detach_clause(cref);
             removed += 1;
         }
+        if self.arena.needs_compaction() {
+            self.compact_arena();
+        }
+    }
+
+    /// Compacts the arena and renumbers every watcher and reason. Watch
+    /// lists keep their order, so the search is unaffected.
+    fn compact_arena(&mut self) {
+        let reloc = self.arena.compact();
+        for ws in &mut self.watches {
+            for w in ws {
+                w.cref = reloc.apply(w.cref);
+            }
+        }
+        for r in self.reason.iter_mut().flatten() {
+            *r = reloc.apply(*r);
+        }
     }
 
     fn is_locked(&self, cref: ClauseRef) -> bool {
-        let c = &self.clauses[cref as usize];
-        if c.lits.is_empty() {
-            return false;
-        }
-        let first = c.lits[0];
+        let first = self.arena.lits(cref)[0];
         self.lit_value(first) == LBool::True && self.reason[first.var().index()] == Some(cref)
     }
 
@@ -1080,7 +1050,7 @@ impl Solver {
             let limit = self.config.restart.limit(restart_num - 1);
             match self.search(limit, assumptions, halt_at) {
                 SearchResult::Sat => {
-                    self.model = self.assigns.clone();
+                    self.model = self.values.iter().step_by(2).copied().collect();
                     self.cancel_until(0);
                     return SolveOutcome::Sat;
                 }
@@ -1134,25 +1104,23 @@ impl Solver {
                     self.ok = false;
                     return SearchResult::Unsat;
                 }
-                let (learnt, bt) = self.analyze(confl);
+                let bt = self.analyze(confl);
+                let learnt = std::mem::take(&mut self.learnt);
                 // Share the fresh clause before backjumping clears the
                 // levels its LBD is computed from.
                 self.export_learnt(&learnt);
-                if self.proof.is_some() {
-                    let emit = learnt.clone();
-                    self.proof_add(&emit);
-                }
+                self.proof_add(&learnt);
                 // Never backtrack past the assumptions unnecessarily; standard
                 // CDCL backjumps to bt and re-propagates.
                 self.cancel_until(bt);
                 if learnt.len() == 1 {
                     self.unchecked_enqueue(learnt[0], None);
                 } else {
-                    let first = learnt[0];
-                    let cref = self.attach_clause(learnt, true);
+                    let cref = self.attach_clause(&learnt, true);
                     self.bump_clause(cref);
-                    self.unchecked_enqueue(first, Some(cref));
+                    self.unchecked_enqueue(learnt[0], Some(cref));
                 }
+                self.learnt = learnt;
                 self.decay_activities();
                 if self.halted(halt_at) {
                     return SearchResult::BudgetExhausted;

@@ -304,7 +304,6 @@ fn maximize_binary(
     options: OmtOptions,
     hint: &[qca_sat::Lit],
 ) -> Option<Optimum> {
-    let trace = std::env::var_os("QCA_OMT_TRACE").is_some();
     let mut queries = 1u64;
     let first = first_model(smt, hint)?;
     let mut best_val = first.int_value(objective);
@@ -326,7 +325,6 @@ fn maximize_binary(
         queries += 1;
         smt.sat_mut()
             .set_conflict_budget(options.probe_conflict_budget);
-        let t0 = std::time::Instant::now();
         let mut probe_span = smt
             .tracer()
             .clone()
@@ -335,9 +333,6 @@ fn maximize_binary(
         smt.sat_mut().set_conflict_budget(None);
         match outcome {
             (SolveOutcome::Sat, Some(m)) => {
-                if trace {
-                    eprintln!("probe >= {mid}: SAT in {:.2}s", t0.elapsed().as_secs_f64());
-                }
                 probe_span.set_note("sat");
                 drop(probe_span);
                 best_val = m.int_value(objective);
@@ -345,12 +340,6 @@ fn maximize_binary(
                 smt.tracer().gauge("omt.best", best_val);
             }
             (SolveOutcome::Unsat, _) => {
-                if trace {
-                    eprintln!(
-                        "probe >= {mid}: UNSAT in {:.2}s",
-                        t0.elapsed().as_secs_f64()
-                    );
-                }
                 // The probe proved the bound mid - 1 on the objective.
                 probe_span.set_note("unsat");
                 drop(probe_span);
@@ -362,12 +351,6 @@ fn maximize_binary(
                 smt.tracer().gauge("omt.bound_hi", hi);
             }
             _ => {
-                if trace {
-                    eprintln!(
-                        "probe >= {mid}: UNKNOWN in {:.2}s",
-                        t0.elapsed().as_secs_f64()
-                    );
-                }
                 probe_span.set_note("unknown");
                 drop(probe_span);
                 // Budget exhausted: escalate to a racing portfolio on
