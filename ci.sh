@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, and the tier-1 verify (release build + root tests).
+# CI gate: formatting, lints, the tier-1 verify (release build + root tests),
+# every workspace test, and the runtime gates below.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -20,6 +21,9 @@ cargo test --offline --manifest-path e2ebench/Cargo.toml
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+echo "== cargo test --workspace -q (every crate's unit and integration tests) =="
+cargo test --workspace -q
 
 echo "== cargo doc --no-deps (warnings clean) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
@@ -423,7 +427,7 @@ grep -Eq '^recalib: .*failed=0$' "$trace_dir/recalib.txt" || {
 
 echo "== perf gate: quick suite vs committed BENCH baseline =="
 # The committed baseline must itself be schema-valid and cover every
-# measured layer (sat, engine, portfolio, serve, store).
+# measured layer (sat, smt, synth, sim, engine, portfolio, serve, store).
 baseline="$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)"
 test -n "$baseline" || {
   echo "perf gate: no committed BENCH_*.json baseline" >&2; exit 1; }

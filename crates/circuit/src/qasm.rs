@@ -58,6 +58,11 @@ impl fmt::Display for ParseQasmError {
 
 impl Error for ParseQasmError {}
 
+/// Largest quantum register the parser accepts. Far beyond any circuit this
+/// workspace can adapt, and small enough that per-qubit work on untrusted
+/// input (a whole-register `measure`, say) stays cheap.
+const MAX_QUBITS: usize = 1 << 16;
+
 fn err(span: SrcSpan, message: impl Into<String>) -> ParseQasmError {
     ParseQasmError {
         line: span.line,
@@ -184,6 +189,12 @@ pub fn parse_qasm_program(src: &str) -> Result<QasmProgram, ParseQasmError> {
                 if num_qubits.is_some() {
                     return Err(err(span, "multiple qreg declarations are unsupported"));
                 }
+                if size > MAX_QUBITS {
+                    return Err(err(
+                        span,
+                        format!("qreg of {size} qubits exceeds {MAX_QUBITS}"),
+                    ));
+                }
                 reg_name = name;
                 num_qubits = Some(size);
                 program.circuit = Circuit::new(size);
@@ -234,9 +245,14 @@ fn parse_measure_operand(rest: &str, reg: &str, nq: usize) -> Option<Vec<usize>>
     (idx < nq).then(|| vec![idx])
 }
 
-fn parse_reg_decl(s: &str) -> Option<(String, usize)> {
+/// The `[`/`]` byte offsets of the first bracket pair in `s`.
+fn brackets(s: &str) -> Option<(usize, usize)> {
     let open = s.find('[')?;
-    let close = s.find(']')?;
+    Some((open, open + 1 + s[open + 1..].find(']')?))
+}
+
+fn parse_reg_decl(s: &str) -> Option<(String, usize)> {
+    let (open, close) = brackets(s)?;
     let name = s[..open].trim().to_string();
     let size: usize = s[open + 1..close].trim().parse().ok()?;
     Some((name, size))
@@ -361,8 +377,7 @@ fn split_top_level_commas(s: &str) -> Vec<&str> {
 }
 
 fn parse_operand(s: &str, reg: &str) -> Option<usize> {
-    let open = s.find('[')?;
-    let close = s.find(']')?;
+    let (open, close) = brackets(s)?;
     if s[..open].trim() != reg {
         return None;
     }
@@ -809,5 +824,39 @@ mod tests {
         assert_eq!(e.line, 2);
         assert_eq!(e.col, 9, "error points at the second statement");
         assert!(e.to_string().contains("line 2, column 9"), "{e}");
+    }
+
+    #[test]
+    fn close_bracket_before_open_is_an_error_not_a_panic() {
+        assert!(parse_qasm("qreg q]2[;\nh q[0];\n").is_err());
+        assert!(parse_qasm("qreg q[2];\nh q]0[;\n").is_err());
+        assert!(parse_qasm("qreg q[2];\nmeasure q]0[ -> c[0];\n").is_ok());
+    }
+
+    #[test]
+    fn oversized_register_is_rejected_before_any_per_qubit_work() {
+        let e = parse_qasm("qreg q[100000000000000];\nmeasure q -> c;\n").unwrap_err();
+        assert!(e.message.contains("exceeds"), "{e}");
+        assert!(parse_qasm(&format!("qreg q[{MAX_QUBITS}];\nmeasure q -> c;\n")).is_ok());
+    }
+
+    /// `|`-separated QASM fragments the token fuzzer strings together.
+    const TOKENS: &str = "qreg |q|[|]|1|99999999999999|;|\n|measure | -> c|cx |rz|(|)|,|pi";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, and arbitrary sequences of QASM tokens, parse to
+        /// `Ok` or `Err`, never a panic.
+        #[test]
+        fn arbitrary_input_never_panics(
+            bytes in proptest::collection::vec(0u8..=255, 0..512),
+            picks in proptest::collection::vec(0usize..16, 0..48),
+        ) {
+            let _ = parse_qasm_program(&String::from_utf8_lossy(&bytes));
+            let tokens: Vec<&str> = TOKENS.split('|').collect();
+            let src: String = picks.iter().map(|&i| tokens[i]).collect();
+            let _ = parse_qasm_program(&src);
+        }
     }
 }

@@ -6,17 +6,17 @@
 //! textual gate order or which worker solved them first.
 //!
 //! The cache is sharded by key to keep lock contention negligible: each
-//! shard is an independent [`parking_lot::Mutex`] around a small
-//! move-to-front LRU list (shards are bounded, so the O(len) scan per access
-//! is a handful of word compares).
+//! shard is an independent [`Mutex`] around a small move-to-front LRU list
+//! (shards are bounded, so the O(len) scan per access is a handful of word
+//! compares). A shard poisoned by a panicking holder stays usable: its
+//! entries are whole `(key, Arc)` pairs, so no invariant can be half-written.
 
-use parking_lot::Mutex;
 use qca_adapt::{AdaptLimits, AdaptOptions, Adaptation, Objective};
 use qca_circuit::hash::{structural_hash, Fnv64};
 use qca_circuit::Circuit;
 use qca_hw::HardwareModel;
 use qca_smt::omt::Strategy;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of independent shards (power of two; key's low bits select one).
 const NUM_SHARDS: usize = 16;
@@ -121,8 +121,8 @@ impl AdaptCache {
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
-        &self.shards[(key as usize) & (NUM_SHARDS - 1)]
+    fn shard(&self, key: u64) -> MutexGuard<'_, Shard> {
+        lock(&self.shards[(key as usize) & (NUM_SHARDS - 1)])
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
@@ -130,7 +130,7 @@ impl AdaptCache {
         if self.per_shard_capacity == 0 {
             return None;
         }
-        let mut shard = self.shard(key).lock();
+        let mut shard = self.shard(key);
         let pos = shard.entries.iter().position(|&(k, _)| k == key)?;
         let entry = shard.entries.remove(pos);
         let value = entry.1.clone();
@@ -144,7 +144,7 @@ impl AdaptCache {
         if self.per_shard_capacity == 0 {
             return;
         }
-        let mut shard = self.shard(key).lock();
+        let mut shard = self.shard(key);
         if let Some(pos) = shard.entries.iter().position(|&(k, _)| k == key) {
             shard.entries.remove(pos);
         }
@@ -156,7 +156,7 @@ impl AdaptCache {
 
     /// Number of cached adaptations across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.shards.iter().map(|s| lock(s).entries.len()).sum()
     }
 
     /// Per-shard `(occupancy, capacity)` pairs, in shard order; feeds the
@@ -164,7 +164,7 @@ impl AdaptCache {
     pub fn shard_stats(&self) -> Vec<(usize, usize)> {
         self.shards
             .iter()
-            .map(|s| (s.lock().entries.len(), self.per_shard_capacity))
+            .map(|s| (lock(s).entries.len(), self.per_shard_capacity))
             .collect()
     }
 
@@ -176,9 +176,14 @@ impl AdaptCache {
     /// Drops every entry.
     pub fn clear(&self) {
         for s in &self.shards {
-            s.lock().entries.clear();
+            lock(s).entries.clear();
         }
     }
+}
+
+/// Locks one shard, recovering it if a previous holder panicked.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -384,5 +389,21 @@ mod tests {
         cache.insert(3, v.clone());
         cache.insert(3, v);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn panic_inside_a_shard_lock_leaves_the_cache_usable() {
+        let cache = AdaptCache::new(64);
+        let v = sample_adaptation();
+        cache.insert(0, v.clone());
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = lock(&cache.shards[0]);
+            panic!("holder panics with shard 0 locked");
+        }));
+        assert!(poisoned.is_err());
+        assert!(cache.shards[0].is_poisoned());
+        assert!(Arc::ptr_eq(&cache.get(0).expect("hit after poison"), &v));
+        cache.insert(16, v);
+        assert_eq!(cache.len(), 2);
     }
 }

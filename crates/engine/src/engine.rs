@@ -2,7 +2,6 @@
 
 use crate::cache::AdaptCache;
 use crate::metrics::MetricsRegistry;
-use crossbeam::channel;
 use qca_adapt::deadline::Watchdog;
 use qca_adapt::{
     adapt, recalibrate_adaptation, AdaptContext, AdaptError, AdaptLimits, AdaptOptions, Adaptation,
@@ -15,7 +14,7 @@ use qca_trace::Tracer;
 use qca_verify::{audit_adaptation_with_coupling, audit_baseline_with_coupling};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One adaptation request: a circuit plus its solve options and per-job
@@ -472,17 +471,10 @@ impl Engine {
         self.tracer
             .counter("engine.jobs_submitted", jobs.len() as u64);
 
-        let (job_tx, job_rx) = channel::unbounded::<(usize, &AdaptJob)>();
-        let (res_tx, res_rx) = channel::unbounded::<AdaptReport>();
-        for indexed in jobs.iter().enumerate() {
-            // The receiver lives until the scope below ends, so this cannot
-            // fail today; if it ever does, the unsent jobs surface as
-            // per-job error reports when their slots come back empty.
-            if job_tx.send(indexed).is_err() {
-                break;
-            }
-        }
-        drop(job_tx);
+        // Workers claim jobs by bumping a shared cursor; reports come back
+        // over a channel and are slotted by index below.
+        let next = AtomicUsize::new(0);
+        let (res_tx, res_rx) = mpsc::channel::<AdaptReport>();
 
         // The shared watchdog (crates/core `deadline` module) owns its own
         // poll thread and joins it on drop at the end of this call.
@@ -490,11 +482,13 @@ impl Engine {
         let policy = JobPolicy::from_config(&self.config);
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let job_rx = job_rx.clone();
                 let res_tx = res_tx.clone();
                 let wd = watchdog.as_ref();
+                let next = &next;
                 scope.spawn(move || {
-                    for (index, job) in job_rx.iter() {
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(index) else { break };
                         // A panicking job must not take its worker (and the
                         // rest of the batch) down with it: catch the unwind
                         // and demote the job to a per-job error report.
@@ -512,20 +506,16 @@ impl Engine {
             }
             drop(res_tx);
             // Collect inside the scope so the iterator terminates when the
-            // last worker drops its sender, even if some workers died.
+            // last worker drops its sender.
             let mut out: Vec<Option<AdaptReport>> = jobs.iter().map(|_| None).collect();
             for report in res_rx.iter() {
                 let slot = report.job;
                 out[slot] = Some(report);
             }
-            // A slot can only be empty if a worker died so hard the panic
-            // shield above never reported (or a job was never sent); answer
-            // it with a baseline instead of panicking the submitter.
+            // The panic shield reports every claimed job; a worker that died
+            // outside it makes the scope itself panic once joined.
             out.into_iter()
-                .enumerate()
-                .map(|(index, r)| {
-                    r.unwrap_or_else(|| self.missing_report(hw, index, &jobs[index], policy))
-                })
+                .map(|r| r.expect("every job reports through the panic shield"))
                 .collect()
         })
     }
@@ -1035,24 +1025,6 @@ impl Engine {
             .unwrap_or_else(|| "non-string panic payload".to_string());
         self.tracer.counter("engine.job_panicked", 1);
         self.baseline_error_report(hw, index, job, format!("worker panicked: {msg}"), policy)
-    }
-
-    /// Report for a job slot no worker ever answered (a worker died so hard
-    /// even the panic shield could not report).
-    fn missing_report(
-        &self,
-        hw: &HardwareModel,
-        index: usize,
-        job: &AdaptJob,
-        policy: JobPolicy,
-    ) -> AdaptReport {
-        self.baseline_error_report(
-            hw,
-            index,
-            job,
-            "worker terminated without reporting".to_string(),
-            policy,
-        )
     }
 
     fn baseline_error_report(

@@ -3,7 +3,7 @@
 //! Parallel batch-adaptation engine for SAT-based circuit adaptation:
 //!
 //! * a worker pool ([`Engine::adapt_batch`]) fanning a batch of
-//!   [`AdaptJob`]s over crossbeam channels to N threads and collecting
+//!   [`AdaptJob`]s over a shared job cursor to N threads and collecting
 //!   [`AdaptReport`]s in deterministic job order,
 //! * a sharded LRU cache ([`cache::AdaptCache`]) keyed by the canonical
 //!   structural hash of (circuit, hardware, options, limits) — see

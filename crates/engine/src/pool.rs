@@ -18,11 +18,11 @@
 //!   accepted, and join the workers — the heart of graceful shutdown.
 
 use crate::{AdaptJob, AdaptReport, Engine, JobPolicy};
-use crossbeam::channel::{bounded, Sender, TrySendError};
 use qca_hw::HardwareModel;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// Completion callback invoked (on a worker thread) with the finished report.
@@ -54,7 +54,7 @@ impl std::error::Error for SubmitError {}
 /// Bounded-queue worker pool over a shared [`Engine`]. See the module docs.
 pub struct EnginePool {
     engine: Arc<Engine>,
-    tx: Option<Sender<Task>>,
+    tx: Option<SyncSender<Task>>,
     workers: Vec<JoinHandle<()>>,
     capacity: usize,
     depth: Arc<AtomicUsize>,
@@ -76,7 +76,10 @@ impl EnginePool {
     /// at most `queue_capacity` (at least one) not-yet-started jobs.
     pub fn new(engine: Arc<Engine>, workers: usize, queue_capacity: usize) -> EnginePool {
         let capacity = queue_capacity.max(1);
-        let (tx, rx) = bounded::<Task>(capacity);
+        let (tx, rx) = sync_channel::<Task>(capacity);
+        // std's receiver is single-consumer, so the workers share it behind
+        // a mutex; whichever worker holds the lock takes the next task.
+        let rx = Arc::new(Mutex::new(rx));
         let depth = Arc::new(AtomicUsize::new(0));
         let handles = (0..workers.max(1))
             .map(|i| {
@@ -89,7 +92,12 @@ impl EnginePool {
                         // `recv` errors only once every sender is gone *and*
                         // the queue is empty, so drain() naturally finishes
                         // accepted work before workers exit.
-                        while let Ok(task) = rx.recv() {
+                        loop {
+                            // A `let` statement drops the guard before the
+                            // task runs; `while let` would hold the lock for
+                            // the whole body and serialize the workers.
+                            let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                            let Ok(task) = next else { break };
                             depth.fetch_sub(1, Ordering::Relaxed);
                             task(&engine);
                         }
@@ -266,5 +274,30 @@ mod tests {
             pool.try_submit(hw, job(), JobPolicy::default(), |_| {}),
             Err(SubmitError::ShuttingDown)
         );
+    }
+
+    #[test]
+    fn workers_run_tasks_concurrently() {
+        // Two tasks that can only finish together: a worker that held the
+        // shared receiver's lock while running its task would leave the
+        // other task unstarted and both stuck.
+        let engine = Arc::new(Engine::new(EngineConfig::default()));
+        let pool = EnginePool::new(engine, 2, 2);
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..2 {
+            let (barrier, tx) = (barrier.clone(), tx.clone());
+            pool.try_submit_task(move |_| {
+                barrier.wait();
+                tx.send(()).unwrap();
+            })
+            .unwrap();
+        }
+        let met = (0..2).all(|_| rx.recv_timeout(std::time::Duration::from_secs(30)).is_ok());
+        if !met {
+            // A worker is parked at the barrier; joining it would hang.
+            std::mem::forget(pool);
+        }
+        assert!(met, "the two tasks never ran at the same time");
     }
 }

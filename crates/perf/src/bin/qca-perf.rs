@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! qca-perf run [--quick|--full] [--pr N] [--out FILE] [--filter SUBSTR] [--repeats K]
-//! qca-perf compare OLD.json NEW.json [--threshold PCT] [--noise-mult X]
-//!                  [--ignore-fingerprint] [--allow-missing]
+//! qca-perf compare OLD.json NEW.json [--threshold PCT] [--noise-mult X] [--allow-missing]
 //! qca-perf check FILE... [--require-layers]
 //! ```
 //!
@@ -18,11 +17,12 @@
 //!   benchmark is within both the flat threshold and the noise bound
 //!   derived from the measured dispersion, 1 on regression (or a
 //!   benchmark vanishing), 2 on usage/IO/schema errors. Reports from
-//!   incomparable machines (different cores/arch/profile) are refused
-//!   unless `--ignore-fingerprint` downgrades gating to report-only.
+//!   incomparable machines (different cores/arch/profile) are refused:
+//!   re-record the baseline on the machine that runs the gate.
 //! * `check` validates report files against the schema; with
 //!   `--require-layers` it additionally demands at least one result from
-//!   each of the sat, engine, portfolio, and serve layers.
+//!   each of the sat, smt, synth, sim, engine, portfolio, serve, and store
+//!   layers.
 
 use qca_perf::compare::{self, CompareConfig};
 use qca_perf::report::BenchReport;
@@ -34,7 +34,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: qca-perf run [--quick|--full] [--pr N] [--out FILE] [--filter SUBSTR] [--repeats K]\n\
          \x20      qca-perf compare OLD.json NEW.json [--threshold PCT] [--noise-mult X]\n\
-         \x20                       [--ignore-fingerprint] [--allow-missing]\n\
+         \x20                       [--allow-missing]\n\
          \x20      qca-perf check FILE... [--require-layers]"
     );
     ExitCode::from(2)
@@ -150,7 +150,6 @@ fn cmd_compare(args: &[String]) -> ExitCode {
                 };
                 config.noise_mult = x;
             }
-            "--ignore-fingerprint" => config.ignore_fingerprint = true,
             "--allow-missing" => config.allow_missing = true,
             _ if !arg.starts_with("--") => files.push(arg),
             _ => return usage(),

@@ -11,12 +11,11 @@
 //!    run-to-run is not a finding.
 //!
 //! Comparing reports from incomparable machines (different core count,
-//! architecture, or build profile) is refused outright unless explicitly
-//! overridden: a 1-core CI box against an 8-core baseline produces
-//! *numbers*, not *evidence*. Results marked unobservable on either side
-//! are reported but never gated, and a benchmark that disappears from the
-//! new report is itself a failure (deleting the benchmark must not be a
-//! way to pass the gate).
+//! architecture, or build profile) is refused outright: a 1-core CI box
+//! against an 8-core baseline produces *numbers*, not *evidence*. Results
+//! marked unobservable on either side are reported but never gated, and a
+//! benchmark that disappears from the new report is itself a failure
+//! (deleting the benchmark must not be a way to pass the gate).
 
 use crate::report::{BenchReport, Direction};
 
@@ -27,9 +26,6 @@ pub struct CompareConfig {
     pub rel_threshold: f64,
     /// Multiplier on the combined cross-run dispersion.
     pub noise_mult: f64,
-    /// When `true`, a fingerprint mismatch downgrades gating to
-    /// report-only instead of being an error.
-    pub ignore_fingerprint: bool,
     /// When `true`, benchmarks present in the old report but missing from
     /// the new one are tolerated.
     pub allow_missing: bool,
@@ -40,7 +36,6 @@ impl Default for CompareConfig {
         CompareConfig {
             rel_threshold: 0.10,
             noise_mult: 3.0,
-            ignore_fingerprint: false,
             allow_missing: false,
         }
     }
@@ -88,11 +83,6 @@ pub struct Comparison {
 pub struct CompareOutcome {
     /// Per-benchmark rows, old-report order then new-only rows.
     pub rows: Vec<Comparison>,
-    /// `true` when the two fingerprints were comparable.
-    pub fingerprints_comparable: bool,
-    /// `true` when gating was skipped because of a fingerprint mismatch
-    /// (only possible with [`CompareConfig::ignore_fingerprint`]).
-    pub gating_skipped: bool,
 }
 
 impl CompareOutcome {
@@ -114,28 +104,22 @@ impl CompareOutcome {
 
     /// `true` when the gate passes under `config`.
     pub fn passed(&self, config: &CompareConfig) -> bool {
-        if self.gating_skipped {
-            return true;
-        }
         self.regressions().is_empty() && (config.allow_missing || self.missing().is_empty())
     }
 }
 
 /// Compares `new` against the `old` baseline.
 ///
-/// Returns `Err` when the fingerprints are incomparable and
-/// [`CompareConfig::ignore_fingerprint`] is not set.
+/// Returns `Err` when the fingerprints are incomparable.
 pub fn compare(
     old: &BenchReport,
     new: &BenchReport,
     config: &CompareConfig,
 ) -> Result<CompareOutcome, String> {
-    let comparable = old.fingerprint.comparable_to(&new.fingerprint);
-    if !comparable && !config.ignore_fingerprint {
+    if !old.fingerprint.comparable_to(&new.fingerprint) {
         return Err(format!(
             "fingerprints are not comparable (old: {} cores {} {}, new: {} cores {} {}); \
-             re-record the baseline on this machine or pass --ignore-fingerprint \
-             to report without gating",
+             re-record the baseline on this machine",
             old.fingerprint.cores,
             old.fingerprint.arch,
             old.fingerprint.profile,
@@ -192,11 +176,7 @@ pub fn compare(
             });
         }
     }
-    Ok(CompareOutcome {
-        rows,
-        fingerprints_comparable: comparable,
-        gating_skipped: !comparable,
-    })
+    Ok(CompareOutcome { rows })
 }
 
 /// Renders the comparison as an aligned human-readable table.
@@ -238,9 +218,6 @@ pub fn render(outcome: &CompareOutcome) -> String {
             change,
             verdict
         ));
-    }
-    if outcome.gating_skipped {
-        out.push_str("note: fingerprints differ — reported without gating\n");
     }
     out
 }
@@ -377,22 +354,15 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_mismatch_is_refused_unless_overridden() {
+    fn fingerprint_mismatch_is_refused() {
         let old = report(vec![result("a", 100.0, 0.0, Direction::LowerIsBetter)]);
         let mut new = report(vec![result("a", 500.0, 0.0, Direction::LowerIsBetter)]);
         new.fingerprint = fingerprint(8);
-        let config = CompareConfig::default();
-        assert!(compare(&old, &new, &config).is_err());
-        let lenient = CompareConfig {
-            ignore_fingerprint: true,
-            ..CompareConfig::default()
-        };
-        let outcome = compare(&old, &new, &lenient).unwrap();
-        assert!(outcome.gating_skipped);
-        // Even a 5× "regression" passes: the numbers are incomparable.
-        assert!(outcome.passed(&lenient));
-        let rendered = render(&outcome);
-        assert!(rendered.contains("without gating"), "{rendered}");
+        let err = compare(&old, &new, &CompareConfig::default()).unwrap_err();
+        assert!(
+            err.contains("re-record the baseline on this machine"),
+            "{err}"
+        );
     }
 
     #[test]

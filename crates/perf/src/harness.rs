@@ -1,9 +1,8 @@
 //! The measurement harness: calibration, warmup with steady-state
 //! detection, repeated sampling, and outlier-trimmed robust statistics.
 //!
-//! The vendored `criterion` subset in `crates/compat` is deliberately
-//! minimal (median/min/max over a fixed sample count); this harness is the
-//! grown-up replacement for results that are *recorded and gated on*:
+//! Every microbenchmark in the repository runs through this harness; its
+//! results are the ones *recorded and gated on*:
 //!
 //! 1. **Calibration** — one timed probe picks an iteration count whose
 //!    sample lasts roughly [`HarnessConfig::target_sample`], so nanosecond
@@ -73,45 +72,31 @@ impl HarnessConfig {
 }
 
 /// One benchmark's timing result: raw per-iteration sample times plus the
-/// calibrated iteration count and warmup diagnostics.
+/// calibrated iteration count.
 #[derive(Debug, Clone)]
 pub struct Measurement {
     /// Per-iteration time of each sample, nanoseconds, measurement order.
     pub samples_ns: Vec<f64>,
     /// Iterations per sample chosen by calibration.
     pub iters: u64,
-    /// Total warmup spent before sampling began.
-    pub warmup: Duration,
-    /// Whether warmup ended because the routine went steady (`true`) or
-    /// because [`HarnessConfig::max_warmup`] ran out (`false`).
-    pub steady: bool,
 }
 
 impl Measurement {
-    /// Samples sorted ascending with the configured fraction trimmed from
-    /// each tail (at least one sample always survives).
-    fn trimmed(&self, trim: f64) -> Vec<f64> {
+    /// Robust summary statistics over the samples, with the fraction `trim`
+    /// dropped from each tail (at least one sample always survives).
+    pub fn stats(&self, trim: f64) -> SampleStats {
         let mut sorted = self.samples_ns.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
         let drop = ((sorted.len() as f64) * trim.clamp(0.0, 0.45)).floor() as usize;
-        let kept = &sorted[drop..sorted.len() - drop];
-        kept.to_vec()
-    }
-
-    /// Robust summary statistics over the trimmed samples.
-    pub fn stats(&self, trim: f64) -> SampleStats {
-        let kept = self.trimmed(trim);
-        SampleStats::from_sorted(&kept)
+        SampleStats::from_sorted(&sorted[drop..sorted.len() - drop])
     }
 }
 
 /// Robust summary statistics of a sample set (nanoseconds).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SampleStats {
     /// Median per-iteration time.
     pub median_ns: f64,
-    /// Mean per-iteration time.
-    pub mean_ns: f64,
     /// Fastest sample.
     pub min_ns: f64,
     /// Slowest surviving (post-trim) sample.
@@ -129,23 +114,14 @@ impl SampleStats {
     /// whole measurement was empty).
     fn from_sorted(sorted: &[f64]) -> SampleStats {
         if sorted.is_empty() {
-            return SampleStats {
-                median_ns: 0.0,
-                mean_ns: 0.0,
-                min_ns: 0.0,
-                max_ns: 0.0,
-                rel_mad: 0.0,
-                count: 0,
-            };
+            return SampleStats::default();
         }
         let median = median_of_sorted(sorted);
-        let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
         let mut deviations: Vec<f64> = sorted.iter().map(|s| (s - median).abs()).collect();
         deviations.sort_by(|a, b| a.partial_cmp(b).expect("finite deviation"));
         let mad = median_of_sorted(&deviations);
         SampleStats {
             median_ns: median,
-            mean_ns: mean,
             min_ns: sorted[0],
             max_ns: *sorted.last().expect("non-empty"),
             rel_mad: if median > 0.0 { mad / median } else { 0.0 },
@@ -182,7 +158,6 @@ pub fn measure<O, F: FnMut() -> O>(config: &HarnessConfig, mut routine: F) -> Me
     // windows agree within the steady tolerance (or the budget runs out).
     let warmup_start = Instant::now();
     let mut previous_window: Option<f64> = None;
-    let mut steady = false;
     loop {
         let window_start = Instant::now();
         for _ in 0..iters {
@@ -195,7 +170,6 @@ pub fn measure<O, F: FnMut() -> O>(config: &HarnessConfig, mut routine: F) -> Me
             if (window_ns - prev).abs() / base <= config.steady_tolerance
                 && warmed >= config.min_warmup
             {
-                steady = true;
                 break;
             }
         }
@@ -204,7 +178,6 @@ pub fn measure<O, F: FnMut() -> O>(config: &HarnessConfig, mut routine: F) -> Me
             break;
         }
     }
-    let warmup = warmup_start.elapsed();
 
     // Measured samples.
     let mut samples_ns = Vec::with_capacity(config.samples);
@@ -216,12 +189,7 @@ pub fn measure<O, F: FnMut() -> O>(config: &HarnessConfig, mut routine: F) -> Me
         samples_ns.push(sample_start.elapsed().as_nanos() as f64 / iters as f64);
     }
 
-    Measurement {
-        samples_ns,
-        iters,
-        warmup,
-        steady,
-    }
+    Measurement { samples_ns, iters }
 }
 
 #[cfg(test)]
@@ -263,8 +231,6 @@ mod tests {
         let m = Measurement {
             samples_ns: vec![100.0; 9],
             iters: 1,
-            warmup: Duration::ZERO,
-            steady: true,
         };
         let stats = m.stats(0.25);
         assert_eq!(stats.median_ns, 100.0);
@@ -278,8 +244,6 @@ mod tests {
         let m = Measurement {
             samples_ns: vec![1.0, 100.0, 101.0, 102.0, 103.0, 104.0, 10_000.0],
             iters: 1,
-            warmup: Duration::ZERO,
-            steady: true,
         };
         // 1/7 trimmed from each tail removes exactly the two outliers.
         let stats = m.stats(0.15);
@@ -305,8 +269,6 @@ mod tests {
         let m = Measurement {
             samples_ns: Vec::new(),
             iters: 1,
-            warmup: Duration::ZERO,
-            steady: false,
         };
         let stats = m.stats(0.25);
         assert_eq!(stats.count, 0);

@@ -2,8 +2,8 @@
 //!
 //! Benchmark telemetry and regression gating for the whole stack. Every
 //! performance claim in this repository flows through this crate: the
-//! suite measures all three layers (SAT core, batch engine, HTTP serving),
-//! the result lands in a schema-versioned `BENCH_<pr>.json` at the repo
+//! suite measures every layer from the SAT core to the HTTP service, the
+//! result lands in a schema-versioned `BENCH_<pr>.json` at the repo
 //! root with a machine fingerprint, and `ci.sh` gates every build by
 //! comparing a fresh quick-mode run against the committed baseline with
 //! noise-aware thresholds.
@@ -14,7 +14,7 @@
 //! | [`fingerprint`] | Machine identity (cores, arch, rustc, git SHA, profile) recorded in every report |
 //! | [`report`] | The `BENCH_<pr>.json` schema: model, rendering, parsing, validation |
 //! | [`mod@compare`] | Noise-aware old-vs-new gating (flat bound **and** measured dispersion) |
-//! | [`suite`] | The benchmark suite spanning `qca-sat`, `qca-engine`, `qca-portfolio`, and `qca-serve` |
+//! | [`suite`] | The benchmark suite: one or more cases per layer of [`report::LAYERS`] |
 //! | [`json`] | Re-export of `qca_trace::json`, the workspace's one JSON reader/writer |
 //!
 //! The `qca-perf` binary exposes three subcommands: `run` (measure and

@@ -43,7 +43,16 @@ pub const SCHEMA_VERSION: u64 = 1;
 pub const REPORT_KIND: &str = "qca-bench-report";
 
 /// The measured layers of the stack.
-pub const LAYERS: [&str; 5] = ["sat", "engine", "portfolio", "serve", "store"];
+pub const LAYERS: [&str; 8] = [
+    "sat",
+    "smt",
+    "synth",
+    "sim",
+    "engine",
+    "portfolio",
+    "serve",
+    "store",
+];
 
 /// Whether a larger or smaller [`BenchResult::value`] is an improvement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -424,9 +433,12 @@ mod tests {
             },
             results: vec![
                 result("sat.pigeonhole/7", "sat", 5.0e6),
+                result("smt.dl_incremental/200", "smt", 4.0e4),
+                result("synth.kak", "synth", 9.0e5),
+                result("sim.noisy_qv/4", "sim", 2.0e6),
                 result("engine.batch/w1", "engine", 2.0e8),
                 result("portfolio.race/6", "portfolio", 6.0e5),
-                result("serve.adapt.p50", "serve", 1.1e6),
+                result("serve.event_loop", "serve", 1.1e6),
                 result("store.warm_restart", "store", 3.0e5),
             ],
         }

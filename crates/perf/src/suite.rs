@@ -7,11 +7,12 @@
 //! | `sat.preprocess/N` | sat | preprocess-then-solve wall time on a selector-guarded pigeonhole instance, plus the conflict count on the simplified formula versus the raw solve |
 //! | `engine.batch/w1` | engine | batch adaptation wall time at one worker, plus jobs/sec |
 //! | `engine.batch/wN` | engine | the same at N workers — marked unobservable when the machine has fewer than N cores |
-//! | `engine.cache_hit` | engine | latency of answering an adaptation from the warm cache |
 //! | `engine.adapt_routed` | engine | batch adaptation of topology-stress circuits under a line coupling map, where the solver must choose SWAP-insertion routing substitutions |
 //! | `engine.recalibrate` | engine | walking the cached corpus against a drifted fidelity table, re-certifying each cached optimum |
 //! | `portfolio.race/N` | portfolio | racing the diverse preset portfolio (with clause sharing) to an UNSAT verdict on the pigeonhole suite |
-//! | `serve.adapt.p50` / `serve.adapt.p95` | serve | request latency percentiles against an in-process `qca-serve` instance, driven by the `qca-load` client machinery |
+//! | `smt.dl_incremental/N` | smt | incremental difference-logic repair: pushing 3N random DAG constraints over N timing variables, one repair each |
+//! | `synth.kak` | synth | KAK decomposition plus CZ-circuit emission of 32 Haar-random two-qubit unitaries |
+//! | `sim.noisy_qv/N` | sim | noisy density-matrix simulation of an N-qubit depth-2 quantum-volume circuit under the spin-qubit noise model |
 //! | `serve.event_loop` | serve | hot-request latency while ≥ 5k idle keep-alive connections stay parked on the readiness loop — the many-idle-sockets shape the epoll rewrite exists for |
 //! | `store.warm_restart` | store | wall time of `Store::open` plus a full replay of every persisted record (the cache warm-restart path) |
 //!
@@ -23,15 +24,25 @@ use crate::fingerprint::Fingerprint;
 use crate::harness::{measure, HarnessConfig, Measurement};
 use crate::report::{BenchResult, Direction};
 use qca_adapt::Objective;
+use qca_baselines::direct_translation;
 use qca_engine::{AdaptJob, Engine, EngineConfig};
 use qca_hw::{spin_qubit_model, CouplingMap, GateTimes};
+use qca_num::random::haar_unitary;
+use qca_num::CMat;
 use qca_portfolio::{presets, race, RaceOptions};
 use qca_sat::analyze::{preprocess, PreprocessOptions};
 use qca_sat::dimacs::Cnf;
 use qca_sat::{Lit, SolveOutcome, Solver, Var};
 use qca_serve::client::Connection;
 use qca_serve::{ServeConfig, Server};
-use qca_workloads::{random_template_circuit, topology_stress, DEFAULT_TEMPLATE_GATES};
+use qca_sim::simulate_noisy;
+use qca_smt::diff::IncrementalDiff;
+use qca_synth::kak::kak_decompose;
+use qca_workloads::{
+    quantum_volume, random_template_circuit, topology_stress, DEFAULT_TEMPLATE_GATES,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -105,16 +116,15 @@ pub fn run_suite(config: &SuiteConfig) -> Vec<BenchResult> {
     push(bench_preprocess(config, pigeons));
     push(bench_engine_batch(config, 1));
     push(bench_engine_batch(config, SCALE_WORKERS));
-    push(bench_cache_hit(config));
     push(bench_adapt_routed(config));
     push(bench_recalibrate(config));
     push(bench_portfolio_race(
         config,
         if config.quick { 6 } else { 7 },
     ));
-    for result in bench_serve(config) {
-        push(Some(result));
-    }
+    push(bench_dl_incremental(config, 200));
+    push(bench_kak(config));
+    push(bench_noisy_sim(config, 4));
     push(bench_event_loop(config));
     push(bench_store_warm_restart(config));
     results
@@ -407,37 +417,6 @@ fn bench_engine_batch(config: &SuiteConfig, workers: usize) -> Option<BenchResul
     ))
 }
 
-fn bench_cache_hit(config: &SuiteConfig) -> Option<BenchResult> {
-    let id = "engine.cache_hit";
-    if !config.wants(id) {
-        return None;
-    }
-    let hw = spin_qubit_model(GateTimes::D0);
-    let job = engine_jobs(config).remove(0);
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        cache_capacity: 64,
-        ..EngineConfig::default()
-    });
-    // Warm the cache, then every adapt_one is answered without solving.
-    let warm = engine.adapt_one(&hw, &job);
-    assert!(
-        hw.supports_circuit(&warm.circuit),
-        "cache warmup produced an unsupported circuit"
-    );
-    let measurement = measure(&config.harness, || engine.adapt_one(&hw, &job));
-    let hits = engine.metrics().get("cache_hits");
-    assert!(hits > 0, "cache-hit benchmark never hit the cache");
-    Some(timing_result(
-        config,
-        id,
-        "engine",
-        &measurement,
-        true,
-        BTreeMap::new(),
-    ))
-}
-
 /// Topology-constrained adaptation: every job carries a line coupling map
 /// and the workload deliberately spans non-adjacent pairs, so the measured
 /// solves include the SWAP-insertion routing substitutions.
@@ -578,6 +557,91 @@ fn bench_portfolio_race(config: &SuiteConfig, n: usize) -> Option<BenchResult> {
     ))
 }
 
+/// Incremental difference-logic repair (the scheduling theory's hot path):
+/// `3n` random forward constraints over `n` timing variables, pushed one at
+/// a time so each push pays one repair.
+fn bench_dl_incremental(config: &SuiteConfig, n: usize) -> Option<BenchResult> {
+    let id = format!("smt.dl_incremental/{n}");
+    if !config.wants(&id) {
+        return None;
+    }
+    let mut rng = StdRng::seed_from_u64(13);
+    let edges: Vec<(usize, usize, i64)> = (0..3 * n)
+        .map(|_| {
+            let from = rng.gen_range(0..n - 1);
+            let to = rng.gen_range(from + 1..n);
+            (from, to, rng.gen_range(1..200))
+        })
+        .collect();
+    let measurement = measure(&config.harness, || {
+        let mut diff = IncrementalDiff::new(n);
+        for &(from, to, weight) in &edges {
+            diff.push(from, to, weight)
+                .expect("a DAG is always feasible");
+        }
+        diff.assignment()[n - 1]
+    });
+    let metrics = BTreeMap::from([("constraints".to_string(), edges.len() as f64)]);
+    Some(timing_result(
+        config,
+        &id,
+        "smt",
+        &measurement,
+        true,
+        metrics,
+    ))
+}
+
+/// Two-qubit synthesis: KAK-decompose each of a fixed set of Haar-random
+/// unitaries and emit its CZ circuit.
+fn bench_kak(config: &SuiteConfig) -> Option<BenchResult> {
+    let id = "synth.kak";
+    if !config.wants(id) {
+        return None;
+    }
+    let mut rng = StdRng::seed_from_u64(7);
+    let unitaries: Vec<CMat> = (0..32).map(|_| haar_unitary(&mut rng, 4)).collect();
+    let measurement = measure(&config.harness, || {
+        unitaries
+            .iter()
+            .map(|u| kak_decompose(u).to_circuit_cz().len())
+            .sum::<usize>()
+    });
+    let metrics = BTreeMap::from([("unitaries".to_string(), unitaries.len() as f64)]);
+    Some(timing_result(
+        config,
+        id,
+        "synth",
+        &measurement,
+        true,
+        metrics,
+    ))
+}
+
+/// Noisy density-matrix simulation of a directly translated `q`-qubit
+/// quantum-volume circuit — the fidelity estimate behind the paper's
+/// Fig. 5/6 comparisons.
+fn bench_noisy_sim(config: &SuiteConfig, q: usize) -> Option<BenchResult> {
+    let id = format!("sim.noisy_qv/{q}");
+    if !config.wants(&id) {
+        return None;
+    }
+    let hw = spin_qubit_model(GateTimes::D0);
+    let circuit = direct_translation(&quantum_volume(q, 2, 5));
+    let measurement = measure(&config.harness, || {
+        simulate_noisy(&circuit, &hw).expect("hardware-native circuit simulates")
+    });
+    let metrics = BTreeMap::from([("gates".to_string(), circuit.len() as f64)]);
+    Some(timing_result(
+        config,
+        &id,
+        "sim",
+        &measurement,
+        true,
+        metrics,
+    ))
+}
+
 /// Exact nearest-rank percentile over an ascending-sorted slice.
 fn percentile_ns(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -629,83 +693,9 @@ fn percentile_dispersion(latencies: &[f64], q: f64, chunks: usize) -> f64 {
     mad / median
 }
 
-/// QASM body the serve benchmark posts (same as `qca-load`'s well-formed
-/// body).
+/// QASM body the event-loop benchmark posts (same as `qca-load`'s
+/// well-formed body).
 const SERVE_QASM: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncx q[0], q[1];\n";
-
-fn bench_serve(config: &SuiteConfig) -> Vec<BenchResult> {
-    let p50_id = "serve.adapt.p50";
-    let p95_id = "serve.adapt.p95";
-    if !config.wants(p50_id) && !config.wants(p95_id) {
-        return Vec::new();
-    }
-    let (warmup_requests, requests) = if config.quick { (10, 80) } else { (50, 400) };
-
-    // An in-process server on an ephemeral port, driven over the same
-    // keep-alive client `qca-load` uses.
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 1,
-        queue_capacity: 16,
-        cache_capacity: 256,
-        ..ServeConfig::default()
-    })
-    .expect("bind in-process qca-serve");
-    let addr = server.local_addr().expect("server local addr");
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let server_shutdown = shutdown.clone();
-    let server_thread = std::thread::spawn(move || server.run(&server_shutdown));
-
-    let mut connection =
-        Connection::connect(addr, Duration::from_secs(30)).expect("connect to in-process server");
-    let target = "/v1/adapt?circuit=0";
-    let mut latencies_ns: Vec<f64> = Vec::with_capacity(requests);
-    let run_start = Instant::now();
-    for i in 0..warmup_requests + requests {
-        let t0 = Instant::now();
-        let response = connection
-            .request("POST", target, SERVE_QASM.as_bytes())
-            .expect("in-process request failed");
-        assert_eq!(response.status, 200, "serve benchmark got a non-200");
-        if i >= warmup_requests {
-            latencies_ns.push(t0.elapsed().as_nanos() as f64);
-        }
-    }
-    let wall = run_start.elapsed();
-    drop(connection);
-    shutdown.store(true, Ordering::SeqCst);
-    server_thread
-        .join()
-        .expect("server thread panicked")
-        .expect("server drain failed");
-
-    let mut sorted = latencies_ns.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-    let throughput = (warmup_requests + requests) as f64 / wall.as_secs_f64().max(1e-9);
-    let mut results = Vec::new();
-    for (id, q) in [(p50_id, 0.50), (p95_id, 0.95)] {
-        if !config.wants(id) {
-            continue;
-        }
-        let mut metrics = BTreeMap::new();
-        metrics.insert("p99_ns".to_string(), percentile_ns(&sorted, 0.99));
-        metrics.insert("throughput_rps".to_string(), throughput);
-        metrics.insert("requests".to_string(), requests as f64);
-        results.push(BenchResult {
-            id: id.to_string(),
-            layer: "serve".to_string(),
-            unit: "ns".to_string(),
-            better: Direction::LowerIsBetter,
-            value: percentile_ns(&sorted, q),
-            dispersion: percentile_dispersion(&latencies_ns, q, 5),
-            samples: requests,
-            iters_per_sample: 1,
-            observable: true,
-            metrics,
-        });
-    }
-    results
-}
 
 /// Best-effort `RLIMIT_NOFILE` raise (raw libc FFI, no crate) so the
 /// event-loop benchmark can hold both ends of thousands of loopback
@@ -988,11 +978,12 @@ mod tests {
         assert!(bench_pigeonhole(&config, 5).is_none());
         assert!(bench_preprocess(&config, 5).is_none());
         assert!(bench_engine_batch(&config, 1).is_none());
-        assert!(bench_cache_hit(&config).is_none());
         assert!(bench_adapt_routed(&config).is_none());
         assert!(bench_recalibrate(&config).is_none());
         assert!(bench_portfolio_race(&config, 5).is_none());
-        assert!(bench_serve(&config).is_empty());
+        assert!(bench_dl_incremental(&config, 20).is_none());
+        assert!(bench_kak(&config).is_none());
+        assert!(bench_noisy_sim(&config, 2).is_none());
         assert!(bench_event_loop(&config).is_none());
         assert!(bench_store_warm_restart(&config).is_none());
     }
@@ -1051,6 +1042,31 @@ mod tests {
             result.metrics["reused"] + result.metrics["resolved"],
             result.metrics["entries"],
         );
+    }
+
+    #[test]
+    fn layer_benches_report_their_workload() {
+        let results = [
+            bench_dl_incremental(&tiny(), 20).unwrap(),
+            bench_kak(&tiny()).unwrap(),
+            bench_noisy_sim(&tiny(), 2).unwrap(),
+        ];
+        let ids: Vec<_> = results
+            .iter()
+            .map(|r| (r.id.as_str(), r.layer.as_str()))
+            .collect();
+        assert_eq!(
+            ids,
+            [
+                ("smt.dl_incremental/20", "smt"),
+                ("synth.kak", "synth"),
+                ("sim.noisy_qv/2", "sim")
+            ]
+        );
+        assert_eq!(results[0].metrics["constraints"], 60.0);
+        assert_eq!(results[1].metrics["unitaries"], 32.0);
+        assert!(results[2].metrics["gates"] > 0.0);
+        assert!(results.iter().all(|r| r.value > 0.0));
     }
 
     #[test]

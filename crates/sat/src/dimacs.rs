@@ -5,9 +5,13 @@
 
 use crate::lit::{Lit, Var};
 use crate::solver::Solver;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::io::{BufRead, Write};
+
+/// Largest DIMACS variable a [`Lit`] can hold (31 index bits plus a sign).
+const MAX_VAR: u64 = 1 << 31;
 
 /// Error produced when parsing a DIMACS CNF stream.
 #[derive(Debug)]
@@ -167,7 +171,7 @@ pub fn parse_dimacs_with_report<R: BufRead>(
     let mut max_var = 0usize;
     // Unit-clause polarity per variable: +1, -1, or 2 once contradictory
     // (so each variable is reported once).
-    let mut unit_sign: Vec<i8> = Vec::new();
+    let mut unit_sign: HashMap<Var, i8> = HashMap::new();
     for line in reader.lines() {
         let line = line?;
         let trimmed = line.trim();
@@ -213,19 +217,20 @@ pub fn parse_dimacs_with_report<R: BufRead>(
                 current.clear();
                 if canonical.len() == 1 {
                     let l = canonical[0];
-                    let idx = l.var().index();
-                    if idx >= unit_sign.len() {
-                        unit_sign.resize(idx + 1, 0);
-                    }
+                    let sign = unit_sign.entry(l.var()).or_insert(0);
                     let s: i8 = if l.is_positive() { 1 } else { -1 };
-                    if unit_sign[idx] == -s {
+                    if *sign == -s {
                         warnings.push(DimacsWarning::ContradictoryUnits { var: l.var() });
-                        unit_sign[idx] = 2;
-                    } else if unit_sign[idx] != 2 {
-                        unit_sign[idx] = s;
+                        *sign = 2;
+                    } else if *sign != 2 {
+                        *sign = s;
                     }
                 }
                 cnf.clauses.push(canonical);
+            } else if val.unsigned_abs() > MAX_VAR {
+                return Err(ParseDimacsError::Malformed(format!(
+                    "variable {val} out of range"
+                )));
             } else {
                 let lit = Lit::from_dimacs(val);
                 max_var = max_var.max(lit.var().index() + 1);
@@ -384,6 +389,20 @@ mod tests {
         };
         assert_eq!(w.to_string(), "unit clauses assert both 5 and -5");
     }
+
+    #[test]
+    fn out_of_range_variables_are_errors_not_aliases() {
+        // Past 2^31 a variable would wrap onto a small one; the unit
+        // bookkeeping must not allocate per variable either.
+        for val in [(1i64 << 31) + 1, (1 << 32) + 1, i64::MIN] {
+            assert!(
+                parse_dimacs(format!("{val} 0\n").as_bytes()).is_err(),
+                "{val}"
+            );
+        }
+        let cnf = parse_dimacs("2147483648 0\n-2147483648 0\n".as_bytes()).unwrap();
+        assert_eq!(cnf.num_vars, 1 << 31);
+    }
 }
 
 #[cfg(test)]
@@ -410,6 +429,9 @@ mod proptests {
         })
     }
 
+    /// `|`-separated DIMACS fragments the token fuzzer strings together.
+    const TOKENS: &str = "p cnf |c| |\n|0|-|3|2147483648|4294967297|-9223372036854775808";
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -434,6 +456,19 @@ mod proptests {
                     prop_assert!(!c[..i].contains(l), "duplicate literal survived");
                 }
             }
+        }
+
+        /// Arbitrary bytes, and arbitrary sequences of DIMACS tokens, parse
+        /// to `Ok` or `Err`, never a panic.
+        #[test]
+        fn arbitrary_input_never_panics(
+            bytes in proptest::collection::vec(0u8..=255, 0..512),
+            picks in proptest::collection::vec(0usize..10, 0..48),
+        ) {
+            let _ = parse_dimacs(&bytes[..]);
+            let tokens: Vec<&str> = TOKENS.split('|').collect();
+            let text: String = picks.iter().map(|&i| tokens[i]).collect();
+            let _ = parse_dimacs(text.as_bytes());
         }
     }
 }

@@ -275,6 +275,9 @@ fn dec_circuit(d: &mut Dec) -> DResult<Circuit> {
         if qubits.len() != gate.num_qubits() {
             return d.fail("operand count does not match gate arity");
         }
+        if qubits.len() == 2 && qubits[0] == qubits[1] {
+            return d.fail("two-qubit gate on identical qubits");
+        }
         c.push(gate, &qubits);
     }
     Ok(c)
@@ -845,12 +848,29 @@ mod tests {
     }
 
     #[test]
-    fn truncation_at_every_prefix_is_an_error() {
+    fn two_qubit_gate_on_one_qubit_is_an_error_not_a_panic() {
+        // A `cx` naming qubit 0 twice passes the arity and range checks,
+        // and `Circuit::push` would panic on it.
+        let mut e = Enc::new();
+        e.usize(2);
+        e.len(1);
+        enc_gate(&mut e, &Gate::Cx);
+        e.len(2);
+        e.usize(0);
+        e.usize(0);
+        let mut d = Dec::new(&e.buf);
+        assert_eq!(
+            dec_circuit(&mut d).unwrap_err().reason,
+            "two-qubit gate on identical qubits"
+        );
+    }
+
+    fn sample() -> Adaptation {
         let mut c = Circuit::new(3);
         c.push(Gate::H, &[0]);
         c.push(Gate::Cx, &[0, 1]);
         c.push(Gate::Rz(0.5), &[2]);
-        let a = Adaptation {
+        Adaptation {
             circuit: c.clone(),
             reference: c,
             chosen: Vec::new(),
@@ -864,14 +884,42 @@ mod tests {
                 solver_stats: SolverStats::default(),
                 verification: None,
             },
-        };
-        let bytes = encode_adaptation(&a);
+        }
+    }
+
+    #[test]
+    fn truncation_at_every_prefix_is_an_error() {
+        let bytes = encode_adaptation(&sample());
         assert!(decode_adaptation(&bytes).is_ok());
         for cut in 0..bytes.len() {
             assert!(
                 decode_adaptation(&bytes[..cut]).is_err(),
                 "prefix of {cut} bytes decoded successfully"
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Arbitrary bytes, and a valid payload with a few bytes overwritten
+        /// (small values, such as qubit indices, are favoured), decode to
+        /// `Ok` or `Err`, never a panic.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in proptest::collection::vec(0u8..=255, 0..512),
+            edits in proptest::collection::vec(
+                (0usize..4096, proptest::prop_oneof![0u8..=3, 0u8..=255]),
+                1..4,
+            ),
+        ) {
+            let _ = decode_adaptation(&bytes);
+            let mut edited = encode_adaptation(&sample());
+            for (at, byte) in edits {
+                let len = edited.len();
+                edited[at % len] = byte;
+            }
+            let _ = decode_adaptation(&edited);
         }
     }
 }
