@@ -73,20 +73,25 @@ for cnf in examples/cnf/*.cnf; do
   fi
 done
 
-echo "== verify gate: qca-engine --verify on examples/qasm =="
-target/release/qca-engine --workers 2 --verify examples/qasm \
-  > "$trace_dir/verify.txt" || {
-  echo "verify gate: qca-engine --verify failed" >&2
-  cat "$trace_dir/verify.txt" >&2
-  exit 1
-}
-grep -q 'audit=ok' "$trace_dir/verify.txt" || {
-  echo "verify gate: no audit verdicts in output" >&2; exit 1; }
-if grep -q 'audit=FAIL' "$trace_dir/verify.txt"; then
-  echo "verify gate: audit failures" >&2
-  grep 'audit=FAIL' "$trace_dir/verify.txt" >&2
-  exit 1
-fi
+echo "== verify gate: qca-engine --verify on examples/qasm, every objective =="
+# The fidelity objective audits the PB-sum adders; idle and combined add the
+# schedule's comparator, mux and adder chains to the audited encoding.
+for objective in fidelity idle combined; do
+  out="$trace_dir/verify-$objective.txt"
+  target/release/qca-engine --workers 2 --objective "$objective" --verify \
+    examples/qasm > "$out" || {
+    echo "verify gate: qca-engine --verify --objective $objective failed" >&2
+    cat "$out" >&2
+    exit 1
+  }
+  grep -q 'audit=ok' "$out" || {
+    echo "verify gate: no audit verdicts under --objective $objective" >&2; exit 1; }
+  if grep -q 'audit=FAIL' "$out"; then
+    echo "verify gate: audit failures under --objective $objective" >&2
+    grep 'audit=FAIL' "$out" >&2
+    exit 1
+  fi
+done
 
 echo "== topology gate: qca-engine --coupling line|ring|star --verify =="
 for topo in line ring star; do

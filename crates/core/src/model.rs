@@ -433,7 +433,7 @@ fn encode_model(
     if ctx.options.certify {
         smt.enable_recording();
     }
-    let encode_span = ctx.tracer.span_with("smt.encode", || {
+    let mut encode_span = ctx.tracer.span_with("smt.encode", || {
         format!("objective={objective} catalog={}", catalog.len())
     });
     let choice: Vec<_> = catalog.iter().map(|_| smt.new_bool()).collect();
@@ -460,7 +460,9 @@ fn encode_model(
     let nblocks = pre.partition.blocks.len();
     let cost = CostData::new(pre, hw, catalog);
 
-    // Fidelity sum (Eqs. 5–6, aggregated): base + Σ 𝔽(s)·c_s.
+    // Fidelity terms (Eqs. 5–6, aggregated): base + Σ 𝔽(s)·c_s. Only the
+    // fidelity objective reads the sum on its own; the combined objective
+    // folds the terms into its one PB sum below.
     let fid_terms: Vec<(i64, qca_sat::Lit)> = cost
         .fid_w
         .iter()
@@ -468,10 +470,9 @@ fn encode_model(
         .map(|(&w, &l)| (w, l))
         .collect();
     let fid_base = cost.fid_base;
-    let fidelity = smt.pb_sum(fid_base, &fid_terms);
 
     let objective_expr: IntExpr = match objective {
-        Objective::Fidelity => fidelity,
+        Objective::Fidelity => smt.pb_sum(fid_base, &fid_terms),
         Objective::IdleTime | Objective::Combined => {
             // Per-block duration expressions (Eq. 3), plus per-block
             // min/max durations for bound tightening.
@@ -488,7 +489,12 @@ fn encode_model(
                     .collect();
                 d_min[b] = (base + terms.iter().map(|&(w, _)| w.min(0)).sum::<i64>()).max(0);
                 d_max[b] = base + terms.iter().map(|&(w, _)| w.max(0)).sum::<i64>();
-                dur_exprs.push(smt.pb_sum(base, &terms));
+                // A block's duration is non-negative under every
+                // conflict-free selection (the bound `d_min` and the
+                // makespan bound `total_lo` below rely on it too), so it
+                // is encoded at offset 0: every start and end time then
+                // shares offset 0, and no `max_of` needs a rebasing adder.
+                dur_exprs.push(smt.pb_sum_nonneg(base, &terms));
             }
             // Tight per-block start-time windows from longest-path analysis:
             // the optimum is always attained by an ASAP schedule, so start
@@ -579,8 +585,11 @@ fn encode_model(
         }
     };
 
+    let (vars, clauses) = (smt.num_sat_vars(), smt.num_clauses());
+    encode_span.set_note(format!("vars={vars} clauses={clauses}"));
     drop(encode_span);
-    ctx.tracer.gauge("smt.sat_vars", smt.num_sat_vars() as i64);
+    ctx.tracer.gauge("smt.sat_vars", vars as i64);
+    ctx.tracer.gauge("smt.sat_clauses", clauses as i64);
     EncodedModel {
         smt,
         choice,

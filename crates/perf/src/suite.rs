@@ -557,9 +557,11 @@ fn bench_portfolio_race(config: &SuiteConfig, n: usize) -> Option<BenchResult> {
     ))
 }
 
-/// Incremental difference-logic repair (the scheduling theory's hot path):
-/// `3n` random forward constraints over `n` timing variables, pushed one at
-/// a time so each push pays one repair.
+/// Incremental difference-logic repair with [`IncrementalDiff`], the `smt`
+/// layer's closed-form scheduler. No adaptation request calls it (their
+/// schedule is bit-blasted into the SAT formula). `3n` random forward
+/// constraints over `n` timing variables, pushed one at a time so each
+/// push pays one repair.
 fn bench_dl_incremental(config: &SuiteConfig, n: usize) -> Option<BenchResult> {
     let id = format!("smt.dl_incremental/{n}");
     if !config.wants(&id) {

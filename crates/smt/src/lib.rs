@@ -51,6 +51,137 @@ pub use solver::{IntExpr, SmtModel, SmtSolver};
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use qca_sat::Lit;
+
+    /// A node of a random expression DAG over three Boolean inputs; node
+    /// operands index earlier nodes.
+    #[derive(Debug, Clone)]
+    enum Node {
+        Pb(i64, Vec<i64>),
+        Add(usize, usize),
+        SubFromConst(i64, usize),
+        MulConst(usize, i64),
+        Ite(usize, usize, usize),
+        Max(Vec<usize>),
+    }
+
+    /// The node's value by integer arithmetic under the input assignment.
+    fn eval(nodes: &[Node], i: usize, x: [bool; 3]) -> i64 {
+        match &nodes[i] {
+            Node::Pb(base, w) => base + (0..3).filter(|&j| x[j]).map(|j| w[j]).sum::<i64>(),
+            Node::Add(a, b) => eval(nodes, *a, x) + eval(nodes, *b, x),
+            Node::SubFromConst(c, a) => c - eval(nodes, *a, x),
+            Node::MulConst(a, k) => k * eval(nodes, *a, x),
+            Node::Ite(c, a, b) => eval(nodes, if x[*c] { *a } else { *b }, x),
+            Node::Max(es) => es.iter().map(|&e| eval(nodes, e, x)).max().unwrap(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random expression DAGs: the solver's models, enumerated with
+        /// blocking clauses over every variable, are exactly one per input
+        /// assignment the constraints admit, and every expression and
+        /// comparison literal in each model agrees with integer arithmetic.
+        /// Leaves are PB sums with negative weights (some through
+        /// `pb_sum_nonneg`, whose negative assignments are excluded by
+        /// clauses); operands may repeat, so folded gates are exercised.
+        #[test]
+        fn expression_dags_agree_with_integer_arithmetic(
+            leaves in proptest::collection::vec(
+                (-6i64..12, proptest::collection::vec(-7i64..8, 3), any::<bool>()), 1..4),
+            ops in proptest::collection::vec((0u8..6, 0usize..16, 0usize..16, 0i64..4), 0..8),
+            bounds in proptest::collection::vec((0usize..16, -8i64..40), 1..4),
+        ) {
+            let mut smt = SmtSolver::new();
+            let xs: Vec<Lit> = (0..3).map(|_| smt.new_bool()).collect();
+            let assignment = |sigma: u32| [0, 1, 2].map(|j| (sigma >> j) & 1 == 1);
+            let mut nodes: Vec<Node> = Vec::new();
+            let mut exprs: Vec<IntExpr> = Vec::new();
+            let mut excluded = [false; 8];
+            for (base, w, nonneg) in &leaves {
+                let terms: Vec<(i64, Lit)> = w.iter().copied().zip(xs.iter().copied()).collect();
+                let node = Node::Pb(*base, w.clone());
+                nodes.push(node);
+                if *nonneg {
+                    // Exclude the assignments on which the sum is negative.
+                    for sigma in 0..8u32 {
+                        let x = assignment(sigma);
+                        if eval(&nodes, nodes.len() - 1, x) < 0 {
+                            excluded[sigma as usize] = true;
+                            let block: Vec<Lit> =
+                                (0..3).map(|j| if x[j] { !xs[j] } else { xs[j] }).collect();
+                            smt.add_clause(&block);
+                        }
+                    }
+                    exprs.push(smt.pb_sum_nonneg(*base, &terms));
+                } else {
+                    exprs.push(smt.pb_sum(*base, &terms));
+                }
+            }
+            for &(kind, a, b, k) in &ops {
+                let n = nodes.len();
+                let (a, b) = (a % n, b % n);
+                let (node, expr) = match kind {
+                    0 => (Node::Add(a, b), smt.add(&exprs[a], &exprs[b])),
+                    1 => {
+                        let c = exprs[a].hi + k;
+                        (Node::SubFromConst(c, a), smt.sub_from_const(c, &exprs[a]))
+                    }
+                    2 => (Node::MulConst(a, k), smt.mul_const(&exprs[a], k)),
+                    3 => {
+                        let c = k as usize % 3;
+                        (Node::Ite(c, a, b), smt.ite(xs[c], &exprs[a], &exprs[b]))
+                    }
+                    4 => {
+                        let es = vec![a, b, (a + b) % n];
+                        let picked: Vec<IntExpr> = es.iter().map(|&e| exprs[e].clone()).collect();
+                        (Node::Max(es), smt.max_of(&picked))
+                    }
+                    _ => (Node::Add(a, a), smt.add(&exprs[a], &exprs[a])),
+                };
+                nodes.push(node);
+                exprs.push(expr);
+            }
+            let mut comparisons: Vec<(usize, i64, Lit)> = Vec::new();
+            for &(e, c) in &bounds {
+                let e = e % nodes.len();
+                let bound = smt.int_const(c);
+                comparisons.push((e, c, smt.ge_reified(&exprs[e], &bound)));
+            }
+            let admissible = excluded.iter().filter(|&&x| !x).count();
+            let mut seen = [false; 8];
+            let mut models = 0;
+            while let Some(m) = smt.check() {
+                models += 1;
+                prop_assert!(models <= admissible, "more models than input assignments");
+                let x = [0, 1, 2].map(|j| m.lit_is_true(xs[j]));
+                let sigma = (0..3).filter(|&j| x[j]).map(|j| 1 << j).sum::<usize>();
+                prop_assert!(!excluded[sigma] && !seen[sigma]);
+                seen[sigma] = true;
+                for (i, e) in exprs.iter().enumerate() {
+                    let want = eval(&nodes, i, x);
+                    prop_assert!(e.lo <= want && want <= e.hi, "node {i} bounds");
+                    prop_assert_eq!(m.int_value(e), want, "node {} = {:?}", i, &nodes[i]);
+                }
+                for &(e, c, lit) in &comparisons {
+                    prop_assert_eq!(m.lit_is_true(lit), eval(&nodes, e, x) >= c);
+                }
+                let block: Vec<Lit> = m
+                    .values()
+                    .iter()
+                    .enumerate()
+                    .map(|(v, val)| {
+                        let l = qca_sat::Var::from_index(v).positive();
+                        if val.expect("complete model") { !l } else { l }
+                    })
+                    .collect();
+                smt.add_clause(&block);
+            }
+            prop_assert_eq!(models, admissible);
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]

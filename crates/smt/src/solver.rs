@@ -18,8 +18,9 @@ use qca_sat::{Lit, SolveOutcome, Solver};
 
 /// A bounded integer expression: `value = offset + unsigned(bits)`.
 ///
-/// Carries conservative bounds `lo..=hi` used for width sizing and for the
-/// optimization loop's initial bracket.
+/// Carries bounds `lo..=hi` that hold in every model: [`SmtSolver::add`]
+/// sizes its result from them, and the optimization loop starts its
+/// bracket from them.
 #[derive(Debug, Clone)]
 pub struct IntExpr {
     pub(crate) bits: Vec<Lit>,
@@ -147,8 +148,8 @@ impl SmtModel {
 #[derive(Debug)]
 pub struct SmtSolver {
     pub(crate) sat: Solver,
+    /// The constant-false literal, allocated on first use; `!fal` is true.
     pub(crate) fal: Option<Lit>,
-    pub(crate) tru: Option<Lit>,
     pub(crate) records: Option<Vec<RecordedConstraint>>,
 }
 
@@ -164,7 +165,6 @@ impl SmtSolver {
         SmtSolver {
             sat: Solver::new(),
             fal: None,
-            tru: None,
             records: None,
         }
     }
@@ -270,9 +270,51 @@ impl SmtSolver {
         self.sat.num_vars()
     }
 
+    /// Number of problem clauses in the SAT solver's database (after its
+    /// level-0 simplification; learnt clauses excluded).
+    pub fn num_clauses(&self) -> usize {
+        self.sat.num_clauses()
+    }
+
+    /// The constant-false literal.
+    fn fal(&mut self) -> Lit {
+        bitvec::false_lit(&mut self.sat, &mut self.fal)
+    }
+
+    /// The value of `e` when every bit is a constant literal.
+    fn const_value(&self, e: &IntExpr) -> Option<i64> {
+        let f = self.fal?;
+        let mut u = 0u64;
+        for (i, &b) in e.bits.iter().enumerate() {
+            if bitvec::constant(b, f)? {
+                u |= 1 << i;
+            }
+        }
+        Some(e.offset + u as i64)
+    }
+
+    /// Re-expresses `e` at a lower `offset` (same value, wider bits).
+    fn rebased(&mut self, e: &IntExpr, offset: i64) -> IntExpr {
+        debug_assert!(offset <= e.offset);
+        let bits = if e.offset == offset {
+            e.bits.clone()
+        } else {
+            let f = self.fal();
+            let shift = bitvec::const_bits(f, (e.offset - offset) as u64);
+            let width = e.bits.len().max(shift.len()) + 1;
+            bitvec::add_bits(&mut self.sat, f, &e.bits, &shift, width)
+        };
+        IntExpr {
+            bits,
+            offset,
+            lo: e.lo,
+            hi: e.hi,
+        }
+    }
+
     /// A constant integer expression.
     pub fn int_const(&mut self, v: i64) -> IntExpr {
-        let f = bitvec::false_lit(&mut self.sat, &mut self.fal);
+        let f = self.fal();
         IntExpr {
             bits: vec![f],
             offset: v,
@@ -289,17 +331,14 @@ impl SmtSolver {
     pub fn new_int(&mut self, lo: i64, hi: i64) -> IntExpr {
         assert!(lo <= hi, "empty integer domain");
         let span = (hi - lo) as u64;
-        let width = (64 - span.leading_zeros()).max(1) as usize;
-        let bits: Vec<Lit> = (0..width).map(|_| self.new_bool()).collect();
+        let bits: Vec<Lit> = (0..bitvec::width_of(span))
+            .map(|_| self.new_bool())
+            .collect();
         // Enforce bits <= span so bounds stay exact.
-        let span_bits = bitvec::const_bits(&mut self.sat, span, &mut self.fal, &mut self.tru);
-        bitvec::assert_ge(
-            &mut self.sat,
-            &span_bits,
-            &bits,
-            &mut self.fal,
-            &mut self.tru,
-        );
+        let f = self.fal();
+        let span_bits = bitvec::const_bits(f, span);
+        let le = bitvec::ge_reified(&mut self.sat, f, &span_bits, &bits);
+        self.sat.add_clause(&[le]);
         let out = IntExpr {
             bits,
             offset: lo,
@@ -310,9 +349,13 @@ impl SmtSolver {
         out
     }
 
-    /// Sum of two expressions.
+    /// Sum of two expressions. The result is as wide as its bounds need:
+    /// a carry out that no model can set is not encoded.
     pub fn add(&mut self, a: &IntExpr, b: &IntExpr) -> IntExpr {
-        let bits = bitvec::add_bits(&mut self.sat, &a.bits, &b.bits, &mut self.fal);
+        let f = self.fal();
+        let span = (a.hi - a.offset) + (b.hi - b.offset);
+        let width = bitvec::width_of(span.max(0) as u64).min(a.bits.len().max(b.bits.len()) + 1);
+        let bits = bitvec::add_bits(&mut self.sat, f, &a.bits, &b.bits, width);
         let out = IntExpr {
             bits,
             offset: a.offset + b.offset,
@@ -332,36 +375,8 @@ impl SmtSolver {
     /// Negative weights are folded into the offset (`w·b = w - w·(1-b)`), so
     /// the bit-level sum only ever adds non-negative quantities.
     pub fn pb_sum(&mut self, base: i64, terms: &[(i64, Lit)]) -> IntExpr {
-        let mut offset = base;
-        let mut lo = base;
-        let mut hi = base;
-        let mut addends: Vec<Vec<Lit>> = Vec::new();
-        for &(w, l) in terms {
-            if w == 0 {
-                continue;
-            }
-            if w > 0 {
-                addends.push(bitvec::gated_const_bits(
-                    &mut self.sat,
-                    l,
-                    w as u64,
-                    &mut self.fal,
-                ));
-                hi += w;
-            } else {
-                // w < 0: w·b = w + (-w)·(1-b)
-                offset += w;
-                lo += w;
-                addends.push(bitvec::gated_const_bits(
-                    &mut self.sat,
-                    !l,
-                    (-w) as u64,
-                    &mut self.fal,
-                ));
-            }
-        }
-        // Balanced-tree summation keeps adder widths small.
-        let bits = self.sum_tree(addends);
+        let (addends, offset, lo, hi) = self.pb_addends(base, terms);
+        let bits = self.sum_tree(addends, None);
         let out = IntExpr {
             bits,
             offset,
@@ -376,22 +391,88 @@ impl SmtSolver {
         out
     }
 
-    fn sum_tree(&mut self, mut addends: Vec<Vec<Lit>>) -> Vec<Lit> {
+    /// [`SmtSolver::pb_sum`] for a sum the caller knows is non-negative in
+    /// every model, e.g. a block duration whose negative terms exclude each
+    /// other. The result has offset 0, so such sums, and the `add`/`max_of`
+    /// expressions built from them, share one offset and never need
+    /// rebasing.
+    ///
+    /// The bits hold the sum modulo `2^w`, with `w` the width of the
+    /// largest value: exact in every model, but not in assignments the
+    /// other constraints exclude. A negative offset costs nothing: it is
+    /// added, modulo `2^w`, as a constant to the first term, where it folds
+    /// into wires.
+    pub fn pb_sum_nonneg(&mut self, base: i64, terms: &[(i64, Lit)]) -> IntExpr {
+        let (mut addends, offset, lo, hi) = self.pb_addends(base, terms);
+        let (lo, hi) = (lo.max(0), hi.max(0));
+        let width = bitvec::width_of(hi as u64);
+        let shift = offset.rem_euclid(1 << width) as u64;
+        if shift != 0 {
+            let f = self.fal();
+            addends.insert(0, bitvec::const_bits(f, shift));
+        }
+        let bits = self.sum_tree(addends, Some(width));
+        let out = IntExpr {
+            bits,
+            offset: 0,
+            lo,
+            hi,
+        };
+        self.record(|| RecordedConstraint::PbSum {
+            out: out.clone(),
+            base,
+            terms: terms.to_vec(),
+        });
+        out
+    }
+
+    /// The non-negative addends of `base + Σ w_i · b_i` with its offset and
+    /// bounds: `(addends, offset, lo, hi)`.
+    fn pb_addends(&mut self, base: i64, terms: &[(i64, Lit)]) -> (Vec<Vec<Lit>>, i64, i64, i64) {
+        let f = self.fal();
+        let mut offset = base;
+        let mut hi = base;
+        let mut addends: Vec<Vec<Lit>> = Vec::new();
+        for &(w, l) in terms {
+            if w > 0 {
+                addends.push(bitvec::gated_const_bits(f, l, w as u64));
+                hi += w;
+            } else if w < 0 {
+                // w·b = w + (-w)·(1-b)
+                offset += w;
+                addends.push(bitvec::gated_const_bits(f, !l, (-w) as u64));
+            }
+        }
+        (addends, offset, offset, hi)
+    }
+
+    /// Balanced-tree summation (keeps adder widths small), modulo
+    /// `2^width` when a width is given.
+    fn sum_tree(&mut self, mut addends: Vec<Vec<Lit>>, width: Option<usize>) -> Vec<Lit> {
+        let f = self.fal();
         if addends.is_empty() {
-            return vec![bitvec::false_lit(&mut self.sat, &mut self.fal)];
+            return vec![f];
         }
         while addends.len() > 1 {
             let mut next = Vec::with_capacity(addends.len() / 2 + 1);
             let mut it = addends.into_iter();
             while let Some(a) = it.next() {
                 match it.next() {
-                    Some(b) => next.push(bitvec::add_bits(&mut self.sat, &a, &b, &mut self.fal)),
+                    Some(b) => {
+                        let exact = a.len().max(b.len()) + 1;
+                        let w = width.map_or(exact, |w| w.min(exact));
+                        next.push(bitvec::add_bits(&mut self.sat, f, &a, &b, w));
+                    }
                     None => next.push(a),
                 }
             }
             addends = next;
         }
-        addends.pop().expect("nonempty by construction")
+        let mut bits = addends.pop().expect("nonempty by construction");
+        if let Some(w) = width {
+            bits.truncate(w);
+        }
+        bits
     }
 
     /// Multiplies an expression by a non-negative constant.
@@ -404,13 +485,8 @@ impl SmtSolver {
         if k == 0 {
             return self.int_const(0);
         }
-        let bits = bitvec::mul_const_bits(
-            &mut self.sat,
-            &a.bits,
-            k as u64,
-            &mut self.fal,
-            &mut self.tru,
-        );
+        let f = self.fal();
+        let bits = bitvec::mul_const_bits(&mut self.sat, f, &a.bits, k as u64);
         let out = IntExpr {
             bits,
             offset: a.offset * k,
@@ -439,21 +515,17 @@ impl SmtSolver {
         // value(e) = e.offset + u where u in [0, e.hi - e.offset].
         // c - value(e) = (c - e.offset) - u, with cu := c - e.offset >= u.
         let cu = (c - e.offset) as u64;
-        let width = e.bits.len().max((64 - cu.leading_zeros()).max(1) as usize);
-        // t = cu + (2^w - 1 - u) + 1 = cu - u + 2^w: low w bits are cu - u.
-        let not_bits: Vec<qca_sat::Lit> = (0..width)
-            .map(|i| match e.bits.get(i) {
-                Some(&b) => !b,
-                None => bitvec::true_lit(&mut self.sat, &mut self.tru),
-            })
+        let width = e.bits.len().max(bitvec::width_of(cu));
+        // cu - u = cu + (2^w - 1 - u) + 1 (mod 2^w): one constant addition
+        // to the complemented bits.
+        let f = self.fal();
+        let not_bits: Vec<Lit> = (0..width)
+            .map(|i| e.bits.get(i).map_or(!f, |&b| !b))
             .collect();
-        let c_bits = bitvec::const_bits(&mut self.sat, cu, &mut self.fal, &mut self.tru);
-        let one = bitvec::const_bits(&mut self.sat, 1, &mut self.fal, &mut self.tru);
-        let s1 = bitvec::add_bits(&mut self.sat, &not_bits, &one, &mut self.fal);
-        let mut s2 = bitvec::add_bits(&mut self.sat, &s1, &c_bits, &mut self.fal);
-        s2.truncate(width);
+        let c_bits = bitvec::const_bits(f, cu + 1);
+        let bits = bitvec::add_bits(&mut self.sat, f, &not_bits, &c_bits, width);
         let out = IntExpr {
-            bits: s2,
+            bits,
             offset: 0,
             lo: c - e.hi,
             hi: c - e.lo,
@@ -466,21 +538,29 @@ impl SmtSolver {
         out
     }
 
-    /// Rebases two expressions to a common offset so raw bit comparison is
-    /// valid, returning `(a_bits, b_bits)`.
-    fn normalize_pair(&mut self, a: &IntExpr, b: &IntExpr) -> (Vec<Lit>, Vec<Lit>) {
-        let diff = a.offset - b.offset;
-        if diff == 0 {
-            (a.bits.clone(), b.bits.clone())
-        } else if diff > 0 {
-            let c = bitvec::const_bits(&mut self.sat, diff as u64, &mut self.fal, &mut self.tru);
-            let abits = bitvec::add_bits(&mut self.sat, &a.bits, &c, &mut self.fal);
-            (abits, b.bits.clone())
-        } else {
-            let c = bitvec::const_bits(&mut self.sat, (-diff) as u64, &mut self.fal, &mut self.tru);
-            let bbits = bitvec::add_bits(&mut self.sat, &b.bits, &c, &mut self.fal);
-            (a.bits.clone(), bbits)
+    /// The bits of `a` and `b` at one common offset, so raw bit comparison
+    /// is valid. A constant side absorbs the other side's offset (no
+    /// adder); otherwise the side with the larger offset is rebased.
+    fn aligned_bits(&mut self, a: &IntExpr, b: &IntExpr) -> (Vec<Lit>, Vec<Lit>) {
+        let f = self.fal();
+        if a.offset == b.offset {
+            return (a.bits.clone(), b.bits.clone());
         }
+        if let Some(v) = self.const_value(b) {
+            // a >= v  <=>  a.bits >= v - a.offset (always, when that is <= 0).
+            let rhs = (v - a.offset).max(0) as u64;
+            return (a.bits.clone(), bitvec::const_bits(f, rhs));
+        }
+        if let Some(v) = self.const_value(a) {
+            // v >= b  <=>  v - b.offset >= b.bits (never, when that is < 0).
+            let lhs = v - b.offset;
+            if lhs < 0 {
+                return (vec![f], vec![!f]);
+            }
+            return (bitvec::const_bits(f, lhs as u64), b.bits.clone());
+        }
+        let base = a.offset.min(b.offset);
+        (self.rebased(a, base).bits, self.rebased(b, base).bits)
     }
 
     /// Asserts `a >= b`.
@@ -489,14 +569,17 @@ impl SmtSolver {
             a: a.clone(),
             b: b.clone(),
         });
-        let (ab, bb) = self.normalize_pair(a, b);
-        bitvec::assert_ge(&mut self.sat, &ab, &bb, &mut self.fal, &mut self.tru);
+        let (ab, bb) = self.aligned_bits(a, b);
+        let f = self.fal();
+        let r = bitvec::ge_reified(&mut self.sat, f, &ab, &bb);
+        self.sat.add_clause(&[r]);
     }
 
     /// Returns a literal equivalent to `a >= b`.
     pub fn ge_reified(&mut self, a: &IntExpr, b: &IntExpr) -> Lit {
-        let (ab, bb) = self.normalize_pair(a, b);
-        let lit = bitvec::ge_reified(&mut self.sat, &ab, &bb, &mut self.fal, &mut self.tru);
+        let (ab, bb) = self.aligned_bits(a, b);
+        let f = self.fal();
+        let lit = bitvec::ge_reified(&mut self.sat, f, &ab, &bb);
         self.record(|| RecordedConstraint::GeReified {
             lit,
             a: a.clone(),
@@ -514,18 +597,10 @@ impl SmtSolver {
     /// Returns `cond ? a : b`.
     pub fn ite(&mut self, cond: Lit, a: &IntExpr, b: &IntExpr) -> IntExpr {
         let base = a.offset.min(b.offset);
-        let rebase = |this: &mut Self, e: &IntExpr| -> Vec<Lit> {
-            let d = e.offset - base;
-            if d == 0 {
-                e.bits.clone()
-            } else {
-                let c = bitvec::const_bits(&mut this.sat, d as u64, &mut this.fal, &mut this.tru);
-                bitvec::add_bits(&mut this.sat, &e.bits, &c, &mut this.fal)
-            }
-        };
-        let ab = rebase(self, a);
-        let bb = rebase(self, b);
-        let bits = bitvec::mux_bits(&mut self.sat, cond, &ab, &bb, &mut self.fal);
+        let ab = self.rebased(a, base).bits;
+        let bb = self.rebased(b, base).bits;
+        let f = self.fal();
+        let bits = bitvec::mux_bits(&mut self.sat, f, cond, &ab, &bb);
         let out = IntExpr {
             bits,
             offset: base,
@@ -544,19 +619,25 @@ impl SmtSolver {
     /// Elementwise maximum of expressions: returns `m` with constraints
     /// `m >= e_i` for all `i` and `m == e_j` for some `j`.
     ///
+    /// Operands are first brought to their smallest offset, each at most
+    /// once, so the comparator/mux fold below needs no rebasing; operands
+    /// that already share an offset cost no adder at all.
+    ///
     /// # Panics
     ///
     /// Panics if `exprs` is empty.
     pub fn max_of(&mut self, exprs: &[IntExpr]) -> IntExpr {
         assert!(!exprs.is_empty(), "max over empty set");
-        let mut acc = exprs[0].clone();
+        let base = exprs.iter().map(|e| e.offset).min().expect("nonempty");
+        let mut acc = self.rebased(&exprs[0], base);
         for e in &exprs[1..] {
-            let c = self.ge_reified(&acc, e);
+            let e = self.rebased(e, base);
+            let c = self.ge_reified(&acc, &e);
             // `ite` bounds are branch-generic (lo = min); the max is
             // additionally >= both operands, so its lower bound tightens
             // to the larger operand lo.
             let lo = acc.lo.max(e.lo);
-            acc = self.ite(c, &acc, e);
+            acc = self.ite(c, &acc, &e);
             acc.lo = lo;
         }
         self.record(|| RecordedConstraint::MaxOf {

@@ -433,12 +433,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn audits_certified_adaptation_end_to_end() {
+    /// Adapts `swap_chain` with an exact, certified search under
+    /// `objective` and audits the result, certificate included.
+    fn certified_swap_chain(objective: Objective) -> AdaptationAuditStats {
         let hw = spin_qubit_model(GateTimes::D0);
         let c = swap_chain();
         let ctx = AdaptContext {
             options: AdaptOptions {
+                objective,
                 exact: true,
                 certify: true,
                 ..AdaptOptions::default()
@@ -448,13 +450,31 @@ mod tests {
         let r = adapt(&c, &hw, &ctx).unwrap();
         assert!(r.solver.verification.is_some(), "certify attaches data");
         assert!(r.solver.optimal, "exact search proves optimality");
-        let stats = audit_adaptation(&c, &r, &hw, Objective::Fidelity).unwrap();
-        assert!(stats.objective_cross_checked);
+        let stats = audit_adaptation(&c, &r, &hw, objective).unwrap();
         assert!(stats.model_constraints_checked > 0);
         assert!(
-            stats.certificate_steps_checked > 0 || r.solver.verification.is_some(),
+            stats.certificate_steps_checked > 0,
             "optimal result was certificate-checked"
         );
+        stats
+    }
+
+    #[test]
+    fn audits_certified_adaptation_end_to_end() {
+        let stats = certified_swap_chain(Objective::Fidelity);
+        assert!(stats.objective_cross_checked);
+    }
+
+    #[test]
+    fn audits_certified_idle_adaptation_end_to_end() {
+        // The idle model is all schedule arithmetic: durations, the
+        // start/end max chains, the makespan and the slack product.
+        certified_swap_chain(Objective::IdleTime);
+    }
+
+    #[test]
+    fn audits_certified_combined_adaptation_end_to_end() {
+        certified_swap_chain(Objective::Combined);
     }
 
     #[test]
