@@ -430,6 +430,16 @@ grep -Eq '^recalib: .*failed=0$' "$trace_dir/recalib.txt" || {
   exit 1
 }
 
+echo "== ablation gate: rerun ablation, diff all but time [s] against results/ablation.txt =="
+# Wall times vary from run to run; the objective, queries and optimal
+# columns of the OMT table, and the whole KAK table, must not.
+mask_ablation_time() {
+  awk '/^(binary|linear) \// { $0 = substr($0, 1, 22) sprintf("%10s", "-") substr($0, 33) } { print }' "$1"
+}
+target/release/ablation > "$trace_dir/ablation.txt"
+diff <(mask_ablation_time results/ablation.txt) <(mask_ablation_time "$trace_dir/ablation.txt") || {
+  echo "ablation gate: output differs from results/ablation.txt" >&2; exit 1; }
+
 echo "== perf gate: quick suite vs committed BENCH baseline =="
 # The committed baseline must itself be schema-valid and cover every
 # measured layer (sat, smt, synth, sim, engine, portfolio, serve, store).

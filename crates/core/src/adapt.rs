@@ -214,7 +214,6 @@ pub fn recalibrate_adaptation(
     hw: &HardwareModel,
     prev: &Adaptation,
     ctx: &AdaptContext,
-    recheck_budget: Option<u64>,
 ) -> Result<Recalibration, AdaptError> {
     ctx.validate()?;
     let mut root = ctx.tracer.span_with("recalibrate", || {
@@ -236,14 +235,7 @@ pub fn recalibrate_adaptation(
     // Note the previous solve need not carry an optimality claim: the
     // exact re-check also confirms (and upgrades) a gap-degraded result
     // whose value happens to be the true optimum.
-    let outcome = crate::model::recheck_optimum(
-        &pre,
-        hw,
-        &catalog,
-        ctx,
-        &prev.solver.chosen,
-        recheck_budget,
-    )?;
+    let outcome = crate::model::recheck_optimum(&pre, hw, &catalog, ctx, &prev.solver.chosen)?;
     match outcome {
         crate::model::RecheckOutcome::StillOptimal(solver) => {
             root.set_note("reused");
@@ -361,7 +353,7 @@ mod tests {
         let hw = spin_qubit_model(GateTimes::D0);
         let ctx = AdaptContext::with_objective(Objective::Fidelity);
         let first = adapt(&c, &hw, &ctx).unwrap();
-        let r = recalibrate_adaptation(&c, &hw, &first, &ctx, None).unwrap();
+        let r = recalibrate_adaptation(&c, &hw, &first, &ctx).unwrap();
         assert!(r.reused(), "unchanged hardware must reuse the optimum");
         let again = r.into_adaptation();
         assert_eq!(again.solver.chosen, first.solver.chosen);
@@ -389,7 +381,7 @@ mod tests {
         };
         let first = adapt(&c, &d0, &ctx).unwrap();
         let drifted = d0.with_scaled_infidelity(4.0);
-        let r = recalibrate_adaptation(&c, &drifted, &first, &ctx, None).unwrap();
+        let r = recalibrate_adaptation(&c, &drifted, &first, &ctx).unwrap();
         let recal = r.into_adaptation();
         let fresh = adapt(&c, &drifted, &ctx).unwrap();
         assert_eq!(recal.solver.objective_value, fresh.solver.objective_value);
@@ -410,7 +402,7 @@ mod tests {
         let mut prev = adapt(&c, &hw, &ctx).unwrap();
         let expected = prev.solver.objective_value;
         prev.solver.chosen = vec![usize::MAX];
-        let r = recalibrate_adaptation(&c, &hw, &prev, &ctx, None).unwrap();
+        let r = recalibrate_adaptation(&c, &hw, &prev, &ctx).unwrap();
         assert!(!r.reused(), "stale ids cannot be reused");
         let a = r.into_adaptation();
         assert_eq!(a.solver.objective_value, expected);
@@ -615,7 +607,7 @@ mod tests {
         ));
         let prev = adapt(&c, &hw, &AdaptContext::default()).unwrap();
         assert!(matches!(
-            recalibrate_adaptation(&c, &hw, &prev, &ctx, None),
+            recalibrate_adaptation(&c, &hw, &prev, &ctx),
             Err(AdaptError::InvalidOptions(_))
         ));
     }
@@ -772,11 +764,11 @@ mod tests {
         let ctx = routed(Objective::Fidelity, star.clone());
         let first = adapt(&c, &hw, &ctx).unwrap();
         // Unchanged hardware: reuse.
-        let r = recalibrate_adaptation(&c, &hw, &first, &ctx, None).unwrap();
+        let r = recalibrate_adaptation(&c, &hw, &first, &ctx).unwrap();
         assert!(r.reused());
         // Drifted hardware: warm re-solve stays routed and equivalent.
         let drifted = hw.with_scaled_infidelity(3.0);
-        let r = recalibrate_adaptation(&c, &drifted, &first, &ctx, None).unwrap();
+        let r = recalibrate_adaptation(&c, &drifted, &first, &ctx).unwrap();
         let a = r.into_adaptation();
         assert!(a.chosen.iter().any(|s| s.route.is_some()));
         assert!(coupled_2q_gates_ok(&a.circuit, &star));
@@ -797,7 +789,7 @@ mod tests {
         let flat = adapt(&c, &hw, &AdaptContext::with_objective(Objective::Fidelity)).unwrap();
         let star = CouplingMap::star(3);
         let ctx = routed(Objective::Fidelity, star.clone());
-        let r = recalibrate_adaptation(&c, &hw, &flat, &ctx, None).unwrap();
+        let r = recalibrate_adaptation(&c, &hw, &flat, &ctx).unwrap();
         assert!(!r.reused(), "route-incomplete selection must not be reused");
         let a = r.into_adaptation();
         assert!(a.chosen.iter().any(|s| s.route.is_some()));

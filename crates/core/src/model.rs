@@ -401,12 +401,47 @@ pub fn solve_model(
     catalog: &[Substitution],
     ctx: &AdaptContext,
 ) -> Result<SmtAdaptation, AdaptError> {
-    let budget = if ctx.options.exact {
-        None
-    } else {
-        Some(DEFAULT_PROBE_BUDGET)
+    let objective = ctx.options.objective;
+    let model = encode_model(pre, hw, catalog, ctx);
+
+    // Warm start: the context's hint (a known-good selection, when still
+    // valid for this catalog) or the greedy selection — whichever scores
+    // better — anchors the search below.
+    let mut warm_span = ctx.tracer.span("warm_start");
+    let hinted = ctx
+        .warm_hint
+        .as_deref()
+        .and_then(|ids| selection_from_ids(catalog, ids))
+        .map(|sel| {
+            let v = model.cost.evaluate(pre, catalog, &sel, objective);
+            (sel, v)
+        });
+    let (greedy, greedy_value) = greedy_selection(pre, catalog, &model.cost, objective);
+    let (warm, warm_value, warm_source) = match hinted {
+        Some((sel, v)) if v >= greedy_value => (sel, v, "hint"),
+        _ => (greedy, greedy_value, "greedy"),
     };
-    solve_model_with_budget(pre, hw, catalog, ctx, budget)
+    warm_span.set_note(format!("value={warm_value} source={warm_source}"));
+    drop(warm_span);
+
+    // Size-adaptive search effort: bigger bit-blasted models get smaller
+    // probe budgets and a coarser gap — the warm start already pins the
+    // incumbent, so late probes only chase small refinements.
+    let nblocks = pre.partition.blocks.len();
+    let (probe_conflict_budget, relative_gap) = if ctx.options.exact {
+        (None, 0.0)
+    } else if nblocks > 16 {
+        (Some(DEFAULT_PROBE_BUDGET / 4), 0.05)
+    } else {
+        (Some(DEFAULT_PROBE_BUDGET), 0.02)
+    };
+    let options = omt::OmtOptions {
+        probe_conflict_budget,
+        relative_gap,
+        certify: ctx.options.certify,
+        portfolio: ctx.portfolio,
+    };
+    anchored_search(model, &warm, warm_value, ctx.options.strategy, options, ctx)
 }
 
 /// The bit-blasted adaptation model, ready to search: the solver with every
@@ -598,94 +633,48 @@ fn encode_model(
     }
 }
 
-/// [`solve_model`] with an explicit per-probe conflict budget (`None` for an
-/// exact, unbudgeted search), overriding what `ctx.options.exact` implies.
-///
-/// # Errors
-///
-/// As [`solve_model`].
-pub fn solve_model_with_budget(
-    pre: &Preprocessed,
-    hw: &HardwareModel,
-    catalog: &[Substitution],
+/// The OMT search both solve paths share: phase-hints `selection` (also
+/// the first model's assumptions), asserts `objective >= value` — sound
+/// because `selection` realizes `value` — so the search only explores the
+/// region above it, runs [`omt::maximize_with`], and reads back the chosen
+/// ids and the verification data. Errors as [`solve_model`].
+fn anchored_search(
+    model: EncodedModel,
+    selection: &[bool],
+    value: i64,
+    strategy: omt::Strategy,
+    options: omt::OmtOptions,
     ctx: &AdaptContext,
-    probe_budget: Option<u64>,
 ) -> Result<SmtAdaptation, AdaptError> {
-    let objective = ctx.options.objective;
-    let strategy = ctx.options.strategy;
     let EncodedModel {
         mut smt,
         choice,
         objective_expr,
-        cost,
-    } = encode_model(pre, hw, catalog, ctx);
-
-    // Warm start: the context's hint (a known-good selection, when still
-    // valid for this catalog) or the greedy selection — whichever scores
-    // better — seeds the solver's phases, and its objective value is
-    // asserted as a sound lower bound so the OMT search only explores the
-    // region above it.
-    let mut warm_span = ctx.tracer.span("warm_start");
-    let (warm, warm_value, warm_source) = {
-        let hinted = ctx
-            .warm_hint
-            .as_deref()
-            .and_then(|ids| selection_from_ids(catalog, ids))
-            .map(|sel| {
-                let v = cost.evaluate(pre, catalog, &sel, objective);
-                (sel, v)
-            });
-        let (greedy, greedy_value) = greedy_selection(pre, catalog, &cost, objective);
-        match hinted {
-            Some((sel, v)) if v >= greedy_value => (sel, v, "hint"),
-            _ => (greedy, greedy_value, "greedy"),
-        }
-    };
+        ..
+    } = model;
     let mut hint: Vec<qca_sat::Lit> = Vec::with_capacity(choice.len());
-    for (i, &sel) in warm.iter().enumerate() {
-        smt.sat_mut().set_phase(choice[i].var(), sel);
-        hint.push(if sel { choice[i] } else { !choice[i] });
+    for (&lit, &sel) in choice.iter().zip(selection) {
+        smt.sat_mut().set_phase(lit.var(), sel);
+        hint.push(if sel { lit } else { !lit });
     }
-    let warm_bound = smt.int_const(warm_value);
-    smt.assert_ge(&objective_expr, &warm_bound);
-    warm_span.set_note(format!("value={warm_value} source={warm_source}"));
-    drop(warm_span);
-
-    // Size-adaptive search effort: bigger bit-blasted models get smaller
-    // probe budgets and a coarser gap — the warm start already pins the
-    // incumbent, so late probes only chase small refinements.
-    let nblocks = pre.partition.blocks.len();
-    let relative_gap = if probe_budget.is_none() {
-        0.0
-    } else if nblocks > 16 {
-        0.05
-    } else {
-        0.02
+    let anchor = smt.int_const(value);
+    smt.assert_ge(&objective_expr, &anchor);
+    let Some(best) = omt::maximize_with(&mut smt, &objective_expr, strategy, options, &hint) else {
+        // `None` from the OMT search means the very first check failed.
+        // Under an interrupt that is a cancellation, not a proof of
+        // infeasibility (the anchored model with its hint is feasible by
+        // construction).
+        let interrupted = ctx.cancelled()
+            || ctx
+                .limits
+                .total_conflicts
+                .is_some_and(|cap| smt.stats().conflicts >= cap);
+        return Err(if interrupted {
+            AdaptError::Cancelled
+        } else {
+            AdaptError::Infeasible
+        });
     };
-    let adaptive_budget = probe_budget.map(|b| if nblocks > 16 { b / 4 } else { b });
-    let omt_options = omt::OmtOptions {
-        probe_conflict_budget: adaptive_budget,
-        relative_gap,
-        certify: ctx.options.certify,
-        portfolio: ctx.portfolio,
-    };
-    let best = omt::maximize_with(&mut smt, &objective_expr, strategy, omt_options, &hint)
-        .ok_or_else(|| {
-            // `None` from the OMT search means the very first check failed.
-            // Under an interrupt that is a cancellation, not a proof of
-            // infeasibility (the model with its warm start is feasible by
-            // construction).
-            let interrupted = ctx.cancelled()
-                || ctx
-                    .limits
-                    .total_conflicts
-                    .is_some_and(|cap| smt.stats().conflicts >= cap);
-            if interrupted {
-                AdaptError::Cancelled
-            } else {
-                AdaptError::Infeasible
-            }
-        })?;
     let chosen = choice
         .iter()
         .enumerate()
@@ -696,6 +685,8 @@ pub fn solve_model_with_budget(
         smt.audit_bundle(best.model.clone())
             .map(|bundle| VerificationData {
                 bundle,
+                // Cloned, not moved: the clone's vectors are sized exactly,
+                // and cached adaptations keep the certificate for good.
                 certificate: best.certificate.clone(),
             })
     } else {
@@ -784,8 +775,8 @@ pub enum RecheckOutcome {
     /// verification data when certifying).
     StillOptimal(Box<SmtAdaptation>),
     /// The cached selection is stale (invalid for the re-evaluated
-    /// catalog), a strictly better selection exists, or the re-check budget
-    /// ran out before a verdict: a full warm-started re-solve is needed.
+    /// catalog), a strictly better selection exists, or a limit tripped
+    /// before a verdict: a full warm-started re-solve is needed.
     Changed,
 }
 
@@ -806,70 +797,32 @@ pub fn recheck_optimum(
     catalog: &[Substitution],
     ctx: &AdaptContext,
     chosen: &[usize],
-    recheck_budget: Option<u64>,
 ) -> Result<RecheckOutcome, AdaptError> {
-    let objective = ctx.options.objective;
     let Some(selection) = selection_from_ids(catalog, chosen) else {
         return Ok(RecheckOutcome::Changed);
     };
-    let EncodedModel {
-        mut smt,
-        choice,
-        objective_expr,
-        cost,
-    } = encode_model(pre, hw, catalog, ctx);
-    let expected = cost.evaluate(pre, catalog, &selection, objective);
-    // Anchor at the incumbent: sound because `selection` realizes it.
-    let anchor = smt.int_const(expected);
-    smt.assert_ge(&objective_expr, &anchor);
-    let mut hint: Vec<qca_sat::Lit> = Vec::with_capacity(choice.len());
-    for (i, &sel) in selection.iter().enumerate() {
-        smt.sat_mut().set_phase(choice[i].var(), sel);
-        hint.push(if sel { choice[i] } else { !choice[i] });
-    }
-    let omt_options = omt::OmtOptions {
-        probe_conflict_budget: recheck_budget,
-        relative_gap: 0.0,
+    let model = encode_model(pre, hw, catalog, ctx);
+    let expected = model
+        .cost
+        .evaluate(pre, catalog, &selection, ctx.options.objective);
+    let options = omt::OmtOptions {
         certify: ctx.options.certify,
         portfolio: ctx.portfolio,
+        ..omt::OmtOptions::default()
     };
-    let best = omt::maximize_with(
-        &mut smt,
-        &objective_expr,
+    let r = anchored_search(
+        model,
+        &selection,
+        expected,
         omt::Strategy::LinearSearch,
-        omt_options,
-        &hint,
-    )
-    // The anchored model with its hint is feasible by construction, so
-    // `None` can only mean the search was interrupted before a model.
-    .ok_or(AdaptError::Cancelled)?;
-    if !best.optimal || best.value != expected {
-        return Ok(RecheckOutcome::Changed);
-    }
-    let chosen_now: Vec<usize> = choice
-        .iter()
-        .enumerate()
-        .filter(|&(_, &lit)| best.model.lit_is_true(lit))
-        .map(|(i, _)| i)
-        .collect();
-    let verification = if ctx.options.certify {
-        smt.audit_bundle(best.model.clone())
-            .map(|bundle| VerificationData {
-                bundle,
-                certificate: best.certificate.clone(),
-            })
+        options,
+        ctx,
+    )?;
+    Ok(if r.optimal && r.objective_value == expected {
+        RecheckOutcome::StillOptimal(Box::new(r))
     } else {
-        None
-    };
-    Ok(RecheckOutcome::StillOptimal(Box::new(SmtAdaptation {
-        chosen: chosen_now,
-        objective_value: best.value,
-        queries: best.queries,
-        sat_vars: smt.num_sat_vars(),
-        optimal: true,
-        solver_stats: smt.stats().clone(),
-        verification,
-    })))
+        RecheckOutcome::Changed
+    })
 }
 
 #[cfg(test)]
@@ -985,7 +938,7 @@ mod tests {
         let (pre, subs, hw) = setup(&c);
         let ctx = AdaptContext::with_objective(Objective::Fidelity);
         let best = solve_model(&pre, &hw, &subs, &ctx).unwrap();
-        match recheck_optimum(&pre, &hw, &subs, &ctx, &best.chosen, None).unwrap() {
+        match recheck_optimum(&pre, &hw, &subs, &ctx, &best.chosen).unwrap() {
             RecheckOutcome::StillOptimal(r) => {
                 assert_eq!(r.objective_value, best.objective_value);
                 assert!(r.optimal);
@@ -999,11 +952,11 @@ mod tests {
         // The (suboptimal) empty selection is detected as changed, as is a
         // selection with out-of-range ids.
         assert!(matches!(
-            recheck_optimum(&pre, &hw, &subs, &ctx, &[], None).unwrap(),
+            recheck_optimum(&pre, &hw, &subs, &ctx, &[]).unwrap(),
             RecheckOutcome::Changed
         ));
         assert!(matches!(
-            recheck_optimum(&pre, &hw, &subs, &ctx, &[usize::MAX], None).unwrap(),
+            recheck_optimum(&pre, &hw, &subs, &ctx, &[usize::MAX]).unwrap(),
             RecheckOutcome::Changed
         ));
     }

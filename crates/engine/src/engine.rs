@@ -69,6 +69,17 @@ pub enum AdaptStatus {
     Fallback,
 }
 
+impl AdaptStatus {
+    /// Status of a solved adaptation: optimal when its search proved so.
+    fn of(adaptation: &Adaptation) -> AdaptStatus {
+        if adaptation.solver.optimal {
+            AdaptStatus::Optimal
+        } else {
+            AdaptStatus::Feasible
+        }
+    }
+}
+
 impl std::fmt::Display for AdaptStatus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
@@ -634,19 +645,8 @@ impl Engine {
 
         if let Some(hit) = self.cache.get(key) {
             self.tracer.counter("engine.cache_hit", 1);
-            self.tracer.counter("engine.job_completed", 1);
-            let status = if hit.solver.optimal {
-                AdaptStatus::Optimal
-            } else {
-                AdaptStatus::Feasible
-            };
-            self.count_status(status);
             job_span.set_note("cache_hit");
-            let mut report = self.served_report(index, status, hit, t0, diagnostics);
-            // Cache hits are audited like fresh solves: a corrupted cache
-            // entry must not dodge verification.
-            self.audit_report(hw, &job.circuit, &job.options, &mut report, policy);
-            return report;
+            return self.served_report(hw, index, job, hit, t0, diagnostics, policy);
         }
         self.tracer.counter("engine.cache_miss", 1);
 
@@ -655,18 +655,9 @@ impl Engine {
         if let Some(store) = &self.config.store {
             if let Some(hit) = store.get(key) {
                 self.tracer.counter("store.hits", 1);
-                self.tracer.counter("engine.job_completed", 1);
-                let status = if hit.solver.optimal {
-                    AdaptStatus::Optimal
-                } else {
-                    AdaptStatus::Feasible
-                };
-                self.count_status(status);
                 self.cache.insert(key, hit.clone());
                 job_span.set_note("store_hit");
-                let mut report = self.served_report(index, status, hit, t0, diagnostics);
-                self.audit_report(hw, &job.circuit, &job.options, &mut report, policy);
-                return report;
+                return self.served_report(hw, index, job, hit, t0, diagnostics, policy);
             }
             self.tracer.counter("store.misses", 1);
         }
@@ -696,17 +687,8 @@ impl Engine {
             qca_store::Flight::Leader(guard) => Some(guard),
             qca_store::Flight::Follower(Some(hit)) => {
                 self.tracer.counter("singleflight.coalesced", 1);
-                self.tracer.counter("engine.job_completed", 1);
-                let status = if hit.solver.optimal {
-                    AdaptStatus::Optimal
-                } else {
-                    AdaptStatus::Feasible
-                };
-                self.count_status(status);
                 job_span.set_note("coalesced");
-                let mut report = self.served_report(index, status, hit, t0, diagnostics);
-                self.audit_report(hw, &job.circuit, &job.options, &mut report, policy);
-                return report;
+                return self.served_report(hw, index, job, hit, t0, diagnostics, policy);
             }
             // The leader failed (or panicked): solve independently rather
             // than propagating its failure to an unrelated request.
@@ -737,7 +719,6 @@ impl Engine {
                 members: self.config.portfolio_members,
                 threads: spare,
                 seed: key,
-                member_budget: None,
                 preprocess: self.config.preprocess,
             }
         });
@@ -755,11 +736,7 @@ impl Engine {
                 let wall = t0.elapsed();
                 self.record_solve(&wall, &adaptation.solver.solver_stats);
                 self.tracer.counter("engine.job_completed", 1);
-                let status = if adaptation.solver.optimal {
-                    AdaptStatus::Optimal
-                } else {
-                    AdaptStatus::Feasible
-                };
+                let status = AdaptStatus::of(&adaptation);
                 self.count_status(status);
                 job_span.set_note(status.to_string());
                 let adaptation = Arc::new(adaptation);
@@ -804,19 +781,27 @@ impl Engine {
         report
     }
 
-    /// Builds the report for a job answered without its own solve — an LRU
-    /// hit, a persistent-store hit, or a coalesced single-flight follower.
-    /// All three present as `cache_hit: true`: the caller got a previously
-    /// solved (or concurrently solved) result at cache-lookup cost.
+    /// Completes a job answered without its own solve — an LRU hit, a
+    /// persistent-store hit, or a coalesced single-flight follower. All
+    /// three present as `cache_hit: true`: the caller got a previously
+    /// solved (or concurrently solved) result at cache-lookup cost. They are
+    /// audited like fresh solves, so a corrupted cache entry cannot dodge
+    /// verification.
+    #[allow(clippy::too_many_arguments)]
     fn served_report(
         &self,
+        hw: &HardwareModel,
         index: usize,
-        status: AdaptStatus,
+        job: &AdaptJob,
         hit: Arc<Adaptation>,
         t0: Instant,
         diagnostics: Vec<qca_lint::Diagnostic>,
+        policy: JobPolicy,
     ) -> AdaptReport {
-        AdaptReport {
+        self.tracer.counter("engine.job_completed", 1);
+        let status = AdaptStatus::of(&hit);
+        self.count_status(status);
+        let mut report = AdaptReport {
             job: index,
             status,
             circuit: hit.circuit.clone(),
@@ -828,7 +813,9 @@ impl Engine {
             adaptation: Some(hit),
             audit: None,
             diagnostics,
-        }
+        };
+        self.audit_report(hw, &job.circuit, &job.options, &mut report, policy);
+        report
     }
 
     /// Appends one solved adaptation to the persistent store (when one is
@@ -919,7 +906,7 @@ impl Engine {
                 warm_hint: None,
                 portfolio: None,
             };
-            match recalibrate_adaptation(&entry.circuit, hw, &entry.adaptation, &ctx, None) {
+            match recalibrate_adaptation(&entry.circuit, hw, &entry.adaptation, &ctx) {
                 Ok(recal) => {
                     if recal.reused() {
                         report.reused += 1;
@@ -932,17 +919,7 @@ impl Engine {
                         Recalibration::Reused(a) | Recalibration::Resolved(a) => a,
                     });
                     if self.config.verify {
-                        self.tracer.counter("verify.audits", 1);
-                        match audit_adaptation_with_coupling(
-                            &entry.circuit,
-                            &adaptation,
-                            hw,
-                            ctx.options.objective,
-                            ctx.options.coupling.as_ref(),
-                        ) {
-                            Ok(_) => self.tracer.counter("verify.passed", 1),
-                            Err(_) => self.tracer.counter("verify.failures", 1),
-                        }
+                        self.audit(hw, &entry.circuit, &ctx.options, Ok(&adaptation));
                     }
                     let new_key = AdaptCache::key(&entry.circuit, hw, &ctx.options, &ctx.limits);
                     self.cache.insert(new_key, adaptation.clone());
@@ -1056,9 +1033,9 @@ impl Engine {
         report
     }
 
-    /// Runs the independent `qca-verify` audit on one finished report (when
-    /// the job's [`JobPolicy::verify`] is on) and records the verdict on the
-    /// report and the `verify.*` counters.
+    /// Runs the independent `qca-verify` audit on one finished report when
+    /// the job's [`JobPolicy::verify`] is on, and records the verdict on the
+    /// report.
     fn audit_report(
         &self,
         hw: &HardwareModel,
@@ -1070,17 +1047,33 @@ impl Engine {
         if !policy.verify {
             return;
         }
+        let target = report.adaptation.as_deref().ok_or(&report.circuit);
+        report.audit = Some(self.audit(hw, source, options, target));
+    }
+
+    /// Audits an adaptation of `source` — or, for a baseline answer, the
+    /// bare circuit — with `qca-verify` under a `verify.audit` span, and
+    /// counts the verdict in the `verify.*` counters.
+    fn audit(
+        &self,
+        hw: &HardwareModel,
+        source: &Circuit,
+        options: &AdaptOptions,
+        target: Result<&Adaptation, &Circuit>,
+    ) -> AuditOutcome {
         let mut span = self.tracer.span("verify.audit");
         self.tracer.counter("verify.audits", 1);
         let coupling = options.coupling.as_ref();
-        let outcome = match report.adaptation.as_deref() {
-            Some(adaptation) => {
+        let outcome = match target {
+            Ok(adaptation) => {
                 audit_adaptation_with_coupling(source, adaptation, hw, options.objective, coupling)
                     .map(|_| ())
             }
-            None => audit_baseline_with_coupling(source, &report.circuit, hw, coupling).map(|_| ()),
+            Err(baseline) => {
+                audit_baseline_with_coupling(source, baseline, hw, coupling).map(|_| ())
+            }
         };
-        report.audit = Some(match outcome {
+        match outcome {
             Ok(()) => {
                 self.tracer.counter("verify.passed", 1);
                 span.set_note("passed");
@@ -1091,7 +1084,7 @@ impl Engine {
                 span.set_note("failed");
                 AuditOutcome::Failed(e.to_string())
             }
-        });
+        }
     }
 
     /// Emits one solved (non-cached) job's cost as `engine.*` counters; the

@@ -1,12 +1,12 @@
 //! Optimization modulo theories: maximizing a linear objective.
 //!
-//! Two solution-improving strategies are provided (they are also the subject
-//! of the `omt_strategy` ablation bench):
+//! One solution-improving loop probes `objective >= bound` under an
+//! assumption literal until the next better level is refuted; the
+//! [`Strategy`] only picks the next bound (the `ablation` binary's first
+//! table compares the two):
 //!
-//! * [`Strategy::BinarySearch`] — bisect the objective's value range, probing
-//!   `objective >= mid` with a guarded comparator under assumptions,
-//! * [`Strategy::LinearSearch`] — repeatedly assert
-//!   `objective >= best + 1` until unsatisfiable.
+//! * [`Strategy::BinarySearch`] — bisect the open bracket `(best, hi]`,
+//! * [`Strategy::LinearSearch`] — probe `best + 1`.
 //!
 //! Both are complete on the bounded integer objectives produced by
 //! [`crate::SmtSolver`].
@@ -71,9 +71,6 @@ pub struct PortfolioProbe {
     pub threads: usize,
     /// Base seed for per-member jitter.
     pub seed: u64,
-    /// Per-member conflict budget; `None` (the default) races until some
-    /// member reaches a definitive answer, keeping escalated searches exact.
-    pub member_budget: Option<u64>,
     /// Preprocess the exported formula once before racing
     /// ([`qca_portfolio::RaceOptions::preprocess`]). The probe literal is
     /// frozen, so the assumption stays meaningful; the winning model is
@@ -89,7 +86,6 @@ impl Default for PortfolioProbe {
             members: 3,
             threads: 0,
             seed: 0,
-            member_budget: None,
             preprocess: false,
         }
     }
@@ -106,7 +102,8 @@ pub struct OmtOptions {
     /// ([`qca_portfolio::race`]) over the exported formula before giving up
     /// on that part of the bracket. `None` (the default) keeps the
     /// single-config behavior. Escalation is skipped when the caller's stop
-    /// flag has tripped or the lifetime conflict cap is exhausted.
+    /// flag has tripped or the lifetime conflict cap is exhausted; otherwise
+    /// each member may spend what is left of that cap.
     pub portfolio: Option<PortfolioProbe>,
     /// Early-termination gap: the binary search stops once the remaining
     /// bracket is below `relative_gap * max(1, |best|)`. Zero (the default)
@@ -159,10 +156,7 @@ pub fn maximize_with(
 ) -> Option<Optimum> {
     let tracer = smt.tracer().clone();
     let mut span = tracer.span_with("omt.search", || format!("{strategy:?}"));
-    let mut result = match strategy {
-        Strategy::BinarySearch => maximize_binary(smt, objective, options, hint),
-        Strategy::LinearSearch => maximize_linear(smt, objective, options, hint),
-    };
+    let mut result = improve(smt, objective, strategy, options, hint);
     if let Some(opt) = result.as_mut() {
         if opt.optimal && options.certify && smt.recording_enabled() {
             if let Some(bound) = opt.value.checked_add(1) {
@@ -230,39 +224,77 @@ fn certify_bound(
     })
 }
 
+/// Verdict of one bound probe `objective >= bound`.
+enum Probe {
+    /// A model attaining the bound.
+    Sat(SmtModel),
+    /// The bound is unreachable.
+    Unsat,
+    /// The probe budget (or the search's cap or stop flag) ran out first.
+    Unknown,
+}
+
+/// Probes `objective >= bound` under an assumption literal with the
+/// per-probe conflict budget, escalating an unknown verdict to a racing
+/// portfolio. A refuted bound is kept as the derived clause `!ge`, so later
+/// probes prune with it; derived, not an axiom, it stays out of the shadow
+/// formula certificates are stated over.
+fn probe(smt: &mut SmtSolver, objective: &IntExpr, bound: i64, options: OmtOptions) -> Probe {
+    let bound_expr = smt.int_const(bound);
+    let ge = smt.ge_reified(objective, &bound_expr);
+    smt.sat_mut()
+        .set_conflict_budget(options.probe_conflict_budget);
+    let mut span = smt
+        .tracer()
+        .clone()
+        .span_with("omt.probe", || format!("bound={bound}"));
+    let (verdict, note) = match smt.sat.solve_limited(&[ge]) {
+        SolveOutcome::Sat => (Probe::Sat(smt.snapshot()), "sat"),
+        SolveOutcome::Unsat => (Probe::Unsat, "unsat"),
+        _ => (Probe::Unknown, "unknown"),
+    };
+    smt.sat_mut().set_conflict_budget(None);
+    span.set_note(note);
+    drop(span);
+    let verdict = match verdict {
+        Probe::Unknown => escalate_probe(smt, ge, options),
+        settled => settled,
+    };
+    if let Probe::Unsat = verdict {
+        smt.add_clause_derived(&[!ge]);
+    }
+    verdict
+}
+
 /// Escalates a budget-exhausted bound probe to a racing solver portfolio:
 /// the current formula (with every clause learnt so far) is exported and
 /// 2–4 diverse members race it under the probe assumption `ge`, sharing
 /// short learnt clauses. A definitive SAT/UNSAT verdict from the race
-/// settles the probe exactly as a direct solver answer would; `None` means
-/// the race was skipped or also came back unknown.
-fn escalate_probe(
-    smt: &mut SmtSolver,
-    ge: qca_sat::Lit,
-    options: OmtOptions,
-) -> Option<(SolveOutcome, Option<SmtModel>)> {
-    let probe = options.portfolio?;
-    if probe.members < 2 {
-        return None;
-    }
+/// settles the probe exactly as a direct solver answer would. Each member
+/// may spend what is left of the search's lifetime conflict cap, and is
+/// unlimited only when the search has no cap.
+fn escalate_probe(smt: &mut SmtSolver, ge: qca_sat::Lit, options: OmtOptions) -> Probe {
+    let Some(probe) = options.portfolio.filter(|p| p.members >= 2) else {
+        return Probe::Unknown;
+    };
     let stopped = smt
         .control()
         .stop
         .as_ref()
         .is_some_and(|s| s.load(std::sync::atomic::Ordering::Relaxed));
-    let capped = smt
+    let remaining = smt
         .control()
         .conflict_cap
-        .is_some_and(|cap| smt.stats().conflicts >= cap);
-    if stopped || capped {
-        return None;
+        .map(|cap| cap.saturating_sub(smt.stats().conflicts));
+    if stopped || remaining == Some(0) {
+        return Probe::Unknown;
     }
     let tracer = smt.tracer().clone();
     tracer.counter("portfolio.escalations", 1);
     let cnf = smt.sat.export_formula();
     let mut configs = qca_portfolio::presets(probe.members, probe.seed);
     for c in &mut configs {
-        c.conflict_budget = probe.member_budget;
+        c.conflict_budget = remaining;
     }
     let race_opts = qca_portfolio::RaceOptions {
         max_threads: probe.threads,
@@ -272,13 +304,10 @@ fn escalate_probe(
         ..qca_portfolio::RaceOptions::default()
     };
     let result = qca_portfolio::race(&cnf, &[ge], &configs, &race_opts);
-    match result.outcome {
-        SolveOutcome::Sat => Some((
-            SolveOutcome::Sat,
-            Some(SmtModel::from_values(result.model?)),
-        )),
-        SolveOutcome::Unsat => Some((SolveOutcome::Unsat, None)),
-        _ => None,
+    match (result.outcome, result.model) {
+        (SolveOutcome::Sat, Some(values)) => Probe::Sat(SmtModel::from_values(values)),
+        (SolveOutcome::Unsat, _) => Probe::Unsat,
+        _ => Probe::Unknown,
     }
 }
 
@@ -298,9 +327,14 @@ fn first_model(smt: &mut SmtSolver, hint: &[qca_sat::Lit]) -> Option<SmtModel> {
     m
 }
 
-fn maximize_binary(
+/// The improving search: from the first model, probe ever better bounds
+/// until the bracket `(best, hi]` closes (or, for binary search, falls
+/// under the relative gap). A refuted probe lowers `hi` to `bound - 1`; so
+/// does an unknown one, which also gives up the optimality claim.
+fn improve(
     smt: &mut SmtSolver,
     objective: &IntExpr,
+    strategy: Strategy,
     options: OmtOptions,
     hint: &[qca_sat::Lit],
 ) -> Option<Optimum> {
@@ -311,140 +345,36 @@ fn maximize_binary(
     let mut hi = objective.hi;
     let mut optimal = true;
     loop {
-        let gap_limit = (options.relative_gap * (best_val.abs().max(1)) as f64) as i64;
+        let gap_limit = match strategy {
+            Strategy::BinarySearch => {
+                (options.relative_gap * (best_val.abs().max(1)) as f64) as i64
+            }
+            Strategy::LinearSearch => 0,
+        };
         if best_val + gap_limit >= hi {
             if best_val < hi {
                 optimal = false;
             }
             break;
         }
-        // Probe the upper half: objective >= mid with mid > best_val.
-        let mid = best_val + (hi - best_val + 1) / 2;
-        let bound = smt.int_const(mid);
-        let ge = smt.ge_reified(objective, &bound);
+        let bound = match strategy {
+            Strategy::BinarySearch => best_val + (hi - best_val + 1) / 2,
+            Strategy::LinearSearch => best_val + 1,
+        };
         queries += 1;
-        smt.sat_mut()
-            .set_conflict_budget(options.probe_conflict_budget);
-        let mut probe_span = smt
-            .tracer()
-            .clone()
-            .span_with("omt.probe", || format!("bound={mid}"));
-        let outcome = smt.probe_with_assumptions(&[ge]);
-        smt.sat_mut().set_conflict_budget(None);
-        match outcome {
-            (SolveOutcome::Sat, Some(m)) => {
-                probe_span.set_note("sat");
-                drop(probe_span);
+        match probe(smt, objective, bound, options) {
+            Probe::Sat(m) => {
                 best_val = m.int_value(objective);
                 best_model = m;
                 smt.tracer().gauge("omt.best", best_val);
             }
-            (SolveOutcome::Unsat, _) => {
-                // The probe proved the bound mid - 1 on the objective.
-                probe_span.set_note("unsat");
-                drop(probe_span);
-                // objective >= mid is impossible; make it permanent so the
-                // solver prunes future probes. Derived, not an axiom: it
-                // must not enter the shadow formula used for certificates.
-                smt.add_clause_derived(&[!ge]);
-                hi = mid - 1;
+            Probe::Unsat => {
+                hi = bound - 1;
                 smt.tracer().gauge("omt.bound_hi", hi);
             }
-            _ => {
-                probe_span.set_note("unknown");
-                drop(probe_span);
-                // Budget exhausted: escalate to a racing portfolio on
-                // spare workers before giving up on this half.
-                match escalate_probe(smt, ge, options) {
-                    Some((SolveOutcome::Sat, Some(m))) => {
-                        best_val = m.int_value(objective);
-                        best_model = m;
-                        smt.tracer().gauge("omt.best", best_val);
-                    }
-                    Some((SolveOutcome::Unsat, _)) => {
-                        smt.add_clause_derived(&[!ge]);
-                        hi = mid - 1;
-                        smt.tracer().gauge("omt.bound_hi", hi);
-                    }
-                    _ => {
-                        optimal = false;
-                        hi = mid - 1;
-                    }
-                }
-            }
-        }
-    }
-    Some(Optimum {
-        value: best_val,
-        model: best_model,
-        queries,
-        optimal,
-        certificate: None,
-    })
-}
-
-fn maximize_linear(
-    smt: &mut SmtSolver,
-    objective: &IntExpr,
-    options: OmtOptions,
-    hint: &[qca_sat::Lit],
-) -> Option<Optimum> {
-    let mut queries = 1u64;
-    let first = first_model(smt, hint)?;
-    let mut best_val = first.int_value(objective);
-    let mut best_model = first;
-    let mut optimal = true;
-    loop {
-        if best_val >= objective.hi {
-            break;
-        }
-        let target = best_val + 1;
-        let bound = smt.int_const(target);
-        let ge = smt.ge_reified(objective, &bound);
-        queries += 1;
-        smt.sat_mut()
-            .set_conflict_budget(options.probe_conflict_budget);
-        let mut probe_span = smt
-            .tracer()
-            .clone()
-            .span_with("omt.probe", || format!("bound={target}"));
-        let outcome = smt.probe_with_assumptions(&[ge]);
-        smt.sat_mut().set_conflict_budget(None);
-        match outcome {
-            (SolveOutcome::Sat, Some(m)) => {
-                probe_span.set_note("sat");
-                drop(probe_span);
-                best_val = m.int_value(objective);
-                best_model = m;
-                smt.tracer().gauge("omt.best", best_val);
-            }
-            (SolveOutcome::Unsat, _) => {
-                // The probe proved best_val is the maximum.
-                probe_span.set_note("unsat");
-                drop(probe_span);
-                smt.add_clause_derived(&[!ge]);
-                smt.tracer().gauge("omt.bound_hi", best_val);
-                break;
-            }
-            _ => {
-                probe_span.set_note("unknown");
-                drop(probe_span);
-                match escalate_probe(smt, ge, options) {
-                    Some((SolveOutcome::Sat, Some(m))) => {
-                        best_val = m.int_value(objective);
-                        best_model = m;
-                        smt.tracer().gauge("omt.best", best_val);
-                    }
-                    Some((SolveOutcome::Unsat, _)) => {
-                        smt.add_clause_derived(&[!ge]);
-                        smt.tracer().gauge("omt.bound_hi", best_val);
-                        break;
-                    }
-                    _ => {
-                        optimal = false;
-                        break;
-                    }
-                }
+            Probe::Unknown => {
+                optimal = false;
+                hi = bound - 1;
             }
         }
     }
@@ -694,6 +624,75 @@ mod tests {
         assert!(best.certificate.is_some());
     }
 
+    /// `(detail, note)` of every `omt.probe` span, in order.
+    fn probe_trail(events: &[qca_trace::TraceEvent]) -> Vec<(String, String)> {
+        use qca_trace::TraceEvent;
+        let mut open = Vec::new();
+        let mut trail = Vec::new();
+        for e in events {
+            match e {
+                TraceEvent::SpanEnter {
+                    id, name, detail, ..
+                } if name == "omt.probe" => {
+                    open.push((*id, detail.clone().unwrap_or_default()));
+                }
+                TraceEvent::SpanExit { id, note, .. } => {
+                    if let Some(i) = open.iter().position(|(o, _)| o == id) {
+                        let (_, detail) = open.remove(i);
+                        trail.push((detail, note.clone().unwrap_or_default()));
+                    }
+                }
+                _ => {}
+            }
+        }
+        trail
+    }
+
+    #[test]
+    fn unknown_probes_settle_for_the_incumbent() {
+        // A zero probe budget makes every bound probe come back unknown, so
+        // the search keeps the warm-start incumbent (value 4) and cannot
+        // claim optimality. Binary search gives up on each upper half in
+        // turn; linear search stops at its first unknown step.
+        use qca_trace::Tracer;
+        let expected: [(Strategy, &[&str], u64); 2] = [
+            (
+                Strategy::BinarySearch,
+                &["bound=10", "bound=7", "bound=5"],
+                4,
+            ),
+            (Strategy::LinearSearch, &["bound=5"], 2),
+        ];
+        for (strategy, bounds, queries) in expected {
+            let (tracer, sink) = Tracer::to_memory();
+            let mut smt = SmtSolver::new();
+            smt.set_control(qca_sat::SolveControl {
+                tracer,
+                ..qca_sat::SolveControl::default()
+            });
+            let x: Vec<_> = (0..3).map(|_| smt.new_bool()).collect();
+            let weight = smt.pb_sum(0, &[(3, x[0]), (4, x[1]), (5, x[2])]);
+            let cap = smt.int_const(7);
+            smt.assert_ge(&cap, &weight);
+            let value = smt.pb_sum(0, &[(4, x[0]), (5, x[1]), (6, x[2])]);
+            let opts = OmtOptions {
+                probe_conflict_budget: Some(0),
+                ..OmtOptions::default()
+            };
+            let hint = [x[0], !x[1], !x[2]];
+            let best = maximize_with(&mut smt, &value, strategy, opts, &hint).expect("sat");
+            let trail: Vec<(String, String)> = bounds
+                .iter()
+                .map(|b| (b.to_string(), "unknown".to_string()))
+                .collect();
+            assert_eq!(probe_trail(&sink.take()), trail, "{strategy:?}");
+            assert_eq!(best.queries, queries, "{strategy:?}");
+            assert_eq!(best.value, 4, "{strategy:?}");
+            assert!(best.model.lit_is_true(x[0]), "{strategy:?}");
+            assert!(!best.optimal, "{strategy:?}");
+        }
+    }
+
     #[test]
     fn exhausted_probes_escalate_to_portfolio_and_stay_exact() {
         use qca_trace::{TraceEvent, Tracer};
@@ -745,6 +744,78 @@ mod tests {
                 })
                 .sum();
             assert_eq!(races, escalations);
+        }
+    }
+
+    #[test]
+    fn escalated_races_respect_the_search_conflict_cap() {
+        // Eight pigeons, seven holes: `objective >= 8` is the pigeonhole
+        // refutation, thousands of conflicts away. Under a 50-conflict cap
+        // on the whole search, no escalated race may spend more than what
+        // is left of it, so that bound stays unknown and the search must
+        // not claim optimality.
+        use qca_trace::{TraceEvent, Tracer};
+        for strategy in [Strategy::BinarySearch, Strategy::LinearSearch] {
+            let (tracer, sink) = Tracer::to_memory();
+            let mut smt = SmtSolver::new();
+            smt.set_control(qca_sat::SolveControl {
+                tracer,
+                conflict_cap: Some(50),
+                ..qca_sat::SolveControl::default()
+            });
+            let p: Vec<Vec<_>> = (0..8)
+                .map(|_| (0..7).map(|_| smt.new_bool()).collect())
+                .collect();
+            for i in 0..8 {
+                for j in 0..7 {
+                    for k in i + 1..8 {
+                        smt.add_clause(&[!p[i][j], !p[k][j]]);
+                    }
+                    for l in j + 1..7 {
+                        smt.add_clause(&[!p[i][j], !p[i][l]]);
+                    }
+                }
+            }
+            let terms: Vec<_> = p.iter().flatten().map(|&l| (1, l)).collect();
+            let placed = smt.pb_sum(0, &terms);
+            let opts = OmtOptions {
+                probe_conflict_budget: Some(0),
+                portfolio: Some(PortfolioProbe::default()),
+                ..OmtOptions::default()
+            };
+            let best = maximize_with(&mut smt, &placed, strategy, opts, &[]).expect("sat");
+            let events = sink.take();
+            // Pair each race with the bound it escalated: the race span
+            // closes right after the unknown probe's span.
+            let mut bound = String::new();
+            let mut races = Vec::new();
+            for e in &events {
+                match e {
+                    TraceEvent::SpanEnter { name, detail, .. } if name == "omt.probe" => {
+                        bound = detail.clone().unwrap_or_default();
+                    }
+                    TraceEvent::SpanExit { note: Some(n), .. }
+                        if n.starts_with("winner=") || n == "no definitive member" =>
+                    {
+                        races.push((bound.clone(), n.clone()));
+                    }
+                    _ => {}
+                }
+            }
+            assert!(!races.is_empty(), "{strategy:?}: no escalation happened");
+            // No race can refute `placed >= 8` (or any higher bound) on
+            // what is left of 50 conflicts: a winner there would be a
+            // member running past the cap.
+            for (bound, note) in &races {
+                let b: i64 = bound["bound=".len()..].parse().expect("bound");
+                if b >= 8 {
+                    assert_eq!(note, "no definitive member", "{strategy:?} {bound}");
+                }
+            }
+            assert!(
+                !best.optimal,
+                "{strategy:?}: the cap left the bound unproven"
+            );
         }
     }
 

@@ -661,18 +661,6 @@ impl SmtSolver {
         }
     }
 
-    /// Like [`SmtSolver::check_with_assumptions`] but distinguishes
-    /// budget exhaustion ([`SolveOutcome::Unknown`]) from unsatisfiability.
-    pub fn probe_with_assumptions(
-        &mut self,
-        assumptions: &[Lit],
-    ) -> (SolveOutcome, Option<SmtModel>) {
-        match self.sat.solve_limited(assumptions) {
-            SolveOutcome::Sat => (SolveOutcome::Sat, Some(self.snapshot())),
-            other => (other, None),
-        }
-    }
-
     pub(crate) fn snapshot(&self) -> SmtModel {
         let values = (0..self.sat.num_vars())
             .map(|i| self.sat.value(qca_sat::Var::from_index(i)))
