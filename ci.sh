@@ -271,6 +271,28 @@ grep -q 'ok200=1' "$trace_dir/load-drain.txt" || {
 }
 grep -q '"server":' "$serve_metrics" || {
   echo "serve gate: final metrics snapshot missing or malformed" >&2; exit 1; }
+# The server's own counters must agree with qca-load's tallies of the same
+# traffic: every 400 was the mixed run's, every 429 the saturation run's,
+# and every 200 one that some run counted. (qca-load prints `ok200=N`, or
+# `"ok200":N` with --json.)
+load_tally() {
+  sed -n 's/.*"\{0,1\}'"$1"'"\{0,1\}[=:]\([0-9][0-9]*\).*/\1/p' "$trace_dir/$2"
+}
+expect_server_counter() {
+  local got
+  got="$(sed -n 's/.*"server":{[^}]*"'"$1"'":\([0-9][0-9]*\).*/\1/p' "$serve_metrics")"
+  [ -n "$2" ] && [ "$got" = "$2" ] || {
+    echo "serve gate: server.$1 is '$got' but qca-load counted '$2'" >&2
+    cat "$serve_metrics" >&2; exit 1
+  }
+}
+ok_sum=0
+for run in load-mixed load-json load-saturate load-drain; do
+  ok_sum=$((ok_sum + $(load_tally ok200 "$run.txt")))
+done
+expect_server_counter client_errors "$(load_tally status400 load-mixed.txt)"
+expect_server_counter rejected_429 "$(load_tally rejected429 load-saturate.txt)"
+expect_server_counter ok "$ok_sum"
 
 # Scrapes "listening on <addr>" from a serve log; prints the address.
 wait_for_addr() {

@@ -51,6 +51,21 @@ pub enum Objective {
     Combined,
 }
 
+/// Parses the request spelling of an objective: `fidelity`, `idle` or
+/// `combined`.
+impl std::str::FromStr for Objective {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Objective, String> {
+        match s {
+            "fidelity" => Ok(Objective::Fidelity),
+            "idle" => Ok(Objective::IdleTime),
+            "combined" => Ok(Objective::Combined),
+            other => Err(format!("unknown objective {other:?}")),
+        }
+    }
+}
+
 impl std::fmt::Display for Objective {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -838,6 +853,19 @@ mod tests {
         let pre = preprocess(c, &hw).unwrap();
         let subs = evaluate_substitutions(&pre, &hw, &RuleOptions::default()).unwrap();
         (pre, subs, hw)
+    }
+
+    #[test]
+    fn objectives_parse_from_their_request_names() {
+        for (name, objective) in [
+            ("fidelity", Objective::Fidelity),
+            ("idle", Objective::IdleTime),
+            ("combined", Objective::Combined),
+        ] {
+            assert_eq!(name.parse::<Objective>(), Ok(objective));
+        }
+        let err = "bogus".parse::<Objective>().unwrap_err();
+        assert!(err.contains("\"bogus\""), "{err}");
     }
 
     #[test]

@@ -64,7 +64,7 @@ struct Args {
     workers: usize,
     objective: Objective,
     times: GateTimes,
-    coupling: Option<CouplingKind>,
+    coupling: Option<fn(usize) -> CouplingMap>,
     budget: Option<u64>,
     timeout_ms: Option<u64>,
     cache_capacity: usize,
@@ -121,31 +121,9 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?
             }
-            "--objective" => {
-                args.objective = match value("--objective")?.as_str() {
-                    "fidelity" => Objective::Fidelity,
-                    "idle" => Objective::IdleTime,
-                    "combined" => Objective::Combined,
-                    other => return Err(format!("unknown objective '{other}'")),
-                }
-            }
-            "--times" => {
-                args.times = match value("--times")?.as_str() {
-                    "d0" | "D0" => GateTimes::D0,
-                    "d1" | "D1" => GateTimes::D1,
-                    other => return Err(format!("unknown times column '{other}'")),
-                }
-            }
-            "--coupling" => {
-                args.coupling = Some(match value("--coupling")?.as_str() {
-                    "line" => CouplingKind::Line,
-                    "ring" => CouplingKind::Ring,
-                    "star" => CouplingKind::Star,
-                    "starmon5" => CouplingKind::Starmon5,
-                    "all" => CouplingKind::AllToAll,
-                    other => return Err(format!("unknown coupling topology '{other}'")),
-                })
-            }
+            "--objective" => args.objective = value("--objective")?.parse()?,
+            "--times" => args.times = value("--times")?.parse()?,
+            "--coupling" => args.coupling = Some(CouplingMap::topology(&value("--coupling")?)?),
             "--budget" => {
                 args.budget = Some(
                     value("--budget")?
@@ -208,29 +186,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// A named coupling-topology family, sized per job from the circuit's
-/// qubit count (Starmon-5 is a fixed 5-qubit device).
-#[derive(Clone, Copy)]
-enum CouplingKind {
-    Line,
-    Ring,
-    Star,
-    Starmon5,
-    AllToAll,
-}
-
-impl CouplingKind {
-    fn build(self, num_qubits: usize) -> CouplingMap {
-        match self {
-            CouplingKind::Line => CouplingMap::line(num_qubits),
-            CouplingKind::Ring => CouplingMap::ring(num_qubits),
-            CouplingKind::Star => CouplingMap::star(num_qubits),
-            CouplingKind::Starmon5 => CouplingMap::starmon5(),
-            CouplingKind::AllToAll => CouplingMap::all_to_all(num_qubits),
-        }
-    }
-}
-
 /// One input file: its display name and either a loaded job or the
 /// per-file load/parse error.
 type NamedJob = (String, Result<AdaptJob, String>);
@@ -260,7 +215,7 @@ fn load_jobs(args: &Args) -> Result<Vec<NamedJob>, String> {
             .map_err(|e| format!("cannot read: {e}"))
             .and_then(|src| qasm::parse_qasm(&src).map_err(|e| e.to_string()))
             .map(|circuit| {
-                let coupling = args.coupling.map(|k| k.build(circuit.num_qubits()));
+                let coupling = args.coupling.map(|build| build(circuit.num_qubits()));
                 let mut job = AdaptJob::with_objective(circuit, args.objective);
                 job.options = AdaptOptions {
                     coupling,

@@ -826,13 +826,8 @@ impl Engine {
         let Some(store) = &self.config.store else {
             return;
         };
-        let before = store.stats().compactions;
-        if store.append(key, adaptation).is_err() {
-            return;
-        }
-        let compacted = store.stats().compactions - before;
-        if compacted > 0 {
-            self.tracer.counter("store.compactions", compacted);
+        if let Ok(true) = store.append(key, adaptation) {
+            self.tracer.counter("store.compactions", 1);
         }
     }
 

@@ -1,12 +1,14 @@
-//! Engine metrics: lock-free counters and log-scale histograms.
+//! Engine and service metrics: lock-free counters and log-scale histograms.
 //!
 //! The registry is a [`TraceSink`]: the engine tees its tracer into it, and
 //! every counter event named in [`COUNTERS`] lands in its atomic (other
 //! events — spans, SAT gauges, OMT counters — pass through untouched, so
 //! the same stream can feed a JSONL file and the registry at once).
 //! Workers record into shared atomics while solving; nothing blocks on a
-//! metrics write. [`MetricsRegistry::to_json`] renders a snapshot as one
-//! JSON object for `--metrics-out` and `/metrics`.
+//! metrics write. [`MetricsRegistry::to_json`] renders the engine counters
+//! as one JSON object for `--metrics-out` and `/metrics`; the `serve.*`
+//! rows, which `qca-serve` emits through the same tracer, render apart as
+//! [`MetricsRegistry::server_json`].
 
 use qca_trace::json::Json;
 use qca_trace::{TraceEvent, TraceSink};
@@ -115,8 +117,9 @@ impl Histogram {
 }
 
 /// `(counter event name, JSON key)` for every counter the registry keeps,
-/// in rendering order. Each event's value is added to its counter.
-pub const COUNTERS: [(&str, &str); 33] = [
+/// in rendering order. Each event's value is added to its counter. The
+/// `serve.*` rows are the HTTP layer's and render in their own object.
+pub const COUNTERS: [(&str, &str); 41] = [
     ("engine.jobs_submitted", "jobs_submitted"),
     ("engine.job_completed", "jobs_completed"),
     ("engine.cache_hit", "cache_hits"),
@@ -150,6 +153,14 @@ pub const COUNTERS: [(&str, &str); 33] = [
     ("engine.sat_learnt_clauses", "sat_learnt_clauses"),
     ("engine.sat_decisions", "sat_decisions"),
     ("engine.sat_propagations", "sat_propagations"),
+    ("serve.requests", "requests"),
+    ("serve.ok", "ok"),
+    ("serve.client_errors", "client_errors"),
+    ("serve.rejected_429", "rejected_429"),
+    ("serve.unavailable_503", "unavailable_503"),
+    ("serve.timeouts_504", "timeouts_504"),
+    ("serve.server_errors", "server_errors"),
+    ("serve.forwarded", "forwarded"),
 ];
 
 /// Shared counters and histograms for one [`Engine`](crate::Engine).
@@ -208,14 +219,22 @@ impl MetricsRegistry {
         }
     }
 
-    /// The registry as one JSON object: every counter under its key, the
-    /// derived `cache_hit_rate` after `cache_misses`, then the histograms.
-    pub fn to_json(&self) -> Json {
-        let mut members: Vec<(&str, Json)> = COUNTERS
+    /// The counters whose events are (`serve`) or are not `serve.*`, under
+    /// their keys in table order.
+    fn counters_json(&self, serve: bool) -> Vec<(&'static str, Json)> {
+        COUNTERS
             .iter()
             .zip(&self.counters)
+            .filter(|((event, _), _)| event.starts_with("serve.") == serve)
             .map(|(&(_, key), c)| (key, c.load(Ordering::Relaxed).into()))
-            .collect();
+            .collect()
+    }
+
+    /// The engine counters as one JSON object: every non-`serve.*` counter
+    /// under its key, the derived `cache_hit_rate` after `cache_misses`,
+    /// then the histograms.
+    pub fn to_json(&self) -> Json {
+        let mut members = self.counters_json(false);
         let after_misses = 1 + members
             .iter()
             .position(|(k, _)| *k == "cache_misses")
@@ -227,6 +246,13 @@ impl MetricsRegistry {
         members.push(("solve_wall_us", self.solve_wall_us.to_json()));
         members.push(("conflicts_per_job", self.conflicts_per_job.to_json()));
         Json::obj(members)
+    }
+
+    /// The `serve.*` counters (requests dispatched, responses by status
+    /// class, peer forwards) as one JSON object: the `/metrics` `server`
+    /// object.
+    pub fn server_json(&self) -> Json {
+        Json::obj(self.counters_json(true))
     }
 }
 
@@ -423,13 +449,25 @@ mod tests {
         for (i, &(event, _)) in COUNTERS.iter().enumerate() {
             tracer.counter(event, i as u64 + 1);
         }
-        let json = m.to_json();
-        let text = json.to_string_compact();
-        for (i, &(_, key)) in COUNTERS.iter().enumerate() {
+        let (engine, server) = (m.to_json(), m.server_json());
+        for (i, &(event, key)) in COUNTERS.iter().enumerate() {
             assert_eq!(m.get(key), i as u64 + 1, "{key}");
+            // Each counter renders in exactly one of the two objects.
+            let (json, other) = if event.starts_with("serve.") {
+                (&server, &engine)
+            } else {
+                (&engine, &server)
+            };
             assert_eq!(json.get(key), Some(&Json::Int(i as i128 + 1)), "{key}");
-            assert!(text.contains(&format!("\"{key}\":{},", i + 1)), "{text}");
+            assert_eq!(other.get(key), None, "{key}");
+            let text = json.to_string_compact();
+            assert!(text.contains(&format!("\"{key}\":{}", i + 1)), "{text}");
         }
+        assert_eq!(
+            server.as_obj().unwrap().len() + engine.as_obj().unwrap().len(),
+            COUNTERS.len() + 3,
+            "every counter, plus cache_hit_rate and the two histograms"
+        );
     }
 
     #[test]

@@ -124,6 +124,24 @@ impl CouplingMap {
         CouplingMap::new(5, [(0, 2), (1, 2), (2, 3), (2, 4)]).expect("generated edges are valid")
     }
 
+    /// The topology family named `name` (`line`, `ring`, `star`,
+    /// `starmon5` or `all`), as a constructor sized by qubit count
+    /// (Starmon-5 is a fixed 5-qubit device and ignores the size).
+    ///
+    /// # Errors
+    ///
+    /// Any other name, quoted in the message.
+    pub fn topology(name: &str) -> Result<fn(usize) -> CouplingMap, String> {
+        match name {
+            "line" => Ok(CouplingMap::line),
+            "ring" => Ok(CouplingMap::ring),
+            "star" => Ok(CouplingMap::star),
+            "starmon5" => Ok(|_| CouplingMap::starmon5()),
+            "all" => Ok(CouplingMap::all_to_all),
+            other => Err(format!("unknown coupling topology {other:?}")),
+        }
+    }
+
     /// Loads a map from a QASM-adjacent JSON document of the shape
     /// `{"num_qubits": 5, "edges": [[0, 2], [1, 2], [2, 3], [2, 4]]}`.
     /// `"coupling_map"` is accepted as an alias for `"edges"` (the Qiskit
@@ -314,6 +332,21 @@ mod tests {
         assert_eq!(CouplingMap::grid(2, 3).edges().len(), 7);
         assert_eq!(CouplingMap::star(5).edges().len(), 4);
         assert_eq!(CouplingMap::starmon5().edges().len(), 4);
+    }
+
+    #[test]
+    fn topology_names_build_their_family() {
+        for (name, expected) in [
+            ("line", CouplingMap::line(4)),
+            ("ring", CouplingMap::ring(4)),
+            ("star", CouplingMap::star(4)),
+            ("starmon5", CouplingMap::starmon5()),
+            ("all", CouplingMap::all_to_all(4)),
+        ] {
+            assert_eq!(CouplingMap::topology(name).unwrap()(4), expected, "{name}");
+        }
+        let err = CouplingMap::topology("torus").unwrap_err();
+        assert!(err.contains("\"torus\""), "{err}");
     }
 
     #[test]

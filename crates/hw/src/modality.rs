@@ -120,6 +120,19 @@ impl fmt::Display for GateTimes {
     }
 }
 
+/// Parses a column name: `d0`/`D0` or `d1`/`D1`.
+impl std::str::FromStr for GateTimes {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<GateTimes, String> {
+        match s {
+            "d0" | "D0" => Ok(GateTimes::D0),
+            "d1" | "D1" => Ok(GateTimes::D1),
+            other => Err(format!("unknown times column {other:?}")),
+        }
+    }
+}
+
 /// A hardware modality: its priced gate classes and coherence times.
 #[derive(Debug, Clone)]
 pub struct HardwareModel {
@@ -378,6 +391,20 @@ pub fn ibm_source_model() -> HardwareModel {
 mod tests {
     use super::*;
     use qca_circuit::Circuit;
+
+    #[test]
+    fn times_columns_parse_in_either_case() {
+        for (name, times) in [
+            ("d0", GateTimes::D0),
+            ("D0", GateTimes::D0),
+            ("d1", GateTimes::D1),
+            ("D1", GateTimes::D1),
+        ] {
+            assert_eq!(name.parse::<GateTimes>(), Ok(times));
+        }
+        let err = "d2".parse::<GateTimes>().unwrap_err();
+        assert!(err.contains("\"d2\""), "{err}");
+    }
 
     #[test]
     fn table_one_d0_values() {

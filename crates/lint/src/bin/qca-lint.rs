@@ -61,14 +61,7 @@ fn parse_args() -> Result<Args, String> {
             "--json" => args.json = true,
             "--deny-warnings" => args.deny_warnings = true,
             "--list" => args.list = true,
-            "--times" => {
-                let v = it.next().ok_or("--times needs a value")?;
-                args.times = match v.as_str() {
-                    "d0" | "D0" => GateTimes::D0,
-                    "d1" | "D1" => GateTimes::D1,
-                    other => return Err(format!("unknown times column '{other}'")),
-                }
-            }
+            "--times" => args.times = it.next().ok_or("--times needs a value")?.parse()?,
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with('-') => return Err(format!("unknown option '{other}'")),
             other => args.paths.push(PathBuf::from(other)),

@@ -41,4 +41,4 @@ pub mod server;
 
 pub use client::{ClientError, Connection, HttpResponse};
 pub use http::{ParseError, Request, RequestParser, Response};
-pub use server::{ServeConfig, ServeMetrics, Server};
+pub use server::{ServeConfig, Server};

@@ -14,7 +14,7 @@
 //! # Query parameters for `/v1/adapt` and `/v1/batch`
 //!
 //! * `objective=fidelity|idle|combined` — solver objective
-//! * `times=d0|d1` — hardware gate-time column
+//! * `times=d0|d1` — hardware gate-time column (`D0`/`D1` also accepted)
 //! * `coupling=line|ring|star|starmon5|all` — constrain two-qubit gates to
 //!   a coupling topology sized per circuit (`starmon5` is the fixed
 //!   5-qubit Starmon-5 device); the solver routes uncoupled gates with
@@ -63,14 +63,16 @@
 //! The submission queue is bounded. A request that finds it full is
 //! answered `429` immediately — the loop never blocks on solver capacity.
 //! The `Retry-After` hint is derived from the current queue depth and the
-//! observed mean per-job wall time (floor 1 s, cap 600 s). On shutdown
+//! mean wall time per completed job: the engine's summed solve wall time
+//! over its `jobs_completed` count, so cache hits, which also wait in the
+//! queue, count as near-free jobs (floor 1 s, cap 600 s). On shutdown
 //! the server drops its listener (new connections are refused at the
 //! kernel), answers new adaptation requests on live connections with
 //! `503`, finishes every job already admitted, flushes the store WAL, and
 //! writes the final metrics. See `DESIGN.md` for the full state machine.
 
 use crate::client::Connection;
-use crate::http::{ParseError, Request, RequestParser, Response, DEFAULT_MAX_HEAD};
+use crate::http::{Request, RequestParser, Response, DEFAULT_MAX_HEAD};
 use crate::json;
 use crate::poller::{Event, Interest, Poller, Waker};
 use qca_adapt::deadline::Watchdog;
@@ -183,57 +185,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Request/response counters for the HTTP layer (solver-side counters live
-/// in the engine's own [`MetricsRegistry`](qca_engine::metrics::MetricsRegistry)).
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
-    /// Requests dispatched (any endpoint).
-    pub requests: AtomicU64,
-    /// `2xx` responses.
-    pub ok: AtomicU64,
-    /// `4xx` responses other than 429.
-    pub client_errors: AtomicU64,
-    /// `429` admission-control rejections.
-    pub rejected: AtomicU64,
-    /// `503` responses (draining).
-    pub unavailable: AtomicU64,
-    /// `504` request-timeout responses.
-    pub timeouts: AtomicU64,
-    /// `5xx` responses other than 503/504.
-    pub server_errors: AtomicU64,
-    /// Requests proxied to the shard-owning peer.
-    pub forwarded: AtomicU64,
-}
-
-impl ServeMetrics {
-    fn record(&self, status: u16) {
-        let counter = match status {
-            200..=299 => &self.ok,
-            429 => &self.rejected,
-            400..=499 => &self.client_errors,
-            503 => &self.unavailable,
-            504 => &self.timeouts,
-            _ => &self.server_errors,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The counters as a JSON object.
-    pub fn to_json(&self) -> Json {
-        let load = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed));
-        Json::obj([
-            ("requests", load(&self.requests)),
-            ("ok", load(&self.ok)),
-            ("client_errors", load(&self.client_errors)),
-            ("rejected_429", load(&self.rejected)),
-            ("unavailable_503", load(&self.unavailable)),
-            ("timeouts_504", load(&self.timeouts)),
-            ("server_errors", load(&self.server_errors)),
-            ("forwarded", load(&self.forwarded)),
-        ])
-    }
-}
-
 /// Bounded ring of per-request JSONL traces, served by `/v1/trace/:id`.
 #[derive(Debug)]
 struct TraceStore {
@@ -266,37 +217,12 @@ impl TraceStore {
     }
 }
 
-/// A named coupling-topology family from the `coupling=` query parameter,
-/// sized per circuit at submission time (Starmon-5 is a fixed 5-qubit
-/// device).
-#[derive(Clone, Copy)]
-enum CouplingKind {
-    Line,
-    Ring,
-    Star,
-    Starmon5,
-    AllToAll,
-}
-
-impl CouplingKind {
-    fn build(self, num_qubits: usize) -> CouplingMap {
-        match self {
-            CouplingKind::Line => CouplingMap::line(num_qubits),
-            CouplingKind::Ring => CouplingMap::ring(num_qubits),
-            CouplingKind::Star => CouplingMap::star(num_qubits),
-            CouplingKind::Starmon5 => CouplingMap::starmon5(),
-            CouplingKind::AllToAll => CouplingMap::all_to_all(num_qubits),
-        }
-    }
-}
-
-/// Per-request knobs decoded from the query string. Cloned into the
-/// forwarding fallback so a failed proxy attempt can be re-solved locally.
-#[derive(Clone)]
+/// Per-request knobs decoded from the query string.
 struct RequestOptions {
     objective: Objective,
     times: GateTimes,
-    coupling: Option<CouplingKind>,
+    /// [`CouplingMap::topology`] family, sized per circuit at submission.
+    coupling: Option<fn(usize) -> CouplingMap>,
     exact: bool,
     budget: Option<u64>,
     deadline: Option<Duration>,
@@ -343,9 +269,29 @@ struct Pending {
     root: Option<Span>,
     trace_sink: Option<Arc<MemorySink>>,
     keep_alive: bool,
-    /// Circuits + options kept aside while forwarding, so a transport
-    /// failure can fall back to a local solve.
-    fallback: Option<(Vec<Circuit>, RequestOptions)>,
+    /// Circuits + options not yet submitted to the pool: kept aside while
+    /// forwarding, so a transport failure can fall back to a local solve.
+    work: Option<(Vec<Circuit>, RequestOptions)>,
+}
+
+impl Pending {
+    /// A single, untraced request with nothing submitted yet.
+    fn new(id: String, req_seq: u64, keep_alive: bool) -> Pending {
+        Pending {
+            id,
+            req_seq,
+            batch: false,
+            include_circuit: false,
+            awaiting: 0,
+            reports: Vec::new(),
+            cancels: Vec::new(),
+            deadline: None,
+            root: None,
+            trace_sink: None,
+            keep_alive,
+            work: None,
+        }
+    }
 }
 
 /// What worker/recalibration/forwarding threads send back to the loop.
@@ -400,16 +346,11 @@ pub struct Server {
     watchdog: Watchdog,
     hw_d0: Arc<HardwareModel>,
     hw_d1: Arc<HardwareModel>,
-    metrics: Arc<ServeMetrics>,
     traces: TraceStore,
     tracer: Tracer,
     ring: Option<ShardRing>,
     next_id: AtomicU64,
     draining: AtomicBool,
-    /// Total wall time of completed jobs (ms) and their count, feeding the
-    /// derived `Retry-After` hint on 429 responses.
-    job_wall_ms: AtomicU64,
-    jobs_done: AtomicU64,
 }
 
 impl Server {
@@ -467,13 +408,10 @@ impl Server {
             watchdog: Watchdog::new(),
             hw_d0: Arc::new(spin_qubit_model(GateTimes::D0)),
             hw_d1: Arc::new(spin_qubit_model(GateTimes::D1)),
-            metrics: Arc::new(ServeMetrics::default()),
             tracer,
             ring,
             next_id: AtomicU64::new(0),
             draining: AtomicBool::new(false),
-            job_wall_ms: AtomicU64::new(0),
-            jobs_done: AtomicU64::new(0),
         })
     }
 
@@ -486,11 +424,6 @@ impl Server {
                 "listener already taken by run()",
             )),
         }
-    }
-
-    /// The HTTP-layer metrics.
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
     }
 
     /// Serves until `shutdown` becomes `true`, then drains: drop the
@@ -585,8 +518,9 @@ impl Server {
         Ok(())
     }
 
-    /// The `/metrics` payload: HTTP counters, the engine registry, cache
-    /// shard occupancy, and persistent-store statistics.
+    /// The `/metrics` payload: the `serve.*` and engine counters of the
+    /// engine's one registry, cache shard occupancy, and persistent-store
+    /// statistics.
     pub fn metrics_json(&self) -> Json {
         let shards = self.engine.cache().shard_stats();
         let occupancy: Vec<usize> = shards.iter().map(|&(occupancy, _)| occupancy).collect();
@@ -598,9 +532,10 @@ impl Server {
             ),
             ("shards", occupancy.into()),
         ]);
+        let registry = self.engine.metrics();
         Json::obj([
-            ("server", self.metrics.to_json()),
-            ("engine", self.engine.metrics().to_json()),
+            ("server", registry.server_json()),
+            ("engine", registry.to_json()),
             ("cache", cache),
             ("store", self.store_json()),
         ])
@@ -693,7 +628,7 @@ impl Server {
                 }
                 Ok(None) => {}
                 Err(e) => {
-                    self.parse_error(st, token, &e);
+                    self.reject_unparsed(st, token, e.status(), &e.to_string());
                     return;
                 }
             }
@@ -718,7 +653,7 @@ impl Server {
                             }
                         }
                         Err(e) => {
-                            self.parse_error(st, token, &e);
+                            self.reject_unparsed(st, token, e.status(), &e.to_string());
                             return;
                         }
                     }
@@ -795,16 +730,18 @@ impl Server {
         st.conns.remove(&token);
     }
 
-    fn parse_error(&self, st: &mut LoopState, token: u64, e: &ParseError) {
-        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let response = Response::json(e.status(), json::error_body(&e.to_string()));
+    /// Answers a request that never parsed (malformed, or too slow to
+    /// arrive) and closes the connection: its framing is lost.
+    fn reject_unparsed(&self, st: &mut LoopState, token: u64, status: u16, message: &str) {
+        self.tracer.counter("serve.requests", 1);
+        let response = Response::json(status, json::error_body(message));
         self.queue_response(st, token, response, false);
     }
 
     /// Records, serializes, and starts flushing a response. `keep_alive:
     /// false` closes the connection once the bytes are out.
     fn queue_response(&self, st: &mut LoopState, token: u64, response: Response, keep_alive: bool) {
-        self.metrics.record(response.status);
+        self.tracer.counter(status_counter(response.status), 1);
         let Some(conn) = st.conns.get_mut(&token) else {
             return;
         };
@@ -832,8 +769,9 @@ impl Server {
     // ------------------------------------------------------------------
 
     fn on_request(&self, st: &mut LoopState, token: u64, request: Request) {
-        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let keep_alive = request.wants_keep_alive() && !self.draining.load(Ordering::SeqCst);
+        self.tracer.counter("serve.requests", 1);
+        let draining = self.draining.load(Ordering::SeqCst);
+        let keep_alive = request.wants_keep_alive() && !draining;
         let seq = match st.conns.get_mut(&token) {
             Some(conn) => {
                 conn.seq += 1;
@@ -857,6 +795,11 @@ impl Server {
                 };
                 respond(self, st, response);
             }
+            ("POST", "/v1/adapt" | "/v1/batch" | "/v1/recalibrate") if draining => respond(
+                self,
+                st,
+                Response::json(503, json::error_body("server is draining")),
+            ),
             ("POST", "/v1/adapt") => self.adapt(st, token, seq, &request, false, keep_alive),
             ("POST", "/v1/batch") => self.adapt(st, token, seq, &request, true, keep_alive),
             ("POST", "/v1/recalibrate") => self.recalibrate(st, token, seq, &request, keep_alive),
@@ -915,56 +858,12 @@ impl Server {
         request: &Request,
         keep_alive: bool,
     ) {
-        if self.draining.load(Ordering::SeqCst) {
-            let response = Response::json(503, json::error_body("server is draining"));
-            return self.queue_response(st, token, response, keep_alive);
-        }
-        let bad = |msg: String| Response::json(400, json::error_body(&msg));
-        let hw = match request.query_param("times") {
-            None | Some("d0") => self.hw_d0.clone(),
-            Some("d1") => self.hw_d1.clone(),
-            Some(other) => {
-                return self.queue_response(
-                    st,
-                    token,
-                    bad(format!("unknown times column {other:?}")),
-                    keep_alive,
-                )
-            }
+        let hw = match self.recalibration_model(request) {
+            Ok(hw) => hw,
+            Err(response) => return self.queue_response(st, token, response, keep_alive),
         };
-        let hw = match request.query_param("perturb") {
-            None => hw,
-            Some(raw) => match raw.parse::<f64>() {
-                Ok(factor) if factor.is_finite() && factor >= 0.0 => {
-                    Arc::new(hw.with_scaled_infidelity(factor))
-                }
-                _ => {
-                    return self.queue_response(
-                        st,
-                        token,
-                        bad(format!("bad perturbation factor {raw:?}")),
-                        keep_alive,
-                    )
-                }
-            },
-        };
-        st.pending.insert(
-            token,
-            Pending {
-                id: String::new(),
-                req_seq: seq,
-                batch: false,
-                include_circuit: false,
-                awaiting: 0,
-                reports: Vec::new(),
-                cancels: Vec::new(),
-                deadline: None,
-                root: None,
-                trace_sink: None,
-                keep_alive,
-                fallback: None,
-            },
-        );
+        st.pending
+            .insert(token, Pending::new(String::new(), seq, keep_alive));
         self.park_busy(st, token);
         let engine = self.engine.clone();
         let tracer = self.tracer.clone();
@@ -996,62 +895,59 @@ impl Server {
         });
     }
 
+    /// The hardware model a `/v1/recalibrate` request names: its `times`
+    /// column, with every infidelity scaled by `perturb` when given.
+    fn recalibration_model(&self, request: &Request) -> Result<Arc<HardwareModel>, Response> {
+        let hw = self.hw(query(request, "times", str::parse)?.unwrap_or_default());
+        let perturb = |raw: &str| match raw.parse::<f64>() {
+            Ok(factor) if factor.is_finite() && factor >= 0.0 => Ok(factor),
+            _ => Err(format!("bad perturbation factor {raw:?}")),
+        };
+        Ok(match query(request, "perturb", perturb)? {
+            Some(factor) => Arc::new(hw.with_scaled_infidelity(factor)),
+            None => hw.clone(),
+        })
+    }
+
+    /// The spin-qubit model for one gate-time column.
+    fn hw(&self, times: GateTimes) -> &Arc<HardwareModel> {
+        match times {
+            GateTimes::D0 => &self.hw_d0,
+            GateTimes::D1 => &self.hw_d1,
+        }
+    }
+
     fn request_options(&self, request: &Request) -> Result<RequestOptions, Response> {
-        let bad = |msg: String| Response::json(400, json::error_body(&msg));
         let parse_bool = |name: &str, default: bool| -> Result<bool, Response> {
-            match request.query_param(name) {
-                None => Ok(default),
-                Some("1") | Some("true") => Ok(true),
-                Some("0") | Some("false") => Ok(false),
-                Some(other) => Err(bad(format!("bad boolean for {name}: {other:?}"))),
-            }
+            let value = query(request, name, |v| match v {
+                "1" | "true" => Ok(true),
+                "0" | "false" => Ok(false),
+                other => Err(format!("bad boolean for {name}: {other:?}")),
+            })?;
+            Ok(value.unwrap_or(default))
         };
-        let parse_u64 = |name: &str| -> Result<Option<u64>, Response> {
-            match request.query_param(name) {
-                None => Ok(None),
-                Some(v) => v
-                    .parse::<u64>()
-                    .map(Some)
-                    .map_err(|_| bad(format!("bad integer for {name}: {v:?}"))),
-            }
-        };
-        let objective = match request.query_param("objective") {
-            None | Some("fidelity") => Objective::Fidelity,
-            Some("idle") => Objective::IdleTime,
-            Some("combined") => Objective::Combined,
-            Some(other) => return Err(bad(format!("unknown objective {other:?}"))),
-        };
-        let times = match request.query_param("times") {
-            None | Some("d0") => GateTimes::D0,
-            Some("d1") => GateTimes::D1,
-            Some(other) => return Err(bad(format!("unknown times column {other:?}"))),
+        let parse_u64 = |name: &str| {
+            query(request, name, |v| {
+                v.parse::<u64>()
+                    .map_err(|_| format!("bad integer for {name}: {v:?}"))
+            })
         };
         let deadline = match parse_u64("deadline_ms")? {
             Some(ms) => Some(Duration::from_millis(ms.max(1))),
             None => self.config.default_deadline,
         };
-        let coupling = match request.query_param("coupling") {
-            None => None,
-            Some("line") => Some(CouplingKind::Line),
-            Some("ring") => Some(CouplingKind::Ring),
-            Some("star") => Some(CouplingKind::Star),
-            Some("starmon5") => Some(CouplingKind::Starmon5),
-            Some("all") => Some(CouplingKind::AllToAll),
-            Some(other) => return Err(bad(format!("unknown coupling topology {other:?}"))),
-        };
         let budget = match parse_u64("budget")? {
             Some(0) => {
-                return Err(bad(
-                    "budget=0 can never make progress; omit it for unlimited".to_string(),
-                ))
+                let msg = "budget=0 can never make progress; omit it for unlimited";
+                return Err(Response::json(400, json::error_body(msg)));
             }
             budget => budget,
         };
         let deny_warnings = parse_bool("deny_warnings", self.config.deny_warnings)?;
         Ok(RequestOptions {
-            objective,
-            times,
-            coupling,
+            objective: query(request, "objective", str::parse)?.unwrap_or_default(),
+            times: query(request, "times", str::parse)?.unwrap_or_default(),
+            coupling: query(request, "coupling", CouplingMap::topology)?,
             exact: parse_bool("exact", false)?,
             budget,
             deadline,
@@ -1078,10 +974,6 @@ impl Server {
         batch: bool,
         keep_alive: bool,
     ) {
-        if self.draining.load(Ordering::SeqCst) {
-            let response = Response::json(503, json::error_body("server is draining"));
-            return self.queue_response(st, token, response, keep_alive);
-        }
         let id = format!("req-{}", self.next_id.fetch_add(1, Ordering::SeqCst) + 1);
         let options = match self.request_options(request) {
             Ok(options) => options,
@@ -1119,8 +1011,13 @@ impl Server {
             }
         }
 
+        let peer = if batch {
+            None
+        } else {
+            self.forward_target(&circuits[0], &options, request)
+        };
         let trace_sink = options.trace.then(|| Arc::new(MemorySink::new()));
-        // Everything recorded on this thread while the guard lives —
+        // Everything recorded on this thread while a scope guard lives —
         // including the serve.request root span dropping at finish — lands
         // in the request's buffer; counters always reach the metrics
         // registry through the tracer's tee.
@@ -1128,83 +1025,49 @@ impl Server {
         let mut root = self.tracer.span_with("serve.request", || {
             format!("id={id} path={}", request.path())
         });
-        self.tracer.counter("serve.requests", 1);
-
-        if !batch {
-            if let Some(peer) = self.forward_target(&circuits[0], &options, request) {
-                self.metrics.forwarded.fetch_add(1, Ordering::Relaxed);
-                root.set_note(format!("forwarded to {peer}"));
-                drop(scope);
-                st.pending.insert(
-                    token,
-                    Pending {
-                        id,
-                        req_seq: seq,
-                        batch,
-                        include_circuit: options.include_circuit,
-                        awaiting: 0,
-                        reports: Vec::new(),
-                        cancels: Vec::new(),
-                        deadline: None,
-                        root: Some(root),
-                        trace_sink,
-                        keep_alive,
-                        fallback: Some((circuits, options)),
-                    },
-                );
-                self.park_busy(st, token);
-                self.spawn_forward(
-                    st,
-                    token,
-                    seq,
-                    peer,
-                    request.target.clone(),
-                    request.body.clone(),
-                );
-                return;
-            }
+        if let Some(peer) = &peer {
+            self.tracer.counter("serve.forwarded", 1);
+            root.set_note(format!("forwarded to {peer}"));
         }
-
-        let outcome = self.submit_jobs(
-            st.tx.clone(),
-            st.waker.clone(),
-            token,
-            seq,
-            circuits,
-            &options,
+        drop(scope);
+        let pending = Pending {
             batch,
-            trace_sink.as_ref(),
-        );
-        match outcome {
-            Err(response) => {
-                root.set_note(response.status.to_string());
-                drop(root);
-                drop(scope);
-                if let Some(sink) = trace_sink {
-                    self.traces.insert(id, jsonl::to_jsonl_string(&sink.take()));
-                }
-                self.queue_response(st, token, response, keep_alive);
-            }
-            Ok((reports, submitted, cancels)) => {
-                drop(scope);
-                st.pending.insert(
-                    token,
-                    Pending {
-                        id,
-                        req_seq: seq,
-                        batch,
-                        include_circuit: options.include_circuit,
-                        awaiting: submitted,
-                        reports,
-                        cancels,
-                        deadline: Some(Instant::now() + self.config.request_timeout),
-                        root: Some(root),
-                        trace_sink,
-                        keep_alive,
-                        fallback: None,
-                    },
-                );
+            include_circuit: options.include_circuit,
+            root: Some(root),
+            trace_sink,
+            work: Some((circuits, options)),
+            ..Pending::new(id, seq, keep_alive)
+        };
+        st.pending.insert(token, pending);
+        match peer {
+            Some(peer) => {
                 self.park_busy(st, token);
+                let (target, body) = (request.target.clone(), request.body.clone());
+                self.spawn_forward(st, token, seq, peer, target, body);
+            }
+            None => self.solve_locally(st, token),
+        }
+    }
+
+    /// Submits a pending request's circuits to the pool inside its trace
+    /// scope and parks the connection; a refusal (429 queue-full, 503
+    /// draining) answers the request at once.
+    fn solve_locally(&self, st: &mut LoopState, token: u64) {
+        let Some(pending) = st.pending.get_mut(&token) else {
+            return;
+        };
+        let Some((circuits, options)) = pending.work.take() else {
+            return;
+        };
+        let outcome = {
+            let _scope = enter_scope(pending.trace_sink.as_ref());
+            self.submit_jobs(&st.tx, &st.waker, token, pending, circuits, &options)
+        };
+        match outcome {
+            Ok(()) => self.park_busy(st, token),
+            Err(response) => {
+                let pending = st.pending.remove(&token).expect("pending present");
+                self.finish_request(st, token, pending, response);
             }
         }
     }
@@ -1217,7 +1080,7 @@ impl Server {
         let mut job = AdaptJob::new(circuit);
         job.options.objective = options.objective;
         job.options.exact = options.exact;
-        job.options.coupling = options.coupling.map(|k| k.build(num_qubits));
+        job.options.coupling = options.coupling.map(|build| build(num_qubits));
         // Deadline → deterministic conflict budget; an explicit budget
         // param wins. The wall-clock side is the watchdog-armed flag.
         job.limits.total_conflicts = match (options.budget, options.deadline) {
@@ -1241,12 +1104,13 @@ impl Server {
         if request.header("x-qca-forwarded").is_some() {
             return None;
         }
-        let hw = match options.times {
-            GateTimes::D0 => &self.hw_d0,
-            GateTimes::D1 => &self.hw_d1,
-        };
         let job = self.make_job(circuit.clone(), options);
-        let key = AdaptCache::key(&job.circuit, hw, &job.options, &job.limits);
+        let key = AdaptCache::key(
+            &job.circuit,
+            self.hw(options.times),
+            &job.options,
+            &job.limits,
+        );
         let owner = ring.owner(key);
         if owner == self.config.node_id {
             return None;
@@ -1291,59 +1155,61 @@ impl Server {
     }
 
     /// The `Retry-After` hint for 429 responses: the backlog (at least one
-    /// job — the one just rejected) times the observed mean per-job wall
-    /// time, defaulting to one second before any job has completed.
-    /// Floored at 1 s so clients never busy-loop, capped at 600 s so a few
+    /// job — the one just rejected) times the mean wall time per completed
+    /// job, defaulting to one second before any job has completed. The mean
+    /// is the `solve_wall_us` sum over `jobs_completed`: cache hits queue
+    /// like solves, so they count as jobs that add almost no time. Floored
+    /// at 1 s so clients never busy-loop, capped at 600 s so a few
     /// pathological solves cannot push the hint into absurdity.
     fn retry_after_secs(&self) -> u64 {
-        let done = self.jobs_done.load(Ordering::Relaxed);
-        let avg_ms = self
-            .job_wall_ms
-            .load(Ordering::Relaxed)
-            .checked_div(done)
-            .map_or(1000, |avg| avg.max(1));
+        let metrics = self.engine.metrics();
+        let mean_us = metrics
+            .solve_wall_us
+            .sum()
+            .checked_div(metrics.get("jobs_completed"))
+            .map_or(1_000_000, |mean| mean.max(1));
         let backlog = (self.pool.queued() as u64).max(1);
-        (backlog * avg_ms).div_ceil(1000).clamp(1, 600)
+        backlog
+            .saturating_mul(mean_us)
+            .div_ceil(1_000_000)
+            .clamp(1, 600)
     }
 
-    /// Submits the parsed circuits through the pool. Each finished job
-    /// sends a [`Completion::Job`] and wakes the loop. Returns the empty
-    /// report slots, the number admitted, and the cancellation flags —
-    /// or the immediate error response (429 queue-full / 503 draining).
-    #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::type_complexity)]
+    /// Submits the parsed circuits through the pool into `pending`'s empty
+    /// report slots and arms its request timeout. Each finished job sends
+    /// a [`Completion::Job`] and wakes the loop. Errs with the immediate
+    /// response (429 queue-full / 503 draining).
     fn submit_jobs(
         &self,
-        tx: mpsc::Sender<Completion>,
-        waker: Arc<Waker>,
+        tx: &mpsc::Sender<Completion>,
+        waker: &Arc<Waker>,
         conn: u64,
-        req_seq: u64,
+        pending: &mut Pending,
         circuits: Vec<Circuit>,
         options: &RequestOptions,
-        batch: bool,
-        trace_sink: Option<&Arc<MemorySink>>,
-    ) -> Result<(Vec<Option<AdaptReport>>, usize, Vec<Arc<AtomicBool>>), Response> {
-        let hw = match options.times {
-            GateTimes::D0 => self.hw_d0.clone(),
-            GateTimes::D1 => self.hw_d1.clone(),
+    ) -> Result<(), Response> {
+        let queue_full = || {
+            Response::json(429, json::error_body("submission queue is full"))
+                .with_header("Retry-After", &self.retry_after_secs().to_string())
         };
-        let total = circuits.len();
-        let mut cancels: Vec<Arc<AtomicBool>> = Vec::new();
-        let mut submitted = 0usize;
+        let hw = self.hw(options.times);
+        let req_seq = pending.req_seq;
+        pending.reports = circuits.iter().map(|_| None).collect();
+        pending.awaiting = 0;
         for (index, circuit) in circuits.into_iter().enumerate() {
             let mut job = self.make_job(circuit, options);
             let flag = match options.deadline {
                 Some(deadline) => self.watchdog.arm(Instant::now() + options.hold + deadline),
                 None => Arc::new(AtomicBool::new(false)),
             };
-            cancels.push(flag.clone());
+            pending.cancels.push(flag.clone());
             job.cancel = Some(flag);
             let tx = tx.clone();
             let waker = waker.clone();
             let hw = hw.clone();
             let policy = options.policy;
             let hold = options.hold;
-            let sink = trace_sink.cloned();
+            let sink = pending.trace_sink.clone();
             let outcome = self.pool.try_submit_task(move |engine| {
                 // Enter the request's trace scope on the worker thread, so
                 // the engine's spans join the request's forest.
@@ -1361,31 +1227,21 @@ impl Server {
                 waker.wake();
             });
             match outcome {
-                Ok(()) => submitted += 1,
-                Err(SubmitError::QueueFull) => {
-                    self.tracer.counter("serve.rejected", 1);
-                    if !batch {
-                        return Err(Response::json(
-                            429,
-                            json::error_body("submission queue is full"),
-                        )
-                        .with_header("Retry-After", &self.retry_after_secs().to_string()));
-                    }
-                    // Batch: the item keeps its `None` report slot and is
-                    // reported as rejected in the results array.
-                }
+                Ok(()) => pending.awaiting += 1,
+                // Batch: the item keeps its `None` report slot and is
+                // reported as rejected in the results array.
+                Err(SubmitError::QueueFull) if pending.batch => {}
+                Err(SubmitError::QueueFull) => return Err(queue_full()),
                 Err(SubmitError::ShuttingDown) => {
                     return Err(Response::json(503, json::error_body("server is draining")));
                 }
             }
         }
-        if batch && submitted == 0 {
-            return Err(
-                Response::json(429, json::error_body("submission queue is full"))
-                    .with_header("Retry-After", &self.retry_after_secs().to_string()),
-            );
+        if pending.awaiting == 0 {
+            return Err(queue_full());
         }
-        Ok(((0..total).map(|_| None).collect(), submitted, cancels))
+        pending.deadline = Some(Instant::now() + self.config.request_timeout);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1406,9 +1262,6 @@ impl Server {
                 if pending.req_seq != req_seq {
                     return;
                 }
-                self.jobs_done.fetch_add(1, Ordering::Relaxed);
-                self.job_wall_ms
-                    .fetch_add(report.wall.as_millis() as u64, Ordering::Relaxed);
                 if pending.reports[index].is_none() {
                     pending.awaiting = pending.awaiting.saturating_sub(1);
                 }
@@ -1435,43 +1288,13 @@ impl Server {
                 self.finish_request(st, conn, pending, response);
             }
             Completion::ForwardFailed { conn, req_seq } => {
-                let Some(pending) = st.pending.get_mut(&conn) else {
-                    return;
-                };
-                if pending.req_seq != req_seq {
-                    return;
-                }
-                let Some((circuits, options)) = pending.fallback.take() else {
-                    return;
-                };
-                // The peer was unreachable: solve locally instead, inside
-                // the request's trace scope so the spans stay attached.
-                let sink = pending.trace_sink.clone();
-                let outcome = {
-                    let _scope = enter_scope(sink.as_ref());
-                    self.submit_jobs(
-                        st.tx.clone(),
-                        st.waker.clone(),
-                        conn,
-                        req_seq,
-                        circuits,
-                        &options,
-                        false,
-                        sink.as_ref(),
-                    )
-                };
-                match outcome {
-                    Ok((reports, submitted, cancels)) => {
-                        let pending = st.pending.get_mut(&conn).expect("pending present");
-                        pending.reports = reports;
-                        pending.awaiting = submitted;
-                        pending.cancels = cancels;
-                        pending.deadline = Some(Instant::now() + self.config.request_timeout);
-                    }
-                    Err(response) => {
-                        let pending = st.pending.remove(&conn).expect("pending present");
-                        self.finish_request(st, conn, pending, response);
-                    }
+                // The peer was unreachable: solve locally instead.
+                if st
+                    .pending
+                    .get(&conn)
+                    .is_some_and(|pending| pending.req_seq == req_seq)
+                {
+                    self.solve_locally(st, conn);
                 }
             }
         }
@@ -1558,7 +1381,6 @@ impl Server {
             for flag in &pending.cancels {
                 flag.store(true, Ordering::SeqCst);
             }
-            self.tracer.counter("serve.request_timeouts", 1);
             let response = Response::json(504, json::error_body("request timed out"));
             self.finish_request(st, token, pending, response);
         }
@@ -1586,9 +1408,7 @@ impl Server {
             }
         }
         for token in to_408 {
-            self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-            let response = Response::json(408, json::error_body("timed out reading the request"));
-            self.queue_response(st, token, response, false);
+            self.reject_unparsed(st, token, 408, "timed out reading the request");
         }
         for token in to_close {
             self.close_conn(st, token);
@@ -1613,6 +1433,33 @@ fn forward_once(peer: &str, target: &str, body: &[u8], read_timeout: Duration) -
         response = response.with_header("Retry-After", retry);
     }
     Some(response.with_body(relayed.body))
+}
+
+/// Decodes query parameter `name` with `parse` (`None` when absent); a bad
+/// value is a `400` carrying the parser's message.
+fn query<T>(
+    request: &Request,
+    name: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<T>, Response> {
+    request
+        .query_param(name)
+        .map(parse)
+        .transpose()
+        .map_err(|msg| Response::json(400, json::error_body(&msg)))
+}
+
+/// The `serve.*` counter that tallies a response of `status` under its
+/// `/metrics` status class.
+fn status_counter(status: u16) -> &'static str {
+    match status {
+        200..=299 => "serve.ok",
+        429 => "serve.rejected_429",
+        400..=499 => "serve.client_errors",
+        503 => "serve.unavailable_503",
+        504 => "serve.timeouts_504",
+        _ => "serve.server_errors",
+    }
 }
 
 /// Enters the per-request trace scope when the request asked for tracing.
@@ -1642,6 +1489,7 @@ fn split_batch(body: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qca_engine::metrics::MetricsRegistry;
 
     #[test]
     fn split_batch_on_separator_lines() {
@@ -1671,29 +1519,41 @@ mod tests {
     #[test]
     fn retry_after_derives_from_backlog_and_latency() {
         let server = Server::bind(ServeConfig::default()).expect("bind");
+        // Jobs reach the registry as the engine reports them: a solve adds
+        // its wall time, a cache hit only its completion.
+        let solved = |wall_us: u64, jobs: usize| {
+            for _ in 0..jobs {
+                server.tracer.counter("engine.solve_wall_us", wall_us);
+                server.tracer.counter("engine.job_completed", 1);
+            }
+        };
+        let hits = |jobs: usize| {
+            for _ in 0..jobs {
+                server.tracer.counter("engine.job_completed", 1);
+            }
+        };
         // No history, empty queue: the floor.
         assert_eq!(server.retry_after_secs(), 1);
-        // Four jobs averaging 2.5 s each: ceil(1 × 2.5 s) = 3 s.
-        server.jobs_done.store(4, Ordering::Relaxed);
-        server.job_wall_ms.store(4 * 2500, Ordering::Relaxed);
+        // Four solves averaging 2.5 s each: ceil(1 × 2.5 s) = 3 s.
+        solved(2_500_000, 4);
         assert_eq!(server.retry_after_secs(), 3);
-        // Sub-second jobs still round up to the 1 s floor.
-        server.jobs_done.store(10, Ordering::Relaxed);
-        server.job_wall_ms.store(10 * 40, Ordering::Relaxed);
+        // Ten cache hits pull the mean under a second (10 s over 14 jobs):
+        // it still rounds up to the 1 s floor.
+        hits(10);
         assert_eq!(server.retry_after_secs(), 1);
-        // Pathologically slow history is capped.
-        server.jobs_done.store(1, Ordering::Relaxed);
-        server.job_wall_ms.store(10_000_000, Ordering::Relaxed);
+        // Pathologically slow history (one 10 000 s solve) is capped.
+        solved(10_000_000_000, 1);
         assert_eq!(server.retry_after_secs(), 600);
     }
 
     #[test]
     fn serve_metrics_classify_statuses() {
-        let m = ServeMetrics::default();
+        let m = Arc::new(MetricsRegistry::new());
+        let tracer = Tracer::new(m.clone());
         for status in [200, 200, 400, 429, 503, 504, 500] {
-            m.record(status);
+            tracer.counter(status_counter(status), 1);
         }
-        let json = m.to_json().to_string_compact();
+        let json = m.server_json().to_string_compact();
         assert!(json.contains("\"ok\":2"), "{json}");
         assert!(json.contains("\"client_errors\":1"), "{json}");
         assert!(json.contains("\"rejected_429\":1"), "{json}");

@@ -5,6 +5,7 @@
 
 use qca_serve::client::Connection;
 use qca_serve::{ServeConfig, Server};
+use qca_trace::json::{self, Json};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -440,6 +441,70 @@ fn recalibrate_walks_the_cached_corpus() {
         405
     );
     server.stop();
+}
+
+#[test]
+fn metrics_keep_the_paths_ci_and_e2ebench_read() {
+    let tag = format!("qca-serve-paths-{}", std::process::id());
+    let metrics_path = std::env::temp_dir().join(format!("{tag}.json"));
+    let store_dir = std::env::temp_dir().join(format!("{tag}-store"));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let server = TestServer::start(ServeConfig {
+        metrics_out: Some(metrics_path.clone()),
+        store_dir: Some(store_dir.clone()),
+        ..small_config()
+    });
+    let mut connection = server.connect();
+    let ok = connection
+        .request("POST", "/v1/adapt", GOOD_QASM.as_bytes())
+        .expect("good request");
+    assert_eq!(ok.status, 200, "{}", ok.body_text());
+    let bad = connection
+        .request("POST", "/v1/adapt", b"this is not qasm\n")
+        .expect("bad request");
+    assert_eq!(bad.status, 400, "{}", bad.body_text());
+    drop(connection);
+    server.stop();
+
+    // The drain snapshot counts exactly the two requests above.
+    let text = std::fs::read_to_string(&metrics_path).expect("metrics file");
+    let metrics = json::parse(text.trim()).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    let at = |path: &[&str]| -> &Json {
+        path.iter()
+            .try_fold(&metrics, |doc, key| doc.get(key))
+            .unwrap_or_else(|| panic!("no /metrics path {}\n{text}", path.join(".")))
+    };
+    for key in [
+        "requests",
+        "ok",
+        "client_errors",
+        "rejected_429",
+        "unavailable_503",
+        "timeouts_504",
+        "server_errors",
+        "forwarded",
+    ] {
+        assert!(at(&["server", key]).as_u64().is_some(), "server.{key}");
+    }
+    for key in [
+        "cache_hits",
+        "cache_misses",
+        "sat_conflicts",
+        "sat_propagations",
+        "store_replays",
+    ] {
+        assert!(at(&["engine", key]).as_u64().is_some(), "engine.{key}");
+    }
+    for key in ["hits", "replays"] {
+        assert!(at(&["store", key]).as_u64().is_some(), "store.{key}");
+    }
+    assert_eq!(at(&["cache", "entries"]).as_u64(), Some(1));
+    assert_eq!(at(&["server", "requests"]).as_u64(), Some(2));
+    assert_eq!(at(&["server", "ok"]).as_u64(), Some(1));
+    assert_eq!(at(&["server", "client_errors"]).as_u64(), Some(1));
+    assert_eq!(at(&["server", "rejected_429"]).as_u64(), Some(0));
+    let _ = std::fs::remove_file(&metrics_path);
+    let _ = std::fs::remove_dir_all(&store_dir);
 }
 
 #[test]

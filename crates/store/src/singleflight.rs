@@ -205,8 +205,9 @@ mod tests {
             };
             panic!("solve blew up");
         });
-        // Wait until the flight exists, then join as follower.
-        while sf.in_flight() == 0 {
+        // Wait until the flight exists, then join as follower. A leader
+        // that already unwound has retired its flight; stop waiting then.
+        while sf.in_flight() == 0 && !leader.is_finished() {
             thread::yield_now();
         }
         let got = match sf.join(1, || false) {

@@ -231,8 +231,8 @@ impl Store {
     }
 
     /// Appends one record to the WAL (fsynced per [`StoreOptions::fsync`])
-    /// and compacts when the WAL is due.
-    pub fn append(&self, key: u64, value: &Adaptation) -> io::Result<()> {
+    /// and compacts when the WAL is due. Returns whether it compacted.
+    pub fn append(&self, key: u64, value: &Adaptation) -> io::Result<bool> {
         let bytes = frame_bytes(key, &encode_adaptation(value));
         let mut inner = self.inner.lock().unwrap();
         let offset = inner.wal_len;
@@ -254,10 +254,11 @@ impl Store {
                 },
             },
         );
-        if inner.wal_records >= inner.opts.compact_after as u64 {
+        let due = inner.wal_records >= inner.opts.compact_after as u64;
+        if due {
             self.compact_locked(&mut inner)?;
         }
-        Ok(())
+        Ok(due)
     }
 
     /// Rewrites all live records into a fresh snapshot and empties the WAL.

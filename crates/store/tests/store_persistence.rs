@@ -493,11 +493,12 @@ fn compaction_shrinks_the_wal_and_keeps_newest_versions() {
     )
     .unwrap();
     // Same key three times, then another key: the 4th append triggers
-    // compaction, which must keep only the *latest* version per key.
-    store.append(7, &old).unwrap();
-    store.append(7, &old).unwrap();
-    store.append(7, &new).unwrap();
-    store.append(8, &old).unwrap();
+    // compaction (and says so), which must keep only the *latest* version
+    // per key.
+    assert!(!store.append(7, &old).unwrap());
+    assert!(!store.append(7, &old).unwrap());
+    assert!(!store.append(7, &new).unwrap());
+    assert!(store.append(8, &old).unwrap());
     let stats = store.stats();
     assert_eq!(stats.compactions, 1);
     assert_eq!(stats.wal_records, 0, "WAL reset after compaction");
