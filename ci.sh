@@ -72,6 +72,17 @@ for cnf in examples/cnf/*.cnf; do
       echo "proof gate: checker rejected preprocessed proof for $cnf" >&2; exit 1; }
   fi
 done
+# The checker must also reject: the php_5_4 proof without its first lemma.
+awk '!dropped && !/^d/ { dropped = 1; next } { print }' \
+  "$trace_dir/php_5_4.drat" > "$trace_dir/php_5_4.bad.drat"
+code=0
+target/release/qca-drat-check examples/cnf/php_5_4.cnf "$trace_dir/php_5_4.bad.drat" \
+  > "$trace_dir/bad.txt" || code=$?
+if [ "$code" != 1 ] || ! grep -q '^s NOT VERIFIED' "$trace_dir/bad.txt"; then
+  echo "proof gate: checker accepted a corrupted php_5_4 proof (exit $code)" >&2
+  cat "$trace_dir/bad.txt" >&2
+  exit 1
+fi
 
 echo "== verify gate: qca-engine --verify on examples/qasm, every objective =="
 # The fidelity objective audits the PB-sum adders; idle and combined add the

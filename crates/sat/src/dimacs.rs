@@ -10,9 +10,6 @@ use std::error::Error;
 use std::fmt;
 use std::io::{BufRead, Write};
 
-/// Largest DIMACS variable a [`Lit`] can hold (31 index bits plus a sign).
-const MAX_VAR: u64 = 1 << 31;
-
 /// Error produced when parsing a DIMACS CNF stream.
 #[derive(Debug)]
 pub enum ParseDimacsError {
@@ -124,8 +121,9 @@ impl fmt::Display for DimacsWarning {
 ///
 /// # Errors
 ///
-/// Returns [`ParseDimacsError`] on I/O failure, non-integer tokens, literals
-/// referencing variable 0, or a clause not terminated by `0`.
+/// Returns [`ParseDimacsError`] on I/O failure, non-integer tokens, a
+/// literal beyond `±i32::MAX` (naming its line), or a clause not
+/// terminated by `0`.
 ///
 /// # Examples
 ///
@@ -172,7 +170,7 @@ pub fn parse_dimacs_with_report<R: BufRead>(
     // Unit-clause polarity per variable: +1, -1, or 2 once contradictory
     // (so each variable is reported once).
     let mut unit_sign: HashMap<Var, i8> = HashMap::new();
-    for line in reader.lines() {
+    for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('c') || trimmed.starts_with('%') {
@@ -227,12 +225,14 @@ pub fn parse_dimacs_with_report<R: BufRead>(
                     }
                 }
                 cnf.clauses.push(canonical);
-            } else if val.unsigned_abs() > MAX_VAR {
-                return Err(ParseDimacsError::Malformed(format!(
-                    "variable {val} out of range"
-                )));
             } else {
-                let lit = Lit::from_dimacs(val);
+                let lit = Lit::checked_from_dimacs(val).ok_or_else(|| {
+                    ParseDimacsError::Malformed(format!(
+                        "line {}: literal {val} out of range (|lit| > {})",
+                        lineno + 1,
+                        i32::MAX
+                    ))
+                })?;
                 max_var = max_var.max(lit.var().index() + 1);
                 current.push(lit);
             }
@@ -392,16 +392,24 @@ mod tests {
 
     #[test]
     fn out_of_range_variables_are_errors_not_aliases() {
-        // Past 2^31 a variable would wrap onto a small one; the unit
+        // Past 2^31 a variable would wrap onto a small one, and ±2^31 itself
+        // would wrap to `i32::MIN` as an `i32` DIMACS literal; the unit
         // bookkeeping must not allocate per variable either.
-        for val in [(1i64 << 31) + 1, (1 << 32) + 1, i64::MIN] {
-            assert!(
-                parse_dimacs(format!("{val} 0\n").as_bytes()).is_err(),
-                "{val}"
-            );
+        for val in [
+            1i64 << 31,
+            -(1 << 31),
+            (1 << 31) + 1,
+            (1 << 32) + 1,
+            i64::MIN,
+        ] {
+            let err = parse_dimacs(format!("p cnf 1 2\n1 0\n{val} 0\n").as_bytes())
+                .expect_err(&val.to_string())
+                .to_string();
+            assert!(err.contains("line 3: literal"), "{err}");
         }
-        let cnf = parse_dimacs("2147483648 0\n-2147483648 0\n".as_bytes()).unwrap();
-        assert_eq!(cnf.num_vars, 1 << 31);
+        let cnf = parse_dimacs("2147483647 0\n-2147483647 0\n".as_bytes()).unwrap();
+        assert_eq!(cnf.num_vars, i32::MAX as usize);
+        assert_eq!(cnf.clauses[1][0].to_dimacs(), -i64::from(i32::MAX));
     }
 }
 

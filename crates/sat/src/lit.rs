@@ -115,6 +115,14 @@ impl Lit {
         var.lit(dimacs > 0)
     }
 
+    /// [`Lit::from_dimacs`] for parsed text: `None` unless
+    /// `0 < |dimacs| ≤ i32::MAX`. The DIMACS and DRAT parsers share this
+    /// bound, so every literal they accept also fits the `i32` DIMACS
+    /// literals of the `qca-verify` checker.
+    pub(crate) fn checked_from_dimacs(dimacs: i64) -> Option<Lit> {
+        (dimacs != 0 && dimacs.unsigned_abs() <= i32::MAX as u64).then(|| Lit::from_dimacs(dimacs))
+    }
+
     /// Converts to the DIMACS integer convention.
     pub fn to_dimacs(self) -> i64 {
         let v = (self.var().0 + 1) as i64;

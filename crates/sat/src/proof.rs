@@ -226,7 +226,8 @@ pub fn write_drat<W: Write>(w: &mut W, steps: &[ProofStep]) -> std::io::Result<(
 /// # Errors
 ///
 /// Returns a message naming the offending line on malformed input
-/// (non-integer token, missing `0` terminator, zero mid-clause).
+/// (non-integer token, literal beyond `±i32::MAX`, missing `0`
+/// terminator, zero mid-clause).
 pub fn parse_drat<R: BufRead>(reader: R) -> Result<Vec<ProofStep>, String> {
     let mut steps = Vec::new();
     for (lineno, line) in reader.lines().enumerate() {
@@ -251,7 +252,13 @@ pub fn parse_drat<R: BufRead>(reader: R) -> Result<Vec<ProofStep>, String> {
             if v == 0 {
                 terminated = true;
             } else {
-                lits.push(Lit::from_dimacs(v));
+                lits.push(Lit::checked_from_dimacs(v).ok_or_else(|| {
+                    format!(
+                        "line {}: literal {v} out of range (|lit| > {})",
+                        lineno + 1,
+                        i32::MAX
+                    )
+                })?);
             }
         }
         if !terminated {
@@ -308,6 +315,24 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_literals_beyond_i32() {
+        // `Lit::from_dimacs` would alias these onto 1 and -1, and ±2^31
+        // would wrap to `i32::MIN` in an `i32` DIMACS checker.
+        for val in [
+            2_147_483_649i64,
+            -4_294_967_297,
+            2_147_483_648,
+            -2_147_483_648,
+        ] {
+            let err = parse_drat(format!("1 0\n{val} 0\n").as_bytes()).unwrap_err();
+            assert!(err.starts_with("line 2: literal"), "{err}");
+        }
+        let steps = parse_drat("2147483647 -2147483647 0\n".as_bytes()).unwrap();
+        let dimacs: Vec<i64> = steps[0].lits().iter().map(|l| l.to_dimacs()).collect();
+        assert_eq!(dimacs, [2_147_483_647, -2_147_483_647]);
+    }
+
+    #[test]
     fn parse_skips_comments_and_blanks() {
         let steps = parse_drat("c a comment\n\n1 0\nd 1 0\n".as_bytes()).unwrap();
         assert_eq!(steps.len(), 2);
@@ -337,5 +362,74 @@ mod tests {
         let v = Var::from_index(4);
         assert_eq!(v.positive().to_dimacs(), 5);
         assert_eq!(v.negative().to_dimacs(), -5);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Tokens the fuzzer strings into lines: terminators, deletion and
+    /// comment markers, garbage, and literals at and past the `i32` bound.
+    const TOKENS: [&str; 14] = [
+        "0",
+        "0",
+        "d",
+        "c",
+        "x",
+        "-",
+        "1",
+        "-2",
+        "2147483647",
+        "-2147483647",
+        "2147483648",
+        "-2147483648",
+        "4294967297",
+        "-9223372036854775808",
+    ];
+
+    /// The nonzero integers of a DRAT line, as the text spells them.
+    fn written_literals(line: &str) -> Vec<i64> {
+        let body = line.trim().strip_prefix('d').unwrap_or(line.trim());
+        body.split_whitespace()
+            .map(|t| t.parse::<i64>().unwrap())
+            .filter(|&v| v != 0)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary lines of DRAT tokens parse to `Ok` or `Err`, never a
+        /// panic; when accepted, every literal fits an `i32` and
+        /// round-trips through `to_dimacs` to the integer written in the
+        /// text. Each line is
+        /// also parsed alone, so most cases reach the round-trip check.
+        #[test]
+        fn arbitrary_lines_never_panic_and_accepted_literals_round_trip(
+            lines in collection::vec(collection::vec(0usize..TOKENS.len(), 0..6), 0..8),
+        ) {
+            let lines: Vec<String> = lines
+                .iter()
+                .map(|l| l.iter().map(|&i| TOKENS[i]).collect::<Vec<_>>().join(" "))
+                .collect();
+            let texts = lines.iter().map(|l| vec![l.clone()]).chain([lines.clone()]);
+            for text in texts {
+                let Ok(steps) = parse_drat(text.join("\n").as_bytes()) else {
+                    continue;
+                };
+                let clauses: Vec<&String> = text
+                    .iter()
+                    .filter(|l| !l.trim().is_empty() && !l.trim().starts_with('c'))
+                    .collect();
+                prop_assert_eq!(steps.len(), clauses.len());
+                for (step, line) in steps.iter().zip(clauses) {
+                    let parsed: Vec<i64> = step.lits().iter().map(|l| l.to_dimacs()).collect();
+                    prop_assert!(parsed.iter().all(|&v| i32::try_from(v).is_ok()));
+                    prop_assert_eq!(parsed, written_literals(line));
+                }
+            }
+        }
     }
 }

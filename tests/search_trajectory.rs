@@ -1,7 +1,8 @@
 //! Golden search trajectories: the size of the bit-blasted model and the
 //! SAT statistics the OMT search accumulates on fixed paper-family circuits,
 //! for each path through the search — budgeted binary and linear search,
-//! an exact certified solve, and the anchored re-check of recalibration.
+//! an exact certified solve, and the anchored re-check of recalibration —
+//! and what the independent DRAT checker counts in one long certificate.
 //!
 //! The model is bit-blasted into CNF and solved by `qca-sat` under the
 //! default probe budgets, so the counters below depend on every gate the
@@ -16,6 +17,7 @@ use qca::hw::{spin_qubit_model, GateTimes};
 use qca::smt::omt::Strategy;
 use qca::trace::{TraceEvent, Tracer};
 use qca::workloads::{random_template_circuit, DEFAULT_TEMPLATE_GATES};
+use qca_verify::check_certificate;
 
 #[test]
 fn budgeted_rand_3q_d20_adaptation_trajectory_is_pinned() {
@@ -108,6 +110,36 @@ fn exact_certified_rand_3q_d6_trajectory_is_pinned() {
         steps,
     );
     assert_eq!(got, (-493, 8, true, (67, 1_563, 33, 0), Some(22)));
+}
+
+/// A certificate long enough for the solver to reduce its clause database:
+/// the DRAT proof deletes lemmas, and the independent checker's counts of
+/// every kind of step are pinned.
+#[test]
+fn exact_certified_rand_3q_d40_certificate_is_pinned() {
+    let circuit = random_template_circuit(3, 40, 0x5eed_2023, &DEFAULT_TEMPLATE_GATES, true);
+    let hw = spin_qubit_model(GateTimes::D0);
+    let mut ctx = AdaptContext::with_objective(Objective::Fidelity);
+    ctx.options.exact = true;
+    ctx.options.certify = true;
+    let adaptation = adapt(&circuit, &hw, &ctx).expect("adaptation succeeds");
+    let cert = adaptation
+        .solver
+        .verification
+        .as_ref()
+        .and_then(|v| v.certificate.as_ref())
+        .expect("exact solve carries a certificate");
+    let stats = check_certificate(cert).expect("certificate verifies");
+    let got = (
+        (cert.cnf.clauses.len(), cert.steps.len()),
+        (
+            stats.additions_checked,
+            stats.deletions_applied,
+            stats.deletions_ignored,
+            stats.steps_skipped,
+        ),
+    );
+    assert_eq!(got, ((8_283, 4_416), (3_173, 1_242, 0, 1)));
 }
 
 #[test]
