@@ -467,11 +467,20 @@ echo "== ablation gate: rerun ablation, diff all but time [s] against results/ab
 # Wall times vary from run to run; the objective, queries and optimal
 # columns of the OMT table, and the whole KAK table, must not.
 mask_ablation_time() {
-  awk '/^(binary|linear) \// { $0 = substr($0, 1, 22) sprintf("%10s", "-") substr($0, 33) } { print }' "$1"
+  awk '/^(budget 2k|exact) / { $0 = substr($0, 1, 22) sprintf("%10s", "-") substr($0, 33) } { print }' "$1"
 }
 target/release/ablation > "$trace_dir/ablation.txt"
 diff <(mask_ablation_time results/ablation.txt) <(mask_ablation_time "$trace_dir/ablation.txt") || {
   echo "ablation gate: output differs from results/ablation.txt" >&2; exit 1; }
+
+echo "== paper-results gate: rerun quick fig5, fig6, fig7, headline, diff against results/ =="
+# These outputs carry no timings, so each must match its committed file
+# byte for byte (regenerate with `target/release/<bin> > results/<bin>.txt`).
+for bin in fig5 fig6 fig7 headline; do
+  target/release/"$bin" > "$trace_dir/$bin.txt"
+  diff "results/$bin.txt" "$trace_dir/$bin.txt" || {
+    echo "paper-results gate: $bin output differs from results/$bin.txt" >&2; exit 1; }
+done
 
 echo "== perf gate: quick suite vs committed BENCH baseline =="
 # The committed baseline must itself be schema-valid and cover every

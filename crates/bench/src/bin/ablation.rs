@@ -1,7 +1,7 @@
 //! Ablation studies for the design choices called out in DESIGN.md:
 //!
-//! 1. OMT search strategy (binary vs. linear) and probe budget (budgeted
-//!    vs. exact) — runtime and attained objective value,
+//! 1. OMT probe budget (budgeted vs. exact) — runtime, attained objective
+//!    value and whether optimality was proven,
 //! 2. the optimized two-CNOT KAK specialization vs. the paper's generic
 //!    three-CZ circuit — adapted-circuit fidelity and duration.
 
@@ -11,7 +11,6 @@ use qca_adapt::rules::{evaluate_substitutions, RuleOptions};
 use qca_adapt::{adapt, AdaptContext, AdaptOptions, Objective};
 use qca_bench::{metrics, pct_change};
 use qca_hw::{spin_qubit_model, GateTimes};
-use qca_smt::omt::Strategy;
 use qca_workloads::{random_template_circuit, DEFAULT_TEMPLATE_GATES};
 use std::time::Instant;
 
@@ -21,24 +20,18 @@ fn main() {
     let pre = preprocess(&circuit, &hw).expect("preprocess");
     let catalog = evaluate_substitutions(&pre, &hw, &RuleOptions::default()).expect("rules");
 
-    println!("== ablation 1: OMT strategy x probe budget (SAT P, 3q depth-20) ==");
+    println!("== ablation 1: OMT probe budget (SAT P, 3q depth-20) ==");
     println!(
         "{:<22}{:>10}{:>14}{:>10}{:>9}",
         "configuration", "time [s]", "objective", "queries", "optimal"
     );
-    // The budgeted rows run the default per-probe budget
+    // The budgeted row runs the default per-probe budget
     // (`DEFAULT_PROBE_BUDGET`, 2k conflicts on this small model).
-    for (name, strategy, exact) in [
-        ("binary / budget 2k", Strategy::BinarySearch, false),
-        ("linear / budget 2k", Strategy::LinearSearch, false),
-        ("binary / exact", Strategy::BinarySearch, true),
-        ("linear / exact", Strategy::LinearSearch, true),
-    ] {
+    for (name, exact) in [("budget 2k", false), ("exact", true)] {
         let t = Instant::now();
         let ctx = AdaptContext {
             options: AdaptOptions {
                 objective: Objective::Combined,
-                strategy,
                 exact,
                 ..AdaptOptions::default()
             },

@@ -12,10 +12,10 @@ use crate::rules::{
 };
 use qca_circuit::Circuit;
 use qca_hw::{CouplingMap, HardwareModel};
-use qca_smt::omt::Strategy;
 use qca_synth::consolidate::consolidate_1q;
 
-/// What [`adapt`] solves: objective, rule set, search strategy, exactness.
+/// What [`adapt`] solves: objective, rule set, exactness, certification and
+/// topology.
 ///
 /// Run-time concerns (conflict budgets, cancellation, tracing) live on
 /// [`AdaptContext`], which wraps these options; `AdaptOptions` itself stays
@@ -43,9 +43,7 @@ pub struct AdaptOptions {
     pub objective: Objective,
     /// Which substitution rules to evaluate.
     pub rules: RuleOptions,
-    /// OMT search strategy.
-    pub strategy: Strategy,
-    /// Run the OMT search to proven optimality (no probe budgets or gap).
+    /// Run the OMT search to proven optimality (no probe budgets).
     /// Slower on scheduling objectives; the default budgeted search reports
     /// whether it happened to prove optimality via
     /// [`SmtAdaptation::optimal`](crate::SmtAdaptation).
@@ -233,7 +231,7 @@ pub fn recalibrate_adaptation(
         build_catalog(&pre, hw, ctx)?
     };
     // Note the previous solve need not carry an optimality claim: the
-    // exact re-check also confirms (and upgrades) a gap-degraded result
+    // exact re-check also confirms (and upgrades) a budget-degraded result
     // whose value happens to be the true optimum.
     let outcome = crate::model::recheck_optimum(&pre, hw, &catalog, ctx, &prev.solver.chosen)?;
     match outcome {

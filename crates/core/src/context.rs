@@ -47,7 +47,7 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AdaptContext {
-    /// What to solve: objective, rule set, search strategy, exactness.
+    /// What to solve: objective, rule set, exactness, topology.
     pub options: AdaptOptions,
     /// How much work the solve may spend (total-conflict cap).
     pub limits: AdaptLimits,

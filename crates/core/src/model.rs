@@ -215,6 +215,16 @@ impl CostData {
         }
     }
 
+    /// Objective weight of substitution `i` in the linear part of
+    /// `objective` (the makespan term aside).
+    fn weight(&self, i: usize, objective: Objective) -> i64 {
+        match objective {
+            Objective::IdleTime => self.busy_w[i],
+            Objective::Combined => self.busy_w[i] + self.fid_w[i],
+            Objective::Fidelity => self.fid_w[i],
+        }
+    }
+
     /// Evaluates the exact model objective of a concrete selection.
     fn evaluate(
         &self,
@@ -266,13 +276,7 @@ fn block_subset_upper_bound(
     cost: &CostData,
     objective: Objective,
 ) -> i64 {
-    let weight = |i: usize| -> i64 {
-        match objective {
-            Objective::IdleTime => cost.busy_w[i],
-            Objective::Combined => cost.busy_w[i] + cost.fid_w[i],
-            Objective::Fidelity => cost.fid_w[i],
-        }
-    };
+    let weight = |i: usize| cost.weight(i, objective);
     let base = match objective {
         Objective::IdleTime => cost.busy_base,
         Objective::Combined => cost.busy_base + cost.fid_base,
@@ -327,29 +331,11 @@ fn routing_choices(
     groups.into_iter().collect()
 }
 
-/// Greedy warm start: repeatedly accept the substitution with the best
-/// marginal objective improvement (skipping conflicts) until no candidate
-/// improves. Returns the selection and its exact model objective value.
-///
-/// Routed blocks are seeded with their best routing variant first: the
-/// all-false selection is infeasible when routing clauses demand a choice
-/// per routed block, and the asserted warm-start lower bound must come from
-/// a feasible selection.
-fn greedy_selection(
-    pre: &Preprocessed,
-    catalog: &[Substitution],
-    cost: &CostData,
-    objective: Objective,
-) -> (Vec<bool>, i64) {
-    let n = catalog.len();
-    let mut selection = vec![false; n];
-    let weight = |i: usize| -> i64 {
-        match objective {
-            Objective::IdleTime => cost.busy_w[i],
-            Objective::Combined => cost.busy_w[i] + cost.fid_w[i],
-            Objective::Fidelity => cost.fid_w[i],
-        }
-    };
+/// The start of the greedy warm start: every routed block's best routing
+/// variant and nothing else. The all-false selection is infeasible when
+/// routing clauses demand a choice per routed block, and the asserted
+/// warm-start lower bound must come from a feasible selection.
+fn route_seed(catalog: &[Substitution], cost: &CostData, objective: Objective) -> Vec<bool> {
     let mut route_best: std::collections::BTreeMap<usize, usize> =
         std::collections::BTreeMap::new();
     for (i, s) in catalog.iter().enumerate() {
@@ -357,50 +343,78 @@ fn greedy_selection(
             route_best
                 .entry(s.block)
                 .and_modify(|best| {
-                    if weight(i) > weight(*best) {
+                    if cost.weight(i, objective) > cost.weight(*best, objective) {
                         *best = i;
                     }
                 })
                 .or_insert(i);
         }
     }
+    let mut selection = vec![false; catalog.len()];
     for &i in route_best.values() {
         selection[i] = true;
     }
+    selection
+}
+
+/// Greedy warm start: from the [`route_seed`], apply the best improving
+/// add-or-swap move until none improves. A move adds one unselected
+/// substitution and ejects the selected ones it conflicts with; a plain add
+/// ejects nothing. Conflicts never cross blocks, so the ejection set comes
+/// from the candidate's own block, and a non-routing candidate that would
+/// eject its block's route is skipped: every routed block keeps a route,
+/// which the asserted lower bound needs. (Routing entries carry no ops
+/// today, so only another route can eject one.) Returns the selection and
+/// its exact model objective value.
+fn greedy_selection(
+    pre: &Preprocessed,
+    catalog: &[Substitution],
+    cost: &CostData,
+    objective: Objective,
+) -> (Vec<bool>, i64) {
+    let mut selection = route_seed(catalog, cost, objective);
+    let mut members = vec![Vec::new(); pre.partition.blocks.len()];
+    for (i, s) in catalog.iter().enumerate() {
+        members[s.block].push(i);
+    }
     let mut best = cost.evaluate(pre, catalog, &selection, objective);
     loop {
-        let mut improved: Option<(usize, i64)> = None;
-        'cand: for i in 0..n {
+        let mut improved: Option<(Vec<bool>, i64)> = None;
+        for i in 0..catalog.len() {
             if selection[i] {
                 continue;
             }
-            for j in 0..n {
-                if selection[j] && catalog[i].conflicts_with(&catalog[j]) {
-                    continue 'cand;
-                }
+            let out: Vec<usize> = members[catalog[i].block]
+                .iter()
+                .copied()
+                .filter(|&j| selection[j] && catalog[i].conflicts_with(&catalog[j]))
+                .collect();
+            if catalog[i].route.is_none() && out.iter().any(|&j| catalog[j].route.is_some()) {
+                continue;
             }
-            selection[i] = true;
-            let v = cost.evaluate(pre, catalog, &selection, objective);
-            selection[i] = false;
-            if v > best && improved.is_none_or(|(_, bv)| v > bv) {
-                improved = Some((i, v));
+            let mut moved = selection.clone();
+            moved[i] = true;
+            for j in out {
+                moved[j] = false;
+            }
+            let v = cost.evaluate(pre, catalog, &moved, objective);
+            if v > improved.as_ref().map_or(best, |&(_, bv)| bv) {
+                improved = Some((moved, v));
             }
         }
-        match improved {
-            Some((i, v)) => {
-                selection[i] = true;
-                best = v;
-            }
-            None => break,
-        }
+        let Some((moved, v)) = improved else {
+            break;
+        };
+        selection = moved;
+        best = v;
     }
     (selection, best)
 }
 
 /// Builds and solves the SMT model, returning the optimal substitution
-/// selection. The context supplies the objective, the OMT strategy, the
-/// probe budget (unbudgeted when `ctx.options.exact`), engine-driven limits
-/// and cancellation, and the tracer.
+/// selection. The context supplies the objective, the probe budget
+/// (unbudgeted when `ctx.options.exact`), engine-driven limits and
+/// cancellation, and the tracer.
 ///
 /// # Errors
 ///
@@ -440,23 +454,21 @@ pub fn solve_model(
     drop(warm_span);
 
     // Size-adaptive search effort: bigger bit-blasted models get smaller
-    // probe budgets and a coarser gap — the warm start already pins the
-    // incumbent, so late probes only chase small refinements.
-    let nblocks = pre.partition.blocks.len();
-    let (probe_conflict_budget, relative_gap) = if ctx.options.exact {
-        (None, 0.0)
-    } else if nblocks > 16 {
-        (Some(DEFAULT_PROBE_BUDGET / 4), 0.05)
+    // probe budgets — the warm start already pins the incumbent, so each
+    // probe only chases the next level above it.
+    let probe_conflict_budget = if ctx.options.exact {
+        None
+    } else if pre.partition.blocks.len() > 16 {
+        Some(DEFAULT_PROBE_BUDGET / 4)
     } else {
-        (Some(DEFAULT_PROBE_BUDGET), 0.02)
+        Some(DEFAULT_PROBE_BUDGET)
     };
     let options = omt::OmtOptions {
         probe_conflict_budget,
-        relative_gap,
         certify: ctx.options.certify,
         portfolio: ctx.portfolio,
     };
-    anchored_search(model, &warm, warm_value, ctx.options.strategy, options, ctx)
+    anchored_search(model, &warm, warm_value, options, ctx)
 }
 
 /// The bit-blasted adaptation model, ready to search: the solver with every
@@ -626,8 +638,8 @@ fn encode_model(
             let j = smt.add(&pos, &scaled_slack);
             // Report values in the natural `pos - kq*D` frame.
             let mut j = j.shifted(-kq * horizon);
-            // Tighten the OMT bracket with a sound combinatorial upper
-            // bound: per-block best conflict-free subset of the positive
+            // Tighten the objective's upper bound with a sound combinatorial
+            // one: per-block best conflict-free subset of the positive
             // objective part, minus the minimum possible makespan term.
             let ub = block_subset_upper_bound(pre, catalog, &cost, objective) - kq * total_lo;
             j.hi = j.hi.min(ub);
@@ -657,7 +669,6 @@ fn anchored_search(
     model: EncodedModel,
     selection: &[bool],
     value: i64,
-    strategy: omt::Strategy,
     options: omt::OmtOptions,
     ctx: &AdaptContext,
 ) -> Result<SmtAdaptation, AdaptError> {
@@ -674,7 +685,7 @@ fn anchored_search(
     }
     let anchor = smt.int_const(value);
     smt.assert_ge(&objective_expr, &anchor);
-    let Some(best) = omt::maximize_with(&mut smt, &objective_expr, strategy, options, &hint) else {
+    let Some(best) = omt::maximize_with(&mut smt, &objective_expr, options, &hint) else {
         // `None` from the OMT search means the very first check failed.
         // Under an interrupt that is a cancellation, not a proof of
         // infeasibility (the anchored model with its hint is feasible by
@@ -797,7 +808,7 @@ pub enum RecheckOutcome {
 
 /// Re-checks a cached optimum under (possibly drifted) hardware data
 /// without a full OMT search: re-encodes the model, re-scores `chosen`,
-/// anchors the search at that value, and runs one linear-search step. When
+/// anchors the search at that value, and runs the OMT search from it. When
 /// the cached selection is still optimal this costs exactly two SAT queries
 /// — the hinted model, then the refuted `objective >= value + 1` probe,
 /// which doubles as the optimality certificate when certifying.
@@ -825,14 +836,7 @@ pub fn recheck_optimum(
         portfolio: ctx.portfolio,
         ..omt::OmtOptions::default()
     };
-    let r = anchored_search(
-        model,
-        &selection,
-        expected,
-        omt::Strategy::LinearSearch,
-        options,
-        ctx,
-    )?;
+    let r = anchored_search(model, &selection, expected, options, ctx)?;
     Ok(if r.optimal && r.objective_value == expected {
         RecheckOutcome::StillOptimal(Box::new(r))
     } else {
@@ -844,7 +848,7 @@ pub fn recheck_optimum(
 mod tests {
     use super::*;
     use crate::preprocess::preprocess;
-    use crate::rules::{evaluate_substitutions, RuleOptions};
+    use crate::rules::{append_routing_substitutions, evaluate_substitutions, RuleOptions};
     use qca_circuit::{Circuit, Gate};
     use qca_hw::{spin_qubit_model, GateTimes};
 
@@ -1037,6 +1041,69 @@ mod tests {
             kinds.contains(&crate::rules::SubstitutionKind::SwapDiabatic),
             "idle objective should pick swap_d, got {kinds:?}"
         );
+    }
+
+    /// A `topology_stress` circuit with its catalog routed onto a line.
+    fn routed_setup(
+        num_qubits: usize,
+        depth: usize,
+        seed: u64,
+    ) -> (Preprocessed, Vec<Substitution>, HardwareModel) {
+        let hw = spin_qubit_model(GateTimes::D0);
+        let c = qca_workloads::topology_stress(num_qubits, depth, seed);
+        let pre = preprocess(&c, &hw).unwrap();
+        let mut subs = evaluate_substitutions(&pre, &hw, &RuleOptions::default()).unwrap();
+        let line = qca_hw::CouplingMap::line(num_qubits);
+        append_routing_substitutions(&mut subs, &pre, &hw, &line).unwrap();
+        (pre, subs, hw)
+    }
+
+    #[test]
+    fn swap_moves_lift_the_routed_warm_start() {
+        // The routed idle circuit of e2ebench's cold-adapt corpus. Adding
+        // substitutions alone stops at -33,360: it cannot swap a block's
+        // route for a better one.
+        let (pre, subs, hw) = routed_setup(4, 8, 0x5eed_2023 + 901);
+        let cost = CostData::new(&pre, &hw, &subs);
+        let (_, value) = greedy_selection(&pre, &subs, &cost, Objective::IdleTime);
+        assert_eq!(value, -23_920);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn routed_warm_start_is_feasible_and_never_below_its_seed(
+            num_qubits in 3usize..6,
+            depth in 2usize..10,
+            seed in 0u64..u64::MAX,
+            objective in 0usize..3,
+        ) {
+            let objective = [
+                Objective::Fidelity,
+                Objective::IdleTime,
+                Objective::Combined,
+            ][objective];
+            let (pre, subs, hw) = routed_setup(num_qubits, depth, seed);
+            let cost = CostData::new(&pre, &hw, &subs);
+            let (warm, value) = greedy_selection(&pre, &subs, &cost, objective);
+            let ids: Vec<usize> = (0..subs.len()).filter(|&i| warm[i]).collect();
+            for (k, &a) in ids.iter().enumerate() {
+                for &b in &ids[k + 1..] {
+                    proptest::prop_assert!(!subs[a].conflicts_with(&subs[b]), "{a} and {b}");
+                }
+            }
+            for s in subs.iter().filter(|s| s.route.is_some()) {
+                proptest::prop_assert!(
+                    ids.iter().any(|&i| subs[i].block == s.block && subs[i].route.is_some()),
+                    "routed block {} lost its route",
+                    s.block
+                );
+            }
+            proptest::prop_assert_eq!(selection_from_ids(&subs, &ids), Some(warm.clone()));
+            proptest::prop_assert_eq!(cost.evaluate(&pre, &subs, &warm, objective), value);
+            let seeded = route_seed(&subs, &cost, objective);
+            let seed_value = cost.evaluate(&pre, &subs, &seeded, objective);
+            proptest::prop_assert!(value >= seed_value, "{value} < {seed_value}");
+        }
     }
 
     #[test]

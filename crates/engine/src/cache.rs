@@ -15,7 +15,6 @@ use qca_adapt::{AdaptLimits, AdaptOptions, Adaptation, Objective};
 use qca_circuit::hash::{structural_hash, Fnv64};
 use qca_circuit::Circuit;
 use qca_hw::HardwareModel;
-use qca_smt::omt::Strategy;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of independent shards (power of two; key's low bits select one).
@@ -56,7 +55,7 @@ impl AdaptCache {
     /// * the hardware model's cost
     ///   [`fingerprint`](HardwareModel::fingerprint) (invariant under
     ///   renaming),
-    /// * the objective, OMT strategy, rule selection, exactness,
+    /// * the objective, rule selection, exactness,
     ///   certification (a certified solve carries verification data an
     ///   uncertified one lacks), and the effective total-conflict budget (a
     ///   budget-degraded incumbent must not be served to a job that would
@@ -77,10 +76,6 @@ impl AdaptCache {
             Objective::Fidelity => 1,
             Objective::IdleTime => 2,
             Objective::Combined => 3,
-        });
-        h.write_u64(match options.strategy {
-            Strategy::BinarySearch => 1,
-            Strategy::LinearSearch => 2,
         });
         h.write_u64(options.exact as u64);
         h.write_u64(options.certify as u64);

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 pub struct AdaptJob {
     /// The circuit to adapt.
     pub circuit: Circuit,
-    /// Objective, rules, strategy, exactness.
+    /// Objective, rules, exactness, topology.
     pub options: AdaptOptions,
     /// Caller-owned conflict budget; jobs without one inherit
     /// [`EngineConfig::job_conflict_budget`].
@@ -1179,7 +1179,7 @@ mod tests {
         assert_eq!(totals.get("recalib.entries"), Some(&(recal.entries as u64)));
 
         // Recalibrating onto unchanged hardware reuses every entry that
-        // carries an optimality claim (gap-degraded solves re-resolve).
+        // carries an optimality claim (budget-degraded solves re-resolve).
         let steady = engine.recalibrate(&drifted);
         assert_eq!(steady.failed, 0);
         assert!(

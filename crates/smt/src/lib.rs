@@ -29,8 +29,7 @@
 //! let score = smt.new_int(0, 200);
 //! let total = smt.add(&score, &duration);
 //! smt.assert_eq(&total, &cap);
-//! let best = omt::maximize(&mut smt, &score, omt::Strategy::BinarySearch)
-//!     .expect("satisfiable");
+//! let best = omt::maximize(&mut smt, &score).expect("satisfiable");
 //! assert_eq!(best.value, 160);
 //! assert!(best.model.lit_is_true(use_fast));
 //! ```
@@ -203,7 +202,7 @@ mod proptests {
             }
             let terms: Vec<_> = weights.iter().zip(&xs).map(|(&w, &x)| (w, x)).collect();
             let obj = smt.pb_sum(0, &terms);
-            let best = omt::maximize(&mut smt, &obj, omt::Strategy::BinarySearch).unwrap();
+            let best = omt::maximize(&mut smt, &obj).unwrap();
 
             // brute force
             let mut expect = i64::MIN;
@@ -266,7 +265,7 @@ mod proptests {
             let slack = smt.new_int(0, cap_v);
             let tot = smt.add(&slack, &es[n]);
             smt.assert_eq(&tot, &cap);
-            let best = omt::maximize(&mut smt, &slack, omt::Strategy::BinarySearch).unwrap();
+            let best = omt::maximize(&mut smt, &slack).unwrap();
             prop_assert_eq!(cap_v - best.value, expect);
         }
     }

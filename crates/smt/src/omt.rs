@@ -1,29 +1,16 @@
 //! Optimization modulo theories: maximizing a linear objective.
 //!
-//! One solution-improving loop probes `objective >= bound` under an
-//! assumption literal until the next better level is refuted; the
-//! [`Strategy`] only picks the next bound (the `ablation` binary's first
-//! table compares the two):
-//!
-//! * [`Strategy::BinarySearch`] — bisect the open bracket `(best, hi]`,
-//! * [`Strategy::LinearSearch`] — probe `best + 1`.
-//!
-//! Both are complete on the bounded integer objectives produced by
-//! [`crate::SmtSolver`].
+//! One solution-improving loop: from the first model, probe
+//! `objective >= best + 1` under an assumption literal. A model raises the
+//! incumbent; a refutation proves it optimal, the same refutation of the
+//! next-better level an [`OptimalityCertificate`] re-derives; a probe that
+//! runs out of budget ends the search with the incumbent unproven. The
+//! search is complete on the bounded integer objectives produced by
+//! [`crate::SmtSolver`], and never probes above the level it must refute.
 
 use crate::solver::{IntExpr, SmtModel, SmtSolver};
 use qca_sat::dimacs::Cnf;
 use qca_sat::{MemoryProof, ProofStep, SolveOutcome, Solver};
-
-/// Search strategy for [`maximize`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// Bisection on the objective value range (default).
-    #[default]
-    BinarySearch,
-    /// One-step-at-a-time improvement.
-    LinearSearch,
-}
 
 /// Result of a successful maximization.
 #[derive(Debug, Clone)]
@@ -34,9 +21,10 @@ pub struct Optimum {
     pub model: SmtModel,
     /// Number of SAT queries issued during the search.
     pub queries: u64,
-    /// `true` when optimality was proven; `false` when a probe exhausted the
-    /// conflict budget — or the early-termination gap fired — and the search
-    /// settled for the best value found.
+    /// `true` when the search refuted `objective >= value + 1` (or `value`
+    /// already sits at the objective's structural upper bound); `false` when
+    /// that probe exhausted its conflict budget and the search settled for
+    /// the best value found.
     pub optimal: bool,
     /// Independently checkable proof of optimality; present only when
     /// [`OmtOptions::certify`] is set, the solver has recording enabled, and
@@ -95,22 +83,16 @@ impl Default for PortfolioProbe {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OmtOptions {
     /// Maximum SAT conflicts per bound probe; `None` for unlimited (exact).
-    /// When a probe exhausts its budget it is treated as a failed probe, so
-    /// the result may be suboptimal (`Optimum::optimal` reports this).
+    /// A probe that exhausts its budget ends the search with the incumbent,
+    /// which may be suboptimal (`Optimum::optimal` reports this).
     pub probe_conflict_budget: Option<u64>,
     /// Escalate budget-exhausted probes to a racing solver portfolio
     /// ([`qca_portfolio::race`]) over the exported formula before giving up
-    /// on that part of the bracket. `None` (the default) keeps the
+    /// the optimality claim. `None` (the default) keeps the
     /// single-config behavior. Escalation is skipped when the caller's stop
     /// flag has tripped or the lifetime conflict cap is exhausted; otherwise
     /// each member may spend what is left of that cap.
     pub portfolio: Option<PortfolioProbe>,
-    /// Early-termination gap: the binary search stops once the remaining
-    /// bracket is below `relative_gap * max(1, |best|)`. Zero (the default)
-    /// searches to exact optimality. A gap-stop reports
-    /// `Optimum::optimal == false` — the bracket may still contain a better
-    /// value.
-    pub relative_gap: f64,
     /// Build an [`OptimalityCertificate`] for proven-optimal results.
     /// Requires [`SmtSolver::enable_recording`]; silently skipped otherwise.
     /// If the certification re-solve *fails* to refute the bound (a
@@ -135,12 +117,11 @@ pub struct OmtOptions {
 /// let b = smt.new_bool();
 /// smt.add_clause(&[!a, !b]); // can't have both
 /// let obj = smt.pb_sum(0, &[(5, a), (3, b)]);
-/// let best = omt::maximize(&mut smt, &obj, omt::Strategy::BinarySearch)
-///     .expect("satisfiable");
+/// let best = omt::maximize(&mut smt, &obj).expect("satisfiable");
 /// assert_eq!(best.value, 5);
 /// ```
-pub fn maximize(smt: &mut SmtSolver, objective: &IntExpr, strategy: Strategy) -> Option<Optimum> {
-    maximize_with(smt, objective, strategy, OmtOptions::default(), &[])
+pub fn maximize(smt: &mut SmtSolver, objective: &IntExpr) -> Option<Optimum> {
+    maximize_with(smt, objective, OmtOptions::default(), &[])
 }
 
 /// [`maximize`] with explicit tuning options and an optional warm-start
@@ -150,13 +131,12 @@ pub fn maximize(smt: &mut SmtSolver, objective: &IntExpr, strategy: Strategy) ->
 pub fn maximize_with(
     smt: &mut SmtSolver,
     objective: &IntExpr,
-    strategy: Strategy,
     options: OmtOptions,
     hint: &[qca_sat::Lit],
 ) -> Option<Optimum> {
     let tracer = smt.tracer().clone();
-    let mut span = tracer.span_with("omt.search", || format!("{strategy:?}"));
-    let mut result = improve(smt, objective, strategy, options, hint);
+    let mut span = tracer.span("omt.search");
+    let mut result = improve(smt, objective, options, hint);
     if let Some(opt) = result.as_mut() {
         if opt.optimal && options.certify && smt.recording_enabled() {
             if let Some(bound) = opt.value.checked_add(1) {
@@ -327,14 +307,12 @@ fn first_model(smt: &mut SmtSolver, hint: &[qca_sat::Lit]) -> Option<SmtModel> {
     m
 }
 
-/// The improving search: from the first model, probe ever better bounds
-/// until the bracket `(best, hi]` closes (or, for binary search, falls
-/// under the relative gap). A refuted probe lowers `hi` to `bound - 1`; so
-/// does an unknown one, which also gives up the optimality claim.
+/// The improving search: from the first model, probe `best + 1` until a
+/// probe is refuted (the incumbent is optimal) or comes back unknown (it
+/// stays unproven), or the incumbent reaches the objective's upper bound.
 fn improve(
     smt: &mut SmtSolver,
     objective: &IntExpr,
-    strategy: Strategy,
     options: OmtOptions,
     hint: &[qca_sat::Lit],
 ) -> Option<Optimum> {
@@ -342,39 +320,19 @@ fn improve(
     let first = first_model(smt, hint)?;
     let mut best_val = first.int_value(objective);
     let mut best_model = first;
-    let mut hi = objective.hi;
     let mut optimal = true;
-    loop {
-        let gap_limit = match strategy {
-            Strategy::BinarySearch => {
-                (options.relative_gap * (best_val.abs().max(1)) as f64) as i64
-            }
-            Strategy::LinearSearch => 0,
-        };
-        if best_val + gap_limit >= hi {
-            if best_val < hi {
-                optimal = false;
-            }
-            break;
-        }
-        let bound = match strategy {
-            Strategy::BinarySearch => best_val + (hi - best_val + 1) / 2,
-            Strategy::LinearSearch => best_val + 1,
-        };
+    while best_val < objective.hi {
         queries += 1;
-        match probe(smt, objective, bound, options) {
+        match probe(smt, objective, best_val + 1, options) {
             Probe::Sat(m) => {
                 best_val = m.int_value(objective);
                 best_model = m;
                 smt.tracer().gauge("omt.best", best_val);
             }
-            Probe::Unsat => {
-                hi = bound - 1;
-                smt.tracer().gauge("omt.bound_hi", hi);
-            }
+            Probe::Unsat => break,
             Probe::Unknown => {
                 optimal = false;
-                hi = bound - 1;
+                break;
             }
         }
     }
@@ -391,7 +349,8 @@ fn improve(
 mod tests {
     use super::*;
 
-    fn knapsack(strategy: Strategy) {
+    #[test]
+    fn knapsack() {
         // items: weights 3,4,5 values 4,5,6; capacity 7 -> best value 9 (3+4).
         let mut smt = SmtSolver::new();
         let x: Vec<_> = (0..3).map(|_| smt.new_bool()).collect();
@@ -399,21 +358,11 @@ mod tests {
         let cap = smt.int_const(7);
         smt.assert_ge(&cap, &weight);
         let value = smt.pb_sum(0, &[(4, x[0]), (5, x[1]), (6, x[2])]);
-        let best = maximize(&mut smt, &value, strategy).expect("sat");
+        let best = maximize(&mut smt, &value).expect("sat");
         assert_eq!(best.value, 9);
         assert!(best.model.lit_is_true(x[0]));
         assert!(best.model.lit_is_true(x[1]));
         assert!(!best.model.lit_is_true(x[2]));
-    }
-
-    #[test]
-    fn knapsack_binary() {
-        knapsack(Strategy::BinarySearch);
-    }
-
-    #[test]
-    fn knapsack_linear() {
-        knapsack(Strategy::LinearSearch);
     }
 
     #[test]
@@ -423,7 +372,7 @@ mod tests {
         smt.add_clause(&[a]);
         smt.add_clause(&[!a]);
         let obj = smt.pb_sum(0, &[(1, a)]);
-        assert!(maximize(&mut smt, &obj, Strategy::BinarySearch).is_none());
+        assert!(maximize(&mut smt, &obj).is_none());
     }
 
     #[test]
@@ -431,7 +380,7 @@ mod tests {
         let mut smt = SmtSolver::new();
         let _ = smt.new_bool();
         let obj = smt.int_const(42);
-        let best = maximize(&mut smt, &obj, Strategy::BinarySearch).expect("sat");
+        let best = maximize(&mut smt, &obj).expect("sat");
         assert_eq!(best.value, 42);
         assert_eq!(best.queries, 1);
     }
@@ -450,7 +399,7 @@ mod tests {
                 (-3, terms[3]),
             ],
         );
-        let best = maximize(&mut smt, &obj, Strategy::BinarySearch).expect("sat");
+        let best = maximize(&mut smt, &obj).expect("sat");
         assert_eq!(best.value, -2);
     }
 
@@ -472,7 +421,7 @@ mod tests {
         let slack = smt.new_int(0, 100);
         let tot = smt.add(&slack, &dvar);
         smt.assert_eq(&tot, &cap);
-        let best = maximize(&mut smt, &slack, Strategy::BinarySearch).expect("sat");
+        let best = maximize(&mut smt, &slack).expect("sat");
         // Best: fast chosen, e = 0, D = 2, slack = 98.
         assert_eq!(best.value, 98);
         assert!(best.model.lit_is_true(fast));
@@ -492,7 +441,7 @@ mod tests {
         let cap = smt.int_const(7);
         smt.assert_ge(&cap, &weight);
         let value = smt.pb_sum(0, &[(4, x[0]), (5, x[1]), (6, x[2])]);
-        let best = maximize(&mut smt, &value, Strategy::BinarySearch).expect("sat");
+        let best = maximize(&mut smt, &value).expect("sat");
         assert_eq!(best.value, 9);
         let events = sink.take();
         report::validate_forest(&events).unwrap();
@@ -515,7 +464,8 @@ mod tests {
         assert_eq!(search_note.as_deref(), Some("optimal"));
     }
 
-    fn certified_knapsack(strategy: Strategy) -> Optimum {
+    #[test]
+    fn proven_optimality_carries_certificate() {
         let mut smt = SmtSolver::new();
         smt.enable_recording();
         let x: Vec<_> = (0..3).map(|_| smt.new_bool()).collect();
@@ -527,27 +477,20 @@ mod tests {
             certify: true,
             ..OmtOptions::default()
         };
-        maximize_with(&mut smt, &value, strategy, opts, &[]).expect("sat")
-    }
-
-    #[test]
-    fn proven_optimality_carries_certificate() {
-        for strategy in [Strategy::BinarySearch, Strategy::LinearSearch] {
-            let best = certified_knapsack(strategy);
-            assert_eq!(best.value, 9);
-            assert!(best.optimal);
-            let cert = best.certificate.expect("certificate requested");
-            assert_eq!(cert.refuted_bound, 10);
-            // A DRAT refutation must end in the empty clause (or reach a
-            // top-level conflict, in which case the final step may be any
-            // addition; the emitted proof always closes with the empty one).
-            assert!(matches!(
-                cert.steps.last(),
-                Some(ProofStep::Add(c)) if c.is_empty()
-            ));
-            // The asserted bound is the last clause of the certified formula.
-            assert_eq!(cert.cnf.clauses.last().map(Vec::len), Some(1));
-        }
+        let best = maximize_with(&mut smt, &value, opts, &[]).expect("sat");
+        assert_eq!(best.value, 9);
+        assert!(best.optimal);
+        let cert = best.certificate.expect("certificate requested");
+        assert_eq!(cert.refuted_bound, 10);
+        // A DRAT refutation must end in the empty clause (or reach a
+        // top-level conflict, in which case the final step may be any
+        // addition; the emitted proof always closes with the empty one).
+        assert!(matches!(
+            cert.steps.last(),
+            Some(ProofStep::Add(c)) if c.is_empty()
+        ));
+        // The asserted bound is the last clause of the certified formula.
+        assert_eq!(cert.cnf.clauses.last().map(Vec::len), Some(1));
     }
 
     #[test]
@@ -562,7 +505,7 @@ mod tests {
             certify: true,
             ..OmtOptions::default()
         };
-        let best = maximize_with(&mut smt, &obj, Strategy::BinarySearch, opts, &[]).expect("sat");
+        let best = maximize_with(&mut smt, &obj, opts, &[]).expect("sat");
         assert_eq!(best.value, 42);
         assert!(best.optimal);
         let cert = best.certificate.expect("certificate");
@@ -578,47 +521,48 @@ mod tests {
             certify: true,
             ..OmtOptions::default()
         };
-        let best = maximize_with(&mut smt, &obj, Strategy::BinarySearch, opts, &[]).expect("sat");
+        let best = maximize_with(&mut smt, &obj, opts, &[]).expect("sat");
         assert_eq!(best.value, 5);
         assert!(best.optimal, "missing recording must not downgrade results");
         assert!(best.certificate.is_none());
     }
 
     #[test]
-    fn gap_stop_reports_suboptimal_and_uncertified() {
+    fn unknown_probe_reports_suboptimal_and_uncertified() {
         // Objective fixed at 50 but with structural range up to 59: the
-        // search must tighten the bracket down. With a nonzero relative gap
-        // it stops early, and that stop must be distinguishable from proven
-        // optimality: `optimal == false` and no certificate, even though
-        // certification was requested and recording is on.
-        let mut smt = SmtSolver::new();
-        smt.enable_recording();
-        let b = smt.new_bool();
-        smt.add_clause(&[!b]);
-        let obj = smt.pb_sum(50, &[(9, b)]);
-        assert_eq!(obj.hi, 59);
+        // search must refute `objective >= 51`. With a zero probe budget
+        // that probe comes back unknown, and the stop must be
+        // distinguishable from proven optimality: `optimal == false` and no
+        // certificate, even though certification was requested and
+        // recording is on.
+        let build = || {
+            let mut smt = SmtSolver::new();
+            smt.enable_recording();
+            let b = smt.new_bool();
+            smt.add_clause(&[!b]);
+            let obj = smt.pb_sum(50, &[(9, b)]);
+            assert_eq!(obj.hi, 59);
+            (smt, obj)
+        };
+        let (mut smt, obj) = build();
         let opts = OmtOptions {
-            relative_gap: 0.05,
+            probe_conflict_budget: Some(0),
             certify: true,
             ..OmtOptions::default()
         };
-        let best = maximize_with(&mut smt, &obj, Strategy::BinarySearch, opts, &[]).expect("sat");
+        let best = maximize_with(&mut smt, &obj, opts, &[]).expect("sat");
         assert_eq!(best.value, 50);
-        assert!(!best.optimal, "gap-stop must not claim proven optimality");
+        assert!(!best.optimal, "an unknown probe must not claim optimality");
         assert!(best.certificate.is_none());
 
         // Same instance searched to exactness is proven optimal and
         // certified — the certificate is what separates the two outcomes.
-        let mut smt = SmtSolver::new();
-        smt.enable_recording();
-        let b = smt.new_bool();
-        smt.add_clause(&[!b]);
-        let obj = smt.pb_sum(50, &[(9, b)]);
+        let (mut smt, obj) = build();
         let opts = OmtOptions {
             certify: true,
             ..OmtOptions::default()
         };
-        let best = maximize_with(&mut smt, &obj, Strategy::BinarySearch, opts, &[]).expect("sat");
+        let best = maximize_with(&mut smt, &obj, opts, &[]).expect("sat");
         assert_eq!(best.value, 50);
         assert!(best.optimal);
         assert!(best.certificate.is_some());
@@ -652,99 +596,81 @@ mod tests {
     fn unknown_probes_settle_for_the_incumbent() {
         // A zero probe budget makes every bound probe come back unknown, so
         // the search keeps the warm-start incumbent (value 4) and cannot
-        // claim optimality. Binary search gives up on each upper half in
-        // turn; linear search stops at its first unknown step.
+        // claim optimality: it stops at its first unknown step.
         use qca_trace::Tracer;
-        let expected: [(Strategy, &[&str], u64); 2] = [
-            (
-                Strategy::BinarySearch,
-                &["bound=10", "bound=7", "bound=5"],
-                4,
-            ),
-            (Strategy::LinearSearch, &["bound=5"], 2),
-        ];
-        for (strategy, bounds, queries) in expected {
-            let (tracer, sink) = Tracer::to_memory();
-            let mut smt = SmtSolver::new();
-            smt.set_control(qca_sat::SolveControl {
-                tracer,
-                ..qca_sat::SolveControl::default()
-            });
-            let x: Vec<_> = (0..3).map(|_| smt.new_bool()).collect();
-            let weight = smt.pb_sum(0, &[(3, x[0]), (4, x[1]), (5, x[2])]);
-            let cap = smt.int_const(7);
-            smt.assert_ge(&cap, &weight);
-            let value = smt.pb_sum(0, &[(4, x[0]), (5, x[1]), (6, x[2])]);
-            let opts = OmtOptions {
-                probe_conflict_budget: Some(0),
-                ..OmtOptions::default()
-            };
-            let hint = [x[0], !x[1], !x[2]];
-            let best = maximize_with(&mut smt, &value, strategy, opts, &hint).expect("sat");
-            let trail: Vec<(String, String)> = bounds
-                .iter()
-                .map(|b| (b.to_string(), "unknown".to_string()))
-                .collect();
-            assert_eq!(probe_trail(&sink.take()), trail, "{strategy:?}");
-            assert_eq!(best.queries, queries, "{strategy:?}");
-            assert_eq!(best.value, 4, "{strategy:?}");
-            assert!(best.model.lit_is_true(x[0]), "{strategy:?}");
-            assert!(!best.optimal, "{strategy:?}");
-        }
+        let (tracer, sink) = Tracer::to_memory();
+        let mut smt = SmtSolver::new();
+        smt.set_control(qca_sat::SolveControl {
+            tracer,
+            ..qca_sat::SolveControl::default()
+        });
+        let x: Vec<_> = (0..3).map(|_| smt.new_bool()).collect();
+        let weight = smt.pb_sum(0, &[(3, x[0]), (4, x[1]), (5, x[2])]);
+        let cap = smt.int_const(7);
+        smt.assert_ge(&cap, &weight);
+        let value = smt.pb_sum(0, &[(4, x[0]), (5, x[1]), (6, x[2])]);
+        let opts = OmtOptions {
+            probe_conflict_budget: Some(0),
+            ..OmtOptions::default()
+        };
+        let hint = [x[0], !x[1], !x[2]];
+        let best = maximize_with(&mut smt, &value, opts, &hint).expect("sat");
+        let trail = vec![("bound=5".to_string(), "unknown".to_string())];
+        assert_eq!(probe_trail(&sink.take()), trail);
+        assert_eq!(best.queries, 2);
+        assert_eq!(best.value, 4);
+        assert!(best.model.lit_is_true(x[0]));
+        assert!(!best.optimal);
     }
 
     #[test]
     fn exhausted_probes_escalate_to_portfolio_and_stay_exact() {
         use qca_trace::{TraceEvent, Tracer};
-        for strategy in [Strategy::BinarySearch, Strategy::LinearSearch] {
-            let (tracer, sink) = Tracer::to_memory();
-            let mut smt = SmtSolver::new();
-            smt.set_control(qca_sat::SolveControl {
-                tracer,
-                ..qca_sat::SolveControl::default()
-            });
-            let x: Vec<_> = (0..3).map(|_| smt.new_bool()).collect();
-            let weight = smt.pb_sum(0, &[(3, x[0]), (4, x[1]), (5, x[2])]);
-            let cap = smt.int_const(7);
-            smt.assert_ge(&cap, &weight);
-            let value = smt.pb_sum(0, &[(4, x[0]), (5, x[1]), (6, x[2])]);
-            // A zero probe budget exhausts every probe immediately, so each
-            // bound is decided by the racing portfolio alone — and the
-            // search must still land on the exact optimum.
-            let opts = OmtOptions {
-                probe_conflict_budget: Some(0),
-                portfolio: Some(PortfolioProbe::default()),
-                ..OmtOptions::default()
-            };
-            let best = maximize_with(&mut smt, &value, strategy, opts, &[]).expect("sat");
-            assert_eq!(best.value, 9, "{strategy:?}");
-            assert!(best.optimal, "portfolio verdicts are definitive");
-            let events = sink.take();
-            let escalations: u64 = events
-                .iter()
-                .filter_map(|e| match e {
-                    TraceEvent::Counter { name, value, .. }
-                        if name.as_ref() == "portfolio.escalations" =>
-                    {
-                        Some(*value)
-                    }
-                    _ => None,
-                })
-                .sum();
-            assert!(escalations > 0, "{strategy:?}: no escalation happened");
-            let races: u64 = events
-                .iter()
-                .filter_map(|e| match e {
-                    TraceEvent::Counter { name, value, .. }
-                        if name.as_ref() == "portfolio.races" =>
-                    {
-                        Some(*value)
-                    }
-                    _ => None,
-                })
-                .sum();
-            assert_eq!(races, escalations);
-        }
+        let (tracer, sink) = Tracer::to_memory();
+        let mut smt = SmtSolver::new();
+        smt.set_control(qca_sat::SolveControl {
+            tracer,
+            ..qca_sat::SolveControl::default()
+        });
+        let x: Vec<_> = (0..3).map(|_| smt.new_bool()).collect();
+        let weight = smt.pb_sum(0, &[(3, x[0]), (4, x[1]), (5, x[2])]);
+        let cap = smt.int_const(7);
+        smt.assert_ge(&cap, &weight);
+        let value = smt.pb_sum(0, &[(4, x[0]), (5, x[1]), (6, x[2])]);
+        // A zero probe budget exhausts every probe immediately, so each
+        // bound is decided by the racing portfolio alone — and the
+        // search must still land on the exact optimum.
+        let opts = OmtOptions {
+            probe_conflict_budget: Some(0),
+            portfolio: Some(PortfolioProbe::default()),
+            ..OmtOptions::default()
+        };
+        let best = maximize_with(&mut smt, &value, opts, &[]).expect("sat");
+        assert_eq!(best.value, 9);
+        assert!(best.optimal, "portfolio verdicts are definitive");
+        let events = sink.take();
+        let escalations: u64 = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Counter { name, value, .. }
+                    if name.as_ref() == "portfolio.escalations" =>
+                {
+                    Some(*value)
+                }
+                _ => None,
+            })
+            .sum();
+        assert!(escalations > 0, "no escalation happened");
+        let races: u64 = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Counter { name, value, .. } if name.as_ref() == "portfolio.races" => {
+                    Some(*value)
+                }
+                _ => None,
+            })
+            .sum();
+        assert_eq!(races, escalations);
     }
 
     #[test]
@@ -755,68 +681,63 @@ mod tests {
         // is left of it, so that bound stays unknown and the search must
         // not claim optimality.
         use qca_trace::{TraceEvent, Tracer};
-        for strategy in [Strategy::BinarySearch, Strategy::LinearSearch] {
-            let (tracer, sink) = Tracer::to_memory();
-            let mut smt = SmtSolver::new();
-            smt.set_control(qca_sat::SolveControl {
-                tracer,
-                conflict_cap: Some(50),
-                ..qca_sat::SolveControl::default()
-            });
-            let p: Vec<Vec<_>> = (0..8)
-                .map(|_| (0..7).map(|_| smt.new_bool()).collect())
-                .collect();
-            for i in 0..8 {
-                for j in 0..7 {
-                    for k in i + 1..8 {
-                        smt.add_clause(&[!p[i][j], !p[k][j]]);
-                    }
-                    for l in j + 1..7 {
-                        smt.add_clause(&[!p[i][j], !p[i][l]]);
-                    }
+        let (tracer, sink) = Tracer::to_memory();
+        let mut smt = SmtSolver::new();
+        smt.set_control(qca_sat::SolveControl {
+            tracer,
+            conflict_cap: Some(50),
+            ..qca_sat::SolveControl::default()
+        });
+        let p: Vec<Vec<_>> = (0..8)
+            .map(|_| (0..7).map(|_| smt.new_bool()).collect())
+            .collect();
+        for i in 0..8 {
+            for j in 0..7 {
+                for k in i + 1..8 {
+                    smt.add_clause(&[!p[i][j], !p[k][j]]);
+                }
+                for l in j + 1..7 {
+                    smt.add_clause(&[!p[i][j], !p[i][l]]);
                 }
             }
-            let terms: Vec<_> = p.iter().flatten().map(|&l| (1, l)).collect();
-            let placed = smt.pb_sum(0, &terms);
-            let opts = OmtOptions {
-                probe_conflict_budget: Some(0),
-                portfolio: Some(PortfolioProbe::default()),
-                ..OmtOptions::default()
-            };
-            let best = maximize_with(&mut smt, &placed, strategy, opts, &[]).expect("sat");
-            let events = sink.take();
-            // Pair each race with the bound it escalated: the race span
-            // closes right after the unknown probe's span.
-            let mut bound = String::new();
-            let mut races = Vec::new();
-            for e in &events {
-                match e {
-                    TraceEvent::SpanEnter { name, detail, .. } if name == "omt.probe" => {
-                        bound = detail.clone().unwrap_or_default();
-                    }
-                    TraceEvent::SpanExit { note: Some(n), .. }
-                        if n.starts_with("winner=") || n == "no definitive member" =>
-                    {
-                        races.push((bound.clone(), n.clone()));
-                    }
-                    _ => {}
-                }
-            }
-            assert!(!races.is_empty(), "{strategy:?}: no escalation happened");
-            // No race can refute `placed >= 8` (or any higher bound) on
-            // what is left of 50 conflicts: a winner there would be a
-            // member running past the cap.
-            for (bound, note) in &races {
-                let b: i64 = bound["bound=".len()..].parse().expect("bound");
-                if b >= 8 {
-                    assert_eq!(note, "no definitive member", "{strategy:?} {bound}");
-                }
-            }
-            assert!(
-                !best.optimal,
-                "{strategy:?}: the cap left the bound unproven"
-            );
         }
+        let terms: Vec<_> = p.iter().flatten().map(|&l| (1, l)).collect();
+        let placed = smt.pb_sum(0, &terms);
+        let opts = OmtOptions {
+            probe_conflict_budget: Some(0),
+            portfolio: Some(PortfolioProbe::default()),
+            ..OmtOptions::default()
+        };
+        let best = maximize_with(&mut smt, &placed, opts, &[]).expect("sat");
+        let events = sink.take();
+        // Pair each race with the bound it escalated: the race span
+        // closes right after the unknown probe's span.
+        let mut bound = String::new();
+        let mut races = Vec::new();
+        for e in &events {
+            match e {
+                TraceEvent::SpanEnter { name, detail, .. } if name == "omt.probe" => {
+                    bound = detail.clone().unwrap_or_default();
+                }
+                TraceEvent::SpanExit { note: Some(n), .. }
+                    if n.starts_with("winner=") || n == "no definitive member" =>
+                {
+                    races.push((bound.clone(), n.clone()));
+                }
+                _ => {}
+            }
+        }
+        assert!(!races.is_empty(), "no escalation happened");
+        // No race can refute `placed >= 8` (or any higher bound) on
+        // what is left of 50 conflicts: a winner there would be a
+        // member running past the cap.
+        for (bound, note) in &races {
+            let b: i64 = bound["bound=".len()..].parse().expect("bound");
+            if b >= 8 {
+                assert_eq!(note, "no definitive member", "{bound}");
+            }
+        }
+        assert!(!best.optimal, "the cap left the bound unproven");
     }
 
     #[test]
@@ -825,33 +746,30 @@ mod tests {
         // certificate must still refute the bound against the RECORDED
         // shadow CNF — preprocessing the race input must not leak into
         // certification.
-        for strategy in [Strategy::BinarySearch, Strategy::LinearSearch] {
-            let mut smt = SmtSolver::new();
-            smt.enable_recording();
-            let x: Vec<_> = (0..3).map(|_| smt.new_bool()).collect();
-            let weight = smt.pb_sum(0, &[(3, x[0]), (4, x[1]), (5, x[2])]);
-            let cap = smt.int_const(7);
-            smt.assert_ge(&cap, &weight);
-            let value = smt.pb_sum(0, &[(4, x[0]), (5, x[1]), (6, x[2])]);
-            let opts = OmtOptions {
-                probe_conflict_budget: Some(0),
-                portfolio: Some(PortfolioProbe {
-                    preprocess: true,
-                    ..PortfolioProbe::default()
-                }),
-                certify: true,
-                ..OmtOptions::default()
-            };
-            let best = maximize_with(&mut smt, &value, strategy, opts, &[]).expect("sat");
-            assert_eq!(best.value, 9, "{strategy:?}");
-            assert!(best.optimal, "{strategy:?}");
-            let cert = best.certificate.expect("certificate requested");
-            assert_eq!(cert.refuted_bound, 10);
-            assert!(matches!(
-                cert.steps.last(),
-                Some(ProofStep::Add(c)) if c.is_empty()
-            ));
-        }
+        let mut smt = SmtSolver::new();
+        smt.enable_recording();
+        let x: Vec<_> = (0..3).map(|_| smt.new_bool()).collect();
+        let weight = smt.pb_sum(0, &[(3, x[0]), (4, x[1]), (5, x[2])]);
+        let cap = smt.int_const(7);
+        smt.assert_ge(&cap, &weight);
+        let value = smt.pb_sum(0, &[(4, x[0]), (5, x[1]), (6, x[2])]);
+        let opts = OmtOptions {
+            probe_conflict_budget: Some(0),
+            portfolio: Some(PortfolioProbe {
+                preprocess: true,
+                ..PortfolioProbe::default()
+            }),
+            certify: true,
+        };
+        let best = maximize_with(&mut smt, &value, opts, &[]).expect("sat");
+        assert_eq!(best.value, 9);
+        assert!(best.optimal);
+        let cert = best.certificate.expect("certificate requested");
+        assert_eq!(cert.refuted_bound, 10);
+        assert!(matches!(
+            cert.steps.last(),
+            Some(ProofStep::Add(c)) if c.is_empty()
+        ));
     }
 
     #[test]
@@ -877,7 +795,7 @@ mod tests {
             };
             let (mut s1, o1) = build(&weights, &conflicts);
             let (mut s2, o2) = build(&weights, &conflicts);
-            let exact = maximize(&mut s1, &o1, Strategy::BinarySearch).unwrap();
+            let exact = maximize(&mut s1, &o1).unwrap();
             let opts = OmtOptions {
                 probe_conflict_budget: Some(0),
                 portfolio: Some(PortfolioProbe {
@@ -887,38 +805,9 @@ mod tests {
                 }),
                 ..OmtOptions::default()
             };
-            let raced = maximize_with(&mut s2, &o2, Strategy::BinarySearch, opts, &[]).unwrap();
+            let raced = maximize_with(&mut s2, &o2, opts, &[]).unwrap();
             assert_eq!(raced.value, exact.value, "round {round}");
             assert!(raced.optimal, "round {round}");
-        }
-    }
-
-    #[test]
-    fn strategies_agree_on_random_instances() {
-        use rand::Rng;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        for _ in 0..10 {
-            let n = 6;
-            let weights: Vec<i64> = (0..n).map(|_| rng.gen_range(-10..10)).collect();
-            let conflicts: Vec<(usize, usize)> = (0..4)
-                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
-                .collect();
-            let build = |weights: &[i64], conflicts: &[(usize, usize)]| {
-                let mut smt = SmtSolver::new();
-                let xs: Vec<_> = (0..n).map(|_| smt.new_bool()).collect();
-                for &(i, j) in conflicts {
-                    smt.add_clause(&[!xs[i], !xs[j]]);
-                }
-                let terms: Vec<_> = weights.iter().zip(&xs).map(|(&w, &x)| (w, x)).collect();
-                let obj = smt.pb_sum(0, &terms);
-                (smt, obj)
-            };
-            let (mut s1, o1) = build(&weights, &conflicts);
-            let (mut s2, o2) = build(&weights, &conflicts);
-            let b1 = maximize(&mut s1, &o1, Strategy::BinarySearch).unwrap();
-            let b2 = maximize(&mut s2, &o2, Strategy::LinearSearch).unwrap();
-            assert_eq!(b1.value, b2.value);
         }
     }
 }

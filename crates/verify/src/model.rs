@@ -269,7 +269,7 @@ pub fn check_reconstruction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qca_smt::omt::{self, OmtOptions, Strategy};
+    use qca_smt::omt::{self, OmtOptions};
     use qca_smt::SmtSolver;
 
     fn knapsack_solver() -> (SmtSolver, Vec<Lit>, IntExpr) {
@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn audits_a_sound_solve() {
         let (mut smt, _x, value) = knapsack_solver();
-        let best = omt::maximize(&mut smt, &value, Strategy::BinarySearch).expect("sat");
+        let best = omt::maximize(&mut smt, &value).expect("sat");
         let bundle = smt.audit_bundle(best.model.clone()).expect("recording on");
         let stats = audit_model(&bundle).expect("audit passes");
         assert!(stats.constraints_checked > 0);
@@ -381,7 +381,7 @@ mod tests {
     #[test]
     fn post_snapshot_constraints_are_indeterminate_not_failures() {
         let (mut smt, _x, value) = knapsack_solver();
-        let best = omt::maximize(&mut smt, &value, Strategy::BinarySearch).expect("sat");
+        let best = omt::maximize(&mut smt, &value).expect("sat");
         // Allocate fresh structure after the model snapshot; its records
         // mention variables the model cannot evaluate.
         let z = smt.new_int(0, 3);
@@ -399,8 +399,7 @@ mod tests {
             certify: true,
             ..OmtOptions::default()
         };
-        let best =
-            omt::maximize_with(&mut smt, &value, Strategy::BinarySearch, opts, &[]).expect("sat");
+        let best = omt::maximize_with(&mut smt, &value, opts, &[]).expect("sat");
         let cert = best.certificate.expect("certified");
         check_certificate(&cert).expect("valid certificate");
 

@@ -1,8 +1,8 @@
 //! Golden search trajectories: the size of the bit-blasted model and the
 //! SAT statistics the OMT search accumulates on fixed paper-family circuits,
-//! for each path through the search — budgeted binary and linear search,
-//! an exact certified solve, and the anchored re-check of recalibration —
-//! and what the independent DRAT checker counts in one long certificate.
+//! for each path through the search — a budgeted solve, an exact certified
+//! solve, and the anchored re-check of recalibration — and what the
+//! independent DRAT checker counts in one long certificate.
 //!
 //! The model is bit-blasted into CNF and solved by `qca-sat` under the
 //! default probe budgets, so the counters below depend on every gate the
@@ -14,13 +14,12 @@
 
 use qca::adapt::{adapt, recalibrate_adaptation, AdaptContext, Adaptation, Objective};
 use qca::hw::{spin_qubit_model, GateTimes};
-use qca::smt::omt::Strategy;
 use qca::trace::{TraceEvent, Tracer};
 use qca::workloads::{random_template_circuit, DEFAULT_TEMPLATE_GATES};
 use qca_verify::check_certificate;
 
 #[test]
-fn budgeted_rand_3q_d20_adaptation_trajectory_is_pinned() {
+fn budgeted_rand_3q_d20_linear_search_trajectory_is_pinned() {
     let circuit = random_template_circuit(3, 20, 0x5eed_2023, &DEFAULT_TEMPLATE_GATES, true);
     let hw = spin_qubit_model(GateTimes::D0);
     let (tracer, sink) = Tracer::to_memory();
@@ -28,7 +27,9 @@ fn budgeted_rand_3q_d20_adaptation_trajectory_is_pinned() {
         tracer,
         ..AdaptContext::with_objective(Objective::Combined)
     };
-    let result = adapt(&circuit, &hw, &ctx).expect("adaptation succeeds");
+    let r = adapt(&circuit, &hw, &ctx)
+        .expect("adaptation succeeds")
+        .solver;
     // The encoded model's size, as `smt.encode` reports it.
     let events = sink.events();
     let gauge = |wanted: &str| {
@@ -40,33 +41,10 @@ fn budgeted_rand_3q_d20_adaptation_trajectory_is_pinned() {
             })
             .expect("gauge emitted")
     };
-    let s = &result.solver.solver_stats;
     assert_eq!(
         (gauge("smt.sat_vars"), gauge("smt.sat_clauses")),
         (2_448, 13_040)
     );
-    assert_eq!(
-        (
-            s.decisions,
-            s.propagations,
-            s.conflicts,
-            s.restarts,
-            s.deleted_clauses,
-            s.minimized_literals,
-        ),
-        (42_572, 2_839_947, 18_000, 108, 14_065, 48_705)
-    );
-}
-
-#[test]
-fn budgeted_rand_3q_d20_linear_search_trajectory_is_pinned() {
-    let circuit = random_template_circuit(3, 20, 0x5eed_2023, &DEFAULT_TEMPLATE_GATES, true);
-    let hw = spin_qubit_model(GateTimes::D0);
-    let mut ctx = AdaptContext::with_objective(Objective::Combined);
-    ctx.options.strategy = Strategy::LinearSearch;
-    let r = adapt(&circuit, &hw, &ctx)
-        .expect("adaptation succeeds")
-        .solver;
     let s = &r.solver_stats;
     let got = (
         r.objective_value,
@@ -109,7 +87,7 @@ fn exact_certified_rand_3q_d6_trajectory_is_pinned() {
         (s.decisions, s.propagations, s.conflicts, s.restarts),
         steps,
     );
-    assert_eq!(got, (-493, 8, true, (67, 1_563, 33, 0), Some(22)));
+    assert_eq!(got, (-493, 2, true, (50, 877, 20, 0), Some(29)));
 }
 
 /// A certificate long enough for the solver to reduce its clause database:
@@ -139,7 +117,7 @@ fn exact_certified_rand_3q_d40_certificate_is_pinned() {
             stats.steps_skipped,
         ),
     );
-    assert_eq!(got, ((8_283, 4_416), (3_173, 1_242, 0, 1)));
+    assert_eq!(got, ((7_839, 3_680), (2_503, 1_176, 0, 1)));
 }
 
 #[test]

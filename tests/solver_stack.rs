@@ -19,7 +19,7 @@ fn sat_and_smt_agree_on_selection_problems() {
     }
     let terms: Vec<_> = weights.iter().zip(&xs).map(|(&w, &x)| (w, x)).collect();
     let obj = smt.pb_sum(0, &terms);
-    let best = omt::maximize(&mut smt, &obj, omt::Strategy::BinarySearch).unwrap();
+    let best = omt::maximize(&mut smt, &obj).unwrap();
 
     let mut expect = i64::MIN;
     'outer: for bits in 0u32..64 {
@@ -64,7 +64,7 @@ fn smt_schedule_matches_difference_logic() {
     let slack = smt.new_int(0, cap);
     let tot = smt.add(&slack, &mk);
     smt.assert_eq(&tot, &capx);
-    let best = omt::maximize(&mut smt, &slack, omt::Strategy::BinarySearch).unwrap();
+    let best = omt::maximize(&mut smt, &slack).unwrap();
     assert_eq!(cap - best.value, expect);
 }
 
@@ -107,12 +107,12 @@ fn incremental_smt_reuse_across_objectives() {
     let x = smt.new_bool();
     let y = smt.new_bool();
     let obj = smt.pb_sum(0, &[(10, x), (6, y)]);
-    let b1 = omt::maximize(&mut smt, &obj, omt::Strategy::LinearSearch).unwrap();
+    let b1 = omt::maximize(&mut smt, &obj).unwrap();
     assert_eq!(b1.value, 16);
     smt.add_clause(&[!x, !y]);
-    let b2 = omt::maximize(&mut smt, &obj, omt::Strategy::LinearSearch).unwrap();
+    let b2 = omt::maximize(&mut smt, &obj).unwrap();
     assert_eq!(b2.value, 10);
     smt.add_clause(&[!x]);
-    let b3 = omt::maximize(&mut smt, &obj, omt::Strategy::BinarySearch).unwrap();
+    let b3 = omt::maximize(&mut smt, &obj).unwrap();
     assert_eq!(b3.value, 6);
 }
