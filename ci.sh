@@ -175,17 +175,17 @@ grep -q 'lint=ok' "$trace_dir/lint-engine.txt" || {
   echo "lint gate: no lint verdicts in engine output" >&2; exit 1; }
 
 echo "== config gate: qca-serve and qca-engine reject the same invalid config =="
-# Both front ends validate one EngineConfig: a 9-member portfolio is not a
-# race, so each must exit non-zero with the same message (the timeout only
-# stops a server that wrongly started).
-config_msg='portfolio_members = 9 is not a race'
-if timeout 20 target/release/qca-serve --addr 127.0.0.1:0 --portfolio 9 \
+# Both front ends validate one EngineConfig before starting any thread:
+# 1025 workers is past the ceiling, so each must exit non-zero with the same
+# message (the timeout only stops a server that wrongly started).
+config_msg='workers = 1025 exceeds the 1024 ceiling'
+if timeout 20 target/release/qca-serve --addr 127.0.0.1:0 --workers 1025 \
     > "$trace_dir/config-serve.txt" 2>&1; then
-  echo "config gate: qca-serve accepted --portfolio 9" >&2; exit 1
+  echo "config gate: qca-serve accepted --workers 1025" >&2; exit 1
 fi
-if target/release/qca-engine --portfolio 9 examples/qasm \
+if target/release/qca-engine --workers 1025 examples/qasm \
     > "$trace_dir/config-engine.txt" 2>&1; then
-  echo "config gate: qca-engine accepted --portfolio 9" >&2; exit 1
+  echo "config gate: qca-engine accepted --workers 1025" >&2; exit 1
 fi
 for out in config-serve config-engine; do
   grep -q "$config_msg" "$trace_dir/$out.txt" || {
@@ -484,7 +484,7 @@ done
 
 echo "== perf gate: quick suite vs committed BENCH baseline =="
 # The committed baseline must itself be schema-valid and cover every
-# measured layer (sat, smt, synth, sim, engine, portfolio, serve, store).
+# measured layer (num, sat, smt, synth, sim, engine, serve, store).
 baseline="$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)"
 test -n "$baseline" || {
   echo "perf gate: no committed BENCH_*.json baseline" >&2; exit 1; }

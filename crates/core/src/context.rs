@@ -10,7 +10,6 @@
 use crate::adapt::AdaptOptions;
 use crate::error::AdaptError;
 use crate::model::{AdaptLimits, Objective};
-use qca_smt::omt::PortfolioProbe;
 use qca_trace::Tracer;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -63,10 +62,6 @@ pub struct AdaptContext {
     /// present and still valid for the evaluated catalog it replaces the
     /// greedy warm start; stale hints fall back to greedy.
     pub warm_hint: Option<Vec<usize>>,
-    /// Escalate budget-exhausted OMT probes to a racing solver portfolio
-    /// (`qca-portfolio`) on spare workers; `None` (the default) keeps the
-    /// single-configuration search.
-    pub portfolio: Option<PortfolioProbe>,
 }
 
 impl AdaptContext {
@@ -81,9 +76,8 @@ impl AdaptContext {
         }
     }
 
-    /// Rejects a nonsensical configuration: a zero conflict budget, a
-    /// portfolio of fewer than two members, or a pattern window too short
-    /// to match any multi-gate rule.
+    /// Rejects a nonsensical configuration: a zero conflict budget or a
+    /// pattern window too short to match any multi-gate rule.
     ///
     /// # Errors
     ///
@@ -94,14 +88,6 @@ impl AdaptContext {
                 "total_conflicts = Some(0) can never make progress; use None for unlimited"
                     .to_string(),
             ));
-        }
-        if let Some(probe) = self.portfolio {
-            if probe.members < 2 {
-                return Err(AdaptError::InvalidOptions(
-                    "portfolio with fewer than 2 members is not a race; omit it instead"
-                        .to_string(),
-                ));
-            }
         }
         if self.options.rules.max_match_len < 2 {
             return Err(AdaptError::InvalidOptions(format!(
@@ -146,7 +132,6 @@ mod tests {
         assert!(ctx.cancel.is_none());
         assert!(!ctx.cancelled());
         assert!(ctx.warm_hint.is_none());
-        assert!(ctx.portfolio.is_none());
         assert!(ctx.validate().is_ok());
     }
 
@@ -170,7 +155,6 @@ mod tests {
                 limits: AdaptLimits {
                     total_conflicts: Some(1),
                 },
-                portfolio: Some(PortfolioProbe::default()),
                 ..AdaptContext::default()
             },
         ];
@@ -182,13 +166,6 @@ mod tests {
                 limits: AdaptLimits {
                     total_conflicts: Some(0),
                 },
-                ..AdaptContext::default()
-            },
-            AdaptContext {
-                portfolio: Some(PortfolioProbe {
-                    members: 1,
-                    ..PortfolioProbe::default()
-                }),
                 ..AdaptContext::default()
             },
             AdaptContext {

@@ -86,7 +86,6 @@ pub use model::{
     VerificationData, LOG_SCALE,
 };
 pub use preflight::{preflight, preflight_with_coupling, Diagnostic, RuleToggles};
-pub use qca_smt::omt::PortfolioProbe;
 pub use rules::{append_routing_substitutions, Route, RuleOptions, Substitution, SubstitutionKind};
 
 #[cfg(test)]

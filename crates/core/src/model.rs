@@ -466,7 +466,6 @@ pub fn solve_model(
     let options = omt::OmtOptions {
         probe_conflict_budget,
         certify: ctx.options.certify,
-        portfolio: ctx.portfolio,
     };
     anchored_search(model, &warm, warm_value, options, ctx)
 }
@@ -833,7 +832,6 @@ pub fn recheck_optimum(
         .evaluate(pre, catalog, &selection, ctx.options.objective);
     let options = omt::OmtOptions {
         certify: ctx.options.certify,
-        portfolio: ctx.portfolio,
         ..omt::OmtOptions::default()
     };
     let r = anchored_search(model, &selection, expected, options, ctx)?;

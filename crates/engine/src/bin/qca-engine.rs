@@ -24,8 +24,6 @@
 //!   --lint               run the qca-lint preflight before each solve and
 //!                        reject statically infeasible jobs
 //!   --deny-warnings      like --lint, but escalate warnings to errors
-//!   --portfolio N        race N diverse solver configs on spare workers
-//!                        when a job escalates (2..=4; default: off)
 //!   --recalibrate        after the batch, re-check every cached optimum
 //!                        against the (optionally perturbed) fidelity table
 //!   --perturb F          scale all gate infidelities by F for the
@@ -76,7 +74,6 @@ struct Args {
     verify: bool,
     lint: bool,
     deny_warnings: bool,
-    portfolio: usize,
     recalibrate: bool,
     perturb: f64,
 }
@@ -85,7 +82,7 @@ fn usage() -> &'static str {
     "usage: qca-engine [--workers N] [--objective fidelity|idle|combined] \
      [--times d0|d1] [--coupling line|ring|star|starmon5|all] [--budget N] [--timeout-ms N] [--cache-capacity N] \
      [--repeat N] [--out-dir DIR] [--metrics-out FILE] [--trace FILE] \
-     [--trace-report] [--verify] [--lint] [--deny-warnings] [--portfolio N] \
+     [--trace-report] [--verify] [--lint] [--deny-warnings] \
      [--recalibrate] [--perturb F] <QASM_DIR>"
 }
 
@@ -107,7 +104,6 @@ fn parse_args() -> Result<Args, String> {
         verify: false,
         lint: false,
         deny_warnings: false,
-        portfolio: 0,
         recalibrate: false,
         perturb: 1.0,
     };
@@ -155,11 +151,6 @@ fn parse_args() -> Result<Args, String> {
             "--verify" => args.verify = true,
             "--lint" => args.lint = true,
             "--deny-warnings" => args.deny_warnings = true,
-            "--portfolio" => {
-                args.portfolio = value("--portfolio")?
-                    .parse()
-                    .map_err(|e| format!("--portfolio: {e}"))?
-            }
             "--recalibrate" => args.recalibrate = true,
             "--perturb" => {
                 let f: f64 = value("--perturb")?
@@ -259,7 +250,6 @@ fn run() -> Result<ExitCode, String> {
         verify: args.verify,
         lint: args.lint || args.deny_warnings,
         deny_warnings: args.deny_warnings,
-        portfolio_members: args.portfolio,
         ..EngineConfig::default()
     };
     config.validate()?;

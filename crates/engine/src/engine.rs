@@ -5,7 +5,7 @@ use crate::metrics::MetricsRegistry;
 use qca_adapt::deadline::Watchdog;
 use qca_adapt::{
     adapt, recalibrate_adaptation, AdaptContext, AdaptError, AdaptLimits, AdaptOptions, Adaptation,
-    Objective, PortfolioProbe, Recalibration,
+    Objective, Recalibration,
 };
 use qca_baselines::{direct_translation, template_optimization, TemplateObjective};
 use qca_circuit::Circuit;
@@ -179,19 +179,13 @@ pub struct EngineConfig {
     /// Escalate warning-severity preflight findings to errors (implies
     /// [`EngineConfig::lint`]): a job with any warning is rejected.
     pub deny_warnings: bool,
-    /// Racing-portfolio escalation: when a solve exhausts a probe's
-    /// conflict budget and at least two workers are spare, race this many
-    /// diverse solver configurations (`qca-portfolio`) instead of giving
-    /// up on the bound. `0` (the default) disables escalation; accepted
-    /// values are 2–4.
+    /// No effect: nothing reads it and [`EngineConfig::validate`] does not
+    /// check it. It remains only because the `e2ebench` workspace names it
+    /// in a struct literal, and goes with the next change that may edit
+    /// that benchmark.
     pub portfolio_members: usize,
-    /// Preprocess the exported formula before portfolio races
-    /// (`qca_sat::analyze`): simplify once, race every member on the
-    /// simplified formula, extend the winner's model back. On by default —
-    /// preprocessing is proof-logged and verdict-preserving, so there is
-    /// no soundness cost; `sat.pre.*` counters land in the metrics
-    /// registry. Only consulted when [`EngineConfig::portfolio_members`]
-    /// enables racing.
+    /// No effect, like [`EngineConfig::portfolio_members`], and kept for
+    /// the same reason.
     pub preprocess: bool,
     /// Persistent cache tier (`qca-store`). When attached, the engine warm
     /// restarts by replaying every stored record into the in-memory LRU at
@@ -227,8 +221,7 @@ impl EngineConfig {
     pub const MAX_WORKERS: usize = 1024;
 
     /// Rejects worker counts beyond [`EngineConfig::MAX_WORKERS`], a zero
-    /// deadline, a zero conflict budget, and a portfolio that is not a
-    /// race (1 or more than 4 members).
+    /// deadline, and a zero conflict budget.
     ///
     /// # Errors
     ///
@@ -269,12 +262,6 @@ impl EngineConfig {
                  unlimited"
                     .to_string(),
             );
-        }
-        if self.portfolio_members == 1 || self.portfolio_members > 4 {
-            return Err(format!(
-                "portfolio_members = {} is not a race; use 0 to disable or 2-4 members",
-                self.portfolio_members
-            ));
         }
         Ok(())
     }
@@ -338,9 +325,6 @@ pub struct Engine {
     /// `engine.*` counter lands in the registry even when the caller's
     /// tracer is disabled.
     tracer: Tracer,
-    /// Jobs currently inside [`Engine::run_job`]; spare-worker accounting
-    /// for portfolio escalation.
-    inflight: AtomicUsize,
     /// Stampede protection: concurrent identical jobs (same cache key)
     /// coalesce onto one in-flight solve; followers reuse the leader's
     /// result as a cache hit.
@@ -360,23 +344,6 @@ struct CorpusEntry {
     options: AdaptOptions,
     limits: AdaptLimits,
     adaptation: Arc<Adaptation>,
-}
-
-/// Panic-safe in-flight job counter: increments on entry, decrements on
-/// drop (including during unwinding through the panic shield).
-struct InflightGuard<'a>(&'a AtomicUsize);
-
-impl<'a> InflightGuard<'a> {
-    fn enter(counter: &'a AtomicUsize) -> InflightGuard<'a> {
-        counter.fetch_add(1, Ordering::Relaxed);
-        InflightGuard(counter)
-    }
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 /// What [`Engine::recalibrate`] did, entry by entry.
@@ -427,7 +394,6 @@ impl Engine {
             cache,
             metrics,
             tracer,
-            inflight: AtomicUsize::new(0),
             singleflight: Arc::new(qca_store::SingleFlight::new()),
             corpus: Mutex::new(Vec::new()),
         }
@@ -570,7 +536,6 @@ impl Engine {
         policy: JobPolicy,
     ) -> AdaptReport {
         let t0 = Instant::now();
-        let _inflight = InflightGuard::enter(&self.inflight);
         let mut job_span = self.tracer.span_with("engine.job", || {
             format!("job={index} qubits={}", job.circuit.num_qubits())
         });
@@ -707,29 +672,12 @@ impl Engine {
             }
         };
 
-        // Portfolio escalation rides on spare pool capacity: only when at
-        // least two workers are idle do budget-exhausted probes race a
-        // portfolio, so a saturated pool never oversubscribes its cores.
-        let spare = self
-            .effective_workers()
-            .saturating_sub(self.inflight.load(Ordering::Relaxed));
-        let portfolio = (self.config.portfolio_members >= 2 && spare >= 2).then(|| {
-            self.tracer.counter("portfolio.eligible_jobs", 1);
-            PortfolioProbe {
-                members: self.config.portfolio_members,
-                threads: spare,
-                seed: key,
-                preprocess: self.config.preprocess,
-            }
-        });
-
         let ctx = AdaptContext {
             options,
             limits,
             tracer: self.tracer.clone(),
             cancel,
             warm_hint: None,
-            portfolio,
         };
         let mut report = match adapt(&job.circuit, hw, &ctx) {
             Ok(adaptation) => {
@@ -899,7 +847,6 @@ impl Engine {
                 tracer: self.tracer.clone(),
                 cancel: None,
                 warm_hint: None,
-                portfolio: None,
             };
             match recalibrate_adaptation(&entry.circuit, hw, &entry.adaptation, &ctx) {
                 Ok(recal) => {
@@ -1210,33 +1157,6 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_config_gates_on_spare_workers() {
-        let hw = spin_qubit_model(GateTimes::D0);
-        // Plenty of spare workers: the job runs portfolio-eligible.
-        let (tracer, sink) = qca_trace::Tracer::to_memory();
-        let engine = Engine::new(EngineConfig {
-            portfolio_members: 3,
-            tracer,
-            ..config(4)
-        });
-        let reports = engine.adapt_batch(&hw, &workload(1));
-        assert!(reports[0].error.is_none());
-        let totals = qca_trace::report::counter_totals(&sink.take());
-        assert_eq!(totals.get("portfolio.eligible_jobs"), Some(&1));
-        // A single-worker pool never has the two spare workers a race
-        // needs, so the job solves single-config.
-        let (tracer, sink) = qca_trace::Tracer::to_memory();
-        let engine = Engine::new(EngineConfig {
-            portfolio_members: 3,
-            tracer,
-            ..config(1)
-        });
-        let _ = engine.adapt_batch(&hw, &workload(1));
-        let totals = qca_trace::report::counter_totals(&sink.take());
-        assert_eq!(totals.get("portfolio.eligible_jobs"), None);
-    }
-
-    #[test]
     fn batch_reports_sorted_and_complete() {
         let hw = spin_qubit_model(GateTimes::D0);
         let jobs = workload(6);
@@ -1385,7 +1305,6 @@ mod tests {
                 cache_capacity: 64,
                 job_conflict_budget: Some(10_000),
                 job_timeout: Some(Duration::from_secs(1)),
-                portfolio_members: 4,
                 ..config(EngineConfig::MAX_WORKERS)
             },
         ];
@@ -1402,14 +1321,6 @@ mod tests {
                 job_conflict_budget: Some(0),
                 ..EngineConfig::default()
             },
-            EngineConfig {
-                portfolio_members: 1,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                portfolio_members: 5,
-                ..EngineConfig::default()
-            },
         ];
         for c in rejected {
             assert!(c.validate().is_err(), "accepted {c:?}");
@@ -1417,10 +1328,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "portfolio_members = 5")]
+    #[should_panic(expected = "job_conflict_budget = Some(0)")]
     fn engine_new_panics_on_invalid_config() {
         let _ = Engine::new(EngineConfig {
-            portfolio_members: 5,
+            job_conflict_budget: Some(0),
             ..EngineConfig::default()
         });
     }

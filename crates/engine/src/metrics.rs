@@ -119,7 +119,7 @@ impl Histogram {
 /// `(counter event name, JSON key)` for every counter the registry keeps,
 /// in rendering order. Each event's value is added to its counter. The
 /// `serve.*` rows are the HTTP layer's and render in their own object.
-pub const COUNTERS: [(&str, &str); 41] = [
+pub const COUNTERS: [(&str, &str); 36] = [
     ("engine.jobs_submitted", "jobs_submitted"),
     ("engine.job_completed", "jobs_completed"),
     ("engine.cache_hit", "cache_hits"),
@@ -138,11 +138,6 @@ pub const COUNTERS: [(&str, &str); 41] = [
     ("recalib.reused", "recalib_reused"),
     ("recalib.resolved", "recalib_resolved"),
     ("recalib.failed", "recalib_failed"),
-    ("portfolio.races", "portfolio_races"),
-    ("sat.pre.units", "pre_units"),
-    ("sat.pre.pures", "pre_pures"),
-    ("sat.pre.subsumed", "pre_subsumed"),
-    ("sat.pre.eliminated", "pre_eliminated"),
     ("store.hits", "store_hits"),
     ("store.misses", "store_misses"),
     ("store.replays", "store_replays"),
@@ -421,11 +416,6 @@ mod tests {
                 "recalib_reused",
                 "recalib_resolved",
                 "recalib_failed",
-                "portfolio_races",
-                "pre_units",
-                "pre_pures",
-                "pre_subsumed",
-                "pre_eliminated",
                 "store_hits",
                 "store_misses",
                 "store_replays",

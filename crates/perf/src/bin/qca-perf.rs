@@ -21,7 +21,7 @@
 //!   re-record the baseline on the machine that runs the gate.
 //! * `check` validates report files against the schema; with
 //!   `--require-layers` it additionally demands at least one result from
-//!   each of the sat, smt, synth, sim, engine, portfolio, serve, and store
+//!   each of the num, sat, smt, synth, sim, engine, serve, and store
 //!   layers.
 
 use qca_perf::compare::{self, CompareConfig};

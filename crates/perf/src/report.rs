@@ -44,15 +44,12 @@ pub const REPORT_KIND: &str = "qca-bench-report";
 
 /// The measured layers of the stack.
 pub const LAYERS: [&str; 8] = [
-    "sat",
-    "smt",
-    "synth",
-    "sim",
-    "engine",
-    "portfolio",
-    "serve",
-    "store",
+    "num", "sat", "smt", "synth", "sim", "engine", "serve", "store",
 ];
+
+/// Layers the suite no longer measures. Committed reports that carry them
+/// still parse; [`BenchReport::missing_layers`] never asks for them.
+pub const RETIRED_LAYERS: [&str; 1] = ["portfolio"];
 
 /// Whether a larger or smaller [`BenchResult::value`] is an improvement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +83,8 @@ pub struct BenchResult {
     /// Stable identifier, e.g. `engine.batch/w1`. Unique within a report;
     /// `compare` joins old and new reports on it.
     pub id: String,
-    /// Which layer the benchmark exercises: `sat`, `engine`, `portfolio`,
-    /// or `serve`.
+    /// Which layer the benchmark exercises: one of [`LAYERS`], or of
+    /// [`RETIRED_LAYERS`] in an old report.
     pub layer: String,
     /// Unit of [`BenchResult::value`] (`ns`, `jobs_per_sec`, ...).
     pub unit: String,
@@ -154,7 +151,7 @@ impl BenchResult {
             return Err(format!("{}: empty", at("id")));
         }
         let layer = str_field("layer")?;
-        if !LAYERS.contains(&layer.as_str()) {
+        if !LAYERS.contains(&layer.as_str()) && !RETIRED_LAYERS.contains(&layer.as_str()) {
             return Err(format!("{}: {layer:?} not one of {LAYERS:?}", at("layer")));
         }
         let unit = str_field("unit")?;
@@ -432,12 +429,12 @@ mod tests {
                 profile: "release".to_string(),
             },
             results: vec![
+                result("num.simultaneous_diagonalize", "num", 1.0e5),
                 result("sat.pigeonhole/7", "sat", 5.0e6),
                 result("smt.dl_incremental/200", "smt", 4.0e4),
                 result("synth.kak", "synth", 9.0e5),
                 result("sim.noisy_qv/4", "sim", 2.0e6),
                 result("engine.batch/w1", "engine", 2.0e8),
-                result("portfolio.race/6", "portfolio", 6.0e5),
                 result("serve.event_loop", "serve", 1.1e6),
                 result("store.warm_restart", "store", 3.0e5),
             ],
@@ -458,6 +455,15 @@ mod tests {
         let mut report = sample_report();
         report.results.retain(|r| r.layer != "serve");
         assert_eq!(report.missing_layers(), vec!["serve"]);
+    }
+
+    #[test]
+    fn retired_layers_parse_but_are_never_required() {
+        let mut report = sample_report();
+        report.results[0].layer = RETIRED_LAYERS[0].to_string();
+        let back = BenchReport::parse(&report.to_json_string()).unwrap();
+        assert_eq!(back, report);
+        assert_eq!(back.missing_layers(), vec!["num"]);
     }
 
     #[test]

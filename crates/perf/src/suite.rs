@@ -9,8 +9,8 @@
 //! | `engine.batch/wN` | engine | the same at N workers — marked unobservable when the machine has fewer than N cores |
 //! | `engine.adapt_routed` | engine | batch adaptation of topology-stress circuits under a line coupling map, where the solver must choose SWAP-insertion routing substitutions |
 //! | `engine.recalibrate` | engine | walking the cached corpus against a drifted fidelity table, re-certifying each cached optimum |
-//! | `portfolio.race/N` | portfolio | racing the diverse preset portfolio (with clause sharing) to an UNSAT verdict on the pigeonhole suite |
 //! | `smt.dl_incremental/N` | smt | incremental difference-logic repair: pushing 3N random DAG constraints over N timing variables, one repair each |
+//! | `num.simultaneous_diagonalize` | num | the eigen step inside KAK: simultaneous diagonalization of the commuting real and imaginary parts of `UᵀU` for 32 Haar-random 4×4 unitaries |
 //! | `synth.kak` | synth | KAK decomposition plus CZ-circuit emission of 32 Haar-random two-qubit unitaries |
 //! | `sim.noisy_qv/N` | sim | noisy density-matrix simulation of an N-qubit depth-2 quantum-volume circuit under the spin-qubit noise model |
 //! | `serve.event_loop` | serve | hot-request latency while ≥ 5k idle keep-alive connections stay parked on the readiness loop — the many-idle-sockets shape the epoll rewrite exists for |
@@ -27,12 +27,12 @@ use qca_adapt::Objective;
 use qca_baselines::direct_translation;
 use qca_engine::{AdaptJob, Engine, EngineConfig};
 use qca_hw::{spin_qubit_model, CouplingMap, GateTimes};
+use qca_num::eig::simultaneous_diagonalize;
 use qca_num::random::haar_unitary;
 use qca_num::CMat;
-use qca_portfolio::{presets, race, RaceOptions};
 use qca_sat::analyze::{preprocess, PreprocessOptions};
 use qca_sat::dimacs::Cnf;
-use qca_sat::{Lit, SolveOutcome, Solver, Var};
+use qca_sat::{Lit, Solver, Var};
 use qca_serve::client::Connection;
 use qca_serve::{ServeConfig, Server};
 use qca_sim::simulate_noisy;
@@ -118,11 +118,8 @@ pub fn run_suite(config: &SuiteConfig) -> Vec<BenchResult> {
     push(bench_engine_batch(config, SCALE_WORKERS));
     push(bench_adapt_routed(config));
     push(bench_recalibrate(config));
-    push(bench_portfolio_race(
-        config,
-        if config.quick { 6 } else { 7 },
-    ));
     push(bench_dl_incremental(config, 200));
+    push(bench_simultaneous_diagonalize(config));
     push(bench_kak(config));
     push(bench_noisy_sim(config, 4));
     push(bench_event_loop(config));
@@ -508,55 +505,6 @@ fn bench_recalibrate(config: &SuiteConfig) -> Option<BenchResult> {
     ))
 }
 
-fn bench_portfolio_race(config: &SuiteConfig, n: usize) -> Option<BenchResult> {
-    let id = format!("portfolio.race/{n}");
-    if !config.wants(&id) {
-        return None;
-    }
-    // Export the pigeonhole instance through a solver so the race sees the
-    // same canonical CNF the escalation path would hand it.
-    let (num_vars, clauses) = pigeonhole_clauses(n);
-    let mut solver = Solver::new();
-    let vars: Vec<Var> = (0..num_vars).map(|_| solver.new_var()).collect();
-    for clause in &clauses {
-        let lits: Vec<Lit> = clause
-            .iter()
-            .map(|&d| vars[(d.unsigned_abs() - 1) as usize].lit(d > 0))
-            .collect();
-        solver.add_clause(&lits);
-    }
-    let cnf = solver.export_formula();
-    let configs = presets(3, 1);
-    let opts = RaceOptions::default();
-    let probe = race(&cnf, &[], &configs, &opts);
-    assert_eq!(
-        probe.outcome,
-        SolveOutcome::Unsat,
-        "pigeonhole race must refute"
-    );
-    let measurement = measure(&config.harness, || race(&cnf, &[], &configs, &opts));
-    let mut metrics = BTreeMap::new();
-    metrics.insert("members".to_string(), configs.len() as f64);
-    metrics.insert(
-        "shared_exported".to_string(),
-        probe.members.iter().map(|m| m.exported).sum::<u64>() as f64,
-    );
-    metrics.insert(
-        "shared_imported".to_string(),
-        probe.members.iter().map(|m| m.imported).sum::<u64>() as f64,
-    );
-    // Honesty: racing 3 member threads on fewer cores measures contention.
-    let observable = config.fingerprint.cores >= configs.len();
-    Some(timing_result(
-        config,
-        &id,
-        "portfolio",
-        &measurement,
-        observable,
-        metrics,
-    ))
-}
-
 /// Incremental difference-logic repair with [`IncrementalDiff`], the `smt`
 /// layer's closed-form scheduler. No adaptation request calls it (their
 /// schedule is bit-blasted into the SAT formula). `3n` random forward
@@ -588,6 +536,41 @@ fn bench_dl_incremental(config: &SuiteConfig, n: usize) -> Option<BenchResult> {
         config,
         &id,
         "smt",
+        &measurement,
+        true,
+        metrics,
+    ))
+}
+
+/// The eigen step inside KAK: `UᵀU` of a unitary `U` is symmetric and
+/// unitary, so its real and imaginary parts are commuting real symmetric
+/// matrices, diagonalized together.
+fn bench_simultaneous_diagonalize(config: &SuiteConfig) -> Option<BenchResult> {
+    let id = "num.simultaneous_diagonalize";
+    if !config.wants(id) {
+        return None;
+    }
+    let mut rng = StdRng::seed_from_u64(5);
+    let pairs: Vec<(Vec<f64>, Vec<f64>)> = (0..32)
+        .map(|_| {
+            let u = haar_unitary(&mut rng, 4);
+            let s = &u.transpose() * &u;
+            let re = s.as_slice().iter().map(|z| z.re).collect();
+            let im = s.as_slice().iter().map(|z| z.im).collect();
+            (re, im)
+        })
+        .collect();
+    let measurement = measure(&config.harness, || {
+        pairs
+            .iter()
+            .map(|(re, im)| simultaneous_diagonalize(re, im, 4, 1e-6).1[0])
+            .sum::<f64>()
+    });
+    let metrics = BTreeMap::from([("pairs".to_string(), pairs.len() as f64)]);
+    Some(timing_result(
+        config,
+        id,
+        "num",
         &measurement,
         true,
         metrics,
@@ -982,8 +965,8 @@ mod tests {
         assert!(bench_engine_batch(&config, 1).is_none());
         assert!(bench_adapt_routed(&config).is_none());
         assert!(bench_recalibrate(&config).is_none());
-        assert!(bench_portfolio_race(&config, 5).is_none());
         assert!(bench_dl_incremental(&config, 20).is_none());
+        assert!(bench_simultaneous_diagonalize(&config).is_none());
         assert!(bench_kak(&config).is_none());
         assert!(bench_noisy_sim(&config, 2).is_none());
         assert!(bench_event_loop(&config).is_none());
@@ -1012,17 +995,11 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_race_bench_reports_members() {
-        let mut config = tiny();
-        config.fingerprint.cores = 1;
-        let result = bench_portfolio_race(&config, 5).unwrap();
-        assert_eq!(result.layer, "portfolio");
+    fn simultaneous_diagonalize_bench_reports_pairs() {
+        let result = bench_simultaneous_diagonalize(&tiny()).unwrap();
+        assert_eq!(result.layer, "num");
         assert!(result.value > 0.0);
-        assert_eq!(result.metrics["members"], 3.0);
-        assert!(
-            !result.observable,
-            "3-member race claimed observable on 1 core"
-        );
+        assert_eq!(result.metrics["pairs"], 32.0);
     }
 
     #[test]

@@ -475,17 +475,6 @@ pub struct PreprocessStats {
     pub rounds: usize,
 }
 
-impl PreprocessStats {
-    /// Emits the `sat.pre.*` counters on `tracer` (the names the engine's
-    /// metrics registry folds into `/metrics`).
-    pub fn emit(&self, tracer: &qca_trace::Tracer) {
-        tracer.counter("sat.pre.units", self.units as u64);
-        tracer.counter("sat.pre.pures", self.pures as u64);
-        tracer.counter("sat.pre.subsumed", self.subsumed as u64);
-        tracer.counter("sat.pre.eliminated", self.eliminated as u64);
-    }
-}
-
 /// One entry of the model-reconstruction stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReconstructStep {
@@ -1207,24 +1196,6 @@ mod tests {
             let pre = r.cnf.clone().into_solver().solve();
             assert_eq!(raw, pre, "verdict drift on {text:?}");
         }
-    }
-
-    #[test]
-    fn stats_emit_writes_counters() {
-        let (tracer, sink) = qca_trace::Tracer::to_memory();
-        let stats = PreprocessStats {
-            units: 2,
-            pures: 1,
-            subsumed: 3,
-            eliminated: 4,
-            ..PreprocessStats::default()
-        };
-        stats.emit(&tracer);
-        let totals = qca_trace::report::counter_totals(&sink.take());
-        assert_eq!(totals.get("sat.pre.units"), Some(&2));
-        assert_eq!(totals.get("sat.pre.pures"), Some(&1));
-        assert_eq!(totals.get("sat.pre.subsumed"), Some(&3));
-        assert_eq!(totals.get("sat.pre.eliminated"), Some(&4));
     }
 
     mod proptests {

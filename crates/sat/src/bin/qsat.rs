@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `--preprocess` runs the proof-logging static preprocessor
-//! (`qca_sat::analyze`) before search: the solver then races the
+//! (`qca_sat::analyze`) before search: the solver then searches the
 //! simplified formula, SAT models are extended back to the original
 //! variables before the `v` lines are printed, and with `--proof` the
 //! preprocessor's derivations prefix the solver's DRAT stream so the
@@ -16,8 +16,8 @@
 //!
 //! `--config` takes a `key=value,...` spec mapping 1:1 onto
 //! [`SolverConfig`] — e.g. `--config decay=0.95,restart=luby` or
-//! `--config restart=geometric:128:1.3,phase=random,seed=7` — so a racing
-//! portfolio's member presets are reproducible from the CLI.
+//! `--config restart=geometric:128:1.3,phase=random,seed=7` — so any
+//! search configuration is reproducible from the CLI.
 //!
 //! Prints `s SATISFIABLE` with a `v ...` model line, `s UNSATISFIABLE`, or —
 //! when the `--conflicts` cap aborts the solve — `s UNKNOWN`, following the

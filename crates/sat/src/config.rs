@@ -3,9 +3,8 @@
 //! [`SolverConfig`] is a single value describing how a [`Solver`]
 //! searches: VSIDS decay, restart schedule, phase
 //! policy, random seed, per-call conflict budget, and the caller-side run
-//! controls ([`SolveControl`]). A config is `Clone`, so a *portfolio* of
-//! diverse solvers is just a `Vec<SolverConfig>`; parsing the same knobs
-//! from a `decay=0.95,restart=luby` string keeps CLI presets reproducible.
+//! controls ([`SolveControl`]). Parsing the same knobs from a
+//! `decay=0.95,restart=luby` string keeps CLI presets reproducible.
 
 use crate::solver::SolveControl;
 #[cfg(doc)]
@@ -60,8 +59,7 @@ pub enum PhasePolicy {
     Positive,
     /// Always branch negative first.
     Negative,
-    /// Random polarity from the config's seed — the diversification member
-    /// of a portfolio.
+    /// Random polarity from the config's seed.
     Random,
 }
 
@@ -121,8 +119,7 @@ impl XorShift64 {
 /// Built as a struct literal over `..SolverConfig::default()` or parsed
 /// from a `key=value,...` string with [`SolverConfig::parse`]; consumed by
 /// [`Solver::with_config`], which checks it with
-/// [`SolverConfig::validate`]. Because the config is `Clone`, a racing
-/// portfolio is simply a `Vec<SolverConfig>` of presets.
+/// [`SolverConfig::validate`].
 ///
 /// The run controls ([`SolveControl`]: lifetime conflict cap, stop flag,
 /// tracer) and the per-call conflict budget live here too, so *all* budget

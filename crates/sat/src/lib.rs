@@ -40,7 +40,6 @@ mod arena;
 pub mod config;
 pub mod dimacs;
 pub mod encode;
-pub mod exchange;
 mod heap;
 mod lit;
 pub mod proof;
@@ -51,7 +50,6 @@ pub use analyze::{
     Reconstruction,
 };
 pub use config::{ConfigError, PhasePolicy, RestartSchedule, SolverConfig};
-pub use exchange::{ClauseExchange, ExchangeHandle, ImportFilter};
 pub use lit::{LBool, Lit, Var};
 pub use proof::{FileProof, MemoryProof, ProofSink, ProofStep};
 pub use solver::{SolveControl, SolveOutcome, Solver, SolverStats};

@@ -22,7 +22,6 @@
 
 use crate::arena::{ClauseArena, ClauseRef};
 use crate::config::{PhasePolicy, SolverConfig, XorShift64};
-use crate::exchange::ExchangeHandle;
 use crate::heap::ActivityHeap;
 use crate::lit::{LBool, Lit, Var};
 use crate::proof::ProofSink;
@@ -162,7 +161,6 @@ pub struct Solver {
     max_learnts: f64,
     config: SolverConfig,
     rng: XorShift64,
-    exchange: Option<ExchangeHandle>,
     n_original_clauses: usize,
     proof: Option<Box<dyn ProofSink>>,
     recorded: Option<Vec<Vec<Lit>>>,
@@ -215,7 +213,6 @@ impl Solver {
             max_learnts: 0.0,
             config,
             rng,
-            exchange: None,
             n_original_clauses: 0,
             proof: None,
             recorded: None,
@@ -373,58 +370,6 @@ impl Solver {
     fn proof_add(&mut self, lits: &[Lit]) {
         if let Some(p) = self.proof.as_mut() {
             p.add_clause(lits);
-        }
-    }
-
-    /// Connects this solver to a shared [`ClauseExchange`] as one portfolio
-    /// member: short learnt clauses passing the handle's caps are published,
-    /// and foreign clauses are imported at every restart. Import is
-    /// suppressed while a proof sink is installed (an imported clause is a
-    /// consequence of the *shared* formula, but not necessarily RUP at this
-    /// point of *this* solver's derivation, which would break DRAT
-    /// checking).
-    ///
-    /// [`ClauseExchange`]: crate::ClauseExchange
-    pub fn set_exchange(&mut self, handle: ExchangeHandle) {
-        self.exchange = Some(handle);
-    }
-
-    /// The installed exchange handle, if any (accounting and import log).
-    pub fn exchange(&self) -> Option<&ExchangeHandle> {
-        self.exchange.as_ref()
-    }
-
-    /// Removes and returns the installed exchange handle, if any.
-    pub fn take_exchange(&mut self) -> Option<ExchangeHandle> {
-        self.exchange.take()
-    }
-
-    /// Exports the solver's current formula as a CNF over the same variable
-    /// numbering: the level-0 trail as unit clauses (units are enqueued
-    /// directly and never stored in the clause database) plus every live
-    /// stored clause — original, derived, and learnt alike, in arena order
-    /// (the order they were stored in; compaction keeps it) with each
-    /// clause's literals in their current watch order. Learnt and derived
-    /// clauses are consequences of the rest, so the export is
-    /// equisatisfiable with the solver's formula and every model of it maps
-    /// back verbatim; this is what portfolio members race on.
-    pub fn export_formula(&self) -> crate::dimacs::Cnf {
-        let mut clauses = Vec::new();
-        if !self.ok {
-            clauses.push(Vec::new());
-        }
-        let root = self.trail_lim.first().copied().unwrap_or(self.trail.len());
-        for &l in &self.trail[..root] {
-            clauses.push(vec![l]);
-        }
-        for cref in self.arena.iter() {
-            if !self.arena.is_deleted(cref) {
-                clauses.push(self.arena.lits(cref).to_vec());
-            }
-        }
-        crate::dimacs::Cnf {
-            num_vars: self.num_vars(),
-            clauses,
         }
     }
 
@@ -651,90 +596,6 @@ impl Solver {
     fn decay_activities(&mut self) {
         self.var_inc /= self.config.var_decay();
         self.cla_inc /= self.config.cla_decay();
-    }
-
-    /// Literal Block Distance of a clause under the current assignment: the
-    /// number of distinct non-zero decision levels among its literals. Low
-    /// LBD ("glue") clauses are the ones worth sharing.
-    fn clause_lbd(&mut self, lits: &[Lit]) -> u32 {
-        let mut lbd = 0u32;
-        for &l in lits {
-            let level = self.level[l.var().index()];
-            if level > 0 && !self.seen[l.var().index()] {
-                self.seen[l.var().index()] = true;
-                lbd += 1;
-            }
-        }
-        for &l in lits {
-            self.seen[l.var().index()] = false;
-        }
-        lbd
-    }
-
-    /// Imports one foreign clause at decision level 0, attaching it as a
-    /// learnt clause (so database reduction may drop it again). The clause
-    /// must be a consequence of the formula; see [`Solver::set_exchange`].
-    fn import_clause(&mut self, lits: &[Lit]) {
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut ls: Vec<Lit> = lits.to_vec();
-        ls.sort_unstable();
-        ls.dedup();
-        let mut simplified = Vec::with_capacity(ls.len());
-        for (i, &l) in ls.iter().enumerate() {
-            if i + 1 < ls.len() && ls[i + 1] == !l {
-                return; // tautology
-            }
-            match self.lit_value(l) {
-                LBool::True => return, // already satisfied at level 0
-                LBool::False => {}     // falsified at level 0: drop literal
-                LBool::Undef => simplified.push(l),
-            }
-        }
-        match simplified.len() {
-            0 => self.ok = false,
-            1 => {
-                self.unchecked_enqueue(simplified[0], None);
-                if self.propagate().is_some() {
-                    self.ok = false;
-                }
-            }
-            _ => {
-                self.attach_clause(&simplified, true);
-            }
-        }
-    }
-
-    /// Pulls every admissible foreign clause from the exchange (restart-time
-    /// hook; no-op without an exchange or while a proof sink is installed).
-    fn import_shared(&mut self) {
-        if self.proof.is_some() {
-            return;
-        }
-        let Some(mut ex) = self.exchange.take() else {
-            return;
-        };
-        let mut batch = Vec::new();
-        ex.pull(&mut batch);
-        self.exchange = Some(ex);
-        for lits in &batch {
-            if !self.ok {
-                break;
-            }
-            self.import_clause(lits);
-        }
-    }
-
-    /// Offers a freshly learnt clause to the exchange (no-op without one).
-    #[inline]
-    fn export_learnt(&mut self, learnt: &[Lit]) {
-        if self.exchange.is_none() {
-            return;
-        }
-        let lbd = self.clause_lbd(learnt);
-        if let Some(mut ex) = self.exchange.take() {
-            ex.offer(learnt, lbd);
-            self.exchange = Some(ex);
-        }
     }
 
     /// First-UIP conflict analysis. Leaves the learnt clause in
@@ -1040,10 +901,6 @@ impl Solver {
                 (b, c) => b.or(c),
             }
         };
-        self.import_shared();
-        if !self.ok {
-            return SolveOutcome::Unsat;
-        }
         let mut restart_num: u64 = 0;
         loop {
             restart_num += 1;
@@ -1066,10 +923,6 @@ impl Solver {
                     self.stats.restarts += 1;
                     self.config.control.tracer.counter("sat.restart", 1);
                     self.cancel_until(0);
-                    self.import_shared();
-                    if !self.ok {
-                        return SolveOutcome::Unsat;
-                    }
                 }
                 SearchResult::BudgetExhausted => {
                     self.cancel_until(0);
@@ -1106,9 +959,6 @@ impl Solver {
                 }
                 let bt = self.analyze(confl);
                 let learnt = std::mem::take(&mut self.learnt);
-                // Share the fresh clause before backjumping clears the
-                // levels its LBD is computed from.
-                self.export_learnt(&learnt);
                 self.proof_add(&learnt);
                 // Never backtrack past the assumptions unnecessarily; standard
                 // CDCL backjumps to bt and re-propagates.
@@ -1747,108 +1597,6 @@ mod tests {
         s.set_conflict_budget(None);
         s.set_control(SolveControl::default());
         assert_eq!(s.solve_limited(&[]), SolveOutcome::Unsat);
-    }
-
-    #[test]
-    fn export_formula_preserves_answers_and_units() {
-        // UNSAT instance round-trips through export.
-        let s = {
-            let mut s = pigeonhole(5, 4);
-            assert_eq!(s.solve_limited(&[]), SolveOutcome::Unsat);
-            s
-        };
-        let cnf = s.export_formula();
-        let mut racer = Solver::new();
-        for _ in 0..cnf.num_vars {
-            racer.new_var();
-        }
-        let mut ok = true;
-        for c in &cnf.clauses {
-            ok = racer.add_clause(c);
-            if !ok {
-                break;
-            }
-        }
-        assert!(!ok || !racer.solve());
-
-        // SAT instance with level-0 units: the units must appear in the
-        // export (they are never stored in the clause database).
-        let mut s = Solver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[a.positive()]);
-        s.add_clause(&[a.negative(), b.positive()]);
-        let cnf = s.export_formula();
-        assert!(cnf.clauses.contains(&vec![a.positive()]));
-        let mut racer = Solver::new();
-        for _ in 0..cnf.num_vars {
-            racer.new_var();
-        }
-        for c in &cnf.clauses {
-            racer.add_clause(c);
-        }
-        assert!(racer.solve());
-        assert_eq!(racer.value(a), Some(true));
-        assert_eq!(racer.value(b), Some(true));
-    }
-
-    #[test]
-    fn exchange_import_keeps_answers_and_logs_clauses() {
-        use crate::exchange::{ClauseExchange, ExchangeHandle, ImportFilter};
-        // Pre-seed the exchange with consequences of the pigeonhole CNF
-        // learnt by "member 0", then let member 1 import them mid-solve.
-        let exchange = ClauseExchange::new(64);
-        let mut exporter = pigeonhole(7, 6);
-        exporter.set_exchange(ExchangeHandle::new(
-            exchange.clone(),
-            0,
-            ImportFilter::default(),
-        ));
-        assert_eq!(exporter.solve_limited(&[]), SolveOutcome::Unsat);
-        assert!(exporter.exchange().unwrap().exported() > 0);
-
-        let mut importer = pigeonhole(7, 6);
-        importer.set_exchange(ExchangeHandle::new(
-            exchange.clone(),
-            1,
-            ImportFilter::default(),
-        ));
-        assert_eq!(importer.solve_limited(&[]), SolveOutcome::Unsat);
-        let handle = importer.take_exchange().unwrap();
-        assert!(handle.imported() > 0);
-        assert_eq!(handle.imported() as usize, handle.imported_clauses().len());
-
-        // A SAT instance stays SAT (and the model satisfies every imported
-        // clause — they are consequences, so this must hold by soundness).
-        let exchange = ClauseExchange::new(64);
-        let build_sat = || {
-            let mut s = Solver::new();
-            let v: Vec<Var> = (0..40).map(|_| s.new_var()).collect();
-            for i in 0..39 {
-                s.add_clause(&[v[i].negative(), v[i + 1].positive()]);
-            }
-            s.add_clause(&[v[0].positive(), v[20].positive()]);
-            (s, v)
-        };
-        let (mut m0, _) = build_sat();
-        m0.set_exchange(ExchangeHandle::new(
-            exchange.clone(),
-            0,
-            ImportFilter::default(),
-        ));
-        assert!(m0.solve());
-        let (mut m1, _) = build_sat();
-        m1.set_exchange(ExchangeHandle::new(exchange, 1, ImportFilter::default()));
-        assert!(m1.solve());
-        let handle = m1.take_exchange().unwrap();
-        for clause in handle.imported_clauses() {
-            assert!(
-                clause
-                    .iter()
-                    .any(|&l| m1.lit_value_in_model(l).unwrap_or(false)),
-                "model violates imported clause {clause:?}"
-            );
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! qca-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
-//!           [--verify] [--lint] [--deny-warnings] [--portfolio N]
+//!           [--verify] [--lint] [--deny-warnings]
 //!           [--deadline-ms N] [--request-timeout-s N] [--read-timeout-s N]
 //!           [--trace-capacity N] [--metrics-out PATH]
 //!           [--store DIR] [--peers LIST] [--node-id N]
@@ -55,7 +55,7 @@ fn install_signal_handlers() {
 
 fn usage() -> &'static str {
     "usage: qca-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]\n\
-     \x20                [--verify] [--lint] [--deny-warnings] [--portfolio N]\n\
+     \x20                [--verify] [--lint] [--deny-warnings]\n\
      \x20                [--deadline-ms N] [--request-timeout-s N] [--read-timeout-s N]\n\
      \x20                [--trace-capacity N] [--metrics-out PATH]\n\
      \x20                [--store DIR] [--peers LIST] [--node-id N]"
@@ -76,9 +76,6 @@ fn parse_args() -> Result<ServeConfig, String> {
             "--verify" => config.verify = true,
             "--lint" => config.lint = true,
             "--deny-warnings" => config.deny_warnings = true,
-            "--portfolio" => {
-                config.portfolio_members = parse(&value("--portfolio")?, "--portfolio")?
-            }
             "--deadline-ms" => {
                 let ms: u64 = parse(&value("--deadline-ms")?, "--deadline-ms")?;
                 config.default_deadline = Some(Duration::from_millis(ms.max(1)));

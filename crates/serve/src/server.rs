@@ -146,9 +146,6 @@ pub struct ServeConfig {
     pub trace_capacity: usize,
     /// Where to write the final metrics JSON during drain.
     pub metrics_out: Option<PathBuf>,
-    /// Racing-portfolio escalation members (see
-    /// [`EngineConfig::portfolio_members`]; 0 disables).
-    pub portfolio_members: usize,
     /// Directory for the persistent adaptation store (`None`: in-memory
     /// cache only). Opened — and warm-replayed into the cache — at bind.
     pub store_dir: Option<PathBuf>,
@@ -177,7 +174,6 @@ impl Default for ServeConfig {
             max_body: crate::http::DEFAULT_MAX_BODY,
             trace_capacity: 64,
             metrics_out: None,
-            portfolio_members: 0,
             store_dir: None,
             peers: Vec::new(),
             node_id: 0,
@@ -378,9 +374,7 @@ impl Server {
             verify: config.verify,
             lint: config.lint,
             deny_warnings: config.deny_warnings,
-            portfolio_members: config.portfolio_members,
-            preprocess: true,
-            store: None,
+            ..EngineConfig::default()
         };
         engine_config
             .validate()

@@ -49,36 +49,6 @@ pub struct OptimalityCertificate {
     pub refuted_bound: i64,
 }
 
-/// Portfolio escalation for budget-exhausted probes; see
-/// [`OmtOptions::portfolio`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PortfolioProbe {
-    /// Number of diverse members raced (from [`qca_portfolio::presets`]).
-    pub members: usize,
-    /// Thread cap for the race (0 = one thread per member).
-    pub threads: usize,
-    /// Base seed for per-member jitter.
-    pub seed: u64,
-    /// Preprocess the exported formula once before racing
-    /// ([`qca_portfolio::RaceOptions::preprocess`]). The probe literal is
-    /// frozen, so the assumption stays meaningful; the winning model is
-    /// extended back to the exported numbering. Certificates are
-    /// unaffected: `certify` re-refutes the *recorded* shadow CNF with a
-    /// fresh solver, never the simplified race input.
-    pub preprocess: bool,
-}
-
-impl Default for PortfolioProbe {
-    fn default() -> Self {
-        PortfolioProbe {
-            members: 3,
-            threads: 0,
-            seed: 0,
-            preprocess: false,
-        }
-    }
-}
-
 /// Tuning knobs for [`maximize_with`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OmtOptions {
@@ -86,13 +56,6 @@ pub struct OmtOptions {
     /// A probe that exhausts its budget ends the search with the incumbent,
     /// which may be suboptimal (`Optimum::optimal` reports this).
     pub probe_conflict_budget: Option<u64>,
-    /// Escalate budget-exhausted probes to a racing solver portfolio
-    /// ([`qca_portfolio::race`]) over the exported formula before giving up
-    /// the optimality claim. `None` (the default) keeps the
-    /// single-config behavior. Escalation is skipped when the caller's stop
-    /// flag has tripped or the lifetime conflict cap is exhausted; otherwise
-    /// each member may spend what is left of that cap.
-    pub portfolio: Option<PortfolioProbe>,
     /// Build an [`OptimalityCertificate`] for proven-optimal results.
     /// Requires [`SmtSolver::enable_recording`]; silently skipped otherwise.
     /// If the certification re-solve *fails* to refute the bound (a
@@ -215,10 +178,9 @@ enum Probe {
 }
 
 /// Probes `objective >= bound` under an assumption literal with the
-/// per-probe conflict budget, escalating an unknown verdict to a racing
-/// portfolio. A refuted bound is kept as the derived clause `!ge`, so later
-/// probes prune with it; derived, not an axiom, it stays out of the shadow
-/// formula certificates are stated over.
+/// per-probe conflict budget. A refuted bound is kept as the derived clause
+/// `!ge`, so later probes prune with it; derived, not an axiom, it stays out
+/// of the shadow formula certificates are stated over.
 fn probe(smt: &mut SmtSolver, objective: &IntExpr, bound: i64, options: OmtOptions) -> Probe {
     let bound_expr = smt.int_const(bound);
     let ge = smt.ge_reified(objective, &bound_expr);
@@ -236,59 +198,10 @@ fn probe(smt: &mut SmtSolver, objective: &IntExpr, bound: i64, options: OmtOptio
     smt.sat_mut().set_conflict_budget(None);
     span.set_note(note);
     drop(span);
-    let verdict = match verdict {
-        Probe::Unknown => escalate_probe(smt, ge, options),
-        settled => settled,
-    };
     if let Probe::Unsat = verdict {
         smt.add_clause_derived(&[!ge]);
     }
     verdict
-}
-
-/// Escalates a budget-exhausted bound probe to a racing solver portfolio:
-/// the current formula (with every clause learnt so far) is exported and
-/// 2–4 diverse members race it under the probe assumption `ge`, sharing
-/// short learnt clauses. A definitive SAT/UNSAT verdict from the race
-/// settles the probe exactly as a direct solver answer would. Each member
-/// may spend what is left of the search's lifetime conflict cap, and is
-/// unlimited only when the search has no cap.
-fn escalate_probe(smt: &mut SmtSolver, ge: qca_sat::Lit, options: OmtOptions) -> Probe {
-    let Some(probe) = options.portfolio.filter(|p| p.members >= 2) else {
-        return Probe::Unknown;
-    };
-    let stopped = smt
-        .control()
-        .stop
-        .as_ref()
-        .is_some_and(|s| s.load(std::sync::atomic::Ordering::Relaxed));
-    let remaining = smt
-        .control()
-        .conflict_cap
-        .map(|cap| cap.saturating_sub(smt.stats().conflicts));
-    if stopped || remaining == Some(0) {
-        return Probe::Unknown;
-    }
-    let tracer = smt.tracer().clone();
-    tracer.counter("portfolio.escalations", 1);
-    let cnf = smt.sat.export_formula();
-    let mut configs = qca_portfolio::presets(probe.members, probe.seed);
-    for c in &mut configs {
-        c.conflict_budget = remaining;
-    }
-    let race_opts = qca_portfolio::RaceOptions {
-        max_threads: probe.threads,
-        stop: smt.control().stop.clone(),
-        tracer,
-        preprocess: probe.preprocess,
-        ..qca_portfolio::RaceOptions::default()
-    };
-    let result = qca_portfolio::race(&cnf, &[ge], &configs, &race_opts);
-    match (result.outcome, result.model) {
-        (SolveOutcome::Sat, Some(values)) => Probe::Sat(SmtModel::from_values(values)),
-        (SolveOutcome::Unsat, _) => Probe::Unsat,
-        _ => Probe::Unknown,
-    }
 }
 
 /// First model: try the warm-start hint (cheap propagation-only solve),
@@ -548,7 +461,6 @@ mod tests {
         let opts = OmtOptions {
             probe_conflict_budget: Some(0),
             certify: true,
-            ..OmtOptions::default()
         };
         let best = maximize_with(&mut smt, &obj, opts, &[]).expect("sat");
         assert_eq!(best.value, 50);
@@ -621,193 +533,5 @@ mod tests {
         assert_eq!(best.value, 4);
         assert!(best.model.lit_is_true(x[0]));
         assert!(!best.optimal);
-    }
-
-    #[test]
-    fn exhausted_probes_escalate_to_portfolio_and_stay_exact() {
-        use qca_trace::{TraceEvent, Tracer};
-        let (tracer, sink) = Tracer::to_memory();
-        let mut smt = SmtSolver::new();
-        smt.set_control(qca_sat::SolveControl {
-            tracer,
-            ..qca_sat::SolveControl::default()
-        });
-        let x: Vec<_> = (0..3).map(|_| smt.new_bool()).collect();
-        let weight = smt.pb_sum(0, &[(3, x[0]), (4, x[1]), (5, x[2])]);
-        let cap = smt.int_const(7);
-        smt.assert_ge(&cap, &weight);
-        let value = smt.pb_sum(0, &[(4, x[0]), (5, x[1]), (6, x[2])]);
-        // A zero probe budget exhausts every probe immediately, so each
-        // bound is decided by the racing portfolio alone — and the
-        // search must still land on the exact optimum.
-        let opts = OmtOptions {
-            probe_conflict_budget: Some(0),
-            portfolio: Some(PortfolioProbe::default()),
-            ..OmtOptions::default()
-        };
-        let best = maximize_with(&mut smt, &value, opts, &[]).expect("sat");
-        assert_eq!(best.value, 9);
-        assert!(best.optimal, "portfolio verdicts are definitive");
-        let events = sink.take();
-        let escalations: u64 = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Counter { name, value, .. }
-                    if name.as_ref() == "portfolio.escalations" =>
-                {
-                    Some(*value)
-                }
-                _ => None,
-            })
-            .sum();
-        assert!(escalations > 0, "no escalation happened");
-        let races: u64 = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Counter { name, value, .. } if name.as_ref() == "portfolio.races" => {
-                    Some(*value)
-                }
-                _ => None,
-            })
-            .sum();
-        assert_eq!(races, escalations);
-    }
-
-    #[test]
-    fn escalated_races_respect_the_search_conflict_cap() {
-        // Eight pigeons, seven holes: `objective >= 8` is the pigeonhole
-        // refutation, thousands of conflicts away. Under a 50-conflict cap
-        // on the whole search, no escalated race may spend more than what
-        // is left of it, so that bound stays unknown and the search must
-        // not claim optimality.
-        use qca_trace::{TraceEvent, Tracer};
-        let (tracer, sink) = Tracer::to_memory();
-        let mut smt = SmtSolver::new();
-        smt.set_control(qca_sat::SolveControl {
-            tracer,
-            conflict_cap: Some(50),
-            ..qca_sat::SolveControl::default()
-        });
-        let p: Vec<Vec<_>> = (0..8)
-            .map(|_| (0..7).map(|_| smt.new_bool()).collect())
-            .collect();
-        for i in 0..8 {
-            for j in 0..7 {
-                for k in i + 1..8 {
-                    smt.add_clause(&[!p[i][j], !p[k][j]]);
-                }
-                for l in j + 1..7 {
-                    smt.add_clause(&[!p[i][j], !p[i][l]]);
-                }
-            }
-        }
-        let terms: Vec<_> = p.iter().flatten().map(|&l| (1, l)).collect();
-        let placed = smt.pb_sum(0, &terms);
-        let opts = OmtOptions {
-            probe_conflict_budget: Some(0),
-            portfolio: Some(PortfolioProbe::default()),
-            ..OmtOptions::default()
-        };
-        let best = maximize_with(&mut smt, &placed, opts, &[]).expect("sat");
-        let events = sink.take();
-        // Pair each race with the bound it escalated: the race span
-        // closes right after the unknown probe's span.
-        let mut bound = String::new();
-        let mut races = Vec::new();
-        for e in &events {
-            match e {
-                TraceEvent::SpanEnter { name, detail, .. } if name == "omt.probe" => {
-                    bound = detail.clone().unwrap_or_default();
-                }
-                TraceEvent::SpanExit { note: Some(n), .. }
-                    if n.starts_with("winner=") || n == "no definitive member" =>
-                {
-                    races.push((bound.clone(), n.clone()));
-                }
-                _ => {}
-            }
-        }
-        assert!(!races.is_empty(), "no escalation happened");
-        // No race can refute `placed >= 8` (or any higher bound) on
-        // what is left of 50 conflicts: a winner there would be a
-        // member running past the cap.
-        for (bound, note) in &races {
-            let b: i64 = bound["bound=".len()..].parse().expect("bound");
-            if b >= 8 {
-                assert_eq!(note, "no definitive member", "{bound}");
-            }
-        }
-        assert!(!best.optimal, "the cap left the bound unproven");
-    }
-
-    #[test]
-    fn preprocessed_portfolio_probes_stay_exact_and_certified() {
-        // Every probe is decided by a preprocessed race, yet the
-        // certificate must still refute the bound against the RECORDED
-        // shadow CNF — preprocessing the race input must not leak into
-        // certification.
-        let mut smt = SmtSolver::new();
-        smt.enable_recording();
-        let x: Vec<_> = (0..3).map(|_| smt.new_bool()).collect();
-        let weight = smt.pb_sum(0, &[(3, x[0]), (4, x[1]), (5, x[2])]);
-        let cap = smt.int_const(7);
-        smt.assert_ge(&cap, &weight);
-        let value = smt.pb_sum(0, &[(4, x[0]), (5, x[1]), (6, x[2])]);
-        let opts = OmtOptions {
-            probe_conflict_budget: Some(0),
-            portfolio: Some(PortfolioProbe {
-                preprocess: true,
-                ..PortfolioProbe::default()
-            }),
-            certify: true,
-        };
-        let best = maximize_with(&mut smt, &value, opts, &[]).expect("sat");
-        assert_eq!(best.value, 9);
-        assert!(best.optimal);
-        let cert = best.certificate.expect("certificate requested");
-        assert_eq!(cert.refuted_bound, 10);
-        assert!(matches!(
-            cert.steps.last(),
-            Some(ProofStep::Add(c)) if c.is_empty()
-        ));
-    }
-
-    #[test]
-    fn portfolio_matches_single_config_on_random_instances() {
-        use rand::Rng;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for round in 0u64..8 {
-            let n = 6;
-            let weights: Vec<i64> = (0..n).map(|_| rng.gen_range(-10..10)).collect();
-            let conflicts: Vec<(usize, usize)> = (0..4)
-                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
-                .collect();
-            let build = |weights: &[i64], conflicts: &[(usize, usize)]| {
-                let mut smt = SmtSolver::new();
-                let xs: Vec<_> = (0..n).map(|_| smt.new_bool()).collect();
-                for &(i, j) in conflicts {
-                    smt.add_clause(&[!xs[i], !xs[j]]);
-                }
-                let terms: Vec<_> = weights.iter().zip(&xs).map(|(&w, &x)| (w, x)).collect();
-                let obj = smt.pb_sum(0, &terms);
-                (smt, obj)
-            };
-            let (mut s1, o1) = build(&weights, &conflicts);
-            let (mut s2, o2) = build(&weights, &conflicts);
-            let exact = maximize(&mut s1, &o1).unwrap();
-            let opts = OmtOptions {
-                probe_conflict_budget: Some(0),
-                portfolio: Some(PortfolioProbe {
-                    members: 3,
-                    seed: round,
-                    ..PortfolioProbe::default()
-                }),
-                ..OmtOptions::default()
-            };
-            let raced = maximize_with(&mut s2, &o2, opts, &[]).unwrap();
-            assert_eq!(raced.value, exact.value, "round {round}");
-            assert!(raced.optimal, "round {round}");
-        }
     }
 }

@@ -75,13 +75,6 @@ pub struct SmtModel {
 }
 
 impl SmtModel {
-    /// Wraps raw per-variable values (e.g. a winning portfolio member's
-    /// model over the exported formula, which shares this solver's variable
-    /// numbering) as a model snapshot.
-    pub(crate) fn from_values(values: Vec<Option<bool>>) -> SmtModel {
-        SmtModel { values }
-    }
-
     /// Reassembles a model from raw per-variable values — the inverse of
     /// [`SmtModel::values`], for serializers that round-trip audit bundles.
     pub fn from_raw_values(values: Vec<Option<bool>>) -> SmtModel {

@@ -13,7 +13,6 @@
 //! |---|---|---|
 //! | [`num`] | `qca-num` | complex matrices, eigensolvers, Haar sampling |
 //! | [`sat`] | `qca-sat` | CDCL SAT solver |
-//! | [`portfolio`] | `qca-portfolio` | racing solver portfolios with clause sharing |
 //! | [`smt`] | `qca-smt` | SMT/OMT engine (bit-blasting, difference logic) |
 //! | [`circuit`] | `qca-circuit` | circuit IR, QASM, block partitioning |
 //! | [`synth`] | `qca-synth` | KAK/ZYZ synthesis, equivalence library |
@@ -59,7 +58,6 @@ pub use qca_hw as hw;
 pub use qca_lint as lint;
 pub use qca_num as num;
 pub use qca_perf as perf;
-pub use qca_portfolio as portfolio;
 pub use qca_sat as sat;
 pub use qca_serve as serve;
 pub use qca_sim as sim;
