@@ -572,24 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn struct_literal_with_short_rule_window_is_rejected() {
-        let ctx = AdaptContext {
-            options: AdaptOptions {
-                rules: RuleOptions {
-                    max_match_len: 1,
-                    ..RuleOptions::default()
-                },
-                ..AdaptOptions::default()
-            },
-            ..AdaptContext::default()
-        };
-        assert!(matches!(
-            adapt(&swap_chain(), &spin_qubit_model(GateTimes::D0), &ctx),
-            Err(AdaptError::InvalidOptions(_))
-        ));
-    }
-
-    #[test]
     fn struct_literal_with_zero_conflict_budget_is_rejected() {
         let ctx = AdaptContext {
             limits: AdaptLimits {

@@ -76,8 +76,7 @@ impl AdaptContext {
         }
     }
 
-    /// Rejects a nonsensical configuration: a zero conflict budget or a
-    /// pattern window too short to match any multi-gate rule.
+    /// Rejects a nonsensical configuration: a zero conflict budget.
     ///
     /// # Errors
     ///
@@ -88,12 +87,6 @@ impl AdaptContext {
                 "total_conflicts = Some(0) can never make progress; use None for unlimited"
                     .to_string(),
             ));
-        }
-        if self.options.rules.max_match_len < 2 {
-            return Err(AdaptError::InvalidOptions(format!(
-                "rules.max_match_len = {} cannot match any multi-gate pattern (minimum 2)",
-                self.options.rules.max_match_len
-            )));
         }
         Ok(())
     }
@@ -120,7 +113,6 @@ impl AdaptContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::RuleOptions;
 
     #[test]
     fn default_context_matches_default_options() {
@@ -161,30 +153,16 @@ mod tests {
         for ctx in ok {
             assert!(ctx.validate().is_ok(), "rejected {ctx:?}");
         }
-        let rejected = [
-            AdaptContext {
-                limits: AdaptLimits {
-                    total_conflicts: Some(0),
-                },
-                ..AdaptContext::default()
+        let zero_budget = AdaptContext {
+            limits: AdaptLimits {
+                total_conflicts: Some(0),
             },
-            AdaptContext {
-                options: AdaptOptions {
-                    rules: RuleOptions {
-                        max_match_len: 1,
-                        ..RuleOptions::default()
-                    },
-                    ..AdaptOptions::default()
-                },
-                ..AdaptContext::default()
-            },
-        ];
-        for ctx in rejected {
-            assert!(
-                matches!(ctx.validate(), Err(AdaptError::InvalidOptions(_))),
-                "accepted {ctx:?}"
-            );
-        }
+            ..AdaptContext::default()
+        };
+        assert!(matches!(
+            zero_budget.validate(),
+            Err(AdaptError::InvalidOptions(_))
+        ));
     }
 
     #[test]

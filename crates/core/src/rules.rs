@@ -129,6 +129,9 @@ impl Substitution {
     }
 }
 
+/// Longest contiguous gate run considered for pattern matches.
+const MAX_MATCH_LEN: usize = 8;
+
 /// Knobs controlling which rules are evaluated.
 #[derive(Debug, Clone)]
 pub struct RuleOptions {
@@ -140,8 +143,6 @@ pub struct RuleOptions {
     pub conditional_rotation: bool,
     /// Evaluate swap-realization replacements.
     pub swaps: bool,
-    /// Longest contiguous gate run considered for pattern matches.
-    pub max_match_len: usize,
     /// Use the two-CNOT KAK specialization for canonical classes with a
     /// trivial interaction coefficient (extension; the paper's rule is the
     /// generic three-CZ circuit).
@@ -155,7 +156,6 @@ impl Default for RuleOptions {
             kak_cz_diabatic: true,
             conditional_rotation: true,
             swaps: true,
-            max_match_len: 8,
             optimized_kak: false,
         }
     }
@@ -284,7 +284,7 @@ pub fn evaluate_substitutions(
         if options.conditional_rotation || options.swaps {
             let k = block.ops.len();
             for start in 0..k {
-                for end in (start + 1)..=k.min(start + options.max_match_len) {
+                for end in (start + 1)..=k.min(start + MAX_MATCH_LEN) {
                     let range = &block.ops[start..end];
                     // Must contain at least one two-qubit gate; ignore
                     // the trivial whole-block range only when it would

@@ -84,7 +84,6 @@ impl AdaptCache {
         h.write_u64(r.kak_cz_diabatic as u64);
         h.write_u64(r.conditional_rotation as u64);
         h.write_u64(r.swaps as u64);
-        h.write_usize(r.max_match_len);
         h.write_u64(r.optimized_kak as u64);
         match limits.total_conflicts {
             None => h.write_u64(0),

@@ -427,34 +427,22 @@ pub fn analyze(cnf: &Cnf) -> FormulaReport {
 }
 
 /// Options for [`preprocess`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PreprocessOptions {
     /// Variables that must survive preprocessing untouched by pure-literal
     /// elimination and variable elimination — required for any variable the
     /// caller will later pass as an assumption. (Unit-fixed variables always
     /// stay in the formula, so they need no freezing.)
     pub frozen: Vec<Var>,
-    /// Maximum simplification rounds (each round runs every technique to a
-    /// local fixpoint).
-    pub max_rounds: usize,
-    /// Variable elimination is skipped for variables with more total
-    /// occurrences than this.
-    pub bve_max_occurrences: usize,
-    /// Variable elimination may grow the clause count by at most this many
-    /// clauses per eliminated variable.
-    pub bve_growth: usize,
 }
 
-impl Default for PreprocessOptions {
-    fn default() -> Self {
-        PreprocessOptions {
-            frozen: Vec::new(),
-            max_rounds: 5,
-            bve_max_occurrences: 16,
-            bve_growth: 0,
-        }
-    }
-}
+/// Maximum simplification rounds of [`preprocess`]; each round runs every
+/// technique to a local fixpoint.
+const MAX_ROUNDS: usize = 5;
+
+/// Variable elimination skips a variable with more total occurrences than
+/// this.
+const BVE_MAX_OCCURRENCES: usize = 16;
 
 /// Counters from one [`preprocess`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -580,7 +568,7 @@ pub fn preprocess(
     proof: Option<&mut dyn ProofSink>,
 ) -> PreprocessResult {
     let mut pre = Pre::new(cnf, options, proof);
-    pre.run(options);
+    pre.run();
     pre.finish(cnf.num_vars)
 }
 
@@ -868,9 +856,9 @@ impl<'a> Pre<'a> {
     }
 
     /// Bounded variable elimination: a variable within the occurrence cap
-    /// is resolved away when its non-tautological resolvents do not grow
-    /// the clause count beyond the allowance.
-    fn bve_pass(&mut self, max_occ: usize, growth: usize) -> bool {
+    /// is resolved away when its non-tautological resolvents do not
+    /// outnumber the clauses they replace.
+    fn bve_pass(&mut self) -> bool {
         let mut changed = false;
         let mut order: Vec<usize> = (0..self.num_vars)
             .filter(|&v| !self.frozen[v] && self.assign[v].is_none())
@@ -892,7 +880,7 @@ impl<'a> Pre<'a> {
             if pos_ids.is_empty() || neg_ids.is_empty() {
                 continue; // pure or absent; not BVE's job
             }
-            if pos_ids.len() + neg_ids.len() > max_occ {
+            if pos_ids.len() + neg_ids.len() > BVE_MAX_OCCURRENCES {
                 continue;
             }
             let mut resolvents: Vec<Vec<Lit>> = Vec::new();
@@ -913,7 +901,7 @@ impl<'a> Pre<'a> {
             }
             resolvents.sort();
             resolvents.dedup();
-            if resolvents.len() > pos_ids.len() + neg_ids.len() + growth {
+            if resolvents.len() > pos_ids.len() + neg_ids.len() {
                 continue;
             }
             // Commit: record the occurrence list, add every resolvent
@@ -957,8 +945,8 @@ impl<'a> Pre<'a> {
         changed
     }
 
-    fn run(&mut self, options: &PreprocessOptions) {
-        for _ in 0..options.max_rounds.max(1) {
+    fn run(&mut self) {
+        for _ in 0..MAX_ROUNDS {
             if self.unsat {
                 break;
             }
@@ -975,7 +963,7 @@ impl<'a> Pre<'a> {
                 break;
             }
             changed |= self.pure_pass();
-            changed |= self.bve_pass(options.bve_max_occurrences, options.bve_growth);
+            changed |= self.bve_pass();
             if self.unsat {
                 break;
             }
@@ -1121,7 +1109,6 @@ mod tests {
         let c = cnf("p cnf 3 2\n1 -3 0\n2 -3 0\n");
         let opts = PreprocessOptions {
             frozen: vec![Var::from_index(2)],
-            ..PreprocessOptions::default()
         };
         let r = preprocess(&c, &opts, None);
         // A frozen variable's value must come from the solver, never from
@@ -1140,11 +1127,7 @@ mod tests {
         // Vars 1 and 3 resolve away with only tautological resolvents;
         // var 2 then ends up unconstrained.
         let c = cnf("p cnf 3 4\n-1 2 0\n1 -2 0\n-2 3 0\n2 -3 0\n");
-        let opts = PreprocessOptions {
-            bve_growth: 2,
-            ..PreprocessOptions::default()
-        };
-        let r = preprocess(&c, &opts, None);
+        let r = preprocess(&c, &PreprocessOptions::default(), None);
         assert!(!r.unsat);
         assert!(r.stats.eliminated >= 1);
         let mut model: Vec<Option<bool>> = vec![None; 3];
@@ -1277,7 +1260,6 @@ mod tests {
             fn frozen_vars_survive((n, clauses) in arb_cnf(6, 16)) {
                 let opts = PreprocessOptions {
                     frozen: (0..n).map(Var::from_index).collect(),
-                    ..PreprocessOptions::default()
                 };
                 let c = to_cnf(n, &clauses);
                 let r = preprocess(&c, &opts, None);

@@ -3,8 +3,8 @@
 //! Usage:
 //!
 //! ```text
-//! qsat [--stats] [--conflicts N] [--proof FILE] [--config SPEC] [--preprocess] <file.cnf>
-//! qsat [--stats] [--conflicts N] [--proof FILE] [--config SPEC] [--preprocess] -   # stdin
+//! qsat [--stats] [--conflicts N] [--proof FILE] [--preprocess] <file.cnf>
+//! qsat [--stats] [--conflicts N] [--proof FILE] [--preprocess] -   # stdin
 //! ```
 //!
 //! `--preprocess` runs the proof-logging static preprocessor
@@ -13,11 +13,6 @@
 //! variables before the `v` lines are printed, and with `--proof` the
 //! preprocessor's derivations prefix the solver's DRAT stream so the
 //! combined proof still checks against the ORIGINAL formula.
-//!
-//! `--config` takes a `key=value,...` spec mapping 1:1 onto
-//! [`SolverConfig`] — e.g. `--config decay=0.95,restart=luby` or
-//! `--config restart=geometric:128:1.3,phase=random,seed=7` — so any
-//! search configuration is reproducible from the CLI.
 //!
 //! Prints `s SATISFIABLE` with a `v ...` model line, `s UNSATISFIABLE`, or —
 //! when the `--conflicts` cap aborts the solve — `s UNKNOWN`, following the
@@ -29,12 +24,13 @@
 //! rather than by poking at solver internals. With `--proof FILE`, a DRAT
 //! proof is streamed to FILE during the solve; on an UNSAT verdict it is a
 //! complete refutation checkable with `qca-drat-check` (or drat-trim). Exit
-//! code 10 for SAT, 20 for UNSAT, 0 for UNKNOWN, 1 on input errors.
+//! code 10 for SAT, 20 for UNSAT, 0 for UNKNOWN, 1 on input errors and on
+//! an unknown `--` option (named on stderr with the usage line).
 
 use qca_sat::analyze::{preprocess, PreprocessOptions, PreprocessStats, Reconstruction};
 use qca_sat::dimacs::parse_dimacs;
 use qca_sat::proof::ProofSink;
-use qca_sat::{FileProof, SolveControl, SolveOutcome, Solver, SolverConfig, Var};
+use qca_sat::{FileProof, SolveControl, SolveOutcome, Solver, Var};
 use qca_trace::{report, MemorySink, Tracer};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -63,10 +59,7 @@ fn print_pre_stats(stats: &PreprocessStats) {
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: qsat [--stats] [--conflicts N] [--proof FILE] [--config SPEC] [--preprocess] \
-         <file.cnf | ->"
-    );
+    eprintln!("usage: qsat [--stats] [--conflicts N] [--proof FILE] [--preprocess] <file.cnf | ->");
     ExitCode::from(1)
 }
 
@@ -75,7 +68,6 @@ fn main() -> ExitCode {
     let mut conflict_cap: Option<u64> = None;
     let mut proof_path: Option<String> = None;
     let mut run_preprocess = false;
-    let mut config = SolverConfig::default();
     let mut input: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -94,17 +86,9 @@ fn main() -> ExitCode {
                 };
                 proof_path = Some(path);
             }
-            "--config" => {
-                let Some(spec) = args.next() else {
-                    return usage();
-                };
-                config = match SolverConfig::parse(&spec) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("c bad --config: {e}");
-                        return ExitCode::from(1);
-                    }
-                };
+            unknown if unknown.starts_with("--") => {
+                eprintln!("c unknown option {unknown}");
+                return usage();
             }
             other => {
                 if input.replace(other.to_string()).is_some() {
@@ -163,7 +147,7 @@ fn main() -> ExitCode {
     } else {
         cnf
     };
-    let mut solver = Solver::with_config(config);
+    let mut solver = Solver::new();
     if let Some(sink) = proof_sink {
         solver.set_proof(Box::new(sink));
     }

@@ -10,6 +10,8 @@
 //! * first-UIP clause learning with basic minimization,
 //! * VSIDS branching with phase saving,
 //! * Luby restarts and learnt-clause database reduction,
+//! * one search with no tuning knobs: callers set only a per-call
+//!   conflict budget and the run controls ([`SolveControl`]),
 //! * incremental solving under assumptions with unsat-core extraction,
 //! * DIMACS CNF I/O ([`dimacs`]) and CNF encoding helpers ([`encode`]),
 //! * DRAT proof logging ([`proof`]) for independent UNSAT certification,
@@ -37,7 +39,6 @@
 
 pub mod analyze;
 mod arena;
-pub mod config;
 pub mod dimacs;
 pub mod encode;
 mod heap;
@@ -49,7 +50,6 @@ pub use analyze::{
     analyze, preprocess, FormulaReport, PreprocessOptions, PreprocessResult, PreprocessStats,
     Reconstruction,
 };
-pub use config::{ConfigError, PhasePolicy, RestartSchedule, SolverConfig};
 pub use lit::{LBool, Lit, Var};
 pub use proof::{FileProof, MemoryProof, ProofSink, ProofStep};
 pub use solver::{SolveControl, SolveOutcome, Solver, SolverStats};

@@ -4,9 +4,11 @@
 //!
 //! * two-watched-literal propagation with blocker literals,
 //! * first-UIP conflict analysis with basic clause minimization,
-//! * exponential VSIDS variable activities with an indexed max-heap,
-//! * phase saving,
-//! * Luby-sequence restarts,
+//! * exponential VSIDS variable activities (decay 0.95) with an indexed
+//!   max-heap,
+//! * phase saving: a decision takes the variable's saved polarity,
+//!   which [`Solver::set_phase`] can seed,
+//! * Luby-sequence restarts, 100 conflicts per unit,
 //! * activity-based learnt-clause database reduction,
 //! * incremental solving under assumptions with failed-assumption
 //!   (unsat-core) extraction.
@@ -19,9 +21,12 @@
 //! not steer the search: decisions, propagation order, learnt clauses,
 //! deletions and DRAT steps follow from the CDCL rules alone, and
 //! `tests/search_trajectory.rs` pins them on fixed instances.
+//!
+//! The search has no tuning knobs. A caller sets only a per-call conflict
+//! budget ([`Solver::set_conflict_budget`]) and the run controls
+//! ([`SolveControl`]).
 
 use crate::arena::{ClauseArena, ClauseRef};
-use crate::config::{PhasePolicy, SolverConfig, XorShift64};
 use crate::heap::ActivityHeap;
 use crate::lit::{LBool, Lit, Var};
 use crate::proof::ProofSink;
@@ -147,8 +152,6 @@ pub struct Solver {
     activity: Vec<f64>,
     var_inc: f64,
     heap: ActivityHeap,
-    priority_heap: ActivityHeap,
-    is_priority: Vec<bool>,
     phase: Vec<bool>,
     seen: Vec<bool>,
     /// The clause [`Solver::analyze`] learns, asserting literal first.
@@ -159,8 +162,10 @@ pub struct Solver {
     conflict_core: Vec<Lit>,
     stats: SolverStats,
     max_learnts: f64,
-    config: SolverConfig,
-    rng: XorShift64,
+    /// Per-call conflict budget: each `solve*` call gives up with
+    /// `Unknown` after roughly this many conflicts of its own.
+    conflict_budget: Option<u64>,
+    control: SolveControl,
     n_original_clauses: usize,
     proof: Option<Box<dyn ProofSink>>,
     recorded: Option<Vec<Vec<Lit>>>,
@@ -173,21 +178,8 @@ impl Default for Solver {
 }
 
 impl Solver {
-    /// Creates an empty solver with the default [`SolverConfig`].
+    /// Creates an empty solver.
     pub fn new() -> Self {
-        Solver::with_config(SolverConfig::default())
-    }
-
-    /// Creates an empty solver searching as described by `config`.
-    ///
-    /// # Panics
-    ///
-    /// When `config` fails [`SolverConfig::validate`].
-    pub fn with_config(config: SolverConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid solver config: {e}");
-        }
-        let rng = XorShift64::new(config.seed);
         Solver {
             arena: ClauseArena::default(),
             watches: Vec::new(),
@@ -200,8 +192,6 @@ impl Solver {
             activity: Vec::new(),
             var_inc: 1.0,
             heap: ActivityHeap::new(),
-            priority_heap: ActivityHeap::new(),
-            is_priority: Vec::new(),
             phase: Vec::new(),
             seen: Vec::new(),
             learnt: Vec::new(),
@@ -211,17 +201,12 @@ impl Solver {
             conflict_core: Vec::new(),
             stats: SolverStats::default(),
             max_learnts: 0.0,
-            config,
-            rng,
+            conflict_budget: None,
+            control: SolveControl::default(),
             n_original_clauses: 0,
             proof: None,
             recorded: None,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
     }
 
     /// Allocates a fresh variable.
@@ -231,7 +216,6 @@ impl Solver {
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
-        self.is_priority.push(false);
         self.phase.push(false);
         self.seen.push(false);
         self.watches.push(Vec::new());
@@ -245,20 +229,6 @@ impl Solver {
     /// known-good (warm-start) assignment.
     pub fn set_phase(&mut self, v: Var, phase: bool) {
         self.phase[v.index()] = phase;
-    }
-
-    /// Marks a variable as a *priority decision variable*: the solver always
-    /// branches on unassigned priority variables before any other variable.
-    ///
-    /// Intended for models where a small set of semantic choices functionally
-    /// determines a large auxiliary encoding (bit-blasted arithmetic): with
-    /// the choices decided first, the rest follows by unit propagation.
-    pub fn mark_priority_var(&mut self, v: Var) {
-        let idx = v.index();
-        if !self.is_priority[idx] {
-            self.is_priority[idx] = true;
-            self.priority_heap.insert(idx, &self.activity);
-        }
     }
 
     /// Number of variables allocated so far.
@@ -277,29 +247,26 @@ impl Solver {
     }
 
     /// Limits the next `solve*` call to roughly `budget` conflicts; `None`
-    /// removes the limit. The budget is consumed per call. Equivalent to
-    /// setting [`SolverConfig::conflict_budget`].
+    /// removes the limit. The budget is consumed per call.
     pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        self.config.conflict_budget = budget;
+        self.conflict_budget = budget;
     }
 
     /// Installs the caller-side run controls (lifetime conflict cap,
     /// cancellation flag, tracer) in one call. See [`SolveControl`].
-    /// Equivalent to setting [`SolverConfig::control`].
     pub fn set_control(&mut self, control: SolveControl) {
-        self.config.control = control;
+        self.control = control;
     }
 
     /// The currently installed run controls.
     pub fn control(&self) -> &SolveControl {
-        &self.config.control
+        &self.control
     }
 
     /// `true` when the attached stop flag (if any) requests cancellation.
     #[inline]
     fn stop_requested(&self) -> bool {
-        self.config
-            .control
+        self.control
             .stop
             .as_ref()
             .is_some_and(|s| s.load(Ordering::Relaxed))
@@ -317,14 +284,9 @@ impl Solver {
     /// on (learnt clauses, level-0 simplifications, the final empty clause)
     /// and every learnt-clause deletion is streamed to it. Install the sink
     /// *before* adding clauses so level-0 simplifications during loading are
-    /// captured. `None`-equivalent: see [`Solver::take_proof`].
+    /// captured.
     pub fn set_proof(&mut self, sink: Box<dyn ProofSink>) {
         self.proof = Some(sink);
-    }
-
-    /// Removes and returns the installed proof sink, if any. Emission stops.
-    pub fn take_proof(&mut self) -> Option<Box<dyn ProofSink>> {
-        self.proof.take()
     }
 
     /// Flushes the installed proof sink (no-op without one).
@@ -581,7 +543,6 @@ impl Solver {
             self.var_inc *= 1e-100;
         }
         self.heap.update(idx, &self.activity);
-        self.priority_heap.update(idx, &self.activity);
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
@@ -593,9 +554,11 @@ impl Solver {
         }
     }
 
+    /// Decays every variable activity by 0.95 and every learnt-clause
+    /// activity by 0.999, by growing the increments instead.
     fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay();
-        self.cla_inc /= self.config.cla_decay();
+        self.var_inc /= 0.95;
+        self.cla_inc /= 0.999;
     }
 
     /// First-UIP conflict analysis. Leaves the learnt clause in
@@ -745,9 +708,6 @@ impl Solver {
             self.values[(!l).code()] = LBool::Undef;
             self.reason[v] = None;
             self.heap.insert(v, &self.activity);
-            if self.is_priority[v] {
-                self.priority_heap.insert(v, &self.activity);
-            }
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(target);
@@ -755,12 +715,6 @@ impl Solver {
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
-        while let Some(v) = self.priority_heap.pop_max(&self.activity) {
-            let v = Var::from_index(v);
-            if self.lit_value(v.positive()) == LBool::Undef {
-                return Some(v);
-            }
-        }
         while let Some(v) = self.heap.pop_max(&self.activity) {
             let v = Var::from_index(v);
             if self.lit_value(v.positive()) == LBool::Undef {
@@ -817,14 +771,6 @@ impl Solver {
         self.lit_value(first) == LBool::True && self.reason[first.var().index()] == Some(cref)
     }
 
-    /// The Luby restart sequence value for restart index `x` (0-based):
-    /// 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, ...
-    /// (Lives in [`crate::config`] now; kept here for the unit tests.)
-    #[cfg(test)]
-    fn luby(x: u64) -> u64 {
-        crate::config::luby(x)
-    }
-
     /// Solves the formula with no assumptions. Returns `true` when
     /// satisfiable.
     pub fn solve(&mut self) -> bool {
@@ -845,10 +791,10 @@ impl Solver {
     /// lifetime [`SolverStats`] are emitted as `sat.*` gauges when the call
     /// returns, so aborted solves still report their work.
     pub fn solve_limited(&mut self, assumptions: &[Lit]) -> SolveOutcome {
-        if !self.config.control.tracer.enabled() {
+        if !self.control.tracer.enabled() {
             return self.solve_limited_inner(assumptions);
         }
-        let tracer = self.config.control.tracer.clone();
+        let tracer = self.control.tracer.clone();
         let mut span = tracer.span("sat.solve");
         let outcome = self.solve_limited_inner(assumptions);
         span.set_note(match outcome {
@@ -892,10 +838,9 @@ impl Solver {
         // fold into a single lifetime conflict count to halt at.
         let halt_at = {
             let from_budget = self
-                .config
                 .conflict_budget
                 .map(|b| self.stats.conflicts.saturating_add(b));
-            let cap = self.config.control.conflict_cap;
+            let cap = self.control.conflict_cap;
             match (from_budget, cap) {
                 (Some(b), Some(c)) => Some(b.min(c)),
                 (b, c) => b.or(c),
@@ -904,7 +849,8 @@ impl Solver {
         let mut restart_num: u64 = 0;
         loop {
             restart_num += 1;
-            let limit = self.config.restart.limit(restart_num - 1);
+            // Luby restarts, 100 conflicts per unit.
+            let limit = luby(restart_num - 1).saturating_mul(100);
             match self.search(limit, assumptions, halt_at) {
                 SearchResult::Sat => {
                     self.model = self.values.iter().step_by(2).copied().collect();
@@ -921,7 +867,7 @@ impl Solver {
                 }
                 SearchResult::Restart => {
                     self.stats.restarts += 1;
-                    self.config.control.tracer.counter("sat.restart", 1);
+                    self.control.tracer.counter("sat.restart", 1);
                     self.cancel_until(0);
                 }
                 SearchResult::BudgetExhausted => {
@@ -945,10 +891,8 @@ impl Solver {
                 conflicts_here += 1;
                 // Milestone checkpoint for long solves; the `enabled` check
                 // keeps the disabled-tracer hot path to a single branch.
-                if self.config.control.tracer.enabled() && self.stats.conflicts.is_multiple_of(4096)
-                {
-                    self.config
-                        .control
+                if self.control.tracer.enabled() && self.stats.conflicts.is_multiple_of(4096) {
+                    self.control
                         .tracer
                         .gauge("sat.conflicts.checkpoint", self.stats.conflicts as i64);
                 }
@@ -1011,13 +955,7 @@ impl Solver {
                             None => return SearchResult::Sat,
                             Some(v) => {
                                 self.stats.decisions += 1;
-                                let polarity = match self.config.phase {
-                                    PhasePolicy::Saved => self.phase[v.index()],
-                                    PhasePolicy::Positive => true,
-                                    PhasePolicy::Negative => false,
-                                    PhasePolicy::Random => self.rng.next_bool(),
-                                };
-                                break Some(v.lit(polarity));
+                                break Some(v.lit(self.phase[v.index()]));
                             }
                         }
                     }
@@ -1057,6 +995,23 @@ impl Solver {
     pub fn is_ok(&self) -> bool {
         self.ok
     }
+}
+
+/// The Luby restart sequence value for restart index `x` (0-based):
+/// 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, ...
+fn luby(mut x: u64) -> u64 {
+    let mut size: u64 = 1;
+    let mut seq: u32 = 0;
+    while size < x + 1 {
+        seq += 1;
+        size = 2 * size + 1;
+    }
+    while size - 1 != x {
+        size = (size - 1) / 2;
+        seq -= 1;
+        x %= size;
+    }
+    1u64 << seq
 }
 
 enum SearchResult {
@@ -1267,7 +1222,11 @@ mod tests {
     fn luby_sequence_prefix() {
         let expect = [1u64, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8];
         for (i, &e) in expect.iter().enumerate() {
-            assert_eq!(Solver::luby(i as u64), e, "luby({i})");
+            assert_eq!(luby(i as u64), e, "luby({i})");
+        }
+        // Restart intervals are 100 conflicts per Luby unit.
+        for (idx, limit) in [(0, 100), (2, 200), (6, 400)] {
+            assert_eq!(luby(idx) * 100, limit, "restart {idx}");
         }
     }
 
@@ -1359,21 +1318,6 @@ mod tests {
         assert!(s.solve());
         assert_eq!(s.value(a), Some(true));
         assert_eq!(s.value(b), Some(false));
-    }
-
-    #[test]
-    fn priority_vars_decided_first() {
-        // With x marked priority and an implication x -> y, deciding x first
-        // (phase true) propagates y without ever deciding it.
-        let mut s = Solver::new();
-        let x = s.new_var();
-        let y = s.new_var();
-        s.add_clause(&[x.negative(), y.positive()]);
-        s.mark_priority_var(x);
-        s.set_phase(x, true);
-        assert!(s.solve());
-        assert_eq!(s.value(x), Some(true));
-        assert_eq!(s.value(y), Some(true));
     }
 
     #[test]
@@ -1495,95 +1439,9 @@ mod tests {
     }
 
     #[test]
-    fn with_config_steers_search_knobs() {
-        use crate::config::{PhasePolicy, RestartSchedule, SolverConfig};
-        // Geometric restarts + positive phase still refute pigeonhole...
-        let cfg = SolverConfig {
-            decay: Some(0.9),
-            restart: RestartSchedule::Geometric {
-                initial: 50,
-                factor: 1.5,
-            },
-            phase: PhasePolicy::Positive,
-            ..SolverConfig::default()
-        };
-        let mut s = Solver::with_config(cfg.clone());
-        let vs: Vec<Var> = (0..72).map(|_| s.new_var()).collect();
-        let var = |p: usize, h: usize| vs[p * 8 + h];
-        for p in 0..9 {
-            let clause: Vec<Lit> = (0..8).map(|h| var(p, h).positive()).collect();
-            s.add_clause(&clause);
-        }
-        for h in 0..8 {
-            for p1 in 0..9 {
-                for p2 in (p1 + 1)..9 {
-                    s.add_clause(&[var(p1, h).negative(), var(p2, h).negative()]);
-                }
-            }
-        }
-        assert_eq!(s.solve_limited(&[]), SolveOutcome::Unsat);
-        assert_eq!(s.config().var_decay(), 0.9);
-        // ...and so does a random-phase member with a seed.
-        let mut s = Solver::with_config(SolverConfig {
-            phase: PhasePolicy::Random,
-            seed: 7,
-            ..SolverConfig::default()
-        });
-        let vs: Vec<Var> = (0..30).map(|_| s.new_var()).collect();
-        let var = |p: usize, h: usize| vs[p * 5 + h];
-        for p in 0..6 {
-            let clause: Vec<Lit> = (0..5).map(|h| var(p, h).positive()).collect();
-            s.add_clause(&clause);
-        }
-        for h in 0..5 {
-            for p1 in 0..6 {
-                for p2 in (p1 + 1)..6 {
-                    s.add_clause(&[var(p1, h).negative(), var(p2, h).negative()]);
-                }
-            }
-        }
-        assert_eq!(s.solve_limited(&[]), SolveOutcome::Unsat);
-    }
-
-    #[test]
-    #[should_panic(expected = "decay must be in (0, 1), got 1.5")]
-    fn with_config_panics_on_invalid_config() {
-        use crate::config::SolverConfig;
-        let _ = Solver::with_config(SolverConfig {
-            decay: Some(1.5),
-            ..SolverConfig::default()
-        });
-    }
-
-    #[test]
-    fn phase_policies_fix_unconstrained_polarity() {
-        use crate::config::{PhasePolicy, SolverConfig};
-        for (policy, expect) in [
-            (PhasePolicy::Positive, true),
-            (PhasePolicy::Negative, false),
-        ] {
-            let mut s = Solver::with_config(SolverConfig {
-                phase: policy,
-                ..SolverConfig::default()
-            });
-            let a = s.new_var();
-            let b = s.new_var();
-            s.add_clause(&[a.positive(), b.positive()]);
-            assert!(s.solve());
-            assert_eq!(s.value(a), Some(expect), "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn config_budget_and_cap_share_one_accounting() {
-        use crate::config::SolverConfig;
-        // Budget via the config behaves exactly like set_conflict_budget.
-        let cfg = SolverConfig {
-            conflict_budget: Some(10),
-            ..SolverConfig::default()
-        };
+    fn budget_and_cap_share_one_accounting() {
         let mut s = pigeonhole(9, 8);
-        s.set_conflict_budget(cfg.conflict_budget);
+        s.set_conflict_budget(Some(10));
         assert_eq!(s.solve_limited(&[]), SolveOutcome::Unknown);
         // The tighter of (budget, cap) wins: a huge budget with a small cap
         // still halts at the cap.

@@ -1,6 +1,7 @@
 //! End-to-end tests for the `qsat` binary's `--proof` flag: write a DIMACS
 //! file, solve it through the CLI, and validate the emitted DRAT proof with
-//! the independent checker from `qca-verify`.
+//! the independent checker from `qca-verify`. Also checks that `qsat`
+//! names an unknown option instead of reading it as the input path.
 
 use std::io::Write;
 use std::process::Command;
@@ -111,6 +112,42 @@ fn qsat_proof_on_sat_instance_is_benign() {
         proof.iter().all(|s| !s.lits().is_empty() || s.is_delete()),
         "a SAT run must not emit the empty clause"
     );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn qsat_names_an_unknown_option() {
+    let dir = std::env::temp_dir().join(format!("qsat-unknown-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cnf_path = dir.join("php.cnf");
+    write_cnf_file(&pigeonhole(), &cnf_path);
+
+    // An unknown option is named, not read as the input path.
+    let out = Command::new(env!("CARGO_BIN_EXE_qsat"))
+        .arg("--bogus")
+        .arg(&cnf_path)
+        .output()
+        .expect("qsat runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("c unknown option --bogus"), "{stderr}");
+    assert!(stderr.contains("usage: qsat"), "{stderr}");
+
+    // `-` still reads the formula from stdin.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qsat"))
+        .arg("-")
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("qsat runs");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"p cnf 1 2\n1 0\n-1 0\n")
+        .unwrap();
+    assert_eq!(child.wait_with_output().unwrap().status.code(), Some(20));
 
     std::fs::remove_dir_all(&dir).ok();
 }
