@@ -103,6 +103,23 @@ for objective in fidelity idle combined; do
     exit 1
   fi
 done
+# The fidelity objective's upper bound is the sum of per-block optima (one
+# route per routed block), which the warm start attains: every answer is
+# proven, and audited, without a single probe conflict.
+out="$trace_dir/verify-fidelity-star"
+target/release/qca-engine --workers 2 --coupling star --objective fidelity --verify \
+  --metrics-out "$out.json" examples/qasm > "$out.txt" || {
+  echo "verify gate: --coupling star --objective fidelity failed" >&2
+  cat "$out.txt" >&2
+  exit 1
+}
+for want in '"optimal":3,' '"verify_passed":3,' '"sat_conflicts":0,'; do
+  grep -q "$want" "$out.json" || {
+    echo "verify gate: star fidelity metrics lack $want" >&2
+    cat "$out.json" >&2
+    exit 1
+  }
+done
 
 echo "== topology gate: qca-engine --coupling line|ring|star --verify =="
 for topo in line ring star; do

@@ -25,7 +25,9 @@
 //! proof is streamed to FILE during the solve; on an UNSAT verdict it is a
 //! complete refutation checkable with `qca-drat-check` (or drat-trim). Exit
 //! code 10 for SAT, 20 for UNSAT, 0 for UNKNOWN, 1 on input errors and on
-//! an unknown `--` option (named on stderr with the usage line).
+//! a bad argument: an unknown `--` option, a `--conflicts` or `--proof`
+//! without a (well-formed) value, or a second input path, each named on
+//! stderr with the usage line.
 
 use qca_sat::analyze::{preprocess, PreprocessOptions, PreprocessStats, Reconstruction};
 use qca_sat::dimacs::parse_dimacs;
@@ -75,13 +77,19 @@ fn main() -> ExitCode {
             "--stats" => stats = true,
             "--preprocess" => run_preprocess = true,
             "--conflicts" => {
-                let Some(n) = args.next().and_then(|v| v.parse().ok()) else {
+                let Some(value) = args.next() else {
+                    eprintln!("c --conflicts needs a value");
+                    return usage();
+                };
+                let Ok(n) = value.parse() else {
+                    eprintln!("c --conflicts needs a non-negative integer, got {value:?}");
                     return usage();
                 };
                 conflict_cap = Some(n);
             }
             "--proof" => {
                 let Some(path) = args.next() else {
+                    eprintln!("c --proof needs a file path");
                     return usage();
                 };
                 proof_path = Some(path);
@@ -91,7 +99,8 @@ fn main() -> ExitCode {
                 return usage();
             }
             other => {
-                if input.replace(other.to_string()).is_some() {
+                if let Some(first) = input.replace(other.to_string()) {
+                    eprintln!("c second input {other} (already reading {first})");
                     return usage();
                 }
             }

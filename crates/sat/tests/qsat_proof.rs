@@ -1,7 +1,8 @@
 //! End-to-end tests for the `qsat` binary's `--proof` flag: write a DIMACS
 //! file, solve it through the CLI, and validate the emitted DRAT proof with
 //! the independent checker from `qca-verify`. Also checks that `qsat`
-//! names an unknown option instead of reading it as the input path.
+//! names a bad argument (an unknown option, a missing or malformed flag
+//! value, a second input path) instead of printing only its usage line.
 
 use std::io::Write;
 use std::process::Command;
@@ -148,6 +149,40 @@ fn qsat_names_an_unknown_option() {
         .write_all(b"p cnf 1 2\n1 0\n-1 0\n")
         .unwrap();
     assert_eq!(child.wait_with_output().unwrap().status.code(), Some(20));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn qsat_names_a_bad_argument() {
+    let dir = std::env::temp_dir().join(format!("qsat-badarg-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cnf_path = dir.join("php.cnf");
+    write_cnf_file(&pigeonhole(), &cnf_path);
+    let cnf = cnf_path.to_str().unwrap();
+
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["--conflicts", "abc", cnf],
+            "c --conflicts needs a non-negative integer, got \"abc\"",
+        ),
+        (&[cnf, "--conflicts"], "c --conflicts needs a value"),
+        (&[cnf, "--proof"], "c --proof needs a file path"),
+        (
+            &[cnf, "extra.cnf"],
+            "c second input extra.cnf (already reading",
+        ),
+    ];
+    for (args, named) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_qsat"))
+            .args(args)
+            .output()
+            .expect("qsat runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: qsat"), "{args:?}: {stderr}");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

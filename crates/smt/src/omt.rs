@@ -5,6 +5,10 @@
 //! incumbent; a refutation proves it optimal, the same refutation of the
 //! next-better level an [`OptimalityCertificate`] re-derives; a probe that
 //! runs out of budget ends the search with the incumbent unproven. The
+//! search also stops, proven and without a probe, once the incumbent
+//! reaches the objective's [`IntExpr::hi`]. That bound is the sum of the
+//! expression's terms unless the caller lowers it to a sound bound it
+//! computed (the adaptation model puts its per-block optimum there). The
 //! search is complete on the bounded integer objectives produced by
 //! [`crate::SmtSolver`], and never probes above the level it must refute.
 
@@ -21,16 +25,18 @@ pub struct Optimum {
     pub model: SmtModel,
     /// Number of SAT queries issued during the search.
     pub queries: u64,
-    /// `true` when the search refuted `objective >= value + 1` (or `value`
-    /// already sits at the objective's structural upper bound); `false` when
-    /// that probe exhausted its conflict budget and the search settled for
-    /// the best value found.
+    /// `true` when the search refuted `objective >= value + 1`, or `value`
+    /// reached the objective's [`IntExpr::hi`], a bound the caller may
+    /// have computed rather than read off the expression's terms; `false`
+    /// when that probe exhausted its conflict budget and the search settled
+    /// for the best value found.
     pub optimal: bool,
     /// Independently checkable proof of optimality; present only when
     /// [`OmtOptions::certify`] is set, the solver has recording enabled, and
-    /// `optimal` is `true`. Absence with `optimal == true` means
-    /// certification was not requested (or the objective already sat at its
-    /// structural upper bound beyond `i64` range).
+    /// `optimal` is `true`. It refutes `objective >= value + 1` over the
+    /// recorded CNF alone, so an optimum proven by a computed `hi` is
+    /// certified the same way. Absence with `optimal == true` means
+    /// certification was not requested (or `value + 1` overflows `i64`).
     pub certificate: Option<OptimalityCertificate>,
 }
 
@@ -423,6 +429,30 @@ mod tests {
         assert!(best.optimal);
         let cert = best.certificate.expect("certificate");
         assert_eq!(cert.refuted_bound, 43);
+    }
+
+    #[test]
+    fn computed_upper_bound_stops_the_search_and_stays_certifiable() {
+        // Two exclusive items: the terms' sum (9) overstates the optimum
+        // (5). With `hi` lowered to the optimum, the first model ends the
+        // search proven, and the certificate still refutes `hi + 1` from
+        // the recorded CNF alone.
+        let mut smt = SmtSolver::new();
+        smt.enable_recording();
+        let a = smt.new_bool();
+        let b = smt.new_bool();
+        smt.add_clause(&[!a, !b]);
+        let mut obj = smt.pb_sum(0, &[(5, a), (4, b)]);
+        assert_eq!(obj.hi, 9);
+        obj.hi = 5;
+        let opts = OmtOptions {
+            probe_conflict_budget: Some(0),
+            certify: true,
+        };
+        let best = maximize_with(&mut smt, &obj, opts, &[a, !b]).expect("sat");
+        assert_eq!((best.value, best.queries, best.optimal), (5, 1, true));
+        let cert = best.certificate.expect("certificate");
+        assert_eq!(cert.refuted_bound, 6);
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn exact_certified_rand_3q_d6_trajectory_is_pinned() {
         (s.decisions, s.propagations, s.conflicts, s.restarts),
         steps,
     );
-    assert_eq!(got, (-493, 2, true, (50, 877, 20, 0), Some(29)));
+    assert_eq!(got, (-493, 1, true, (0, 144, 0, 0), Some(29)));
 }
 
 /// A certificate long enough for the solver to reduce its clause database:
@@ -117,7 +117,7 @@ fn exact_certified_rand_3q_d40_certificate_is_pinned() {
             stats.steps_skipped,
         ),
     );
-    assert_eq!(got, ((7_839, 3_680), (2_503, 1_176, 0, 1)));
+    assert_eq!(got, ((7_794, 3_886), (2_716, 1_169, 0, 1)));
 }
 
 #[test]
@@ -135,5 +135,5 @@ fn recalibrated_rand_3q_d6_trajectory_is_pinned() {
         r.optimal,
         (s.decisions, s.propagations, s.conflicts, s.restarts),
     );
-    assert_eq!(got, (true, -987, 2, true, (79, 1_878, 41, 0)));
+    assert_eq!(got, (true, -987, 1, true, (0, 157, 0, 0)));
 }
