@@ -12,25 +12,31 @@
 //! (The solver crate pins its own trajectories on plain CNF; this test lives
 //! here because `qca-sat` cannot depend on `qca-adapt`.)
 
-use qca::adapt::{adapt, recalibrate_adaptation, AdaptContext, Adaptation, Objective};
-use qca::hw::{spin_qubit_model, GateTimes};
+use qca::adapt::{
+    adapt, recalibrate_adaptation, AdaptContext, Adaptation, Objective, SmtAdaptation,
+};
+use qca::circuit::Circuit;
+use qca::hw::{spin_qubit_model, CouplingMap, GateTimes};
 use qca::trace::{TraceEvent, Tracer};
 use qca::workloads::{random_template_circuit, DEFAULT_TEMPLATE_GATES};
 use qca_verify::check_certificate;
 
-#[test]
-fn budgeted_rand_3q_d20_linear_search_trajectory_is_pinned() {
-    let circuit = random_template_circuit(3, 20, 0x5eed_2023, &DEFAULT_TEMPLATE_GATES, true);
+/// A budgeted solve of `circuit` under `objective`, with the encoded
+/// model's size as `smt.encode` reports it: `((sat_vars, sat_clauses),
+/// adaptation)`.
+fn budgeted(
+    circuit: &Circuit,
+    objective: Objective,
+    coupling: Option<CouplingMap>,
+) -> ((i64, i64), Adaptation) {
     let hw = spin_qubit_model(GateTimes::D0);
     let (tracer, sink) = Tracer::to_memory();
-    let ctx = AdaptContext {
+    let mut ctx = AdaptContext {
         tracer,
-        ..AdaptContext::with_objective(Objective::Combined)
+        ..AdaptContext::with_objective(objective)
     };
-    let r = adapt(&circuit, &hw, &ctx)
-        .expect("adaptation succeeds")
-        .solver;
-    // The encoded model's size, as `smt.encode` reports it.
+    ctx.options.coupling = coupling;
+    let adaptation = adapt(circuit, &hw, &ctx).expect("adaptation succeeds");
     let events = sink.events();
     let gauge = |wanted: &str| {
         events
@@ -41,21 +47,60 @@ fn budgeted_rand_3q_d20_linear_search_trajectory_is_pinned() {
             })
             .expect("gauge emitted")
     };
-    assert_eq!(
+    (
         (gauge("smt.sat_vars"), gauge("smt.sat_clauses")),
-        (2_448, 13_040)
-    );
+        adaptation,
+    )
+}
+
+/// The search's outcome and SAT counters:
+/// `(value, queries, optimal, (decisions, props, conflicts, restarts))`.
+fn trajectory(r: &SmtAdaptation) -> (i64, u64, bool, (u64, u64, u64, u64)) {
     let s = &r.solver_stats;
-    let got = (
+    (
         r.objective_value,
         r.queries,
         r.optimal,
         (s.decisions, s.propagations, s.conflicts, s.restarts),
-        (s.deleted_clauses, s.minimized_literals),
-    );
+    )
+}
+
+#[test]
+fn budgeted_rand_3q_d20_linear_search_trajectory_is_pinned() {
+    let circuit = random_template_circuit(3, 20, 0x5eed_2023, &DEFAULT_TEMPLATE_GATES, true);
+    let (size, adaptation) = budgeted(&circuit, Objective::Combined, None);
+    assert_eq!(size, (2_448, 13_040));
+    let r = &adaptation.solver;
+    let s = &r.solver_stats;
     assert_eq!(
-        got,
-        (-27_107, 2, false, (6_907, 238_116, 2_000, 12), (0, 1_886))
+        (trajectory(r), (s.deleted_clauses, s.minimized_literals)),
+        ((-27_107, 2, false, (6_907, 238_116, 2_000, 12)), (0, 1_886))
+    );
+}
+
+/// A star-coupled model: every block on a pair that does not touch the hub
+/// gains routing substitutions, so these pins cover the routing clauses
+/// and the route-seeded warm start. (A line map routes nothing here: the
+/// template places gates only on adjacent line pairs.)
+#[test]
+fn budgeted_star_coupled_rand_4q_d20_trajectories_are_pinned() {
+    let circuit = random_template_circuit(4, 20, 0x5eed_2023, &DEFAULT_TEMPLATE_GATES, true);
+    let star = || Some(CouplingMap::star(4));
+
+    let (size, combined) = budgeted(&circuit, Objective::Combined, star());
+    assert_eq!(size, (3_212, 17_042));
+    assert_eq!(
+        trajectory(&combined.solver),
+        (-52_126, 2, false, (9_862, 246_204, 2_000, 12))
+    );
+    let routes = combined.chosen.iter().filter(|s| s.route.is_some()).count();
+    assert_eq!(routes, 10);
+
+    let (size, idle) = budgeted(&circuit, Objective::IdleTime, star());
+    assert_eq!(size, (3_148, 16_713));
+    assert_eq!(
+        trajectory(&idle.solver),
+        (-39_600, 2, false, (9_763, 216_298, 2_000, 12))
     );
 }
 
