@@ -41,7 +41,7 @@ use qca_synth::consolidate::consolidate_1q;
 pub struct AdaptOptions {
     /// Objective function handed to the SMT solver.
     pub objective: Objective,
-    /// Which substitution rules to evaluate.
+    /// How the substitution rules are evaluated (the KAK variant).
     pub rules: RuleOptions,
     /// Run the OMT search to proven optimality (no probe budgets).
     /// Slower on scheduling objectives; the default budgeted search reports

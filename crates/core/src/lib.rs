@@ -85,7 +85,7 @@ pub use model::{
     evaluate_selection, recheck_optimum, AdaptLimits, Objective, RecheckOutcome, SmtAdaptation,
     VerificationData, LOG_SCALE,
 };
-pub use preflight::{preflight, preflight_with_coupling, Diagnostic, RuleToggles};
+pub use preflight::{preflight, preflight_with_coupling, Diagnostic};
 pub use rules::{append_routing_substitutions, Route, RuleOptions, Substitution, SubstitutionKind};
 
 #[cfg(test)]

@@ -375,7 +375,7 @@ struct BlockBound {
 }
 
 fn block_bound(
-    members: &[Vec<usize>],
+    blocks: &Blocks,
     catalog: &[Substitution],
     cost: &CostData,
     objective: Objective,
@@ -386,8 +386,8 @@ fn block_bound(
         Objective::Fidelity => cost.fid_base,
     };
     let mut selection = vec![false; catalog.len()];
-    for block in members {
-        let opt = block_optimum(catalog, block, |i| cost.weight(i, objective));
+    for members in &blocks.members {
+        let opt = block_optimum(catalog, members, |i| cost.weight(i, objective));
         bound += opt.bound;
         for i in opt.best {
             selection[i] = true;
@@ -396,53 +396,64 @@ fn block_bound(
     BlockBound { bound, selection }
 }
 
-/// Catalog ids per block (ascending), indexed by block id.
-fn block_members(pre: &Preprocessed, catalog: &[Substitution]) -> Vec<Vec<usize>> {
-    let mut members = vec![Vec::new(); pre.partition.blocks.len()];
-    for (i, s) in catalog.iter().enumerate() {
-        members[s.block].push(i);
-    }
-    members
+/// The catalog indexed by block, built once per solve: every per-block
+/// question of the model (conflicts, routing, durations, the bounds and the
+/// warm start) reads these lists. Conflicts never cross blocks, so a
+/// block's members are all an entry can conflict with.
+struct Blocks {
+    /// Catalog ids per block (ascending), indexed by block id.
+    members: Vec<Vec<usize>>,
+    /// Routing-substitution ids per block (ascending), indexed by block id;
+    /// empty for a block that needs no routing.
+    routes: Vec<Vec<usize>>,
 }
 
-/// Per-block routing-choice literals: for every block that carries routing
-/// substitutions, the literals of those choices (ascending block id).
-fn routing_choices(
-    catalog: &[Substitution],
-    choice: &[qca_sat::Lit],
-) -> Vec<(usize, Vec<qca_sat::Lit>)> {
-    let mut groups: std::collections::BTreeMap<usize, Vec<qca_sat::Lit>> =
-        std::collections::BTreeMap::new();
-    for (i, s) in catalog.iter().enumerate() {
-        if s.route.is_some() {
-            groups.entry(s.block).or_default().push(choice[i]);
+impl Blocks {
+    fn new(pre: &Preprocessed, catalog: &[Substitution]) -> Blocks {
+        let nblocks = pre.partition.blocks.len();
+        let mut blocks = Blocks {
+            members: vec![Vec::new(); nblocks],
+            routes: vec![Vec::new(); nblocks],
+        };
+        for (i, s) in catalog.iter().enumerate() {
+            blocks.members[s.block].push(i);
+            if s.route.is_some() {
+                blocks.routes[s.block].push(i);
+            }
         }
+        blocks
     }
-    groups.into_iter().collect()
+
+    /// The members of `i`'s block after `i`: each same-block pair once.
+    fn later_members(&self, catalog: &[Substitution], i: usize) -> &[usize] {
+        let members = &self.members[catalog[i].block];
+        &members[members.partition_point(|&j| j <= i)..]
+    }
 }
 
 /// The start of the greedy warm start: every routed block's best routing
-/// variant and nothing else. The all-false selection is infeasible when
-/// routing clauses demand a choice per routed block, and the asserted
-/// warm-start lower bound must come from a feasible selection.
-fn route_seed(catalog: &[Substitution], cost: &CostData, objective: Objective) -> Vec<bool> {
-    let mut route_best: std::collections::BTreeMap<usize, usize> =
-        std::collections::BTreeMap::new();
-    for (i, s) in catalog.iter().enumerate() {
-        if s.route.is_some() {
-            route_best
-                .entry(s.block)
-                .and_modify(|best| {
-                    if cost.weight(i, objective) > cost.weight(*best, objective) {
-                        *best = i;
-                    }
-                })
-                .or_insert(i);
-        }
-    }
+/// variant (the first in catalog order on a tie) and nothing else. The
+/// all-false selection is infeasible when routing clauses demand a choice
+/// per routed block, and the asserted warm-start lower bound must come from
+/// a feasible selection.
+fn route_seed(
+    catalog: &[Substitution],
+    blocks: &Blocks,
+    cost: &CostData,
+    objective: Objective,
+) -> Vec<bool> {
     let mut selection = vec![false; catalog.len()];
-    for &i in route_best.values() {
-        selection[i] = true;
+    for routes in &blocks.routes {
+        let best = routes.iter().copied().reduce(|best, i| {
+            if cost.weight(i, objective) > cost.weight(best, objective) {
+                i
+            } else {
+                best
+            }
+        });
+        if let Some(i) = best {
+            selection[i] = true;
+        }
     }
     selection
 }
@@ -459,11 +470,11 @@ fn route_seed(catalog: &[Substitution], cost: &CostData, objective: Objective) -
 fn greedy_selection(
     pre: &Preprocessed,
     catalog: &[Substitution],
+    blocks: &Blocks,
     cost: &CostData,
     objective: Objective,
 ) -> (Vec<bool>, i64) {
-    let mut selection = route_seed(catalog, cost, objective);
-    let members = block_members(pre, catalog);
+    let mut selection = route_seed(catalog, blocks, cost, objective);
     let mut best = cost.evaluate(pre, catalog, &selection, objective);
     loop {
         let mut improved: Option<(Vec<bool>, i64)> = None;
@@ -471,7 +482,7 @@ fn greedy_selection(
             if selection[i] {
                 continue;
             }
-            let out: Vec<usize> = members[catalog[i].block]
+            let out: Vec<usize> = blocks.members[catalog[i].block]
                 .iter()
                 .copied()
                 .filter(|&j| selection[j] && catalog[i].conflicts_with(&catalog[j]))
@@ -517,8 +528,9 @@ pub fn solve_model(
     catalog: &[Substitution],
     ctx: &AdaptContext,
 ) -> Result<SmtAdaptation, AdaptError> {
-    let mut model = encode_model(pre, hw, catalog, ctx);
-    let (warm, warm_value) = warm_start(pre, catalog, &mut model, ctx);
+    let blocks = Blocks::new(pre, catalog);
+    let mut model = encode_model(pre, hw, catalog, &blocks, ctx);
+    let (warm, warm_value) = warm_start(pre, catalog, &blocks, &mut model, ctx);
 
     // Size-adaptive search effort: bigger bit-blasted models get smaller
     // probe budgets — the warm start already pins the incumbent, so each
@@ -545,6 +557,7 @@ pub fn solve_model(
 fn warm_start(
     pre: &Preprocessed,
     catalog: &[Substitution],
+    blocks: &Blocks,
     model: &mut EncodedModel,
     ctx: &AdaptContext,
 ) -> (Vec<bool>, i64) {
@@ -553,12 +566,12 @@ fn warm_start(
     let hinted = ctx
         .warm_hint
         .as_deref()
-        .and_then(|ids| selection_from_ids(catalog, ids))
+        .and_then(|ids| selection_from_ids(catalog, blocks, ids))
         .map(|sel| {
             let v = model.cost.evaluate(pre, catalog, &sel, objective);
             (sel, v)
         });
-    let (greedy, greedy_value) = greedy_selection(pre, catalog, &model.cost, objective);
+    let (greedy, greedy_value) = greedy_selection(pre, catalog, blocks, &model.cost, objective);
     let (mut warm, mut value, mut source) = match hinted {
         Some((sel, v)) if v >= greedy_value => (sel, v, "hint"),
         _ => (greedy, greedy_value, "greedy"),
@@ -593,6 +606,7 @@ fn encode_model(
     pre: &Preprocessed,
     hw: &HardwareModel,
     catalog: &[Substitution],
+    blocks: &Blocks,
     ctx: &AdaptContext,
 ) -> EncodedModel {
     let objective = ctx.options.objective;
@@ -608,9 +622,9 @@ fn encode_model(
 
     // Eq. 1: conflicting substitutions are mutually exclusive.
     for (i, a) in catalog.iter().enumerate() {
-        for (jj, b) in catalog.iter().enumerate().skip(i + 1) {
-            if a.conflicts_with(b) {
-                smt.add_clause(&[!choice[i], !choice[jj]]);
+        for &j in blocks.later_members(catalog, i) {
+            if a.conflicts_with(&catalog[j]) {
+                smt.add_clause(&[!choice[i], !choice[j]]);
             }
         }
     }
@@ -620,8 +634,8 @@ fn encode_model(
     // pairwise conflicts above already forbid picking two). Catalogs built
     // without a coupling map have no routing entries, so this adds nothing
     // and the encoding stays bit-identical to the topology-free model.
-    for (block, lits) in routing_choices(catalog, &choice) {
-        debug_assert!(!lits.is_empty(), "routed block {block} has no choices");
+    for routes in blocks.routes.iter().filter(|r| !r.is_empty()) {
+        let lits: Vec<qca_sat::Lit> = routes.iter().map(|&i| choice[i]).collect();
         smt.add_clause(&lits);
     }
 
@@ -642,8 +656,7 @@ fn encode_model(
     // Eq. 8's fidelity is a sum of per-substitution weights and Eq. 1
     // conflicts never cross blocks, so the per-block optima sum to the
     // fidelity optimum: the objective's `hi`, at which the search stops.
-    let members = block_members(pre, catalog);
-    let fid_blocks = block_bound(&members, catalog, &cost, Objective::Fidelity);
+    let fid_blocks = block_bound(blocks, catalog, &cost, Objective::Fidelity);
     let objective_expr: IntExpr = match objective {
         Objective::Fidelity => {
             let mut j = smt.pb_sum(fid_base, &fid_terms);
@@ -658,11 +671,9 @@ fn encode_model(
             let mut d_max = vec![0i64; nblocks];
             for b in 0..nblocks {
                 let base = cost.dur_base[b];
-                let terms: Vec<(i64, qca_sat::Lit)> = catalog
+                let terms: Vec<(i64, qca_sat::Lit)> = blocks.members[b]
                     .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.block == b)
-                    .map(|(i, _)| (cost.dur_w[i], choice[i]))
+                    .map(|&i| (cost.dur_w[i], choice[i]))
                     .collect();
                 d_min[b] = (base + terms.iter().map(|&(w, _)| w.min(0)).sum::<i64>()).max(0);
                 d_max[b] = base + terms.iter().map(|&(w, _)| w.max(0)).sum::<i64>();
@@ -756,7 +767,7 @@ fn encode_model(
             // Tighten the objective's upper bound with sound combinatorial
             // ones. First, the per-block best conflict-free subsets of the
             // positive part, minus the minimum possible makespan term.
-            let ub = block_bound(&members, catalog, &cost, objective).bound - kq * total_lo;
+            let ub = block_bound(blocks, catalog, &cost, objective).bound - kq * total_lo;
             j.hi = j.hi.min(ub);
             // Second, idle <= 0: the partition chains every qubit's blocks
             // and durations are non-negative, so each qubit's busy time is
@@ -866,7 +877,11 @@ fn anchored_search(
 /// out of range, a selection violating a conflict constraint, or a routed
 /// block left without a routing choice (e.g. a hint computed before a
 /// coupling map was configured) yield `None`.
-fn selection_from_ids(catalog: &[Substitution], ids: &[usize]) -> Option<Vec<bool>> {
+fn selection_from_ids(
+    catalog: &[Substitution],
+    blocks: &Blocks,
+    ids: &[usize],
+) -> Option<Vec<bool>> {
     let mut selection = vec![false; catalog.len()];
     for &i in ids {
         if i >= catalog.len() {
@@ -874,33 +889,20 @@ fn selection_from_ids(catalog: &[Substitution], ids: &[usize]) -> Option<Vec<boo
         }
         selection[i] = true;
     }
-    for (i, a) in catalog.iter().enumerate() {
-        if !selection[i] {
-            continue;
-        }
-        for (j, b) in catalog.iter().enumerate().skip(i + 1) {
-            if selection[j] && a.conflicts_with(b) {
-                return None;
-            }
-        }
-    }
-    let mut routed_blocks: Vec<usize> = catalog
-        .iter()
-        .filter(|s| s.route.is_some())
-        .map(|s| s.block)
-        .collect();
-    routed_blocks.sort_unstable();
-    routed_blocks.dedup();
-    for block in routed_blocks {
-        let chosen_route = catalog
+    for i in (0..catalog.len()).filter(|&i| selection[i]) {
+        let clash = blocks
+            .later_members(catalog, i)
             .iter()
-            .enumerate()
-            .any(|(i, s)| selection[i] && s.block == block && s.route.is_some());
-        if !chosen_route {
+            .any(|&j| selection[j] && catalog[i].conflicts_with(&catalog[j]));
+        if clash {
             return None;
         }
     }
-    Some(selection)
+    let unrouted = blocks
+        .routes
+        .iter()
+        .any(|routes| !routes.is_empty() && !routes.iter().any(|&i| selection[i]));
+    (!unrouted).then_some(selection)
 }
 
 /// Evaluates the exact fixed-point objective of a concrete substitution
@@ -959,10 +961,11 @@ pub fn recheck_optimum(
     ctx: &AdaptContext,
     chosen: &[usize],
 ) -> Result<RecheckOutcome, AdaptError> {
-    let Some(selection) = selection_from_ids(catalog, chosen) else {
+    let blocks = Blocks::new(pre, catalog);
+    let Some(selection) = selection_from_ids(catalog, &blocks, chosen) else {
         return Ok(RecheckOutcome::Changed);
     };
-    let model = encode_model(pre, hw, catalog, ctx);
+    let model = encode_model(pre, hw, catalog, &blocks, ctx);
     let expected = model
         .cost
         .evaluate(pre, catalog, &selection, ctx.options.objective);
@@ -1199,7 +1202,8 @@ mod tests {
         // route for a better one.
         let (pre, subs, hw) = routed_setup(4, 8, 0x5eed_2023 + 901);
         let cost = CostData::new(&pre, &hw, &subs);
-        let (_, value) = greedy_selection(&pre, &subs, &cost, Objective::IdleTime);
+        let blocks = Blocks::new(&pre, &subs);
+        let (_, value) = greedy_selection(&pre, &subs, &blocks, &cost, Objective::IdleTime);
         assert_eq!(value, -23_920);
     }
 
@@ -1218,7 +1222,8 @@ mod tests {
             ][objective];
             let (pre, subs, hw) = routed_setup(num_qubits, depth, seed);
             let cost = CostData::new(&pre, &hw, &subs);
-            let (warm, value) = greedy_selection(&pre, &subs, &cost, objective);
+            let blocks = Blocks::new(&pre, &subs);
+            let (warm, value) = greedy_selection(&pre, &subs, &blocks, &cost, objective);
             let ids: Vec<usize> = (0..subs.len()).filter(|&i| warm[i]).collect();
             for (k, &a) in ids.iter().enumerate() {
                 for &b in &ids[k + 1..] {
@@ -1232,9 +1237,9 @@ mod tests {
                     s.block
                 );
             }
-            proptest::prop_assert_eq!(selection_from_ids(&subs, &ids), Some(warm.clone()));
+            proptest::prop_assert_eq!(selection_from_ids(&subs, &blocks, &ids), Some(warm.clone()));
             proptest::prop_assert_eq!(cost.evaluate(&pre, &subs, &warm, objective), value);
-            let seeded = route_seed(&subs, &cost, objective);
+            let seeded = route_seed(&subs, &blocks, &cost, objective);
             let seed_value = cost.evaluate(&pre, &subs, &seeded, objective);
             proptest::prop_assert!(value >= seed_value, "{value} < {seed_value}");
         }
@@ -1302,15 +1307,16 @@ mod tests {
             };
             if subs.len() <= 16 {
                 let cost = CostData::new(&pre, &hw, &subs);
+                let blocks = Blocks::new(&pre, &subs);
                 let optima = brute_force_optima(&pre, &subs, &cost);
                 for (objective, optimum) in ALL_OBJECTIVES.into_iter().zip(optima) {
                     let ctx = AdaptContext::with_objective(objective);
-                    let mut model = encode_model(&pre, &hw, &subs, &ctx);
+                    let mut model = encode_model(&pre, &hw, &subs, &blocks, &ctx);
                     let hi = model.objective_expr.hi;
                     proptest::prop_assert!(hi >= optimum, "{objective}: hi {hi} < {optimum}");
                     if objective == Objective::Fidelity {
                         proptest::prop_assert_eq!(hi, optimum);
-                        let (_, warm) = warm_start(&pre, &subs, &mut model, &ctx);
+                        let (_, warm) = warm_start(&pre, &subs, &blocks, &mut model, &ctx);
                         proptest::prop_assert_eq!(warm, optimum);
                     }
                     let r = solve_model(&pre, &hw, &subs, &ctx).unwrap();

@@ -4,32 +4,20 @@
 //!
 //! [`preflight`] is the gatekeeper the batch engine runs as its
 //! `engine.preflight` stage: it combines the circuit-shape, hardware-model,
-//! and rule-coverage lints for the exact (circuit, hardware, options)
-//! triple that [`adapt`](crate::adapt) would solve. Error-severity findings
+//! and rule-coverage lints for the exact (circuit, hardware, coupling)
+//! request that [`adapt`](crate::adapt) would solve. Error-severity findings
 //! — notably `QCA0301` (a block whose reference translation needs unpriced
 //! gate classes) — are returned as
 //! [`AdaptError::Rejected`], proving
 //! infeasibility without an `smt.encode` phase ever running.
 
 use crate::error::AdaptError;
-use crate::rules::RuleOptions;
 use qca_circuit::Circuit;
 use qca_hw::{CouplingMap, HardwareModel};
+pub use qca_lint::Diagnostic;
 use qca_lint::{
     has_errors, lint_circuit, lint_circuit_coupling, lint_hardware, lint_rule_coverage,
 };
-pub use qca_lint::{Diagnostic, RuleToggles};
-
-impl From<&RuleOptions> for RuleToggles {
-    fn from(rules: &RuleOptions) -> Self {
-        RuleToggles {
-            kak_cz: rules.kak_cz,
-            kak_cz_diabatic: rules.kak_cz_diabatic,
-            conditional_rotation: rules.conditional_rotation,
-            swaps: rules.swaps,
-        }
-    }
-}
 
 /// Statically analyses an adaptation request.
 ///
@@ -44,7 +32,7 @@ impl From<&RuleOptions> for RuleToggles {
 /// without solving:
 ///
 /// ```
-/// use qca_adapt::{preflight, AdaptError, RuleOptions};
+/// use qca_adapt::{preflight, AdaptError};
 /// use qca_circuit::{Circuit, Gate};
 /// use qca_hw::ibm_source_model;
 ///
@@ -52,15 +40,11 @@ impl From<&RuleOptions> for RuleToggles {
 /// c.push(Gate::Cx, &[0, 1]);
 /// // ibm_source prices Cx but not Cz, so the CZ-basis reference
 /// // translation of the block is unpriced: statically unadaptable.
-/// let err = preflight(&c, &ibm_source_model(), &RuleOptions::default());
+/// let err = preflight(&c, &ibm_source_model());
 /// assert!(matches!(err, Err(AdaptError::Rejected(_))));
 /// ```
-pub fn preflight(
-    circuit: &Circuit,
-    hw: &HardwareModel,
-    rules: &RuleOptions,
-) -> Result<Vec<Diagnostic>, AdaptError> {
-    preflight_with_coupling(circuit, hw, rules, None)
+pub fn preflight(circuit: &Circuit, hw: &HardwareModel) -> Result<Vec<Diagnostic>, AdaptError> {
+    preflight_with_coupling(circuit, hw, None)
 }
 
 /// [`preflight`] for a topology-constrained request: additionally runs the
@@ -71,12 +55,11 @@ pub fn preflight(
 pub fn preflight_with_coupling(
     circuit: &Circuit,
     hw: &HardwareModel,
-    rules: &RuleOptions,
     coupling: Option<&CouplingMap>,
 ) -> Result<Vec<Diagnostic>, AdaptError> {
     let mut diags = lint_circuit(circuit);
     diags.extend(lint_hardware(hw));
-    diags.extend(lint_rule_coverage(circuit, hw, &rules.into()));
+    diags.extend(lint_rule_coverage(circuit, hw));
     if let Some(cm) = coupling {
         diags.extend(lint_circuit_coupling(circuit, cm, hw));
     }
@@ -106,7 +89,7 @@ mod tests {
     #[test]
     fn clean_request_passes_with_no_findings() {
         let hw = spin_qubit_model(GateTimes::D0);
-        let diags = preflight(&swap_circuit(), &hw, &RuleOptions::default()).unwrap();
+        let diags = preflight(&swap_circuit(), &hw).unwrap();
         assert!(diags.is_empty(), "unexpected: {diags:?}");
     }
 
@@ -117,7 +100,7 @@ mod tests {
         c.push(Gate::H, &[0]);
         c.push(Gate::H, &[0]);
         c.push(Gate::Cx, &[0, 1]);
-        let diags = preflight(&c, &hw, &RuleOptions::default()).unwrap();
+        let diags = preflight(&c, &hw).unwrap();
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, LintCode::SelfInversePair);
         assert_eq!(diags[0].severity, Severity::Warn);
@@ -125,11 +108,7 @@ mod tests {
 
     #[test]
     fn unadaptable_block_is_rejected_with_qca0301() {
-        let err = preflight(
-            &swap_circuit(),
-            &ibm_source_model(),
-            &RuleOptions::default(),
-        );
+        let err = preflight(&swap_circuit(), &ibm_source_model());
         let Err(AdaptError::Rejected(diags)) = err else {
             panic!("expected rejection, got {err:?}");
         };
@@ -153,7 +132,7 @@ mod tests {
         let mut c = Circuit::new(3);
         c.push(Gate::Cx, &[0, 2]);
         let line = CouplingMap::line(3);
-        let diags = preflight_with_coupling(&c, &hw, &RuleOptions::default(), Some(&line)).unwrap();
+        let diags = preflight_with_coupling(&c, &hw, Some(&line)).unwrap();
         assert!(diags
             .iter()
             .any(|d| d.code == LintCode::UncoupledGate && d.severity == Severity::Warn));
@@ -165,7 +144,7 @@ mod tests {
         let mut c = Circuit::new(3);
         c.push(Gate::Cx, &[0, 2]);
         let cm = CouplingMap::new(3, [(0, 1)]).unwrap(); // qubit 2 isolated
-        let err = preflight_with_coupling(&c, &hw, &RuleOptions::default(), Some(&cm));
+        let err = preflight_with_coupling(&c, &hw, Some(&cm));
         let Err(AdaptError::Rejected(diags)) = err else {
             panic!("expected rejection, got {err:?}");
         };
@@ -181,12 +160,7 @@ mod tests {
     fn coupling_preflight_rejects_undersized_map() {
         let hw = spin_qubit_model(GateTimes::D0);
         let line = CouplingMap::line(2);
-        let err = preflight_with_coupling(
-            &swap_circuit_3q(),
-            &hw,
-            &RuleOptions::default(),
-            Some(&line),
-        );
+        let err = preflight_with_coupling(&swap_circuit_3q(), &hw, Some(&line));
         let Err(AdaptError::Rejected(diags)) = err else {
             panic!("expected rejection, got {err:?}");
         };
@@ -204,12 +178,7 @@ mod tests {
 
     #[test]
     fn rejected_error_display_names_the_first_error() {
-        let err = preflight(
-            &swap_circuit(),
-            &ibm_source_model(),
-            &RuleOptions::default(),
-        )
-        .unwrap_err();
+        let err = preflight(&swap_circuit(), &ibm_source_model()).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("rejected by preflight"), "{msg}");
         assert!(msg.contains("QCA0301"), "{msg}");

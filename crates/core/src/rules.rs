@@ -132,33 +132,14 @@ impl Substitution {
 /// Longest contiguous gate run considered for pattern matches.
 const MAX_MATCH_LEN: usize = 8;
 
-/// Knobs controlling which rules are evaluated.
-#[derive(Debug, Clone)]
+/// How the rules are evaluated. Every Table I rule family is always
+/// evaluated; a family the hardware does not price yields no entries.
+#[derive(Debug, Clone, Default)]
 pub struct RuleOptions {
-    /// Evaluate whole-block KAK with adiabatic CZ.
-    pub kak_cz: bool,
-    /// Evaluate whole-block KAK with diabatic CZ.
-    pub kak_cz_diabatic: bool,
-    /// Evaluate conditional-rotation replacements.
-    pub conditional_rotation: bool,
-    /// Evaluate swap-realization replacements.
-    pub swaps: bool,
     /// Use the two-CNOT KAK specialization for canonical classes with a
     /// trivial interaction coefficient (extension; the paper's rule is the
     /// generic three-CZ circuit).
     pub optimized_kak: bool,
-}
-
-impl Default for RuleOptions {
-    fn default() -> Self {
-        RuleOptions {
-            kak_cz: true,
-            kak_cz_diabatic: true,
-            conditional_rotation: true,
-            swaps: true,
-            optimized_kak: false,
-        }
-    }
 }
 
 /// Applies a set of mutually non-conflicting substitutions to one block,
@@ -216,7 +197,7 @@ pub fn apply_to_block(pre: &Preprocessed, block_id: usize, subs: &[&Substitution
     consolidate_1q(&out)
 }
 
-/// Evaluates every enabled rule on the preprocessed circuit, returning the
+/// Evaluates every rule on the preprocessed circuit, returning the
 /// substitution catalog with per-substitution cost deltas.
 ///
 /// # Errors
@@ -239,107 +220,88 @@ pub fn evaluate_substitutions(
         let local = &pre.block_circuits[block.id];
 
         // Whole-block KAK decompositions.
-        if options.kak_cz || options.kak_cz_diabatic {
-            let u = local.unitary();
-            let kak = kak_decompose(&u);
-            let kak_circ = if options.optimized_kak {
-                kak.to_circuit_cz_optimized()
+        let kak = kak_decompose(&local.unitary());
+        let kak_circ = if options.optimized_kak {
+            kak.to_circuit_cz_optimized()
+        } else {
+            kak.to_circuit_cz()
+        };
+        let mut db = Circuit::new(2);
+        for i in kak_circ.iter() {
+            let g = if i.gate == Gate::Cz {
+                Gate::CzDiabatic
             } else {
-                kak.to_circuit_cz()
+                i.gate
             };
-            if options.kak_cz {
-                push_candidate(
-                    &mut catalog,
-                    pre,
-                    hw,
-                    SubstitutionKind::KakCz,
-                    block.id,
-                    block.ops.clone(),
-                    kak_circ.clone(),
-                )?;
-            }
-            if options.kak_cz_diabatic {
-                let mut db = Circuit::new(2);
-                for i in kak_circ.iter() {
-                    let g = if i.gate == Gate::Cz {
-                        Gate::CzDiabatic
-                    } else {
-                        i.gate
-                    };
-                    db.push(g, &i.qubits);
-                }
-                push_candidate(
-                    &mut catalog,
-                    pre,
-                    hw,
-                    SubstitutionKind::KakCzDiabatic,
-                    block.id,
-                    block.ops.clone(),
-                    db,
-                )?;
-            }
+            db.push(g, &i.qubits);
         }
+        push_candidate(
+            &mut catalog,
+            pre,
+            hw,
+            SubstitutionKind::KakCz,
+            block.id,
+            block.ops.clone(),
+            kak_circ,
+        )?;
+        push_candidate(
+            &mut catalog,
+            pre,
+            hw,
+            SubstitutionKind::KakCzDiabatic,
+            block.id,
+            block.ops.clone(),
+            db,
+        )?;
 
         // Pattern matches over contiguous gate runs.
-        if options.conditional_rotation || options.swaps {
-            let k = block.ops.len();
-            for start in 0..k {
-                for end in (start + 1)..=k.min(start + MAX_MATCH_LEN) {
-                    let range = &block.ops[start..end];
-                    // Must contain at least one two-qubit gate; ignore
-                    // the trivial whole-block range only when it would
-                    // duplicate KAK (keep it: swaps of whole blocks are
-                    // cheaper than KAK's 3 CZ).
-                    if !range
-                        .iter()
-                        .any(|&op| pre.source.instrs()[op].gate.is_two_qubit())
-                    {
-                        continue;
+        let k = block.ops.len();
+        for start in 0..k {
+            for end in (start + 1)..=k.min(start + MAX_MATCH_LEN) {
+                let range = &block.ops[start..end];
+                // Must contain at least one two-qubit gate; ignore
+                // the trivial whole-block range only when it would
+                // duplicate KAK (keep it: swaps of whole blocks are
+                // cheaper than KAK's 3 CZ).
+                if !range
+                    .iter()
+                    .any(|&op| pre.source.instrs()[op].gate.is_two_qubit())
+                {
+                    continue;
+                }
+                let sub = subrange_circuit(pre, block.id, range);
+                let u = sub.unitary();
+                if phase_insensitive_distance(&u, &swap_target) < 1e-9 {
+                    for (kind, gate) in [
+                        (SubstitutionKind::SwapDiabatic, Gate::SwapDiabatic),
+                        (SubstitutionKind::SwapComposite, Gate::SwapComposite),
+                    ] {
+                        let mut rep = Circuit::new(2);
+                        rep.push(gate, &[0, 1]);
+                        push_candidate(&mut catalog, pre, hw, kind, block.id, range.to_vec(), rep)?;
                     }
-                    let sub = subrange_circuit(pre, block.id, range);
-                    let u = sub.unitary();
-                    if options.swaps && phase_insensitive_distance(&u, &swap_target) < 1e-9 {
-                        for (kind, gate) in [
-                            (SubstitutionKind::SwapDiabatic, Gate::SwapDiabatic),
-                            (SubstitutionKind::SwapComposite, Gate::SwapComposite),
-                        ] {
-                            let mut rep = Circuit::new(2);
-                            rep.push(gate, &[0, 1]);
-                            push_candidate(
-                                &mut catalog,
-                                pre,
-                                hw,
-                                kind,
-                                block.id,
-                                range.to_vec(),
-                                rep,
-                            )?;
-                        }
-                    }
-                    if options.conditional_rotation {
-                        // CNOT-equivalent in either operand order.
-                        for (ctrl, tgt) in [(0usize, 1usize), (1, 0)] {
-                            let target = if (ctrl, tgt) == (0, 1) {
-                                cx_target.clone()
-                            } else {
-                                cx_target.embed_qubits(&[1, 0], 2)
-                            };
-                            if phase_insensitive_distance(&u, &target) < 1e-9 {
-                                let mut rep = Circuit::new(2);
-                                rep.push(Gate::CRot(PI), &[ctrl, tgt]);
-                                rep.push(Gate::S, &[ctrl]);
-                                push_candidate(
-                                    &mut catalog,
-                                    pre,
-                                    hw,
-                                    SubstitutionKind::ConditionalRotation,
-                                    block.id,
-                                    range.to_vec(),
-                                    rep,
-                                )?;
-                                break;
-                            }
-                        }
+                }
+                // CNOT-equivalent in either operand order.
+                for (ctrl, tgt) in [(0usize, 1usize), (1, 0)] {
+                    let target = if (ctrl, tgt) == (0, 1) {
+                        cx_target.clone()
+                    } else {
+                        cx_target.embed_qubits(&[1, 0], 2)
+                    };
+                    if phase_insensitive_distance(&u, &target) < 1e-9 {
+                        let mut rep = Circuit::new(2);
+                        rep.push(Gate::CRot(PI), &[ctrl, tgt]);
+                        rep.push(Gate::S, &[ctrl]);
+                        push_candidate(
+                            &mut catalog,
+                            pre,
+                            hw,
+                            SubstitutionKind::ConditionalRotation,
+                            block.id,
+                            range.to_vec(),
+                            rep,
+                        )?;
+                        break;
                     }
                 }
             }
@@ -618,22 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_rules_are_skipped() {
-        let mut c = Circuit::new(2);
-        c.push(Gate::Cx, &[0, 1]);
-        let (pre, hw) = pre_of(&c);
-        let opts = RuleOptions {
-            kak_cz: false,
-            kak_cz_diabatic: false,
-            conditional_rotation: false,
-            swaps: false,
-            ..RuleOptions::default()
-        };
-        let subs = evaluate_substitutions(&pre, &hw, &opts).unwrap();
-        assert!(subs.is_empty());
-    }
-
-    #[test]
     fn optimized_kak_flag_shrinks_cx_blocks() {
         let mut c = Circuit::new(2);
         c.push(Gate::Cx, &[0, 1]);
@@ -641,7 +587,6 @@ mod tests {
         let generic = evaluate_substitutions(&pre, &hw, &RuleOptions::default()).unwrap();
         let opts = RuleOptions {
             optimized_kak: true,
-            ..RuleOptions::default()
         };
         let optimized = evaluate_substitutions(&pre, &hw, &opts).unwrap();
         let g = generic

@@ -55,7 +55,7 @@ impl AdaptCache {
     /// * the hardware model's cost
     ///   [`fingerprint`](HardwareModel::fingerprint) (invariant under
     ///   renaming),
-    /// * the objective, rule selection, exactness,
+    /// * the objective, the KAK variant, exactness,
     ///   certification (a certified solve carries verification data an
     ///   uncertified one lacks), and the effective total-conflict budget (a
     ///   budget-degraded incumbent must not be served to a job that would
@@ -79,12 +79,7 @@ impl AdaptCache {
         });
         h.write_u64(options.exact as u64);
         h.write_u64(options.certify as u64);
-        let r = &options.rules;
-        h.write_u64(r.kak_cz as u64);
-        h.write_u64(r.kak_cz_diabatic as u64);
-        h.write_u64(r.conditional_rotation as u64);
-        h.write_u64(r.swaps as u64);
-        h.write_u64(r.optimized_kak as u64);
+        h.write_u64(options.rules.optimized_kak as u64);
         match limits.total_conflicts {
             None => h.write_u64(0),
             Some(budget) => {

@@ -559,12 +559,8 @@ impl Engine {
             let mut span = self
                 .tracer
                 .span_with("engine.preflight", || format!("job={index}"));
-            let outcome = qca_adapt::preflight_with_coupling(
-                &job.circuit,
-                hw,
-                &options.rules,
-                options.coupling.as_ref(),
-            );
+            let outcome =
+                qca_adapt::preflight_with_coupling(&job.circuit, hw, options.coupling.as_ref());
             let mut diags = match outcome {
                 Ok(diags) => diags,
                 Err(AdaptError::Rejected(diags)) => diags,

@@ -29,7 +29,7 @@ use qca_circuit::qasm::parse_qasm_program;
 use qca_hw::{spin_qubit_model, GateTimes};
 use qca_lint::{
     count_severities, escalate_warnings, lint_cnf, lint_formula, lint_hardware, lint_qasm_source,
-    lint_rule_coverage, render_human, render_json, Diagnostic, LintCode, LintRegistry, RuleToggles,
+    lint_rule_coverage, render_human, render_json, Diagnostic, LintCode, LintRegistry,
 };
 use qca_sat::dimacs::parse_dimacs;
 use std::path::PathBuf;
@@ -163,11 +163,7 @@ fn run() -> Result<ExitCode, String> {
         } else {
             let mut d = lint_qasm_source(&src);
             if let Ok(program) = parse_qasm_program(&src) {
-                d.extend(lint_rule_coverage(
-                    &program.circuit,
-                    &hw,
-                    &RuleToggles::default(),
-                ));
+                d.extend(lint_rule_coverage(&program.circuit, &hw));
             }
             d
         };

@@ -78,13 +78,11 @@ pub enum LintCode {
     /// QCA0301: a block's reference translation needs unpriced gate
     /// classes, so adaptation is statically infeasible.
     BlockUnadaptable,
-    /// QCA0302: a two-qubit block no enabled substitution rule can target.
+    /// QCA0302: a two-qubit block no substitution rule can target.
     BlockNoRules,
-    /// QCA0303: an enabled rule targets gate classes the hardware never
-    /// prices, so it can never fire.
+    /// QCA0303: a rule targets gate classes the hardware never prices, so
+    /// it can never fire.
     RuleNeverApplies,
-    /// QCA0304: every substitution rule is disabled.
-    AllRulesDisabled,
     /// QCA0401: a clause literal references a variable outside the
     /// formula's declared range.
     LitOutOfRange,
@@ -116,7 +114,7 @@ pub enum LintCode {
 impl LintCode {
     /// Every code, in numeric order. The registry and `--list` output are
     /// built from this table.
-    pub const ALL: [LintCode; 33] = [
+    pub const ALL: [LintCode; 32] = [
         LintCode::ParseError,
         LintCode::UnusedQubit,
         LintCode::OpAfterMeasure,
@@ -137,7 +135,6 @@ impl LintCode {
         LintCode::BlockUnadaptable,
         LintCode::BlockNoRules,
         LintCode::RuleNeverApplies,
-        LintCode::AllRulesDisabled,
         LintCode::LitOutOfRange,
         LintCode::EmptyClause,
         LintCode::TautologicalClause,
@@ -175,7 +172,6 @@ impl LintCode {
             LintCode::BlockUnadaptable => "QCA0301",
             LintCode::BlockNoRules => "QCA0302",
             LintCode::RuleNeverApplies => "QCA0303",
-            LintCode::AllRulesDisabled => "QCA0304",
             LintCode::LitOutOfRange => "QCA0401",
             LintCode::EmptyClause => "QCA0402",
             LintCode::TautologicalClause => "QCA0403",
@@ -214,7 +210,6 @@ impl LintCode {
             LintCode::BlockUnadaptable => "block-unadaptable",
             LintCode::BlockNoRules => "block-without-rules",
             LintCode::RuleNeverApplies => "rule-never-applies",
-            LintCode::AllRulesDisabled => "all-rules-disabled",
             LintCode::LitOutOfRange => "literal-out-of-range",
             LintCode::EmptyClause => "empty-clause",
             LintCode::TautologicalClause => "tautological-clause",

@@ -52,7 +52,7 @@ pub use formula::{lint_formula, lint_formula_report};
 pub use hw::{lint_circuit_coupling, lint_coupling, lint_hardware, lint_schedulability};
 pub use registry::{LintInfo, LintRegistry};
 pub use render::{render_human, render_json};
-pub use rules::{lint_rule_coverage, RuleToggles};
+pub use rules::lint_rule_coverage;
 
 /// The source span type diagnostics attach to (re-exported from
 /// `qca-circuit`'s QASM parser).

@@ -77,9 +77,8 @@ fn summary(code: LintCode) -> &'static str {
         LintCode::UncoupledGate => "two-qubit gate on a pair the coupling map does not connect",
         LintCode::CouplingQubitMismatch => "coupling map declares fewer qubits than the circuit",
         LintCode::BlockUnadaptable => "block's reference translation needs unpriced gate classes",
-        LintCode::BlockNoRules => "no enabled substitution rule can target the block",
-        LintCode::RuleNeverApplies => "enabled rule targets classes the hardware never prices",
-        LintCode::AllRulesDisabled => "every substitution rule is disabled",
+        LintCode::BlockNoRules => "no substitution rule can target the block",
+        LintCode::RuleNeverApplies => "a rule targets classes the hardware never prices",
         LintCode::LitOutOfRange => "clause literal outside the declared variable range",
         LintCode::EmptyClause => "empty clause makes the formula trivially UNSAT",
         LintCode::TautologicalClause => "clause contains a literal and its negation",
@@ -130,7 +129,6 @@ fn rationale(code: LintCode) -> &'static str {
         }
         LintCode::BlockNoRules => "the solver can only keep the reference translation verbatim",
         LintCode::RuleNeverApplies => "the rule adds encoding size but can never fire",
-        LintCode::AllRulesDisabled => "adaptation degenerates to re-pricing the reference",
         LintCode::LitOutOfRange => "solvers index variable state by literal; this corrupts memory",
         LintCode::EmptyClause => "an encoder emitting an empty clause is a bug, not a constraint",
         LintCode::TautologicalClause => "always-true clauses hide encoder mistakes",

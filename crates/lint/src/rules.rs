@@ -1,5 +1,5 @@
 //! Rule-coverage analysis (`QCA03xx`): static infeasibility proofs for a
-//! (circuit, hardware, rule-set) triple.
+//! (circuit, hardware) pair.
 //!
 //! The adaptation pipeline partitions the circuit into gate blocks and
 //! requires every block's *reference translation* (its CZ-basis form from
@@ -7,12 +7,9 @@
 //! compete against that reference. Both requirements are statically
 //! decidable: a block whose reference translation contains an unpriced
 //! cost class makes the whole adaptation infeasible before any SAT call
-//! (`QCA0301`), and an enabled rule whose replacement gates are never
-//! priced can never fire (`QCA0303`).
-//!
-//! [`RuleToggles`] mirrors the rule switches of `qca-adapt`'s
-//! `RuleOptions` without depending on the core crate (core depends on this
-//! crate for `AdaptError::Rejected`).
+//! (`QCA0301`), and a rule whose replacement gates are never priced can
+//! never fire (`QCA0303`). The adaptation evaluates every Table I rule
+//! family, so the analysis covers all of them.
 
 use crate::diag::{Diagnostic, LintCode};
 use qca_circuit::blocks::partition_blocks;
@@ -21,98 +18,52 @@ use qca_hw::{CostClass, HardwareModel};
 use qca_synth::translate::translate_to_cz;
 use std::collections::BTreeSet;
 
-/// Which substitution-rule families are enabled, mirroring the toggles on
-/// `qca-adapt`'s `RuleOptions`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuleToggles {
-    /// KAK decomposition to adiabatic CZ.
-    pub kak_cz: bool,
-    /// KAK decomposition to diabatic CZ.
-    pub kak_cz_diabatic: bool,
-    /// Conditional-rotation pattern rules.
-    pub conditional_rotation: bool,
-    /// Swap realization rules (diabatic and composite-pulse).
-    pub swaps: bool,
-}
-
-impl Default for RuleToggles {
-    fn default() -> Self {
-        RuleToggles {
-            kak_cz: true,
-            kak_cz_diabatic: true,
-            conditional_rotation: true,
-            swaps: true,
-        }
-    }
-}
-
-impl RuleToggles {
-    fn any_enabled(&self) -> bool {
-        self.kak_cz || self.kak_cz_diabatic || self.conditional_rotation || self.swaps
-    }
-}
-
-/// Statically analyses rule coverage for adapting `circuit` to `hw` under
-/// the given rule toggles.
-pub fn lint_rule_coverage(
-    circuit: &Circuit,
-    hw: &HardwareModel,
-    rules: &RuleToggles,
-) -> Vec<Diagnostic> {
+/// Statically analyses rule coverage for adapting `circuit` to `hw`.
+pub fn lint_rule_coverage(circuit: &Circuit, hw: &HardwareModel) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let name = hw.name();
 
-    // QCA0304: nothing enabled at all.
-    if !rules.any_enabled() {
-        diags.push(
-            Diagnostic::new(
-                LintCode::AllRulesDisabled,
-                "every substitution rule is disabled",
-            )
-            .with_help("adaptation degenerates to re-pricing the reference translation"),
-        );
-    }
-
-    // QCA0303: enabled rules whose replacement gates the hardware never
-    // prices. Such a rule contributes encoding size but can never fire.
+    // QCA0303: rules whose replacement gates the hardware never prices.
+    // Such a rule contributes no catalog entry and can never fire.
     let one_qubit = hw.supports(&Gate::H);
-    let dead_rule = |rule: &str, needed: &str, ok: bool| {
-        (!ok).then(|| {
-            Diagnostic::new(
-                LintCode::RuleNeverApplies,
-                format!("rule '{rule}' can never apply: {name} does not price {needed}"),
-            )
-            .with_help("disable the rule or price the class")
-        })
-    };
-    if rules.kak_cz {
-        diags.extend(dead_rule(
+    let families = [
+        (
             "kak-cz",
             "Cz (plus OneQubit)",
             hw.supports(&Gate::Cz) && one_qubit,
-        ));
-    }
-    if rules.kak_cz_diabatic {
-        diags.extend(dead_rule(
+        ),
+        (
             "kak-cz-diabatic",
             "CzDiabatic (plus OneQubit)",
             hw.supports(&Gate::CzDiabatic) && one_qubit,
-        ));
-    }
-    if rules.conditional_rotation {
-        diags.extend(dead_rule(
+        ),
+        (
             "conditional-rotation",
             "CRot (plus OneQubit)",
             hw.supports(&Gate::CRot(0.5)) && one_qubit,
-        ));
-    }
-    if rules.swaps {
-        diags.extend(dead_rule(
+        ),
+        (
             "swaps",
             "SwapDiabatic or SwapComposite",
             hw.supports(&Gate::SwapDiabatic) || hw.supports(&Gate::SwapComposite),
-        ));
+        ),
+    ];
+    for &(rule, needed, ok) in &families {
+        if !ok {
+            diags.push(
+                Diagnostic::new(
+                    LintCode::RuleNeverApplies,
+                    format!("rule '{rule}' can never apply: {name} does not price {needed}"),
+                )
+                .with_help("price the class for the rule to compete"),
+            );
+        }
     }
+
+    // Whether some rule family targets classes `hw` prices. Pattern rules
+    // also need the block unitary to match, which is not statically
+    // decidable: this over-approximates to avoid false warnings.
+    let any_rule_possible = families.iter().any(|&(_, _, ok)| ok);
 
     // Per-block analysis against the reference translation.
     let partition = partition_blocks(circuit);
@@ -146,9 +97,9 @@ pub fn lint_rule_coverage(
             );
             continue; // QCA0302 would only restate the error.
         }
-        // QCA0302: the reference works, but no enabled rule can compete
-        // with it, so the solver's choice for this block is forced.
-        if block.is_two_qubit() && !any_rule_possible(rules, hw) {
+        // QCA0302: the reference works, but no rule can compete with it,
+        // so the solver's choice for this block is forced.
+        if block.is_two_qubit() && !any_rule_possible {
             diags.push(
                 Diagnostic::new(
                     LintCode::BlockNoRules,
@@ -159,23 +110,12 @@ pub fn lint_rule_coverage(
                         block_gates(&local),
                     ),
                 )
-                .with_help("enable a rule family the hardware supports"),
+                .with_help("price a gate class some rule family targets"),
             );
         }
     }
 
     diags
-}
-
-/// Whether at least one enabled rule family targets classes `hw` prices.
-/// Pattern rules also need the block unitary to match, which is not
-/// statically decidable — this over-approximates to avoid false warnings.
-fn any_rule_possible(rules: &RuleToggles, hw: &HardwareModel) -> bool {
-    let one_qubit = hw.supports(&Gate::H);
-    (rules.kak_cz && hw.supports(&Gate::Cz) && one_qubit)
-        || (rules.kak_cz_diabatic && hw.supports(&Gate::CzDiabatic) && one_qubit)
-        || (rules.conditional_rotation && hw.supports(&Gate::CRot(0.5)) && one_qubit)
-        || (rules.swaps && (hw.supports(&Gate::SwapDiabatic) || hw.supports(&Gate::SwapComposite)))
 }
 
 /// Short gate summary for block messages, e.g. `cx q[0],q[1]`.
@@ -195,10 +135,6 @@ mod tests {
     use crate::diag::Severity;
     use qca_hw::{ibm_source_model, spin_qubit_model, GateTimes};
 
-    fn codes(diags: &[Diagnostic]) -> Vec<LintCode> {
-        diags.iter().map(|d| d.code).collect()
-    }
-
     fn cx_circuit() -> Circuit {
         let mut c = Circuit::new(2);
         c.push(Gate::H, &[0]);
@@ -209,7 +145,7 @@ mod tests {
     #[test]
     fn spin_target_with_default_rules_is_clean() {
         let hw = spin_qubit_model(GateTimes::D0);
-        let diags = lint_rule_coverage(&cx_circuit(), &hw, &RuleToggles::default());
+        let diags = lint_rule_coverage(&cx_circuit(), &hw);
         assert!(diags.is_empty(), "unexpected: {diags:?}");
     }
 
@@ -218,7 +154,7 @@ mod tests {
         // ibm_source prices Cx but not Cz, so the CZ-basis reference
         // translation of any two-qubit block is unpriced.
         let hw = ibm_source_model();
-        let diags = lint_rule_coverage(&cx_circuit(), &hw, &RuleToggles::default());
+        let diags = lint_rule_coverage(&cx_circuit(), &hw);
         let unadaptable: Vec<_> = diags
             .iter()
             .filter(|d| d.code == LintCode::BlockUnadaptable)
@@ -229,28 +165,11 @@ mod tests {
     }
 
     #[test]
-    fn all_rules_disabled_is_flagged() {
-        let hw = spin_qubit_model(GateTimes::D0);
-        let toggles = RuleToggles {
-            kak_cz: false,
-            kak_cz_diabatic: false,
-            conditional_rotation: false,
-            swaps: false,
-        };
-        let diags = lint_rule_coverage(&cx_circuit(), &hw, &toggles);
-        assert!(codes(&diags).contains(&LintCode::AllRulesDisabled));
-        // The spin reference is still native, so the block is not an
-        // error — but it has no rules.
-        assert!(codes(&diags).contains(&LintCode::BlockNoRules));
-        assert!(!codes(&diags).contains(&LintCode::BlockUnadaptable));
-    }
-
-    #[test]
     fn dead_rule_on_ibm_source_model_is_flagged() {
         // ibm_source prices neither Cz nor CzDiabatic nor CRot nor swaps:
-        // every enabled rule family is dead.
+        // every rule family is dead.
         let hw = ibm_source_model();
-        let diags = lint_rule_coverage(&Circuit::new(1), &hw, &RuleToggles::default());
+        let diags = lint_rule_coverage(&Circuit::new(1), &hw);
         let dead = diags
             .iter()
             .filter(|d| d.code == LintCode::RuleNeverApplies)
@@ -264,7 +183,7 @@ mod tests {
         let mut c = Circuit::new(1);
         c.push(Gate::H, &[0]);
         c.push(Gate::T, &[0]);
-        let diags = lint_rule_coverage(&c, &hw, &RuleToggles::default());
+        let diags = lint_rule_coverage(&c, &hw);
         assert!(diags.is_empty(), "unexpected: {diags:?}");
     }
 }

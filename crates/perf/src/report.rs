@@ -431,7 +431,7 @@ mod tests {
             results: vec![
                 result("num.simultaneous_diagonalize", "num", 1.0e5),
                 result("sat.pigeonhole/7", "sat", 5.0e6),
-                result("smt.dl_incremental/200", "smt", 4.0e4),
+                result("smt.schedule/40", "smt", 4.0e4),
                 result("synth.kak", "synth", 9.0e5),
                 result("sim.noisy_qv/4", "sim", 2.0e6),
                 result("engine.batch/w1", "engine", 2.0e8),

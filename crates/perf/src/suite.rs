@@ -9,7 +9,7 @@
 //! | `engine.batch/wN` | engine | the same at N workers — marked unobservable when the machine has fewer than N cores |
 //! | `engine.adapt_routed` | engine | batch adaptation of topology-stress circuits under a line coupling map, where the solver must choose SWAP-insertion routing substitutions |
 //! | `engine.recalibrate` | engine | walking the cached corpus against a drifted fidelity table, re-certifying each cached optimum |
-//! | `smt.dl_incremental/N` | smt | incremental difference-logic repair: pushing 3N random DAG constraints over N timing variables, one repair each |
+//! | `smt.schedule/N` | smt | bit-blasting the scheduling part of the adaptation model on a seeded N-block ASAP DAG: the `SmtSolver` calls `encode_model` makes for durations, start and end times, the makespan, the busy-time sum and one probe comparison |
 //! | `num.simultaneous_diagonalize` | num | the eigen step inside KAK: simultaneous diagonalization of the commuting real and imaginary parts of `UᵀU` for 32 Haar-random 4×4 unitaries |
 //! | `synth.kak` | synth | KAK decomposition plus CZ-circuit emission of 32 Haar-random two-qubit unitaries |
 //! | `sim.noisy_qv/N` | sim | noisy density-matrix simulation of an N-qubit depth-2 quantum-volume circuit under the spin-qubit noise model |
@@ -36,7 +36,7 @@ use qca_sat::{Lit, Solver, Var};
 use qca_serve::client::Connection;
 use qca_serve::{ServeConfig, Server};
 use qca_sim::simulate_noisy;
-use qca_smt::diff::IncrementalDiff;
+use qca_smt::{IntExpr, SmtSolver};
 use qca_synth::kak::kak_decompose;
 use qca_workloads::{
     quantum_volume, random_template_circuit, topology_stress, DEFAULT_TEMPLATE_GATES,
@@ -118,7 +118,7 @@ pub fn run_suite(config: &SuiteConfig) -> Vec<BenchResult> {
     push(bench_engine_batch(config, SCALE_WORKERS));
     push(bench_adapt_routed(config));
     push(bench_recalibrate(config));
-    push(bench_dl_incremental(config, 200));
+    push(bench_smt_schedule(config, 40));
     push(bench_simultaneous_diagonalize(config));
     push(bench_kak(config));
     push(bench_noisy_sim(config, 4));
@@ -505,33 +505,57 @@ fn bench_recalibrate(config: &SuiteConfig) -> Option<BenchResult> {
     ))
 }
 
-/// Incremental difference-logic repair with [`IncrementalDiff`], the `smt`
-/// layer's closed-form scheduler. No adaptation request calls it (their
-/// schedule is bit-blasted into the SAT formula). `3n` random forward
-/// constraints over `n` timing variables, pushed one at a time so each
-/// push pays one repair.
-fn bench_dl_incremental(config: &SuiteConfig, n: usize) -> Option<BenchResult> {
-    let id = format!("smt.dl_incremental/{n}");
+/// The scheduling part of the adaptation model, bit-blasted the way
+/// `encode_model` does it, on a seeded `n`-block ASAP DAG: per block a
+/// non-negative duration sum over three choice literals (`pb_sum_nonneg`),
+/// a start time as the `max_of` its predecessors' end times, and an end
+/// time (`add`); then the makespan, the busy-time sum (`pb_sum`), and one
+/// probe's comparison of the two (`ge_reified`).
+fn bench_smt_schedule(config: &SuiteConfig, n: usize) -> Option<BenchResult> {
+    let id = format!("smt.schedule/{n}");
     if !config.wants(&id) {
         return None;
     }
     let mut rng = StdRng::seed_from_u64(13);
-    let edges: Vec<(usize, usize, i64)> = (0..3 * n)
-        .map(|_| {
-            let from = rng.gen_range(0..n - 1);
-            let to = rng.gen_range(from + 1..n);
-            (from, to, rng.gen_range(1..200))
+    // Per block: the reference duration, three duration deltas (never
+    // enough to make the block's duration negative), and its predecessors.
+    let blocks: Vec<(i64, [i64; 3], Vec<usize>)> = (0..n)
+        .map(|b| {
+            let base = rng.gen_range(100..400);
+            let deltas = [(); 3].map(|()| rng.gen_range(-30..30));
+            let mut preds: Vec<usize> = (0..b.min(2)).map(|_| rng.gen_range(0..b)).collect();
+            preds.sort_unstable();
+            preds.dedup();
+            (base, deltas, preds)
         })
         .collect();
-    let measurement = measure(&config.harness, || {
-        let mut diff = IncrementalDiff::new(n);
-        for &(from, to, weight) in &edges {
-            diff.push(from, to, weight)
-                .expect("a DAG is always feasible");
+    let encode = || {
+        let mut smt = SmtSolver::new();
+        let mut ends: Vec<IntExpr> = Vec::with_capacity(n);
+        let mut busy_terms: Vec<(i64, Lit)> = Vec::new();
+        for (base, deltas, preds) in &blocks {
+            let terms: Vec<(i64, Lit)> = deltas.iter().map(|&w| (w, smt.new_bool())).collect();
+            busy_terms.extend(terms.iter().map(|&(w, lit)| (2 * w, lit)));
+            let duration = smt.pb_sum_nonneg(*base, &terms);
+            let start = if preds.is_empty() {
+                smt.int_const(0)
+            } else {
+                let pred_ends: Vec<IntExpr> = preds.iter().map(|&p| ends[p].clone()).collect();
+                smt.max_of(&pred_ends)
+            };
+            ends.push(smt.add(&start, &duration));
         }
-        diff.assignment()[n - 1]
-    });
-    let metrics = BTreeMap::from([("constraints".to_string(), edges.len() as f64)]);
+        let makespan = smt.max_of(&ends);
+        let busy = smt.pb_sum(0, &busy_terms);
+        smt.ge_reified(&busy, &makespan);
+        smt.num_clauses()
+    };
+    let clauses = encode();
+    let measurement = measure(&config.harness, encode);
+    let metrics = BTreeMap::from([
+        ("blocks".to_string(), n as f64),
+        ("clauses".to_string(), clauses as f64),
+    ]);
     Some(timing_result(
         config,
         &id,
@@ -965,7 +989,7 @@ mod tests {
         assert!(bench_engine_batch(&config, 1).is_none());
         assert!(bench_adapt_routed(&config).is_none());
         assert!(bench_recalibrate(&config).is_none());
-        assert!(bench_dl_incremental(&config, 20).is_none());
+        assert!(bench_smt_schedule(&config, 20).is_none());
         assert!(bench_simultaneous_diagonalize(&config).is_none());
         assert!(bench_kak(&config).is_none());
         assert!(bench_noisy_sim(&config, 2).is_none());
@@ -1026,7 +1050,7 @@ mod tests {
     #[test]
     fn layer_benches_report_their_workload() {
         let results = [
-            bench_dl_incremental(&tiny(), 20).unwrap(),
+            bench_smt_schedule(&tiny(), 20).unwrap(),
             bench_kak(&tiny()).unwrap(),
             bench_noisy_sim(&tiny(), 2).unwrap(),
         ];
@@ -1037,12 +1061,13 @@ mod tests {
         assert_eq!(
             ids,
             [
-                ("smt.dl_incremental/20", "smt"),
+                ("smt.schedule/20", "smt"),
                 ("synth.kak", "synth"),
                 ("sim.noisy_qv/2", "sim")
             ]
         );
-        assert_eq!(results[0].metrics["constraints"], 60.0);
+        assert_eq!(results[0].metrics["blocks"], 20.0);
+        assert!(results[0].metrics["clauses"] > 0.0);
         assert_eq!(results[1].metrics["unitaries"], 32.0);
         assert!(results[2].metrics["gates"] > 0.0);
         assert!(results.iter().all(|r| r.value > 0.0));

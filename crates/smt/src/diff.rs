@@ -2,9 +2,8 @@
 //!
 //! Constraints of the form `x_j >= x_i + w` form a graph whose longest paths
 //! from a virtual source give the earliest (ASAP) schedule — exactly the
-//! block-start-time semantics of Eq. 2 in the paper. The incremental checker
-//! is also used to validate SMT models and as the propagation subject of the
-//! `dl_propagation` ablation bench.
+//! block-start-time semantics of Eq. 2 in the paper. The tests check the
+//! bit-blasted SMT schedule against these longest paths.
 
 use std::collections::VecDeque;
 
@@ -151,82 +150,6 @@ impl DiffGraph {
     }
 }
 
-/// Incremental feasibility checker over a growing set of difference
-/// constraints.
-///
-/// Maintains a feasible ASAP assignment and repairs it on each
-/// [`IncrementalDiff::push`]; infeasibility is detected when repair touches
-/// more than `n` updates originating from one push (positive cycle).
-#[derive(Debug, Clone)]
-pub struct IncrementalDiff {
-    n: usize,
-    adj: Vec<Vec<(usize, i64)>>,
-    dist: Vec<i64>,
-    trail: Vec<(usize, usize, i64)>,
-}
-
-impl IncrementalDiff {
-    /// Creates a checker over `n` variables.
-    pub fn new(n: usize) -> Self {
-        IncrementalDiff {
-            n,
-            adj: vec![Vec::new(); n],
-            dist: vec![0; n],
-            trail: Vec::new(),
-        }
-    }
-
-    /// Current feasible assignment.
-    pub fn assignment(&self) -> &[i64] {
-        &self.dist
-    }
-
-    /// Adds `x_to >= x_from + weight`, repairing the assignment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InfeasibleError`] (with an empty cycle witness) when the new
-    /// constraint creates a positive cycle; the checker state is then stale
-    /// and should be rebuilt.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn push(&mut self, from: usize, to: usize, weight: i64) -> Result<(), InfeasibleError> {
-        assert!(from < self.n && to < self.n, "variable index out of range");
-        self.adj[from].push((to, weight));
-        self.trail.push((from, to, weight));
-        if self.dist[to] >= self.dist[from] + weight {
-            return Ok(());
-        }
-        // Incremental repair: propagate increases from `to`.
-        let mut queue = VecDeque::new();
-        self.dist[to] = self.dist[from] + weight;
-        queue.push_back(to);
-        let mut updates = 0usize;
-        let budget = self.n.saturating_mul(self.n).saturating_add(16);
-        while let Some(u) = queue.pop_front() {
-            for i in 0..self.adj[u].len() {
-                let (v, w) = self.adj[u][i];
-                if self.dist[u] + w > self.dist[v] {
-                    updates += 1;
-                    if updates > budget {
-                        return Err(InfeasibleError { cycle: Vec::new() });
-                    }
-                    self.dist[v] = self.dist[u] + w;
-                    queue.push_back(v);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// All constraints pushed so far, for rebuilding after infeasibility.
-    pub fn constraints(&self) -> &[(usize, usize, i64)] {
-        &self.trail
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,34 +247,5 @@ mod tests {
             g.add_constraint(0, 1, w);
         }
         assert_eq!(g.asap_schedule().unwrap(), vec![0, 3]);
-    }
-
-    #[test]
-    fn incremental_matches_batch() {
-        let edges = [(0usize, 1usize, 4i64), (1, 2, 3), (0, 2, 5), (2, 3, 2)];
-        let mut inc = IncrementalDiff::new(4);
-        let mut g = DiffGraph::new(4);
-        for &(f, t, w) in &edges {
-            inc.push(f, t, w).unwrap();
-            g.add_constraint(f, t, w);
-            assert_eq!(inc.assignment(), g.asap_schedule().unwrap().as_slice());
-        }
-    }
-
-    #[test]
-    fn incremental_detects_positive_cycle() {
-        let mut inc = IncrementalDiff::new(2);
-        inc.push(0, 1, 1).unwrap();
-        assert!(inc.push(1, 0, 0).is_err());
-    }
-
-    #[test]
-    fn incremental_big_chain() {
-        let n = 200;
-        let mut inc = IncrementalDiff::new(n);
-        for i in 0..n - 1 {
-            inc.push(i, i + 1, 1).unwrap();
-        }
-        assert_eq!(inc.assignment()[n - 1], (n - 1) as i64);
     }
 }

@@ -45,7 +45,6 @@ fn optimized_kak_variant_is_sound_and_never_worse_on_fidelity() {
                 objective: Objective::Fidelity,
                 rules: RuleOptions {
                     optimized_kak: true,
-                    ..RuleOptions::default()
                 },
                 ..AdaptOptions::default()
             },

@@ -5,7 +5,7 @@
 //! metrics surface.
 
 use proptest::prelude::*;
-use qca::adapt::{adapt, preflight, AdaptContext, AdaptError, Objective, RuleOptions};
+use qca::adapt::{adapt, preflight, AdaptContext, AdaptError, Objective};
 use qca::circuit::{Circuit, Gate};
 use qca::engine::{AdaptJob, AdaptStatus, Engine, EngineConfig};
 use qca::hw::{ibm_source_model, spin_qubit_model, GateTimes};
@@ -28,8 +28,7 @@ proptest! {
         let circuit = random_template_circuit(
             qubits, depth, seed, &DEFAULT_TEMPLATE_GATES, true,
         );
-        let rules = RuleOptions::default();
-        if preflight(&circuit, &hw, &rules).is_ok() {
+        if preflight(&circuit, &hw).is_ok() {
             let outcome = adapt(
                 &circuit,
                 &hw,
