@@ -51,8 +51,8 @@ pub struct AdaptOptions {
     /// Record the constraint system during the solve and attach
     /// [`VerificationData`](crate::VerificationData) to the result: an audit
     /// bundle for independent model replay, plus (for proven-optimal
-    /// searches) a DRAT optimality certificate. Costs extra memory and, for
-    /// the certificate, one proof-logged re-solve.
+    /// searches) a DRAT optimality certificate. Costs memory for the DRAT
+    /// log of the whole search, and a probe for an answer at its bound.
     pub certify: bool,
     /// Target qubit connectivity. `None` (the default) keeps the paper's
     /// all-to-all assumption. With a map, every two-qubit block on an

@@ -542,11 +542,7 @@ pub fn solve_model(
     } else {
         Some(DEFAULT_PROBE_BUDGET)
     };
-    let options = omt::OmtOptions {
-        probe_conflict_budget,
-        certify: ctx.options.certify,
-    };
-    anchored_search(model, &warm, warm_value, options, ctx)
+    anchored_search(model, &warm, warm_value, probe_conflict_budget, ctx)
 }
 
 /// The selection [`solve_model`] anchors its search at: the context's hint
@@ -798,13 +794,14 @@ fn encode_model(
 /// The OMT search both solve paths share: phase-hints `selection` (also
 /// the first model's assumptions), asserts `objective >= value` — sound
 /// because `selection` realizes `value` — so the search only explores the
-/// region above it, runs [`omt::maximize_with`], and reads back the chosen
-/// ids and the verification data. Errors as [`solve_model`].
+/// region above it, runs [`omt::maximize_with`], reads back the chosen ids
+/// and the search's statistics, and only then, when certifying, runs
+/// [`omt::certify`] on the same solver. Errors as [`solve_model`].
 fn anchored_search(
     model: EncodedModel,
     selection: &[bool],
     value: i64,
-    options: omt::OmtOptions,
+    budget: Option<u64>,
     ctx: &AdaptContext,
 ) -> Result<SmtAdaptation, AdaptError> {
     let EncodedModel {
@@ -824,7 +821,7 @@ fn anchored_search(
         smt.assert_ge(&objective_expr, &anchor);
         hint
     };
-    let Some(best) = omt::maximize_with(&mut smt, &objective_expr, options, &hint) else {
+    let Some(mut best) = omt::maximize_with(&mut smt, &objective_expr, budget, &hint) else {
         // `None` from the OMT search means the very first check failed.
         // Under an interrupt that is a cancellation, not a proof of
         // infeasibility (the anchored model with its hint is feasible by
@@ -846,7 +843,9 @@ fn anchored_search(
         .filter(|&(_, &lit)| best.model.lit_is_true(lit))
         .map(|(i, _)| i)
         .collect();
+    let solver_stats = smt.stats().clone();
     let verification = if ctx.options.certify {
+        omt::certify(&mut smt, &objective_expr, &mut best);
         smt.audit_bundle(best.model.clone())
             .map(|bundle| VerificationData {
                 bundle,
@@ -863,7 +862,7 @@ fn anchored_search(
         queries: best.queries,
         sat_vars: smt.num_sat_vars(),
         optimal: best.optimal,
-        solver_stats: smt.stats().clone(),
+        solver_stats,
         verification,
     };
     // Freeing the clause database costs about as much as a probe-free
@@ -947,8 +946,9 @@ pub enum RecheckOutcome {
 /// the cached selection is still optimal this costs one SAT query if the
 /// value sits at the objective's upper bound (every fidelity optimum does:
 /// the bound is the per-block optimum), else two: the hinted model, then
-/// the refuted `objective >= value + 1` probe. A certifying context adds
-/// the certificate's refutation of `value + 1` on a fresh solver.
+/// the refuted `objective >= value + 1` probe. A certifying context turns
+/// that refutation into the certificate, or, for a value at the upper
+/// bound, refutes `value + 1` in one more probe on the same solver.
 ///
 /// # Errors
 ///
@@ -969,11 +969,7 @@ pub fn recheck_optimum(
     let expected = model
         .cost
         .evaluate(pre, catalog, &selection, ctx.options.objective);
-    let options = omt::OmtOptions {
-        certify: ctx.options.certify,
-        ..omt::OmtOptions::default()
-    };
-    let r = anchored_search(model, &selection, expected, options, ctx)?;
+    let r = anchored_search(model, &selection, expected, None, ctx)?;
     Ok(if r.optimal && r.objective_value == expected {
         RecheckOutcome::StillOptimal(Box::new(r))
     } else {

@@ -8,8 +8,11 @@
 //! * a referenced code does not exist in [`LintRegistry`] (a typo, or a
 //!   code that was added without registry wiring), or
 //! * a registry code is missing from DESIGN.md's table (docs drift).
+//!
+//! A file may also name a [`RETIRED`] code, so the history of a deleted
+//! lint can say which code it was; the registry may never reuse one.
 
-use qca_lint::LintRegistry;
+use qca_lint::{LintCode, LintRegistry};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -18,6 +21,12 @@ const SKIP_DIRS: [&str; 4] = ["target", ".git", "compat", "node_modules"];
 
 /// File extensions that may legitimately mention lint codes.
 const EXTS: [&str; 6] = ["rs", "md", "sh", "qasm", "cnf", "toml"];
+
+/// Codes deleted from the registry. Docs may name them; the registry may
+/// never reuse them.
+const RETIRED: [&str; 1] = [
+    "QCA0304", // all-rules-disabled: the rule families are no longer switches
+];
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -86,12 +95,8 @@ fn every_referenced_code_is_registered_and_documented() {
         let Ok(text) = std::fs::read_to_string(path) else {
             continue; // binary or non-UTF-8 file
         };
-        let mut codes = BTreeSet::new();
-        extract_codes(&text, &mut codes);
-        for code in codes {
-            if registry.find(&code).is_none() {
-                unregistered.push(format!("{}: {code}", path.display()));
-            }
+        for code in unknown_codes(&registry, &text) {
+            unregistered.push(format!("{}: {code}", path.display()));
         }
     }
     assert!(
@@ -112,6 +117,41 @@ fn every_referenced_code_is_registered_and_documented() {
         undocumented.is_empty(),
         "registry codes missing from DESIGN.md's table: {undocumented:?}"
     );
+}
+
+/// The code-shaped tokens of `text` that are neither registered nor
+/// [`RETIRED`].
+fn unknown_codes(registry: &LintRegistry, text: &str) -> Vec<String> {
+    let mut codes = BTreeSet::new();
+    extract_codes(text, &mut codes);
+    codes
+        .into_iter()
+        .filter(|c| registry.find(c).is_none() && !RETIRED.contains(&c.as_str()))
+        .collect()
+}
+
+#[test]
+fn retired_codes_stay_out_of_the_registry() {
+    let registry = LintRegistry::builtin();
+    for code in RETIRED {
+        assert!(
+            LintCode::ALL.iter().all(|c| c.as_str() != code),
+            "retired code {code} is back in LintCode::ALL"
+        );
+        assert!(registry.find(code).is_none(), "{code} is registered");
+    }
+}
+
+#[test]
+fn docs_may_name_retired_codes_but_not_typos() {
+    let registry = LintRegistry::builtin();
+    // Assembled at run time, so this file does not name the typo itself.
+    let typo = ["QCA0", "399"].concat();
+    let text = format!(
+        "{} was deleted; QCA0101 stays; {typo} is a typo",
+        RETIRED[0]
+    );
+    assert_eq!(unknown_codes(&registry, &text), vec![typo]);
 }
 
 #[test]

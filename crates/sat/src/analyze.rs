@@ -1156,7 +1156,7 @@ mod tests {
         assert!(!sink.is_empty());
         // Every strengthened clause appears as an Add before the original's
         // Delete — spot-check that at least one Add precedes some Delete.
-        let steps = sink.steps();
+        let steps = sink.take_steps();
         let first_add = steps.iter().position(|s| !s.is_delete());
         let first_del = steps.iter().position(|s| s.is_delete());
         if let (Some(a), Some(d)) = (first_add, first_del) {

@@ -95,7 +95,7 @@ pub trait ProofSink: std::fmt::Debug + Send {
 /// s.add_clause(&[v.positive()]);
 /// s.add_clause(&[v.negative()]);
 /// assert!(!s.solve());
-/// assert!(proof.steps().iter().any(|s| s.lits().is_empty()));
+/// assert!(proof.take_steps().iter().any(|s| s.lits().is_empty()));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MemoryProof {
@@ -108,9 +108,9 @@ impl MemoryProof {
         MemoryProof::default()
     }
 
-    /// A snapshot of the steps recorded so far.
-    pub fn steps(&self) -> Vec<ProofStep> {
-        self.steps.lock().expect("proof mutex poisoned").clone()
+    /// Moves the steps recorded so far out, leaving the buffer empty.
+    pub fn take_steps(&self) -> Vec<ProofStep> {
+        std::mem::take(&mut *self.steps.lock().expect("proof mutex poisoned"))
     }
 
     /// Number of steps recorded so far.
@@ -288,7 +288,8 @@ mod tests {
         let mut b = a.clone();
         b.add_clause(&[lit(1), lit(-2)]);
         b.delete_clause(&[lit(3)]);
-        let steps = a.steps();
+        let steps = a.take_steps();
+        assert!(b.is_empty(), "taking the steps empties the shared buffer");
         assert_eq!(steps.len(), 2);
         assert_eq!(steps[0], ProofStep::Add(vec![lit(1), lit(-2)]));
         assert_eq!(steps[1], ProofStep::Delete(vec![lit(3)]));

@@ -67,7 +67,7 @@ fn solve(cnf: &Cnf) -> Trajectory {
         minimized_literals,
         ..
     } = s.stats().clone();
-    let steps = proof.steps();
+    let steps = proof.take_steps();
     Trajectory {
         outcome,
         decisions,

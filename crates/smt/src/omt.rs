@@ -2,19 +2,23 @@
 //!
 //! One solution-improving loop: from the first model, probe
 //! `objective >= best + 1` under an assumption literal. A model raises the
-//! incumbent; a refutation proves it optimal, the same refutation of the
-//! next-better level an [`OptimalityCertificate`] re-derives; a probe that
-//! runs out of budget ends the search with the incumbent unproven. The
-//! search also stops, proven and without a probe, once the incumbent
-//! reaches the objective's [`IntExpr::hi`]. That bound is the sum of the
-//! expression's terms unless the caller lowers it to a sound bound it
-//! computed (the adaptation model puts its per-block optimum there). The
-//! search is complete on the bounded integer objectives produced by
+//! incumbent; a refutation proves it optimal; a probe that runs out of
+//! budget ends the search with the incumbent unproven. The search also
+//! stops, proven and without a probe, once the incumbent reaches the
+//! objective's [`IntExpr::hi`]. That bound is the sum of the expression's
+//! terms unless the caller lowers it to a sound bound it computed (the
+//! adaptation model puts its per-block optimum there). The search is
+//! complete on the bounded integer objectives produced by
 //! [`crate::SmtSolver`], and never probes above the level it must refute.
+//!
+//! [`certify`] turns a proven optimum into an [`OptimalityCertificate`] on
+//! the same solver, whose DRAT log [`SmtSolver::enable_recording`] started
+//! with the first clause: the search's refutation of `best + 1` is the
+//! proof, and an optimum proven by `hi` gets one more probe, of `hi + 1`.
 
 use crate::solver::{IntExpr, SmtModel, SmtSolver};
 use qca_sat::dimacs::Cnf;
-use qca_sat::{MemoryProof, ProofStep, SolveOutcome, Solver};
+use qca_sat::{Lit, ProofStep, SolveOutcome};
 
 /// Result of a successful maximization.
 #[derive(Debug, Clone)]
@@ -31,20 +35,24 @@ pub struct Optimum {
     /// when that probe exhausted its conflict budget and the search settled
     /// for the best value found.
     pub optimal: bool,
-    /// Independently checkable proof of optimality; present only when
-    /// [`OmtOptions::certify`] is set, the solver has recording enabled, and
-    /// `optimal` is `true`. It refutes `objective >= value + 1` over the
-    /// recorded CNF alone, so an optimum proven by a computed `hi` is
-    /// certified the same way. Absence with `optimal == true` means
-    /// certification was not requested (or `value + 1` overflows `i64`).
+    /// The comparator literal `objective >= value + 1` of the probe that
+    /// refuted it, when the search ended on a refutation; [`certify`]
+    /// reuses it instead of solving again.
+    pub refuted: Option<Lit>,
+    /// Independently checkable proof of optimality, set by [`certify`] on a
+    /// recording solver when `optimal` is `true`. It refutes `objective >=
+    /// value + 1` over the recorded CNF alone, so an optimum proven by a
+    /// computed `hi` is certified the same way. Absence with `optimal ==
+    /// true` means certification was not requested (or `value + 1`
+    /// overflows `i64`).
     pub certificate: Option<OptimalityCertificate>,
 }
 
 /// An UNSAT certificate for the claim `objective <= refuted_bound - 1`:
 /// the solver's shadow formula plus the unit clause `objective >=
-/// refuted_bound`, together with a DRAT proof of its unsatisfiability built
-/// by a *fresh* solver instance. `qca-verify`'s independent RUP checker
-/// validates `steps` against `cnf` without trusting either solver.
+/// refuted_bound`, together with the DRAT proof the searching solver
+/// logged, closed by the empty clause. `qca-verify`'s independent RUP
+/// checker validates `steps` against `cnf` without trusting the solver.
 #[derive(Debug, Clone)]
 pub struct OptimalityCertificate {
     /// The formula refuted: shadow CNF + `objective >= refuted_bound` unit.
@@ -53,21 +61,6 @@ pub struct OptimalityCertificate {
     pub steps: Vec<ProofStep>,
     /// The bound proven unreachable (`Optimum::value + 1`).
     pub refuted_bound: i64,
-}
-
-/// Tuning knobs for [`maximize_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OmtOptions {
-    /// Maximum SAT conflicts per bound probe; `None` for unlimited (exact).
-    /// A probe that exhausts its budget ends the search with the incumbent,
-    /// which may be suboptimal (`Optimum::optimal` reports this).
-    pub probe_conflict_budget: Option<u64>,
-    /// Build an [`OptimalityCertificate`] for proven-optimal results.
-    /// Requires [`SmtSolver::enable_recording`]; silently skipped otherwise.
-    /// If the certification re-solve *fails* to refute the bound (a
-    /// soundness bug somewhere in the stack), the result is conservatively
-    /// downgraded to `optimal == false`.
-    pub certify: bool,
 }
 
 /// Maximizes `objective` subject to the solver's constraints.
@@ -90,35 +83,25 @@ pub struct OmtOptions {
 /// assert_eq!(best.value, 5);
 /// ```
 pub fn maximize(smt: &mut SmtSolver, objective: &IntExpr) -> Option<Optimum> {
-    maximize_with(smt, objective, OmtOptions::default(), &[])
+    maximize_with(smt, objective, None, &[])
 }
 
-/// [`maximize`] with explicit tuning options and an optional warm-start
-/// `hint`: assumption literals describing a known-feasible assignment of the
-/// decision variables. The first model is found under the hint (usually by
-/// pure propagation), then the hint is dropped for the improving search.
+/// [`maximize`] with a per-probe conflict budget and an optional
+/// warm-start `hint`. A probe that exhausts `probe_conflict_budget`
+/// (`None`: unlimited, exact) ends the search with the incumbent, which
+/// may be suboptimal (`Optimum::optimal` reports this). The hint holds
+/// assumption literals describing a known-feasible assignment of the
+/// decision variables: the first model is found under it (usually by pure
+/// propagation), then it is dropped for the improving search.
 pub fn maximize_with(
     smt: &mut SmtSolver,
     objective: &IntExpr,
-    options: OmtOptions,
-    hint: &[qca_sat::Lit],
+    probe_conflict_budget: Option<u64>,
+    hint: &[Lit],
 ) -> Option<Optimum> {
     let tracer = smt.tracer().clone();
     let mut span = tracer.span("omt.search");
-    let mut result = improve(smt, objective, options, hint);
-    if let Some(opt) = result.as_mut() {
-        if opt.optimal && options.certify && smt.recording_enabled() {
-            if let Some(bound) = opt.value.checked_add(1) {
-                opt.certificate = certify_bound(smt, objective, bound);
-                if opt.certificate.is_none() {
-                    // The re-solve failed to refute `objective >= best + 1`:
-                    // something in the stack is unsound. Don't claim a proof
-                    // we don't have.
-                    opt.optimal = false;
-                }
-            }
-        }
-    }
+    let result = improve(smt, objective, probe_conflict_budget, hint);
     match &result {
         Some(opt) => {
             tracer.counter("omt.queries", opt.queries);
@@ -130,81 +113,78 @@ pub fn maximize_with(
     result
 }
 
-/// Re-proves `objective >= refuted_bound` unsatisfiable on a fresh solver
-/// with DRAT logging enabled, over the shadow formula recorded so far.
+/// Certifies a proven `opt` of `objective` on the solver that found it.
 ///
-/// The reified comparator is created on the *main* solver first so that its
-/// definitional clauses (and any fresh variables) land in the shadow
-/// formula; the fresh solver then receives the shadow CNF plus the unit
-/// clause asserting the comparator. Returns `None` when recording is off or
-/// the fresh solve does not come back UNSAT.
-fn certify_bound(
-    smt: &mut SmtSolver,
-    objective: &IntExpr,
-    refuted_bound: i64,
-) -> Option<OptimalityCertificate> {
+/// The refuted literal is the search's own refutation of `value + 1`, or,
+/// for an optimum proven by `hi`, the verdict of one more unbudgeted probe
+/// of `hi + 1`, run under the solver's conflict cap and stop flag. The
+/// certificate is the recorded CNF plus that literal as a unit, and its
+/// proof the solver's DRAT log, moved out of the buffer, plus the empty
+/// clause. A probe that does not come back UNSAT leaves `opt` unproven
+/// (`optimal == false`) and uncertified. Does nothing when `opt` is not
+/// proven, `value + 1` overflows, or the solver does not record.
+pub fn certify(smt: &mut SmtSolver, objective: &IntExpr, opt: &mut Optimum) {
+    let (true, Some(bound), Some(proof)) =
+        (opt.optimal, opt.value.checked_add(1), smt.proof.clone())
+    else {
+        return;
+    };
     let tracer = smt.tracer().clone();
-    let mut span = tracer.span_with("omt.certify", || format!("bound={refuted_bound}"));
-    let bound = smt.int_const(refuted_bound);
-    let ge = smt.ge_reified(objective, &bound);
-    let mut cnf = smt.recorded_cnf()?;
-    cnf.clauses.push(vec![ge]);
-    let proof = MemoryProof::new();
-    let mut solver = Solver::new();
-    solver.set_proof(Box::new(proof.clone()));
-    while solver.num_vars() < cnf.num_vars {
-        solver.new_var();
-    }
-    for clause in &cnf.clauses {
-        if !solver.add_clause(clause) {
-            break;
-        }
-    }
-    let outcome = solver.solve_limited(&[]);
-    if outcome != SolveOutcome::Unsat {
+    let mut span = tracer.span_with("omt.certify", || format!("bound={bound}"));
+    let refuted = opt
+        .refuted
+        .or_else(|| match probe(smt, objective, bound, None) {
+            Probe::Unsat(ge) => Some(ge),
+            _ => None,
+        });
+    let Some(ge) = refuted else {
         span.set_note("not_refuted");
-        return None;
-    }
+        opt.optimal = false;
+        return;
+    };
+    let mut cnf = smt.recorded_cnf().expect("a proof-logging solver records");
+    cnf.clauses.push(vec![ge]);
+    let mut steps = proof.take_steps();
+    steps.push(ProofStep::Add(Vec::new()));
     span.set_note("refuted");
-    Some(OptimalityCertificate {
+    opt.certificate = Some(OptimalityCertificate {
         cnf,
-        steps: proof.steps(),
-        refuted_bound,
-    })
+        steps,
+        refuted_bound: bound,
+    });
 }
 
 /// Verdict of one bound probe `objective >= bound`.
 enum Probe {
     /// A model attaining the bound.
     Sat(SmtModel),
-    /// The bound is unreachable.
-    Unsat,
+    /// The bound is unreachable; carries its comparator literal.
+    Unsat(Lit),
     /// The probe budget (or the search's cap or stop flag) ran out first.
     Unknown,
 }
 
 /// Probes `objective >= bound` under an assumption literal with the
-/// per-probe conflict budget. A refuted bound is kept as the derived clause
+/// conflict budget `budget`. A refuted bound is kept as the derived clause
 /// `!ge`, so later probes prune with it; derived, not an axiom, it stays out
 /// of the shadow formula certificates are stated over.
-fn probe(smt: &mut SmtSolver, objective: &IntExpr, bound: i64, options: OmtOptions) -> Probe {
+fn probe(smt: &mut SmtSolver, objective: &IntExpr, bound: i64, budget: Option<u64>) -> Probe {
     let bound_expr = smt.int_const(bound);
     let ge = smt.ge_reified(objective, &bound_expr);
-    smt.sat_mut()
-        .set_conflict_budget(options.probe_conflict_budget);
+    smt.sat_mut().set_conflict_budget(budget);
     let mut span = smt
         .tracer()
         .clone()
         .span_with("omt.probe", || format!("bound={bound}"));
     let (verdict, note) = match smt.sat.solve_limited(&[ge]) {
         SolveOutcome::Sat => (Probe::Sat(smt.snapshot()), "sat"),
-        SolveOutcome::Unsat => (Probe::Unsat, "unsat"),
+        SolveOutcome::Unsat => (Probe::Unsat(ge), "unsat"),
         _ => (Probe::Unknown, "unknown"),
     };
     smt.sat_mut().set_conflict_budget(None);
     span.set_note(note);
     drop(span);
-    if let Probe::Unsat = verdict {
+    if let Probe::Unsat(_) = verdict {
         smt.add_clause_derived(&[!ge]);
     }
     verdict
@@ -212,7 +192,7 @@ fn probe(smt: &mut SmtSolver, objective: &IntExpr, bound: i64, options: OmtOptio
 
 /// First model: try the warm-start hint (cheap propagation-only solve),
 /// fall back to an unconstrained search.
-fn first_model(smt: &mut SmtSolver, hint: &[qca_sat::Lit]) -> Option<SmtModel> {
+fn first_model(smt: &mut SmtSolver, hint: &[Lit]) -> Option<SmtModel> {
     let tracer = smt.tracer().clone();
     let mut span = tracer.span("omt.first_model");
     if !hint.is_empty() {
@@ -232,23 +212,27 @@ fn first_model(smt: &mut SmtSolver, hint: &[qca_sat::Lit]) -> Option<SmtModel> {
 fn improve(
     smt: &mut SmtSolver,
     objective: &IntExpr,
-    options: OmtOptions,
-    hint: &[qca_sat::Lit],
+    probe_conflict_budget: Option<u64>,
+    hint: &[Lit],
 ) -> Option<Optimum> {
     let mut queries = 1u64;
     let first = first_model(smt, hint)?;
     let mut best_val = first.int_value(objective);
     let mut best_model = first;
     let mut optimal = true;
+    let mut refuted = None;
     while best_val < objective.hi {
         queries += 1;
-        match probe(smt, objective, best_val + 1, options) {
+        match probe(smt, objective, best_val + 1, probe_conflict_budget) {
             Probe::Sat(m) => {
                 best_val = m.int_value(objective);
                 best_model = m;
                 smt.tracer().gauge("omt.best", best_val);
             }
-            Probe::Unsat => break,
+            Probe::Unsat(ge) => {
+                refuted = Some(ge);
+                break;
+            }
             Probe::Unknown => {
                 optimal = false;
                 break;
@@ -260,6 +244,7 @@ fn improve(
         model: best_model,
         queries,
         optimal,
+        refuted,
         certificate: None,
     })
 }
@@ -383,6 +368,18 @@ mod tests {
         assert_eq!(search_note.as_deref(), Some("optimal"));
     }
 
+    /// [`maximize_with`] followed by [`certify`].
+    fn certified(
+        smt: &mut SmtSolver,
+        objective: &IntExpr,
+        budget: Option<u64>,
+        hint: &[Lit],
+    ) -> Optimum {
+        let mut best = maximize_with(smt, objective, budget, hint).expect("sat");
+        certify(smt, objective, &mut best);
+        best
+    }
+
     #[test]
     fn proven_optimality_carries_certificate() {
         let mut smt = SmtSolver::new();
@@ -392,24 +389,29 @@ mod tests {
         let cap = smt.int_const(7);
         smt.assert_ge(&cap, &weight);
         let value = smt.pb_sum(0, &[(4, x[0]), (5, x[1]), (6, x[2])]);
-        let opts = OmtOptions {
-            certify: true,
-            ..OmtOptions::default()
-        };
-        let best = maximize_with(&mut smt, &value, opts, &[]).expect("sat");
+        let mut best = maximize(&mut smt, &value).expect("sat");
+        let refuted = best.refuted.expect("the search refuted 10");
+        // The search's own refutation is the proof: certifying solves
+        // nothing more.
+        let conflicts = smt.stats().conflicts;
+        certify(&mut smt, &value, &mut best);
+        assert_eq!(smt.stats().conflicts, conflicts);
         assert_eq!(best.value, 9);
         assert!(best.optimal);
         let cert = best.certificate.expect("certificate requested");
         assert_eq!(cert.refuted_bound, 10);
-        // A DRAT refutation must end in the empty clause (or reach a
-        // top-level conflict, in which case the final step may be any
-        // addition; the emitted proof always closes with the empty one).
+        // The proof is the solver's log, closed by the empty clause, and
+        // moved out of its buffer.
         assert!(matches!(
             cert.steps.last(),
             Some(ProofStep::Add(c)) if c.is_empty()
         ));
-        // The asserted bound is the last clause of the certified formula.
-        assert_eq!(cert.cnf.clauses.last().map(Vec::len), Some(1));
+        assert!(smt.proof.as_ref().is_some_and(|p| p.is_empty()));
+        // The formula is the recorded CNF plus the refuted probe's
+        // comparator as a unit.
+        let recorded = smt.recorded_cnf().expect("recording on");
+        assert_eq!(cert.cnf.clauses[..recorded.clauses.len()], recorded.clauses);
+        assert_eq!(cert.cnf.clauses.last(), Some(&vec![refuted]));
     }
 
     #[test]
@@ -420,11 +422,7 @@ mod tests {
         smt.enable_recording();
         let _ = smt.new_bool();
         let obj = smt.int_const(42);
-        let opts = OmtOptions {
-            certify: true,
-            ..OmtOptions::default()
-        };
-        let best = maximize_with(&mut smt, &obj, opts, &[]).expect("sat");
+        let best = certified(&mut smt, &obj, None, &[]);
         assert_eq!(best.value, 42);
         assert!(best.optimal);
         let cert = best.certificate.expect("certificate");
@@ -435,8 +433,8 @@ mod tests {
     fn computed_upper_bound_stops_the_search_and_stays_certifiable() {
         // Two exclusive items: the terms' sum (9) overstates the optimum
         // (5). With `hi` lowered to the optimum, the first model ends the
-        // search proven, and the certificate still refutes `hi + 1` from
-        // the recorded CNF alone.
+        // search proven, and certifying probes `hi + 1` once more, with no
+        // probe budget, on the same solver.
         let mut smt = SmtSolver::new();
         smt.enable_recording();
         let a = smt.new_bool();
@@ -445,14 +443,36 @@ mod tests {
         let mut obj = smt.pb_sum(0, &[(5, a), (4, b)]);
         assert_eq!(obj.hi, 9);
         obj.hi = 5;
-        let opts = OmtOptions {
-            probe_conflict_budget: Some(0),
-            certify: true,
-        };
-        let best = maximize_with(&mut smt, &obj, opts, &[a, !b]).expect("sat");
+        let best = certified(&mut smt, &obj, Some(0), &[a, !b]);
         assert_eq!((best.value, best.queries, best.optimal), (5, 1, true));
+        assert!(best.refuted.is_none(), "no search probe ran");
         let cert = best.certificate.expect("certificate");
         assert_eq!(cert.refuted_bound, 6);
+    }
+
+    #[test]
+    fn certification_probe_obeys_the_stop_flag() {
+        // The `hi + 1` probe runs under the solver's run controls: a
+        // raised stop flag leaves the answer unproven and uncertified.
+        let mut smt = SmtSolver::new();
+        smt.enable_recording();
+        let a = smt.new_bool();
+        let b = smt.new_bool();
+        smt.add_clause(&[!a, !b]);
+        let mut obj = smt.pb_sum(0, &[(5, a), (4, b)]);
+        obj.hi = 5;
+        let mut best = maximize_with(&mut smt, &obj, None, &[a, !b]).expect("sat");
+        assert!(best.optimal);
+        smt.set_control(qca_sat::SolveControl {
+            stop: Some(std::sync::Arc::new(std::sync::atomic::AtomicBool::new(
+                true,
+            ))),
+            ..qca_sat::SolveControl::default()
+        });
+        certify(&mut smt, &obj, &mut best);
+        assert_eq!(best.value, 5);
+        assert!(!best.optimal);
+        assert!(best.certificate.is_none());
     }
 
     #[test]
@@ -460,11 +480,7 @@ mod tests {
         let mut smt = SmtSolver::new();
         let a = smt.new_bool();
         let obj = smt.pb_sum(0, &[(5, a)]);
-        let opts = OmtOptions {
-            certify: true,
-            ..OmtOptions::default()
-        };
-        let best = maximize_with(&mut smt, &obj, opts, &[]).expect("sat");
+        let best = certified(&mut smt, &obj, None, &[]);
         assert_eq!(best.value, 5);
         assert!(best.optimal, "missing recording must not downgrade results");
         assert!(best.certificate.is_none());
@@ -488,11 +504,7 @@ mod tests {
             (smt, obj)
         };
         let (mut smt, obj) = build();
-        let opts = OmtOptions {
-            probe_conflict_budget: Some(0),
-            certify: true,
-        };
-        let best = maximize_with(&mut smt, &obj, opts, &[]).expect("sat");
+        let best = certified(&mut smt, &obj, Some(0), &[]);
         assert_eq!(best.value, 50);
         assert!(!best.optimal, "an unknown probe must not claim optimality");
         assert!(best.certificate.is_none());
@@ -500,11 +512,7 @@ mod tests {
         // Same instance searched to exactness is proven optimal and
         // certified — the certificate is what separates the two outcomes.
         let (mut smt, obj) = build();
-        let opts = OmtOptions {
-            certify: true,
-            ..OmtOptions::default()
-        };
-        let best = maximize_with(&mut smt, &obj, opts, &[]).expect("sat");
+        let best = certified(&mut smt, &obj, None, &[]);
         assert_eq!(best.value, 50);
         assert!(best.optimal);
         assert!(best.certificate.is_some());
@@ -551,12 +559,8 @@ mod tests {
         let cap = smt.int_const(7);
         smt.assert_ge(&cap, &weight);
         let value = smt.pb_sum(0, &[(4, x[0]), (5, x[1]), (6, x[2])]);
-        let opts = OmtOptions {
-            probe_conflict_budget: Some(0),
-            ..OmtOptions::default()
-        };
         let hint = [x[0], !x[1], !x[2]];
-        let best = maximize_with(&mut smt, &value, opts, &hint).expect("sat");
+        let best = maximize_with(&mut smt, &value, Some(0), &hint).expect("sat");
         let trail = vec![("bound=5".to_string(), "unknown".to_string())];
         assert_eq!(probe_trail(&sink.take()), trail);
         assert_eq!(best.queries, 2);

@@ -14,7 +14,7 @@
 
 use crate::bitvec;
 use crate::record::{AuditBundle, RecordedConstraint};
-use qca_sat::{Lit, SolveOutcome, Solver};
+use qca_sat::{Lit, MemoryProof, SolveOutcome, Solver};
 
 /// A bounded integer expression: `value = offset + unsigned(bits)`.
 ///
@@ -144,6 +144,8 @@ pub struct SmtSolver {
     /// The constant-false literal, allocated on first use; `!fal` is true.
     pub(crate) fal: Option<Lit>,
     pub(crate) records: Option<Vec<RecordedConstraint>>,
+    /// The SAT solver's DRAT log, on while recording is.
+    pub(crate) proof: Option<MemoryProof>,
 }
 
 impl Default for SmtSolver {
@@ -159,17 +161,24 @@ impl SmtSolver {
             sat: Solver::new(),
             fal: None,
             records: None,
+            proof: None,
         }
     }
 
     /// Enables constraint recording for post-hoc auditing: every constraint
     /// issued through the public API from now on is stored as a
-    /// [`RecordedConstraint`], and the underlying SAT solver records its
-    /// shadow formula (axiom clauses pre-simplification). Call immediately
-    /// after construction so the record covers the whole encoding.
+    /// [`RecordedConstraint`], the underlying SAT solver records its
+    /// shadow formula (axiom clauses pre-simplification), and it logs a
+    /// DRAT proof of every clause it derives, which
+    /// [`crate::omt::certify`] turns into an optimality certificate. Call
+    /// immediately after construction so the record and the proof cover
+    /// the whole encoding.
     pub fn enable_recording(&mut self) {
         if self.records.is_none() {
             self.records = Some(Vec::new());
+            let proof = MemoryProof::new();
+            self.sat.set_proof(Box::new(proof.clone()));
+            self.proof = Some(proof);
         }
         self.sat.enable_clause_recording();
     }

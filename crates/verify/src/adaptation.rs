@@ -13,12 +13,15 @@
 //!   matches `log(reference fidelity) + Σ Δlog-fidelity` recomputed from the
 //!   gate tables and the chosen substitutions;
 //! * any attached [`VerificationData`] passes the semantic model audit, and
-//!   proven-optimal results carry a checker-accepted DRAT certificate.
+//!   proven-optimal results carry a checker-accepted DRAT certificate that
+//!   refutes the reported value plus one over the audited formula itself.
 
 use qca_adapt::{Adaptation, Objective, VerificationData, LOG_SCALE};
 use qca_circuit::Circuit;
 use qca_hw::{CircuitSchedule, CouplingMap, HardwareModel};
 use qca_num::phase::approx_eq_up_to_phase;
+use qca_smt::omt::OptimalityCertificate;
+use qca_smt::{AuditBundle, RecordedConstraint};
 
 use crate::drat::DratError;
 use crate::model::{audit_model, check_certificate, ModelAuditError};
@@ -85,6 +88,12 @@ pub enum AdaptationAuditError {
     },
     /// The attached optimality certificate was rejected by the DRAT checker.
     Certificate(DratError),
+    /// The attached optimality certificate refutes something other than
+    /// the reported value plus one over the audited formula.
+    UnboundCertificate {
+        /// Which part of the binding failed.
+        detail: &'static str,
+    },
     /// The solve claims proven optimality with verification data attached,
     /// but carries no certificate to back the claim.
     MissingCertificate,
@@ -132,6 +141,12 @@ impl std::fmt::Display for AdaptationAuditError {
             }
             AdaptationAuditError::Certificate(e) => {
                 write!(f, "optimality certificate rejected: {e}")
+            }
+            AdaptationAuditError::UnboundCertificate { detail } => {
+                write!(
+                    f,
+                    "optimality certificate is not about this answer: {detail}"
+                )
             }
             AdaptationAuditError::MissingCertificate => {
                 write!(f, "proven-optimal result carries no certificate")
@@ -367,6 +382,8 @@ pub fn audit_adaptation_with_coupling(
             .count() as u64;
         match certificate {
             Some(cert) => {
+                check_binding(bundle, cert, result.solver.objective_value)
+                    .map_err(|detail| AdaptationAuditError::UnboundCertificate { detail })?;
                 let drat_stats = check_certificate(cert)?;
                 stats.certificate_steps_checked = drat_stats.additions_checked as u64;
             }
@@ -378,6 +395,36 @@ pub fn audit_adaptation_with_coupling(
     }
 
     Ok(stats)
+}
+
+/// Checks that `cert` states the refutation of `objective_value + 1` over
+/// the bundle's own formula: its CNF is the bundle's plus one unit clause,
+/// and the bundle records that unit's literal as `lit ⇔ a >= b`, with `a`
+/// at the reported value and `b` at the refuted bound under the bundle's
+/// model. Without this, any refutable CNF with a valid proof would pass.
+fn check_binding(
+    bundle: &AuditBundle,
+    cert: &OptimalityCertificate,
+    objective_value: i64,
+) -> Result<(), &'static str> {
+    if objective_value.checked_add(1) != Some(cert.refuted_bound) {
+        return Err("the refuted bound is not the reported value plus one");
+    }
+    let unit = match cert.cnf.clauses.split_last() {
+        Some((last, axioms)) if last.len() == 1 && axioms == bundle.cnf.clauses => last[0],
+        _ => return Err("the formula is not the audited one plus one unit clause"),
+    };
+    let model = &bundle.model;
+    let bound = bundle.constraints.iter().any(|c| {
+        matches!(c, RecordedConstraint::GeReified { lit, a, b }
+            if *lit == unit
+                && model.int_value_checked(a) == Some(objective_value)
+                && model.int_value_checked(b) == Some(cert.refuted_bound))
+    });
+    if !bound {
+        return Err("the unit clause is not a recorded `objective >= value + 1` comparator");
+    }
+    Ok(())
 }
 
 /// Every two-qubit gate of `circuit` must land on a coupled pair.
@@ -433,11 +480,9 @@ mod tests {
         }
     }
 
-    /// Adapts `swap_chain` with an exact, certified search under
-    /// `objective` and audits the result, certificate included.
-    fn certified_swap_chain(objective: Objective) -> AdaptationAuditStats {
+    /// An exact, certified adaptation of `swap_chain` under `objective`.
+    fn certified_adaptation(objective: Objective) -> Adaptation {
         let hw = spin_qubit_model(GateTimes::D0);
-        let c = swap_chain();
         let ctx = AdaptContext {
             options: AdaptOptions {
                 objective,
@@ -447,7 +492,15 @@ mod tests {
             },
             ..AdaptContext::default()
         };
-        let r = adapt(&c, &hw, &ctx).unwrap();
+        adapt(&swap_chain(), &hw, &ctx).unwrap()
+    }
+
+    /// Adapts `swap_chain` with an exact, certified search under
+    /// `objective` and audits the result, certificate included.
+    fn certified_swap_chain(objective: Objective) -> AdaptationAuditStats {
+        let hw = spin_qubit_model(GateTimes::D0);
+        let c = swap_chain();
+        let r = certified_adaptation(objective);
         assert!(r.solver.verification.is_some(), "certify attaches data");
         assert!(r.solver.optimal, "exact search proves optimality");
         let stats = audit_adaptation(&c, &r, &hw, objective).unwrap();
@@ -475,6 +528,60 @@ mod tests {
     #[test]
     fn audits_certified_combined_adaptation_end_to_end() {
         certified_swap_chain(Objective::Combined);
+    }
+
+    #[test]
+    fn rejects_certificates_not_bound_to_the_answer() {
+        use qca_sat::dimacs::Cnf;
+        use qca_sat::{ProofStep, Var};
+        let hw = spin_qubit_model(GateTimes::D0);
+        let c = swap_chain();
+        let r = certified_adaptation(Objective::Fidelity);
+        let audit = |tamper: &dyn Fn(&mut OptimalityCertificate)| {
+            let mut r = r.clone();
+            let cert = r
+                .solver
+                .verification
+                .as_mut()
+                .and_then(|v| v.certificate.as_mut())
+                .expect("certified");
+            tamper(cert);
+            audit_adaptation(&c, &r, &hw, Objective::Fidelity)
+        };
+        audit(&|_| {}).expect("the untouched certificate passes");
+
+        // A trivially UNSAT formula with a valid proof of its own.
+        let x = Var::from_index(0);
+        let trivial = OptimalityCertificate {
+            cnf: Cnf {
+                num_vars: 1,
+                clauses: vec![vec![x.positive()], vec![x.negative()]],
+            },
+            steps: vec![ProofStep::Add(Vec::new())],
+            refuted_bound: r.solver.objective_value + 1,
+        };
+        check_certificate(&trivial).expect("the swapped-in proof is valid");
+        let swap = |cert: &mut OptimalityCertificate| *cert = trivial.clone();
+        let off_by_one = |cert: &mut OptimalityCertificate| cert.refuted_bound += 1;
+        let other_unit = |cert: &mut OptimalityCertificate| {
+            let unit = cert.cnf.clauses.last_mut().expect("unit clause");
+            unit[0] = !unit[0];
+        };
+        let no_unit = |cert: &mut OptimalityCertificate| {
+            cert.cnf.clauses.pop();
+        };
+        for tamper in [
+            &swap as &dyn Fn(&mut OptimalityCertificate),
+            &off_by_one,
+            &other_unit,
+            &no_unit,
+        ] {
+            let err = audit(tamper).expect_err("an unbound certificate must fail");
+            assert!(
+                matches!(err, AdaptationAuditError::UnboundCertificate { .. }),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -885,7 +885,7 @@ mod tests {
         let _ = s.solve_limited(&[]);
         let dimacs = |l: &Lit| l.to_dimacs() as i32;
         proof
-            .steps()
+            .take_steps()
             .iter()
             .map(|st| (st.is_delete(), st.lits().iter().map(dimacs).collect()))
             .collect()

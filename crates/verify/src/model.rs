@@ -206,7 +206,9 @@ pub fn audit_model(bundle: &AuditBundle) -> Result<ModelAuditStats, ModelAuditEr
 }
 
 /// Validates an OMT optimality certificate with the independent DRAT/RUP
-/// checker: the certificate's proof must refute its formula.
+/// checker: the certificate's proof must refute its formula. That the
+/// formula is the solve's own is checked by
+/// [`audit_adaptation`](crate::audit_adaptation).
 pub fn check_certificate(cert: &OptimalityCertificate) -> Result<DratStats, DratError> {
     check_drat(&cert.cnf, &cert.steps)
 }
@@ -269,7 +271,7 @@ pub fn check_reconstruction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qca_smt::omt::{self, OmtOptions};
+    use qca_smt::omt;
     use qca_smt::SmtSolver;
 
     fn knapsack_solver() -> (SmtSolver, Vec<Lit>, IntExpr) {
@@ -395,11 +397,8 @@ mod tests {
     #[test]
     fn certificate_checks_and_corruption_is_rejected() {
         let (mut smt, _x, value) = knapsack_solver();
-        let opts = OmtOptions {
-            certify: true,
-            ..OmtOptions::default()
-        };
-        let best = omt::maximize_with(&mut smt, &value, opts, &[]).expect("sat");
+        let mut best = omt::maximize(&mut smt, &value).expect("sat");
+        omt::certify(&mut smt, &value, &mut best);
         let cert = best.certificate.expect("certified");
         check_certificate(&cert).expect("valid certificate");
 

@@ -123,7 +123,7 @@ proptest! {
             let (sat, _) = solve(&pre.cnf, Some(proof.clone()));
             prop_assert!(!sat, "preprocess+solve disagreed with brute force");
         }
-        let steps = proof.steps();
+        let steps = proof.take_steps();
         prop_assert!(
             check_drat(&cnf, &steps).is_ok(),
             "combined proof rejected against the original formula"

@@ -59,7 +59,7 @@ fn solve_logged(cnf: &Cnf) -> Option<Vec<ProofStep>> {
         }
     }
     match s.solve_limited(&[]) {
-        SolveOutcome::Unsat => Some(proof.steps()),
+        SolveOutcome::Unsat => Some(proof.take_steps()),
         _ => None,
     }
 }

@@ -2,7 +2,7 @@
 //! SAT statistics the OMT search accumulates on fixed paper-family circuits,
 //! for each path through the search — a budgeted solve, an exact certified
 //! solve, and the anchored re-check of recalibration — and what the
-//! independent DRAT checker counts in one long certificate.
+//! independent DRAT checker counts in two long certificates.
 //!
 //! The model is bit-blasted into CNF and solved by `qca-sat` under the
 //! default probe budgets, so the counters below depend on every gate the
@@ -19,7 +19,7 @@ use qca::circuit::Circuit;
 use qca::hw::{spin_qubit_model, CouplingMap, GateTimes};
 use qca::trace::{TraceEvent, Tracer};
 use qca::workloads::{random_template_circuit, DEFAULT_TEMPLATE_GATES};
-use qca_verify::check_certificate;
+use qca_verify::{audit_adaptation, check_certificate};
 
 /// A budgeted solve of `circuit` under `objective`, with the encoded
 /// model's size as `smt.encode` reports it: `((sat_vars, sat_clauses),
@@ -132,12 +132,39 @@ fn exact_certified_rand_3q_d6_trajectory_is_pinned() {
         (s.decisions, s.propagations, s.conflicts, s.restarts),
         steps,
     );
-    assert_eq!(got, (-493, 1, true, (0, 144, 0, 0), Some(29)));
+    assert_eq!(got, (-493, 1, true, (0, 144, 0, 0), Some(21)));
 }
 
-/// A certificate long enough for the solver to reduce its clause database:
-/// the DRAT proof deletes lemmas, and the independent checker's counts of
-/// every kind of step are pinned.
+/// The certification probe runs under the solve's total conflict cap. The
+/// search needs no conflict (the first model reaches the per-block bound),
+/// but refuting the next level needs more than the cap leaves, so the
+/// answer stays unproven and uncertified, and the audit accepts it.
+#[test]
+fn certification_probe_obeys_the_conflict_cap() {
+    let circuit = random_template_circuit(3, 6, 0x5eed_2023, &DEFAULT_TEMPLATE_GATES, true);
+    let hw = spin_qubit_model(GateTimes::D0);
+    let mut ctx = AdaptContext::with_objective(Objective::Fidelity);
+    ctx.options.exact = true;
+    ctx.options.certify = true;
+    ctx.limits.total_conflicts = Some(5);
+    let adaptation = adapt(&circuit, &hw, &ctx).expect("adaptation succeeds");
+    let r = &adaptation.solver;
+    let got = (
+        r.objective_value,
+        r.queries,
+        r.optimal,
+        r.solver_stats.conflicts,
+    );
+    assert_eq!(got, (-493, 1, false, 0));
+    let verification = r.verification.as_ref().expect("certify attaches data");
+    assert!(verification.certificate.is_none());
+    audit_adaptation(&circuit, &adaptation, &hw, Objective::Fidelity)
+        .expect("an unproven answer needs no certificate");
+}
+
+/// A long fidelity certificate: the search stops at the per-block bound,
+/// so the proof is one probe of the next level, and the independent
+/// checker's counts of every kind of step are pinned.
 #[test]
 fn exact_certified_rand_3q_d40_certificate_is_pinned() {
     let circuit = random_template_circuit(3, 40, 0x5eed_2023, &DEFAULT_TEMPLATE_GATES, true);
@@ -162,7 +189,56 @@ fn exact_certified_rand_3q_d40_certificate_is_pinned() {
             stats.steps_skipped,
         ),
     );
-    assert_eq!(got, ((7_794, 3_886), (2_716, 1_169, 0, 1)));
+    assert_eq!(got, ((7_794, 2_215), (2_213, 0, 0, 2)));
+}
+
+/// An exact idle search that ends by refuting `best + 1`: the certificate
+/// reuses that refutation, with no further solve, and its proof is the
+/// whole search's DRAT log, long enough for the solver to reduce its
+/// clause database, so the checker applies lemma deletions.
+#[test]
+fn exact_certified_idle_rand_3q_d8_certificate_is_pinned() {
+    let circuit = random_template_circuit(3, 8, 0x5eed_2023, &DEFAULT_TEMPLATE_GATES, true);
+    let hw = spin_qubit_model(GateTimes::D0);
+    let (tracer, sink) = Tracer::to_memory();
+    let mut ctx = AdaptContext {
+        tracer,
+        ..AdaptContext::with_objective(Objective::IdleTime)
+    };
+    ctx.options.exact = true;
+    ctx.options.certify = true;
+    let adaptation = adapt(&circuit, &hw, &ctx).expect("adaptation succeeds");
+    let r = &adaptation.solver;
+    let solves = sink
+        .events()
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::SpanEnter { name, .. } if name == "sat.solve"))
+        .count();
+    assert_eq!(solves as u64, r.queries, "certifying solved nothing more");
+    let cert = r
+        .verification
+        .as_ref()
+        .and_then(|v| v.certificate.as_ref())
+        .expect("exact solve carries a certificate");
+    let stats = check_certificate(cert).expect("certificate verifies");
+    let got = (
+        trajectory(r),
+        (cert.cnf.clauses.len(), cert.steps.len()),
+        (
+            stats.additions_checked,
+            stats.deletions_applied,
+            stats.deletions_ignored,
+            stats.steps_skipped,
+        ),
+    );
+    assert_eq!(
+        got,
+        (
+            (-8_130, 2, true, (6_902, 604_425, 4_285, 21)),
+            (5_002, 6_162),
+            (4_284, 1_876, 0, 2)
+        )
+    );
 }
 
 #[test]
