@@ -36,15 +36,6 @@ pub struct BlockPartition {
 }
 
 impl BlockPartition {
-    /// Successor lists per block.
-    pub fn successors(&self) -> Vec<Vec<usize>> {
-        let mut s = vec![Vec::new(); self.blocks.len()];
-        for &(a, b) in &self.edges {
-            s[a].push(b);
-        }
-        s
-    }
-
     /// Predecessor lists per block.
     pub fn predecessors(&self) -> Vec<Vec<usize>> {
         let mut p = vec![Vec::new(); self.blocks.len()];

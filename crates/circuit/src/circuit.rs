@@ -116,12 +116,6 @@ impl Circuit {
         self.instrs.iter()
     }
 
-    /// Total gate count per arity: `(one_qubit, two_qubit)`.
-    pub fn gate_counts(&self) -> (usize, usize) {
-        let two = self.two_qubit_gate_count();
-        (self.instrs.len() - two, two)
-    }
-
     /// Number of two-qubit gates.
     pub fn two_qubit_gate_count(&self) -> usize {
         self.instrs.iter().filter(|i| i.gate.is_two_qubit()).count()
@@ -172,15 +166,6 @@ impl Circuit {
             out.push(instr.gate.dagger(), &instr.qubits);
         }
         out
-    }
-
-    /// Histogram of gate names to occurrence counts.
-    pub fn gate_histogram(&self) -> std::collections::BTreeMap<&'static str, usize> {
-        let mut h = std::collections::BTreeMap::new();
-        for i in &self.instrs {
-            *h.entry(i.gate.name()).or_insert(0) += 1;
-        }
-        h
     }
 }
 
@@ -284,17 +269,6 @@ mod tests {
             &Gate::Cz.matrix(),
             1e-12
         ));
-    }
-
-    #[test]
-    fn gate_counts_and_histogram() {
-        let mut c = Circuit::new(2);
-        c.push(Gate::H, &[0]);
-        c.push(Gate::H, &[1]);
-        c.push(Gate::Cx, &[0, 1]);
-        assert_eq!(c.gate_counts(), (2, 1));
-        assert_eq!(c.gate_histogram()["h"], 2);
-        assert_eq!(c.gate_histogram()["cx"], 1);
     }
 
     #[test]

@@ -290,15 +290,6 @@ impl Gate {
         }
     }
 
-    /// `true` when this gate is a hardware realization variant that shares a
-    /// unitary with an abstract gate (e.g. [`Gate::SwapDiabatic`]).
-    pub fn is_realization_variant(&self) -> bool {
-        matches!(
-            self,
-            Gate::CzDiabatic | Gate::SwapDiabatic | Gate::SwapComposite
-        )
-    }
-
     /// The abstract gate underlying a realization variant (identity for
     /// everything else).
     pub fn canonical(&self) -> Gate {
@@ -418,8 +409,6 @@ mod tests {
             .matrix()
             .approx_eq(&Gate::Swap.matrix(), 0.0));
         assert_eq!(Gate::SwapDiabatic.canonical(), Gate::Swap);
-        assert!(Gate::SwapDiabatic.is_realization_variant());
-        assert!(!Gate::Swap.is_realization_variant());
     }
 
     #[test]

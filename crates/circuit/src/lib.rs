@@ -6,7 +6,6 @@
 //! * the gate library ([`Gate`]) including the spin-qubit hardware
 //!   realizations of the paper (diabatic CZ, SWAP_d, SWAP_c, CROT),
 //! * the circuit IR ([`Circuit`], [`Instr`]),
-//! * instruction-level dependency analysis ([`dag`]),
 //! * two-qubit block partitioning with the block dependency graph
 //!   ([`blocks`], the paper's preprocessing step §IV-A),
 //! * OpenQASM 2.0 parsing/printing ([`qasm`]),
@@ -30,7 +29,6 @@
 
 pub mod blocks;
 mod circuit;
-pub mod dag;
 mod gate;
 pub mod hash;
 pub mod qasm;
@@ -140,12 +138,6 @@ mod proptests {
                 }
             }
             prop_assert!(approx_eq_up_to_phase(&c.unitary(), &rebuilt.unitary(), 1e-8));
-        }
-
-        #[test]
-        fn dag_layer_count_equals_depth(c in arb_circuit(4, 20)) {
-            let dag = dag::CircuitDag::new(&c);
-            prop_assert_eq!(dag.layers().len(), c.depth());
         }
     }
 }

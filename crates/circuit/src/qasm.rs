@@ -384,18 +384,11 @@ fn parse_operand(s: &str, reg: &str) -> Option<usize> {
     s[open + 1..close].trim().parse().ok()
 }
 
-/// Parses a parameter arithmetic expression (`pi/2`, `-0.5*pi`, `3.25`, ...).
-///
-/// Returns `None` on malformed input. Use [`parse_expr_detailed`] when the
-/// caller needs to know *why* the expression was rejected.
-pub fn parse_expr(s: &str) -> Option<f64> {
-    parse_expr_detailed(s).ok()
-}
-
-/// Parses a parameter arithmetic expression, reporting what went wrong on
-/// malformed input (a dangling exponent like `1e` or `2.5e+`, a stray
-/// character, trailing tokens, ...). [`parse_qasm`] surfaces the message —
-/// with the offending source line — as a [`ParseQasmError`].
+/// Parses a parameter arithmetic expression (`pi/2`, `-0.5*pi`, `3.25`, ...),
+/// reporting what went wrong on malformed input (a dangling exponent like
+/// `1e` or `2.5e+`, a stray character, trailing tokens, ...). [`parse_qasm`]
+/// surfaces the message — with the offending source line — as a
+/// [`ParseQasmError`].
 pub fn parse_expr_detailed(s: &str) -> Result<f64, String> {
     let tokens = tokenize(s)?;
     if tokens.is_empty() {
@@ -644,7 +637,7 @@ mod tests {
             ("pi/2 + pi/4", 3.0 * PI / 4.0),
             ("-(2-5)", 3.0),
         ] {
-            let got = parse_expr(expr).unwrap_or_else(|| panic!("failed on {expr}"));
+            let got = parse_expr_detailed(expr).unwrap_or_else(|e| panic!("{expr}: {e}"));
             assert!((got - expect).abs() < 1e-12, "{expr}: {got} != {expect}");
         }
     }
@@ -652,7 +645,7 @@ mod tests {
     #[test]
     fn bad_expressions_rejected() {
         for expr in ["", "pi pi", "1+", "(1", "q[0]", "foo"] {
-            assert!(parse_expr(expr).is_none(), "{expr:?} should fail");
+            assert!(parse_expr_detailed(expr).is_err(), "{expr:?} should fail");
         }
     }
 
@@ -667,7 +660,7 @@ mod tests {
             ("-3E-1", -0.3),
             ("1.5e2/pi", 150.0 / PI),
         ] {
-            let got = parse_expr(expr).unwrap_or_else(|| panic!("failed on {expr}"));
+            let got = parse_expr_detailed(expr).unwrap_or_else(|e| panic!("{expr}: {e}"));
             assert!((got - expect).abs() < 1e-12, "{expr}: {got} != {expect}");
         }
     }
@@ -681,8 +674,6 @@ mod tests {
                 "{expr:?} gave {detail:?}"
             );
         }
-        // The Option view stays silent, for callers that only branch.
-        assert!(parse_expr("1e").is_none());
     }
 
     #[test]
@@ -693,7 +684,7 @@ mod tests {
             ("-pi + 2*pi", PI),
             ("(pi - pi/2)/2", PI / 4.0),
         ] {
-            let got = parse_expr(expr).unwrap_or_else(|| panic!("failed on {expr}"));
+            let got = parse_expr_detailed(expr).unwrap_or_else(|e| panic!("{expr}: {e}"));
             assert!((got - expect).abs() < 1e-12, "{expr}: {got} != {expect}");
         }
     }

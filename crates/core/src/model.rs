@@ -122,15 +122,15 @@ pub struct AdaptLimits {
 }
 
 impl AdaptLimits {
-    /// Conservative default conflict rate used by
-    /// [`AdaptLimits::for_deadline`]: well below what the CDCL solver
-    /// sustains on this workload's arithmetic-heavy models, so a
-    /// deadline-derived budget trips *before* the wall clock on any
-    /// reasonable machine and the result stays deterministic.
+    /// Conservative conflict rate used by [`AdaptLimits::for_deadline`]:
+    /// well below what the CDCL solver sustains on this workload's
+    /// arithmetic-heavy models, so a deadline-derived budget trips *before*
+    /// the wall clock on any reasonable machine and the result stays
+    /// deterministic.
     pub const CONFLICTS_PER_MS: u64 = 500;
 
     /// Maps a wall-clock budget onto a deterministic total-conflict cap at
-    /// `conflicts_per_ms` (see [`AdaptLimits::CONFLICTS_PER_MS`]).
+    /// [`AdaptLimits::CONFLICTS_PER_MS`].
     ///
     /// The conversion is intentionally a *limit*, not a promise: conflict
     /// counts are machine-independent, so the same deadline always degrades
@@ -146,12 +146,13 @@ impl AdaptLimits {
     /// use qca_adapt::AdaptLimits;
     /// use std::time::Duration;
     ///
-    /// let limits = AdaptLimits::for_deadline(Duration::from_millis(20), None);
+    /// let limits = AdaptLimits::for_deadline(Duration::from_millis(20));
     /// assert_eq!(limits.total_conflicts, Some(20 * AdaptLimits::CONFLICTS_PER_MS));
     /// ```
-    pub fn for_deadline(deadline: Duration, conflicts_per_ms: Option<u64>) -> AdaptLimits {
-        let rate = conflicts_per_ms.unwrap_or(Self::CONFLICTS_PER_MS).max(1);
-        let budget = (deadline.as_millis() as u64).saturating_mul(rate).max(1);
+    pub fn for_deadline(deadline: Duration) -> AdaptLimits {
+        let budget = (deadline.as_millis() as u64)
+            .saturating_mul(Self::CONFLICTS_PER_MS)
+            .max(1);
         AdaptLimits {
             total_conflicts: Some(budget),
         }

@@ -76,13 +76,6 @@ pub struct Route {
     pub gate: Gate,
 }
 
-impl Route {
-    /// Number of swap gates the plan inserts: `2 * (path edges - 1)`.
-    pub fn swap_count(&self) -> usize {
-        2 * (self.path.len() - 2)
-    }
-}
-
 /// One applicable substitution: which gates it replaces, what it replaces
 /// them with, and its cost deltas against the reference adaptation.
 #[derive(Debug, Clone)]
@@ -629,7 +622,6 @@ mod tests {
             assert!(s.ops.is_empty() && s.replacement.is_empty());
             let route = s.route.as_ref().unwrap();
             assert_eq!(route.path, vec![0, 1, 2]);
-            assert_eq!(route.swap_count(), 2);
             let cost = hw.cost(&route.gate).unwrap();
             assert!((s.delta_duration - 2.0 * cost.duration).abs() < 1e-9);
             assert!((s.delta_log_fidelity - 2.0 * cost.fidelity.ln()).abs() < 1e-12);

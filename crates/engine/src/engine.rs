@@ -5,7 +5,7 @@ use crate::metrics::MetricsRegistry;
 use qca_adapt::deadline::Watchdog;
 use qca_adapt::{
     adapt, recalibrate_adaptation, AdaptContext, AdaptError, AdaptLimits, AdaptOptions, Adaptation,
-    Objective, Recalibration,
+    Objective,
 };
 use qca_baselines::{direct_translation, template_optimization, TemplateObjective};
 use qca_circuit::Circuit;
@@ -853,9 +853,7 @@ impl Engine {
                         report.resolved += 1;
                         self.tracer.counter("recalib.resolved", 1);
                     }
-                    let adaptation = Arc::new(match recal {
-                        Recalibration::Reused(a) | Recalibration::Resolved(a) => a,
-                    });
+                    let adaptation = Arc::new(recal.into_adaptation());
                     if self.config.verify {
                         self.audit(hw, &entry.circuit, &ctx.options, Ok(&adaptation));
                     }

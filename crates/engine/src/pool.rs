@@ -6,32 +6,28 @@
 //! *backpressure* when the machine is saturated, and completions must flow
 //! back to whichever connection is waiting. [`EnginePool`] is that adapter:
 //!
-//! * a **bounded** submission queue ([`EnginePool::try_submit`]) that never
-//!   blocks the caller — a full queue is reported as
+//! * a **bounded** submission queue ([`EnginePool::try_submit_task`]) that
+//!   never blocks the caller — a full queue is reported as
 //!   [`SubmitError::QueueFull`] so the admission layer can shed load
 //!   (HTTP 429) instead of queueing unboundedly,
-//! * long-lived workers calling [`Engine::adapt_one_with`], so the cache,
-//!   metrics, and tracer of the shared engine serve every submission,
-//! * per-task completion callbacks (invoked on the worker thread) instead
-//!   of an ordered result vector,
+//! * long-lived workers running each task with the shared engine, so its
+//!   cache, metrics, and tracer serve every submission,
+//! * tasks that hand their result back themselves (on the worker thread)
+//!   instead of an ordered result vector,
 //! * [`EnginePool::drain`]: close the queue, finish every task already
 //!   accepted, and join the workers — the heart of graceful shutdown.
 
-use crate::{AdaptJob, AdaptReport, Engine, JobPolicy};
-use qca_hw::HardwareModel;
+use crate::Engine;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-/// Completion callback invoked (on a worker thread) with the finished report.
-pub type Completion = Box<dyn FnOnce(AdaptReport) + Send + 'static>;
-
 /// A queued unit of work: runs on a worker thread with the shared engine.
 type Task = Box<dyn FnOnce(&Engine) + Send + 'static>;
 
-/// Why [`EnginePool::try_submit`] declined a job.
+/// Why [`EnginePool::try_submit_task`] declined a task.
 #[derive(Debug, PartialEq, Eq)]
 pub enum SubmitError {
     /// The bounded queue is at capacity; try again later (HTTP 429).
@@ -129,29 +125,12 @@ impl EnginePool {
         self.depth.load(Ordering::Relaxed)
     }
 
-    /// Submits one job without blocking. On success, `done` will be called
-    /// exactly once, on a worker thread, with the finished report. On
-    /// [`SubmitError`], `done` is dropped uninvoked and nothing was queued.
-    pub fn try_submit(
-        &self,
-        hw: Arc<HardwareModel>,
-        job: AdaptJob,
-        policy: JobPolicy,
-        done: impl FnOnce(AdaptReport) + Send + 'static,
-    ) -> Result<(), SubmitError> {
-        self.try_submit_task(move |engine| {
-            done(engine.adapt_one_with(&hw, &job, policy));
-        })
-    }
-
-    /// Submits a raw closure to run on a worker thread with the shared
-    /// engine, under the same admission control as [`try_submit`]. This is
-    /// the hook for callers that need per-task setup around the solve —
-    /// e.g. `qca-serve` enters a request-scoped trace sink before calling
-    /// [`Engine::adapt_one_with`], so the engine's spans land in that
-    /// request's buffer.
-    ///
-    /// [`try_submit`]: EnginePool::try_submit
+    /// Submits a closure without blocking. On success, `task` runs exactly
+    /// once, on a worker thread, with the shared engine; on [`SubmitError`]
+    /// it is dropped unrun and nothing was queued. The task owns any
+    /// per-task setup around the solve — e.g. `qca-serve` enters a
+    /// request-scoped trace sink before calling [`Engine::adapt_one_with`],
+    /// so the engine's spans land in that request's buffer.
     pub fn try_submit_task(
         &self,
         task: impl FnOnce(&Engine) + Send + 'static,
@@ -191,7 +170,7 @@ impl Drop for EnginePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineConfig;
+    use crate::{AdaptJob, EngineConfig, JobPolicy};
     use qca_circuit::{Circuit, Gate};
     use qca_hw::{spin_qubit_model, GateTimes};
     use std::sync::mpsc;
@@ -209,9 +188,10 @@ mod tests {
         let hw = Arc::new(spin_qubit_model(GateTimes::D0));
         let (tx, rx) = mpsc::channel();
         for _ in 0..4 {
-            let tx = tx.clone();
-            pool.try_submit(hw.clone(), job(), JobPolicy::default(), move |report| {
-                tx.send(report).unwrap();
+            let (hw, tx) = (hw.clone(), tx.clone());
+            pool.try_submit_task(move |engine| {
+                tx.send(engine.adapt_one_with(&hw, &job(), JobPolicy::default()))
+                    .unwrap();
             })
             .unwrap();
         }
@@ -227,11 +207,10 @@ mod tests {
     fn full_queue_is_reported_not_blocked() {
         let engine = Arc::new(Engine::new(EngineConfig::default()));
         let pool = EnginePool::new(engine, 1, 1);
-        let hw = Arc::new(spin_qubit_model(GateTimes::D0));
         // Stall the single worker so follow-up submissions pile up: the
-        // first job's completion blocks until we release it.
+        // first task blocks until we release it.
         let (release_tx, release_rx) = mpsc::channel::<()>();
-        pool.try_submit(hw.clone(), job(), JobPolicy::default(), move |_| {
+        pool.try_submit_task(move |_| {
             let _ = release_rx.recv();
         })
         .unwrap();
@@ -241,7 +220,7 @@ mod tests {
         let mut accepted = 0;
         let mut full = false;
         for _ in 0..3 {
-            match pool.try_submit(hw.clone(), job(), JobPolicy::default(), |_| {}) {
+            match pool.try_submit_task(|_| {}) {
                 Ok(()) => accepted += 1,
                 Err(SubmitError::QueueFull) => {
                     full = true;
@@ -261,8 +240,9 @@ mod tests {
         let hw = Arc::new(spin_qubit_model(GateTimes::D0));
         let (tx, rx) = mpsc::channel();
         for _ in 0..3 {
-            let tx = tx.clone();
-            pool.try_submit(hw.clone(), job(), JobPolicy::default(), move |report| {
+            let (hw, tx) = (hw.clone(), tx.clone());
+            pool.try_submit_task(move |engine| {
+                let report = engine.adapt_one_with(&hw, &job(), JobPolicy::default());
                 tx.send(report.status).unwrap();
             })
             .unwrap();
@@ -270,10 +250,7 @@ mod tests {
         pool.drain();
         // Every accepted job completed before drain returned.
         assert_eq!(rx.try_iter().count(), 3);
-        assert_eq!(
-            pool.try_submit(hw, job(), JobPolicy::default(), |_| {}),
-            Err(SubmitError::ShuttingDown)
-        );
+        assert_eq!(pool.try_submit_task(|_| {}), Err(SubmitError::ShuttingDown));
     }
 
     #[test]

@@ -93,23 +93,6 @@ impl CouplingMap {
         CouplingMap::new(num_qubits, edges).expect("generated edges are valid")
     }
 
-    /// A `rows × cols` rectangular lattice, qubits numbered row-major.
-    pub fn grid(rows: usize, cols: usize) -> CouplingMap {
-        let mut edges = Vec::new();
-        for r in 0..rows {
-            for c in 0..cols {
-                let q = r * cols + c;
-                if c + 1 < cols {
-                    edges.push((q, q + 1));
-                }
-                if r + 1 < rows {
-                    edges.push((q, q + cols));
-                }
-            }
-        }
-        CouplingMap::new(rows * cols, edges).expect("generated edges are valid")
-    }
-
     /// A star with qubit 0 at the center: every two-qubit gate must touch
     /// qubit 0.
     pub fn star(num_qubits: usize) -> CouplingMap {
@@ -205,25 +188,9 @@ impl CouplingMap {
         &self.edges
     }
 
-    /// Neighbors of `q`, ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `q` is out of range.
-    pub fn neighbors(&self, q: usize) -> &[usize] {
-        &self.adj[q]
-    }
-
     /// `true` when `a` and `b` share an edge.
     pub fn is_coupled(&self, a: usize, b: usize) -> bool {
         a < self.num_qubits && self.adj[a].binary_search(&b).is_ok()
-    }
-
-    /// `true` when every pair of qubits is directly coupled — the topology
-    /// under which routing degenerates to nothing.
-    pub fn is_all_to_all(&self) -> bool {
-        let n = self.num_qubits;
-        self.edges.len() == n * n.saturating_sub(1) / 2
     }
 
     /// `true` when every qubit can reach every other qubit.
@@ -329,7 +296,6 @@ mod tests {
         assert_eq!(CouplingMap::all_to_all(4).edges().len(), 6);
         assert_eq!(CouplingMap::line(4).edges().len(), 3);
         assert_eq!(CouplingMap::ring(4).edges().len(), 4);
-        assert_eq!(CouplingMap::grid(2, 3).edges().len(), 7);
         assert_eq!(CouplingMap::star(5).edges().len(), 4);
         assert_eq!(CouplingMap::starmon5().edges().len(), 4);
     }
@@ -388,16 +354,6 @@ mod tests {
         assert!(!cm.is_coupled(0, 1));
         assert_eq!(cm.path(0, 1), Some(vec![0, 2, 1]));
         assert!(cm.is_connected());
-        assert!(!cm.is_all_to_all());
-    }
-
-    #[test]
-    fn all_to_all_predicate() {
-        assert!(CouplingMap::all_to_all(5).is_all_to_all());
-        assert!(CouplingMap::all_to_all(1).is_all_to_all());
-        assert!(!CouplingMap::line(3).is_all_to_all());
-        // Two-qubit line is both a line and fully coupled.
-        assert!(CouplingMap::line(2).is_all_to_all());
     }
 
     #[test]

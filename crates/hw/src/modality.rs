@@ -229,12 +229,6 @@ impl HardwareModel {
         Some(f)
     }
 
-    /// Probability that an idle qubit survives `duration` ns unscathed,
-    /// `exp(-d/T2)` (Eq. 7 of the paper with `T = T2`).
-    pub fn idle_survival(&self, duration: f64) -> f64 {
-        (-duration / self.t2).exp()
-    }
-
     /// The priced cost classes.
     pub fn cost_classes(&self) -> impl Iterator<Item = (&CostClass, &GateCost)> {
         self.table.iter()
@@ -454,15 +448,6 @@ mod tests {
         // Unsupported gate -> None
         c.push(Gate::Cx, &[0, 1]);
         assert!(hw.circuit_fidelity(&c).is_none());
-    }
-
-    #[test]
-    fn idle_survival_decays() {
-        let hw = spin_qubit_model(GateTimes::D0);
-        assert!((hw.idle_survival(0.0) - 1.0).abs() < 1e-12);
-        let s = hw.idle_survival(SPIN_T2_NS);
-        assert!((s - (-1.0f64).exp()).abs() < 1e-12);
-        assert!(hw.idle_survival(100.0) > hw.idle_survival(200.0));
     }
 
     #[test]

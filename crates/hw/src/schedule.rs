@@ -106,15 +106,6 @@ impl CircuitSchedule {
         self.num_qubits as f64 * self.total_duration - self.busy.iter().sum::<f64>()
     }
 
-    /// Idle time of a single qubit (ns).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is out of range.
-    pub fn qubit_idle_time(&self, q: usize) -> f64 {
-        self.total_duration - self.busy[q]
-    }
-
     /// Per-instruction idle gaps preceding each instruction on each of its
     /// qubits: `(instr_index, qubit, gap_ns)` for every positive gap.
     ///
@@ -183,8 +174,6 @@ mod tests {
         assert_eq!(s.start, vec![0.0, 30.0]);
         assert_eq!(s.total_duration, 182.0);
         // Qubit 1 idles while H runs on qubit 0.
-        assert_eq!(s.qubit_idle_time(1), 30.0);
-        assert_eq!(s.qubit_idle_time(0), 0.0);
         assert_eq!(s.total_idle_time(), 30.0);
     }
 

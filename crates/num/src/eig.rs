@@ -6,8 +6,6 @@
 //! two-matrix simultaneous diagonalization ([`simultaneous_diagonalize`])
 //! built on top of it.
 
-use crate::mat::CMat;
-
 /// Result of a real symmetric eigendecomposition `A = Q diag(w) Qᵀ`.
 #[derive(Debug, Clone)]
 pub struct SymEigen {
@@ -17,13 +15,6 @@ pub struct SymEigen {
     pub vectors: Vec<f64>,
     /// Dimension `n`.
     pub n: usize,
-}
-
-impl SymEigen {
-    /// Eigenvector for eigenvalue index `k` (column `k` of `vectors`).
-    pub fn vector(&self, k: usize) -> Vec<f64> {
-        (0..self.n).map(|r| self.vectors[r * self.n + k]).collect()
-    }
 }
 
 /// Diagonalizes a real symmetric matrix with the cyclic Jacobi method.
@@ -218,79 +209,9 @@ pub fn simultaneous_diagonalize(
     (q, wa, wb)
 }
 
-/// Hermitian eigendecomposition of a complex matrix by embedding into a real
-/// symmetric matrix of twice the dimension.
-///
-/// For Hermitian `H = A + iB` (A symmetric, B antisymmetric), the real matrix
-/// `[[A, -B], [B, A]]` is symmetric with doubled eigenvalues; eigenvectors
-/// come in pairs `(x, y)` and `(−y, x)` encoding `x + iy`.
-///
-/// Returns eigenvalues (ascending) and a unitary matrix of eigenvectors as
-/// columns.
-///
-/// # Panics
-///
-/// Panics if `h` is not square.
-pub fn hermitian_eigen(h: &CMat) -> (Vec<f64>, CMat) {
-    assert!(h.is_square(), "hermitian_eigen requires a square matrix");
-    let n = h.rows();
-    let mut big = vec![0.0; 4 * n * n];
-    let dim = 2 * n;
-    for r in 0..n {
-        for c in 0..n {
-            let z = h[(r, c)];
-            big[r * dim + c] = z.re;
-            big[r * dim + (n + c)] = -z.im;
-            big[(n + r) * dim + c] = z.im;
-            big[(n + r) * dim + (n + c)] = z.re;
-        }
-    }
-    let e = jacobi_eigen(&big, dim);
-    // Sort by eigenvalue and greedily pick n orthogonal complex eigenvectors.
-    let mut order: Vec<usize> = (0..dim).collect();
-    order.sort_by(|&i, &j| e.values[i].partial_cmp(&e.values[j]).unwrap());
-    let mut values = Vec::with_capacity(n);
-    let mut vectors = CMat::zeros(n, n);
-    let mut chosen: Vec<Vec<crate::complex::C64>> = Vec::new();
-    for &idx in &order {
-        if chosen.len() == n {
-            break;
-        }
-        let col = e.vector(idx);
-        let v: Vec<crate::complex::C64> = (0..n)
-            .map(|r| crate::complex::C64::new(col[r], col[n + r]))
-            .collect();
-        // Orthogonalize against previously chosen vectors (pairs are
-        // degenerate copies of each other up to multiplication by i).
-        let mut w = v.clone();
-        for u in &chosen {
-            let dot: crate::complex::C64 = u.iter().zip(&w).map(|(a, b)| a.conj() * *b).sum();
-            for (wi, ui) in w.iter_mut().zip(u) {
-                *wi -= dot * *ui;
-            }
-        }
-        let norm: f64 = w.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
-        if norm < 1e-8 {
-            continue; // linearly dependent on already-chosen vectors
-        }
-        for wi in &mut w {
-            *wi = *wi / norm;
-        }
-        values.push(e.values[idx]);
-        let k = chosen.len();
-        for r in 0..n {
-            vectors[(r, k)] = w[r];
-        }
-        chosen.push(w);
-    }
-    assert_eq!(chosen.len(), n, "failed to extract full eigenbasis");
-    (values, vectors)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::C64;
 
     fn mat_vec(m: &[f64], n: usize, v: &[f64]) -> Vec<f64> {
         (0..n)
@@ -317,7 +238,7 @@ mod tests {
         ];
         let e = jacobi_eigen(&a, 3);
         for k in 0..3 {
-            let v = e.vector(k);
+            let v: Vec<f64> = (0..3).map(|r| e.vectors[r * 3 + k]).collect();
             let av = mat_vec(&a, 3, &v);
             for r in 0..3 {
                 assert!(
@@ -388,53 +309,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn hermitian_eigen_pauli_y() {
-        let y = CMat::from_rows(2, 2, &[C64::ZERO, -C64::I, C64::I, C64::ZERO]);
-        let (w, v) = hermitian_eigen(&y);
-        let mut ws = w.clone();
-        ws.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert!((ws[0] + 1.0).abs() < 1e-9);
-        assert!((ws[1] - 1.0).abs() < 1e-9);
-        assert!(v.is_unitary(1e-8));
-        // Verify H v_k = w_k v_k
-        for k in 0..2 {
-            let col: Vec<C64> = (0..2).map(|r| v[(r, k)]).collect();
-            let hv = y.mul_vec(&col);
-            for r in 0..2 {
-                assert!((hv[r] - col[r] * w[k]).norm() < 1e-8);
-            }
-        }
-    }
-
-    #[test]
-    fn hermitian_eigen_random_hermitian() {
-        // Deterministic pseudo-random Hermitian 4x4.
-        let mut h = CMat::zeros(4, 4);
-        let mut seed = 42u64;
-        let mut nextf = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        for r in 0..4 {
-            for c in r..4 {
-                if r == c {
-                    h[(r, c)] = C64::real(nextf());
-                } else {
-                    let z = C64::new(nextf(), nextf());
-                    h[(r, c)] = z;
-                    h[(c, r)] = z.conj();
-                }
-            }
-        }
-        let (w, v) = hermitian_eigen(&h);
-        assert!(v.is_unitary(1e-7));
-        let d = CMat::diag(&w.iter().map(|&x| C64::real(x)).collect::<Vec<_>>());
-        let recon = &(&v * &d) * &v.adjoint();
-        assert!(recon.approx_eq(&h, 1e-7));
     }
 }

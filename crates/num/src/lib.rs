@@ -2,7 +2,7 @@
 //!
 //! Complex linear-algebra kernel for the SAT-based quantum-circuit-adaptation
 //! workspace: a dependency-light complex type ([`C64`]), dense complex
-//! matrices ([`CMat`]), QR factorization ([`qr`]), symmetric/Hermitian
+//! matrices ([`CMat`]), QR factorization ([`qr`]), real symmetric
 //! eigensolvers ([`eig`]), Haar-random unitary sampling ([`random`]), and
 //! global-phase-insensitive comparison ([`phase`]).
 //!

@@ -182,11 +182,6 @@ impl CMat {
         m
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute elementwise difference against `other`.
     ///
     /// # Panics
@@ -217,29 +212,6 @@ impl CMat {
         }
         let prod = self.adjoint() * self.clone();
         prod.approx_eq(&CMat::identity(self.rows), tol)
-    }
-
-    /// Returns `true` when the matrix equals its conjugate transpose within `tol`.
-    pub fn is_hermitian(&self, tol: f64) -> bool {
-        self.is_square() && self.approx_eq(&self.adjoint(), tol)
-    }
-
-    /// Matrix-vector product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    pub fn mul_vec(&self, v: &[C64]) -> Vec<C64> {
-        assert_eq!(v.len(), self.cols, "vector length mismatch");
-        let mut out = vec![C64::ZERO; self.rows];
-        for r in 0..self.rows {
-            let mut acc = C64::ZERO;
-            for c in 0..self.cols {
-                acc += self[(r, c)] * v[c];
-            }
-            out[r] = acc;
-        }
-        out
     }
 
     /// Extracts the `2^k`-dimensional unitary acting on all qubits from a
@@ -415,10 +387,9 @@ mod tests {
     }
 
     #[test]
-    fn identity_is_unitary_and_hermitian() {
+    fn identity_is_unitary() {
         let id = CMat::identity(4);
         assert!(id.is_unitary(1e-12));
-        assert!(id.is_hermitian(1e-12));
         assert!(id.trace().approx_eq(C64::real(4.0), 1e-12));
     }
 
@@ -450,15 +421,6 @@ mod tests {
         let lhs = (&x * &y).adjoint();
         let rhs = &y.adjoint() * &x.adjoint();
         assert!(lhs.approx_eq(&rhs, 1e-12));
-    }
-
-    #[test]
-    fn mul_vec_matches_matrix_product() {
-        let y = pauli_y();
-        let v = [C64::ONE, C64::I];
-        let out = y.mul_vec(&v);
-        assert!(out[0].approx_eq(C64::ONE, 1e-12)); // -i * i = 1
-        assert!(out[1].approx_eq(C64::I, 1e-12));
     }
 
     #[test]
@@ -506,10 +468,5 @@ mod tests {
         let a = CMat::zeros(2, 3);
         let b = CMat::zeros(2, 3);
         let _ = &a * &b;
-    }
-
-    #[test]
-    fn frobenius_norm_of_identity() {
-        assert!((CMat::identity(4).frobenius_norm() - 2.0).abs() < 1e-12);
     }
 }

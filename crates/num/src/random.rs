@@ -62,19 +62,9 @@ pub fn haar_unitary<R: Rng + ?Sized>(rng: &mut R, n: usize) -> CMat {
     q
 }
 
-/// Samples a Haar-random special unitary from `SU(n)` (determinant one).
-pub fn haar_special_unitary<R: Rng + ?Sized>(rng: &mut R, n: usize) -> CMat {
-    let u = haar_unitary(rng, n);
-    let det = crate::qr::determinant(&u);
-    // Divide one global nth-root-of-phase out of every entry.
-    let phase = C64::cis(-det.arg() / n as f64);
-    u.scale(phase)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qr::determinant;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -84,17 +74,6 @@ mod tests {
         for n in [2, 4, 8] {
             let u = haar_unitary(&mut rng, n);
             assert!(u.is_unitary(1e-9), "n={n}");
-        }
-    }
-
-    #[test]
-    fn haar_special_unitary_has_unit_determinant() {
-        let mut rng = StdRng::seed_from_u64(2);
-        for n in [2, 4] {
-            let u = haar_special_unitary(&mut rng, n);
-            assert!(u.is_unitary(1e-9));
-            let d = determinant(&u);
-            assert!(d.approx_eq(C64::ONE, 1e-8), "n={n} det={d}");
         }
     }
 

@@ -33,7 +33,7 @@ use qca_num::CMat;
 use qca_sat::analyze::{preprocess, PreprocessOptions};
 use qca_sat::dimacs::Cnf;
 use qca_sat::{Lit, Solver, Var};
-use qca_serve::client::Connection;
+use qca_serve::client::{raise_nofile_limit, Connection};
 use qca_serve::{ServeConfig, Server};
 use qca_sim::simulate_noisy;
 use qca_smt::{IntExpr, SmtSolver};
@@ -705,36 +705,6 @@ fn percentile_dispersion(latencies: &[f64], q: f64, chunks: usize) -> f64 {
 /// QASM body the event-loop benchmark posts (same as `qca-load`'s
 /// well-formed body).
 const SERVE_QASM: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncx q[0], q[1];\n";
-
-/// Best-effort `RLIMIT_NOFILE` raise (raw libc FFI, no crate) so the
-/// event-loop benchmark can hold both ends of thousands of loopback
-/// connections in one process. Failure is fine — `connect` will say so.
-#[cfg(target_os = "linux")]
-fn raise_nofile_limit(want: u64) {
-    #[repr(C)]
-    struct RLimit {
-        cur: u64,
-        max: u64,
-    }
-    const RLIMIT_NOFILE: i32 = 7;
-    extern "C" {
-        fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
-        fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
-    }
-    unsafe {
-        let mut limit = RLimit { cur: 0, max: 0 };
-        if getrlimit(RLIMIT_NOFILE, &mut limit) != 0 {
-            return;
-        }
-        if limit.cur < want && limit.max >= want {
-            limit.cur = want;
-            let _ = setrlimit(RLIMIT_NOFILE, &limit);
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn raise_nofile_limit(_want: u64) {}
 
 /// Idle connections the event-loop benchmark parks — the sustain floor the
 /// roadmap pins for one node, in quick mode too.

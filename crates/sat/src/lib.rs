@@ -13,7 +13,7 @@
 //! * one search with no tuning knobs: callers set only a per-call
 //!   conflict budget and the run controls ([`SolveControl`]),
 //! * incremental solving under assumptions with unsat-core extraction,
-//! * DIMACS CNF I/O ([`dimacs`]) and CNF encoding helpers ([`encode`]),
+//! * DIMACS CNF I/O ([`dimacs`]),
 //! * DRAT proof logging ([`proof`]) for independent UNSAT certification,
 //! * static formula analysis and a proof-logging, model-reconstructing
 //!   preprocessor ([`mod@analyze`]) whose derivations verify against the
@@ -40,7 +40,6 @@
 pub mod analyze;
 mod arena;
 pub mod dimacs;
-pub mod encode;
 mod heap;
 mod lit;
 pub mod proof;

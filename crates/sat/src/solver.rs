@@ -59,30 +59,6 @@ pub struct SolverStats {
     pub minimized_literals: u64,
 }
 
-impl SolverStats {
-    /// Counter-wise difference `self - earlier`, for per-call rates on a
-    /// reused solver: snapshot [`Solver::stats`] before a `solve*` call,
-    /// diff afterwards, and divide by the call's wall time to get
-    /// conflicts/sec and propagations/sec for *that call* rather than the
-    /// solver's lifetime (which spans every incremental query). Monotonic
-    /// counters use saturating subtraction; `learnt_clauses` is a level,
-    /// not a counter, so the current value is carried through unchanged.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &SolverStats) -> SolverStats {
-        SolverStats {
-            decisions: self.decisions.saturating_sub(earlier.decisions),
-            propagations: self.propagations.saturating_sub(earlier.propagations),
-            conflicts: self.conflicts.saturating_sub(earlier.conflicts),
-            restarts: self.restarts.saturating_sub(earlier.restarts),
-            learnt_clauses: self.learnt_clauses,
-            deleted_clauses: self.deleted_clauses.saturating_sub(earlier.deleted_clauses),
-            minimized_literals: self
-                .minimized_literals
-                .saturating_sub(earlier.minimized_literals),
-        }
-    }
-}
-
 /// External run controls for a [`Solver`], applied as one unit.
 ///
 /// Groups everything a *caller* (as opposed to the encoding) may want to
@@ -1035,42 +1011,6 @@ mod tests {
     fn empty_formula_is_sat() {
         let mut s = Solver::new();
         assert!(s.solve());
-    }
-
-    #[test]
-    fn stats_delta_isolates_one_call() {
-        // Refute pigeonhole 4-into-3, then check that deltas taken against
-        // different baselines isolate exactly the work between them.
-        let mut s = Solver::new();
-        let holes = 3;
-        let vs = vars(&mut s, 4 * holes);
-        let var = |p: usize, h: usize| vs[p * holes + h];
-        for p in 0..4 {
-            let clause: Vec<Lit> = (0..holes).map(|h| var(p, h).positive()).collect();
-            s.add_clause(&clause);
-        }
-        for h in 0..holes {
-            for p1 in 0..4 {
-                for p2 in (p1 + 1)..4 {
-                    s.add_clause(&[var(p1, h).negative(), var(p2, h).negative()]);
-                }
-            }
-        }
-        assert_eq!(s.solve_limited(&[]), SolveOutcome::Unsat);
-        let after_first = s.stats().clone();
-        assert!(after_first.propagations > 0);
-        assert!(after_first.conflicts > 0);
-        // Whole-call delta against the fresh-solver baseline is the
-        // lifetime count itself.
-        let from_zero = after_first.delta_since(&SolverStats::default());
-        assert_eq!(from_zero.conflicts, after_first.conflicts);
-        assert_eq!(from_zero.propagations, after_first.propagations);
-        // A no-work window has an all-zero delta (levels carried through).
-        let idle = after_first.delta_since(&after_first);
-        assert_eq!(idle.conflicts, 0);
-        assert_eq!(idle.propagations, 0);
-        assert_eq!(idle.decisions, 0);
-        assert_eq!(idle.learnt_clauses, after_first.learnt_clauses);
     }
 
     #[test]

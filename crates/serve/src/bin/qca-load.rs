@@ -30,7 +30,7 @@
 //!   each one misses the cache (and, under sharding, scatters across the
 //!   ring) instead of collapsing onto one hot key.
 
-use qca_serve::client::Connection;
+use qca_serve::client::{raise_nofile_limit, Connection};
 use qca_trace::json::Json;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
@@ -276,36 +276,6 @@ fn run_idle(args: &Args, target: &str) -> Tally {
     }
     total
 }
-
-/// Best-effort `RLIMIT_NOFILE` raise so `--idle --connections 5000` can
-/// actually open that many sockets. Failure is fine — the kernel will say
-/// so at `connect` time.
-#[cfg(target_os = "linux")]
-fn raise_nofile_limit(want: u64) {
-    #[repr(C)]
-    struct RLimit {
-        cur: u64,
-        max: u64,
-    }
-    const RLIMIT_NOFILE: i32 = 7;
-    extern "C" {
-        fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
-        fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
-    }
-    unsafe {
-        let mut limit = RLimit { cur: 0, max: 0 };
-        if getrlimit(RLIMIT_NOFILE, &mut limit) != 0 {
-            return;
-        }
-        if limit.cur < want && limit.max >= want {
-            limit.cur = want;
-            let _ = setrlimit(RLIMIT_NOFILE, &limit);
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn raise_nofile_limit(_want: u64) {}
 
 fn main() -> ExitCode {
     let args = match parse_args() {

@@ -208,6 +208,35 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
         .or_else(|| buf.windows(2).position(|w| w == b"\n\n").map(|i| i + 2))
 }
 
+/// Best-effort raise of the soft `RLIMIT_NOFILE` to `want` (raw libc FFI), so
+/// one process can hold thousands of sockets; if it fails, `connect` says so.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+pub fn raise_nofile_limit(want: u64) {
+    #[repr(C)]
+    struct RLimit {
+        cur: u64,
+        max: u64,
+    }
+    const RLIMIT_NOFILE: i32 = 7;
+    extern "C" {
+        fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
+        fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
+    }
+    // SAFETY: `RLimit` has the layout of `struct rlimit` on 64-bit Linux
+    // (two 64-bit `rlim_t`), and each call gets a pointer to a live one.
+    unsafe {
+        let mut limit = RLimit { cur: 0, max: 0 };
+        if getrlimit(RLIMIT_NOFILE, &mut limit) == 0 && limit.cur < want && limit.max >= want {
+            limit.cur = want;
+            let _ = setrlimit(RLIMIT_NOFILE, &limit);
+        }
+    }
+}
+
+/// Best-effort `RLIMIT_NOFILE` raise: a no-op off 64-bit Linux.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+pub fn raise_nofile_limit(_want: u64) {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1079,7 +1079,7 @@ impl Server {
         // param wins. The wall-clock side is the watchdog-armed flag.
         job.limits.total_conflicts = match (options.budget, options.deadline) {
             (Some(budget), _) => Some(budget),
-            (None, Some(deadline)) => AdaptLimits::for_deadline(deadline, None).total_conflicts,
+            (None, Some(deadline)) => AdaptLimits::for_deadline(deadline).total_conflicts,
             (None, None) => None,
         };
         job

@@ -78,21 +78,6 @@ impl DensityMatrix {
         let dim = 1usize << self.num_qubits;
         (0..dim).map(|i| self.rho[(i, i)].re.max(0.0)).collect()
     }
-
-    /// Fidelity with a pure state given as an amplitude vector:
-    /// `<psi| rho |psi>`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `psi` has the wrong dimension.
-    pub fn fidelity_with_pure(&self, psi: &[C64]) -> f64 {
-        let v = self.rho.mul_vec(psi);
-        psi.iter()
-            .zip(&v)
-            .map(|(a, b)| (a.conj() * *b).re)
-            .sum::<f64>()
-            .max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -151,16 +136,6 @@ mod tests {
         rho.apply_kraus(&kraus, &[0]);
         assert!((rho.trace() - 1.0).abs() < 1e-10, "trace preserved");
         assert!(rho.purity() < before);
-    }
-
-    #[test]
-    fn fidelity_with_pure_state() {
-        let mut rho = DensityMatrix::zero_state(1);
-        rho.apply_unitary(&Gate::X.matrix(), &[0]);
-        let one = [C64::ZERO, C64::ONE];
-        assert!((rho.fidelity_with_pure(&one) - 1.0).abs() < 1e-12);
-        let zero = [C64::ONE, C64::ZERO];
-        assert!(rho.fidelity_with_pure(&zero) < 1e-12);
     }
 
     #[test]

@@ -31,11 +31,9 @@ mod density;
 pub mod hellinger;
 pub mod noise;
 mod run;
-pub mod statevector;
 
 pub use density::DensityMatrix;
 pub use run::{ideal_distribution, simulate_noisy, SimOutcome};
-pub use statevector::StateVector;
 
 #[cfg(test)]
 mod proptests {

@@ -237,7 +237,7 @@ impl SmtSolver {
     }
 
     /// Direct access to the underlying SAT solver (for encodings that need
-    /// raw clauses, e.g. cardinality helpers from [`qca_sat::encode`]).
+    /// raw clauses).
     pub fn sat_mut(&mut self) -> &mut Solver {
         &mut self.sat
     }

@@ -29,7 +29,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 
 use qca_circuit::hash::Fnv64;
 
-use crate::wire::{decode_adaptation, WireError};
+use crate::wire::decode_adaptation;
 
 /// Magic for write-ahead log files.
 pub const MAGIC_WAL: [u8; 8] = *b"qcawal01";
@@ -169,9 +169,6 @@ pub fn read_value_at(f: &mut File, loc: FrameLoc) -> io::Result<Option<Vec<u8>>>
         _ => Ok(None),
     }
 }
-
-/// Decode error type re-exported for store-level error reporting.
-pub type DecodeError = WireError;
 
 #[cfg(test)]
 mod tests {

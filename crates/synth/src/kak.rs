@@ -616,7 +616,8 @@ mod tests {
             }
         }
         // At most 4 single-qubit "layers" around 3 CZs: <= 8 1q gates.
-        let (one_q, two_q) = cz.gate_counts();
+        let two_q = cz.two_qubit_gate_count();
+        let one_q = cz.len() - two_q;
         assert_eq!(two_q, 3);
         assert!(one_q <= 8, "too many 1q gates: {one_q}");
     }

@@ -31,7 +31,6 @@
 pub mod consolidate;
 pub mod euler;
 pub mod kak;
-pub mod optimize;
 pub mod translate;
 
 #[cfg(test)]

@@ -13,8 +13,7 @@ use qca_circuit::{Circuit, Gate};
 /// `0` (first operand) and `1` (second operand).
 ///
 /// Native spin gates (`Cz`, `CzDiabatic`, `SwapDiabatic`, `SwapComposite`,
-/// `CRot`) are returned verbatim; `CRot` has its own CZ expansion available
-/// through [`crot_to_cz`].
+/// `CRot`) are returned verbatim.
 ///
 /// # Panics
 ///
@@ -58,25 +57,6 @@ pub fn gate_to_cz(gate: &Gate) -> Circuit {
             c.extend_from(&circ);
         }
     }
-    c
-}
-
-/// The `{CZ, SU(2)}` expansion of the conditional-rotation gate:
-/// `CRx(t) = (I⊗H) · CRz(t) · (I⊗H)` with
-/// `CRz(t) = (I⊗Rz(t/2)) CX (I⊗Rz(-t/2)) CX`.
-pub fn crot_to_cz(t: f64) -> Circuit {
-    let mut c = Circuit::new(2);
-    c.push(Gate::H, &[1]);
-    c.push(Gate::Rz(t / 2.0), &[1]);
-    // CX = H CZ H on the target
-    c.push(Gate::H, &[1]);
-    c.push(Gate::Cz, &[0, 1]);
-    c.push(Gate::H, &[1]);
-    c.push(Gate::Rz(-t / 2.0), &[1]);
-    c.push(Gate::H, &[1]);
-    c.push(Gate::Cz, &[0, 1]);
-    c.push(Gate::H, &[1]);
-    c.push(Gate::H, &[1]);
     c
 }
 
@@ -156,17 +136,6 @@ mod tests {
             Gate::CPhase(-2.5),
         ] {
             check_gate(g);
-        }
-    }
-
-    #[test]
-    fn crot_cz_expansion_exact() {
-        for t in [0.3, -1.2, std::f64::consts::PI] {
-            let c = crot_to_cz(t);
-            assert!(
-                approx_eq_up_to_phase(&c.unitary(), &Gate::CRot(t).matrix(), 1e-8),
-                "crot({t}) expansion wrong"
-            );
         }
     }
 

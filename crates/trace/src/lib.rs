@@ -210,15 +210,6 @@ impl Tracer {
         (Tracer::new(sink.clone()), sink)
     }
 
-    /// A tracer that tees to all of `sinks` (disabled when the list is empty).
-    pub fn fanout(sinks: Vec<Arc<dyn TraceSink>>) -> Self {
-        match sinks.len() {
-            0 => Tracer::disabled(),
-            1 => Tracer::new(sinks.into_iter().next().expect("len checked")),
-            _ => Tracer::new(Arc::new(FanoutSink::new(sinks))),
-        }
-    }
-
     /// This tracer plus one more sink. Used by the engine to tee a
     /// caller-provided tracer into its metrics registry.
     pub fn with_extra_sink(&self, extra: Arc<dyn TraceSink>) -> Self {
@@ -436,16 +427,6 @@ mod tests {
             other => panic!("expected inner exit, got {other:?}"),
         }
         report::validate_forest(&events).unwrap();
-    }
-
-    #[test]
-    fn fanout_duplicates_events() {
-        let a = Arc::new(MemorySink::new());
-        let b = Arc::new(MemorySink::new());
-        let tracer = Tracer::fanout(vec![a.clone(), b.clone()]);
-        tracer.counter("x", 1);
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 
     #[test]

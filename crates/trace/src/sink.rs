@@ -88,8 +88,8 @@ impl TraceSink for JsonlSink {
 }
 
 /// Routes events to whatever sink the *emitting thread* has entered via
-/// [`ScopedSink::enter`], falling back to an optional default sink when the
-/// thread has no active scope.
+/// [`ScopedSink::enter`], discarding events from a thread with no active
+/// scope.
 ///
 /// This is how `qca-serve` gets per-request traces out of a shared engine:
 /// the engine is built once with a `ScopedSink`-backed tracer, and each
@@ -115,35 +115,18 @@ impl TraceSink for JsonlSink {
 /// }
 /// assert_eq!(request_buf.len(), 1);
 /// ```
-#[derive(Default)]
-pub struct ScopedSink {
-    fallback: Option<Arc<dyn TraceSink>>,
-}
+#[derive(Debug, Default)]
+pub struct ScopedSink;
 
 thread_local! {
     static SCOPE_STACK: std::cell::RefCell<Vec<Arc<dyn TraceSink>>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-impl fmt::Debug for ScopedSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ScopedSink")
-            .field("has_fallback", &self.fallback.is_some())
-            .finish()
-    }
-}
-
 impl ScopedSink {
     /// A scoped sink that discards events emitted outside any scope.
     pub fn new() -> Self {
-        ScopedSink::default()
-    }
-
-    /// A scoped sink that forwards out-of-scope events to `fallback`.
-    pub fn with_fallback(fallback: Arc<dyn TraceSink>) -> Self {
-        ScopedSink {
-            fallback: Some(fallback),
-        }
+        ScopedSink
     }
 
     /// Directs this thread's events into `target` until the returned guard
@@ -160,13 +143,8 @@ impl TraceSink for ScopedSink {
         // Clone the target out of the thread-local borrow before recording,
         // so a sink that itself enters/leaves scopes cannot re-borrow.
         let target = SCOPE_STACK.with(|s| s.borrow().last().cloned());
-        match target {
-            Some(sink) => sink.record(event),
-            None => {
-                if let Some(fallback) = &self.fallback {
-                    fallback.record(event);
-                }
-            }
+        if let Some(sink) = target {
+            sink.record(event);
         }
     }
 }
@@ -247,20 +225,6 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(b.len(), 1);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn scoped_sink_fallback_takes_unscoped_events() {
-        let fallback = Arc::new(MemorySink::new());
-        let tracer = Tracer::new(Arc::new(ScopedSink::with_fallback(fallback.clone())));
-        tracer.counter("unscoped", 1);
-        let scoped = Arc::new(MemorySink::new());
-        {
-            let _scope = ScopedSink::enter(scoped.clone());
-            tracer.counter("scoped", 1);
-        }
-        assert_eq!(fallback.len(), 1);
-        assert_eq!(scoped.len(), 1);
     }
 
     #[test]
