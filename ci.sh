@@ -121,6 +121,23 @@ for want in '"optimal":3,' '"verify_passed":3,' '"sat_conflicts":0,'; do
   }
 done
 
+# Uncertified, those answers need no solver at all: the decide step returns
+# the warm start at its bound before anything is bit-blasted.
+out="$trace_dir/decide-fidelity"
+target/release/qca-engine --workers 2 --objective fidelity \
+  --metrics-out "$out.json" examples/qasm > "$out.txt" || {
+  echo "decide gate: --objective fidelity failed" >&2
+  cat "$out.txt" >&2
+  exit 1
+}
+for want in '"optimal":3,' '"sat_propagations":0,'; do
+  grep -q "$want" "$out.json" || {
+    echo "decide gate: fidelity metrics lack $want" >&2
+    cat "$out.json" >&2
+    exit 1
+  }
+done
+
 echo "== topology gate: qca-engine --coupling line|ring|star --verify =="
 for topo in line ring star; do
   target/release/qca-engine --workers 2 --coupling "$topo" --verify examples/qasm \

@@ -193,8 +193,9 @@ impl Recalibration {
 
 /// Re-validates a previously computed adaptation against (possibly drifted)
 /// hardware data. The cached selection's optimality is re-checked with
-/// [`recheck_optimum`](crate::model::recheck_optimum) — one SAT query for
-/// a fidelity optimum that still holds, two for a scheduling one — and
+/// [`recheck_optimum`](crate::model::recheck_optimum) — no solver for a
+/// fidelity optimum that still holds (unless certifying), two SAT queries
+/// for a scheduling one — and
 /// only entries whose certificate no longer holds pay for a fresh OMT
 /// search, warm-started from the previous selection.
 ///
@@ -353,7 +354,8 @@ mod tests {
         assert_eq!(again.solver.chosen, first.solver.chosen);
         assert_eq!(again.solver.objective_value, first.solver.objective_value);
         assert!(again.solver.optimal);
-        assert_eq!(again.solver.queries, 1);
+        // A fidelity optimum reaches its bound: decided with no query.
+        assert_eq!(again.solver.queries, 0);
         assert!(approx_eq_up_to_phase(
             &again.circuit.unitary(),
             &c.unitary(),
@@ -512,21 +514,33 @@ mod tests {
         use std::sync::Arc;
         let hw = spin_qubit_model(GateTimes::D0);
         let c = swap_chain();
-        let plain = adapt(&c, &hw, &AdaptContext::with_objective(Objective::Fidelity)).unwrap();
-        let ctx = AdaptContext {
-            limits: AdaptLimits {
-                total_conflicts: Some(u64::MAX),
-            },
-            cancel: Some(Arc::new(AtomicBool::new(false))),
-            ..AdaptContext::with_objective(Objective::Fidelity)
-        };
-        let limited = adapt(&c, &hw, &ctx).unwrap();
-        assert_eq!(plain.solver.objective_value, limited.solver.objective_value);
-        assert_eq!(plain.circuit.len(), limited.circuit.len());
-        // Statistics are populated (the warm-start hint enters as
-        // assumptions, so decisions can legitimately be zero; propagation
-        // cannot be).
-        assert!(limited.solver.solver_stats.propagations > 0);
+        // Fidelity is decided without a solver; combined runs the search.
+        for objective in [Objective::Fidelity, Objective::Combined] {
+            let plain = adapt(&c, &hw, &AdaptContext::with_objective(objective)).unwrap();
+            let ctx = AdaptContext {
+                limits: AdaptLimits {
+                    total_conflicts: Some(u64::MAX),
+                },
+                cancel: Some(Arc::new(AtomicBool::new(false))),
+                ..AdaptContext::with_objective(objective)
+            };
+            let limited = adapt(&c, &hw, &ctx).unwrap();
+            assert_eq!(plain.solver.objective_value, limited.solver.objective_value);
+            assert_eq!(plain.solver.chosen, limited.solver.chosen);
+            assert_eq!(plain.solver.queries, limited.solver.queries);
+            assert_eq!(plain.circuit.len(), limited.circuit.len());
+            assert_eq!(
+                format!("{:?}", plain.solver.solver_stats),
+                format!("{:?}", limited.solver.solver_stats),
+                "{objective}"
+            );
+            // The search populates its statistics (the warm-start hint
+            // enters as assumptions, so decisions can legitimately be zero;
+            // propagation cannot be).
+            if objective == Objective::Combined {
+                assert!(limited.solver.solver_stats.propagations > 0);
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::rules::Substitution;
 use qca_hw::HardwareModel;
 use qca_smt::omt::OptimalityCertificate;
 use qca_smt::{omt, AuditBundle, IntExpr, SmtSolver};
+use qca_trace::Span;
 use std::time::Duration;
 
 /// Default per-probe conflict budget for the OMT search. The scheduling
@@ -83,15 +84,19 @@ pub struct SmtAdaptation {
     pub chosen: Vec<usize>,
     /// Optimal objective value in fixed-point units.
     pub objective_value: i64,
-    /// Number of SAT queries issued by the OMT search.
+    /// Number of SAT queries issued by the OMT search; 0 for an answer
+    /// decided without a solver (its warm start reached the objective's
+    /// upper bound, see [`solve_model`]).
     pub queries: u64,
-    /// Number of SAT variables in the bit-blasted model.
+    /// Number of SAT variables in the bit-blasted model; 0 for a decided
+    /// answer, which bit-blasts nothing.
     pub sat_vars: usize,
-    /// `true` when the OMT search proved optimality (no probe hit its
-    /// conflict budget).
+    /// `true` when the answer is proven optimal: it reached the objective's
+    /// upper bound, or no probe hit its conflict budget.
     pub optimal: bool,
     /// SAT solver statistics accumulated over the whole OMT search (the
-    /// solver is fresh per call, so these are exact per-adaptation counts).
+    /// solver is fresh per call, so these are exact per-adaptation counts);
+    /// all 0 for a decided answer.
     pub solver_stats: qca_sat::SolverStats,
     /// Audit bundle and optimality certificate, present when the context
     /// requested certification ([`crate::AdaptOptions::certify`]).
@@ -244,7 +249,6 @@ impl CostData {
         if objective == Objective::Fidelity {
             return fid;
         }
-        let nblocks = pre.partition.blocks.len();
         let mut dur = self.dur_base.clone();
         let mut busy = self.busy_base;
         for (i, s) in catalog.iter().enumerate() {
@@ -253,19 +257,24 @@ impl CostData {
                 busy += self.busy_w[i];
             }
         }
-        // ASAP longest path over the (topologically ordered) block DAG.
-        let mut lp = vec![0i64; nblocks];
-        for &(before, after) in &pre.partition.edges {
-            lp[after] = lp[after].max(lp[before] + dur[before]);
-        }
-        let total = (0..nblocks).map(|b| lp[b] + dur[b]).max().unwrap_or(0);
-        let idle = busy - self.k * self.q * total;
+        let idle = busy - self.k * self.q * makespan(pre, &dur);
         match objective {
             Objective::IdleTime => idle,
             Objective::Combined => fid + idle,
             Objective::Fidelity => unreachable!(),
         }
     }
+}
+
+/// The ASAP makespan of the block DAG under per-block durations `dur`: the
+/// longest path over the partition's edges (block ids are topologically
+/// ordered by construction).
+fn makespan(pre: &Preprocessed, dur: &[i64]) -> i64 {
+    let mut lp = vec![0i64; dur.len()];
+    for &(before, after) in &pre.partition.edges {
+        lp[after] = lp[after].max(lp[before] + dur[before]);
+    }
+    lp.iter().zip(dur).map(|(l, d)| l + d).max().unwrap_or(0)
 }
 
 /// Most branch-and-bound nodes [`block_optimum`] visits in one block. A
@@ -397,6 +406,46 @@ fn block_bound(
     BlockBound { bound, selection }
 }
 
+/// The objective's combinatorial upper bound: the `hi` at which the OMT
+/// search stops, proven, and at which [`solve_model`] answers without
+/// building a solver. Eq. 8's fidelity is a sum of per-substitution weights
+/// and Eq. 1 conflicts never cross blocks, so the per-block optima sum to
+/// the fidelity optimum. A scheduling objective is at most its linear
+/// part's per-block optima minus the smallest makespan term (every block at
+/// its shortest duration). Idle is also at most 0: the partition chains
+/// every qubit's blocks and durations are non-negative, so each qubit's
+/// busy time is at most `D` and busy <= k*q*D. Combined = fidelity + idle
+/// is then at most the fidelity bound. Returns the bound and, for
+/// fidelity, every block's best subset: an admissible selection attaining
+/// it unless a block hit the node cap.
+fn objective_bound(
+    pre: &Preprocessed,
+    catalog: &[Substitution],
+    blocks: &Blocks,
+    cost: &CostData,
+    objective: Objective,
+) -> (i64, Option<Vec<bool>>) {
+    let cap = match objective {
+        Objective::Fidelity => {
+            let fid = block_bound(blocks, catalog, cost, objective);
+            return (fid.bound, Some(fid.selection));
+        }
+        Objective::IdleTime => 0,
+        Objective::Combined => block_bound(blocks, catalog, cost, Objective::Fidelity).bound,
+    };
+    let d_min: Vec<i64> = blocks
+        .members
+        .iter()
+        .zip(&cost.dur_base)
+        .map(|(members, &base)| {
+            (base + members.iter().map(|&i| cost.dur_w[i].min(0)).sum::<i64>()).max(0)
+        })
+        .collect();
+    let linear = block_bound(blocks, catalog, cost, objective).bound
+        - cost.k * cost.q * makespan(pre, &d_min);
+    (linear.min(cap), None)
+}
+
 /// The catalog indexed by block, built once per solve: every per-block
 /// question of the model (conflicts, routing, durations, the bounds and the
 /// warm start) reads these lists. Conflicts never cross blocks, so a
@@ -429,6 +478,47 @@ impl Blocks {
     fn later_members(&self, catalog: &[Substitution], i: usize) -> &[usize] {
         let members = &self.members[catalog[i].block];
         &members[members.partition_point(|&j| j <= i)..]
+    }
+}
+
+/// What the decide step computes once per solve, without a solver: the
+/// catalog indexed by block, the integer cost tables, and the objective's
+/// `hi` ([`objective_bound`]). The warm start, the decision and the
+/// encoder all read it.
+struct Tables {
+    blocks: Blocks,
+    cost: CostData,
+    hi: i64,
+}
+
+impl Tables {
+    /// The tables of one solve, with the fidelity block argmax of
+    /// [`objective_bound`].
+    fn new(
+        pre: &Preprocessed,
+        hw: &HardwareModel,
+        catalog: &[Substitution],
+        objective: Objective,
+    ) -> (Tables, Option<Vec<bool>>) {
+        let blocks = Blocks::new(pre, catalog);
+        let cost = CostData::new(pre, hw, catalog);
+        let (hi, argmax) = objective_bound(pre, catalog, &blocks, &cost, objective);
+        (Tables { blocks, cost, hi }, argmax)
+    }
+
+    /// Whether an anchor of objective `value` is the answer, with no solver
+    /// built. It is when it reaches `hi`: the prove step's search would stop,
+    /// proven, at its first model, which its hint makes the anchor itself.
+    /// A certifying context still needs the solver's refutation, and a
+    /// cancelled one the cancellation the solver reports. Notes the anchor
+    /// (`source` names it), `hi` and the verdict on the `warm_start` span.
+    fn decides(&self, span: &mut Span, value: i64, source: &str, ctx: &AdaptContext) -> bool {
+        let decided = value >= self.hi && !ctx.options.certify && !ctx.cancelled();
+        span.set_note(format!(
+            "value={value} source={source} hi={} decided={decided}",
+            self.hi
+        ));
+        decided
     }
 }
 
@@ -515,6 +605,15 @@ fn greedy_selection(
 /// (unbudgeted when `ctx.options.exact`), engine-driven limits and
 /// cancellation, and the tracer.
 ///
+/// The solve has two steps. *Decide* builds the per-block tables, the
+/// objective's upper bound `hi` and the warm start, with no solver, inside
+/// the `warm_start` span. When the warm start reaches `hi` (every fidelity
+/// answer does unless a block hit the branch-and-bound node cap), it is the
+/// answer: proven optimal with no SAT query, variable or solver statistic.
+/// *Prove* runs otherwise, and always when certifying: it bit-blasts the
+/// model from the same tables and runs the OMT search anchored at the warm
+/// start.
+///
 /// # Errors
 ///
 /// Returns [`AdaptError::Infeasible`] if the model is unsatisfiable (cannot
@@ -529,9 +628,16 @@ pub fn solve_model(
     catalog: &[Substitution],
     ctx: &AdaptContext,
 ) -> Result<SmtAdaptation, AdaptError> {
-    let blocks = Blocks::new(pre, catalog);
-    let mut model = encode_model(pre, hw, catalog, &blocks, ctx);
-    let (warm, warm_value) = warm_start(pre, catalog, &blocks, &mut model, ctx);
+    let (tables, warm, value, decided) = {
+        let mut span = ctx.tracer.span("warm_start");
+        let (tables, argmax) = Tables::new(pre, hw, catalog, ctx.options.objective);
+        let (warm, value, source) = warm_start(pre, catalog, &tables, argmax, ctx);
+        let decided = tables.decides(&mut span, value, source, ctx);
+        (tables, warm, value, decided)
+    };
+    if decided {
+        return Ok(SmtAdaptation::decided(&warm, value));
+    }
 
     // Size-adaptive search effort: bigger bit-blasted models get smaller
     // probe budgets — the warm start already pins the incumbent, so each
@@ -543,70 +649,83 @@ pub fn solve_model(
     } else {
         Some(DEFAULT_PROBE_BUDGET)
     };
-    anchored_search(model, &warm, warm_value, probe_conflict_budget, ctx)
+    let model = encode_model(pre, catalog, &tables, ctx);
+    anchored_search(model, &warm, value, probe_conflict_budget, ctx)
+}
+
+impl SmtAdaptation {
+    /// The answer of a decide step whose anchor `selection` reached `hi`:
+    /// proven, and with no solver built, no query, variable or statistic.
+    fn decided(selection: &[bool], value: i64) -> SmtAdaptation {
+        SmtAdaptation {
+            chosen: (0..selection.len()).filter(|&i| selection[i]).collect(),
+            objective_value: value,
+            queries: 0,
+            sat_vars: 0,
+            optimal: true,
+            solver_stats: qca_sat::SolverStats::default(),
+            verification: None,
+        }
+    }
 }
 
 /// The selection [`solve_model`] anchors its search at: the context's hint
 /// (a known-good selection, when still valid for this catalog) or the
 /// greedy selection, whichever scores better. For fidelity, the block
 /// argmax replaces it when strictly better; on a tie, the greedy or hinted
-/// selection is kept. Returns the selection and its objective value.
+/// selection is kept. Returns the selection, its objective value and its
+/// source (`hint`, `greedy` or `blocks`).
 fn warm_start(
     pre: &Preprocessed,
     catalog: &[Substitution],
-    blocks: &Blocks,
-    model: &mut EncodedModel,
+    tables: &Tables,
+    fidelity_argmax: Option<Vec<bool>>,
     ctx: &AdaptContext,
-) -> (Vec<bool>, i64) {
+) -> (Vec<bool>, i64, &'static str) {
     let objective = ctx.options.objective;
-    let mut span = ctx.tracer.span("warm_start");
+    let Tables { blocks, cost, .. } = tables;
     let hinted = ctx
         .warm_hint
         .as_deref()
         .and_then(|ids| selection_from_ids(catalog, blocks, ids))
         .map(|sel| {
-            let v = model.cost.evaluate(pre, catalog, &sel, objective);
+            let v = cost.evaluate(pre, catalog, &sel, objective);
             (sel, v)
         });
-    let (greedy, greedy_value) = greedy_selection(pre, catalog, blocks, &model.cost, objective);
-    let (mut warm, mut value, mut source) = match hinted {
+    let (greedy, greedy_value) = greedy_selection(pre, catalog, blocks, cost, objective);
+    let mut warm = match hinted {
         Some((sel, v)) if v >= greedy_value => (sel, v, "hint"),
         _ => (greedy, greedy_value, "greedy"),
     };
-    if objective == Objective::Fidelity {
-        let argmax = std::mem::take(&mut model.fidelity_argmax);
-        let v = model.cost.evaluate(pre, catalog, &argmax, objective);
-        if v > value {
-            (warm, value, source) = (argmax, v, "blocks");
+    if let Some(argmax) = fidelity_argmax {
+        let v = cost.evaluate(pre, catalog, &argmax, objective);
+        if v > warm.1 {
+            warm = (argmax, v, "blocks");
         }
     }
-    span.set_note(format!("value={value} source={source}"));
-    (warm, value)
+    warm
 }
 
 /// The bit-blasted adaptation model, ready to search: the solver with every
-/// constraint asserted, the per-substitution choice literals, the objective
-/// expression, and the integer cost tables behind them.
+/// constraint asserted, the per-substitution choice literals, and the
+/// objective expression.
 struct EncodedModel {
     smt: SmtSolver,
     choice: Vec<qca_sat::Lit>,
     objective_expr: IntExpr,
-    cost: CostData,
-    /// Every block's best fidelity subset: an admissible selection that
-    /// attains the fidelity bound unless a block hit the node cap.
-    fidelity_argmax: Vec<bool>,
 }
 
-/// Encodes the adaptation model (Eqs. 1–9) into a fresh SMT solver wired
-/// with the context's run controls, certificate recording, and tracer.
+/// Encodes the adaptation model (Eqs. 1–9) from the decide step's tables
+/// into a fresh SMT solver wired with the context's run controls,
+/// certificate recording, and tracer.
 fn encode_model(
     pre: &Preprocessed,
-    hw: &HardwareModel,
     catalog: &[Substitution],
-    blocks: &Blocks,
+    tables: &Tables,
     ctx: &AdaptContext,
 ) -> EncodedModel {
     let objective = ctx.options.objective;
+    let Tables { blocks, cost, hi } = tables;
     let mut smt = SmtSolver::new();
     smt.set_control(ctx.solve_control());
     if ctx.options.certify {
@@ -637,7 +756,6 @@ fn encode_model(
     }
 
     let nblocks = pre.partition.blocks.len();
-    let cost = CostData::new(pre, hw, catalog);
 
     // Fidelity terms (Eqs. 5–6, aggregated): base + Σ 𝔽(s)·c_s. Only the
     // fidelity objective reads the sum on its own; the combined objective
@@ -650,57 +768,29 @@ fn encode_model(
         .collect();
     let fid_base = cost.fid_base;
 
-    // Eq. 8's fidelity is a sum of per-substitution weights and Eq. 1
-    // conflicts never cross blocks, so the per-block optima sum to the
-    // fidelity optimum: the objective's `hi`, at which the search stops.
-    let fid_blocks = block_bound(blocks, catalog, &cost, Objective::Fidelity);
-    let objective_expr: IntExpr = match objective {
-        Objective::Fidelity => {
-            let mut j = smt.pb_sum(fid_base, &fid_terms);
-            j.hi = j.hi.min(fid_blocks.bound);
-            j
-        }
+    let mut objective_expr: IntExpr = match objective {
+        Objective::Fidelity => smt.pb_sum(fid_base, &fid_terms),
         Objective::IdleTime | Objective::Combined => {
             // Per-block duration expressions (Eq. 3), plus per-block
-            // min/max durations for bound tightening.
+            // max durations for the makespan horizon.
             let mut dur_exprs: Vec<IntExpr> = Vec::with_capacity(nblocks);
-            let mut d_min = vec![0i64; nblocks];
-            let mut d_max = vec![0i64; nblocks];
-            for b in 0..nblocks {
-                let base = cost.dur_base[b];
-                let terms: Vec<(i64, qca_sat::Lit)> = blocks.members[b]
+            let mut d_max: Vec<i64> = Vec::with_capacity(nblocks);
+            for (members, &base) in blocks.members.iter().zip(&cost.dur_base) {
+                let terms: Vec<(i64, qca_sat::Lit)> = members
                     .iter()
                     .map(|&i| (cost.dur_w[i], choice[i]))
                     .collect();
-                d_min[b] = (base + terms.iter().map(|&(w, _)| w.min(0)).sum::<i64>()).max(0);
-                d_max[b] = base + terms.iter().map(|&(w, _)| w.max(0)).sum::<i64>();
+                d_max.push(base + terms.iter().map(|&(w, _)| w.max(0)).sum::<i64>());
                 // A block's duration is non-negative under every
-                // conflict-free selection (the bound `d_min` and the
-                // makespan bound `total_lo` below rely on it too), so it
-                // is encoded at offset 0: every start and end time then
-                // shares offset 0, and no `max_of` needs a rebasing adder.
+                // conflict-free selection (the makespan bound of
+                // `objective_bound` relies on it too), so it is encoded at
+                // offset 0: every start and end time then shares offset 0,
+                // and no `max_of` needs a rebasing adder.
                 dur_exprs.push(smt.pb_sum_nonneg(base, &terms));
             }
-            // Tight per-block start-time windows from longest-path analysis:
-            // the optimum is always attained by an ASAP schedule, so start
-            // times never need to exceed the max-duration longest path.
-            let longest_paths = |durs: &[i64]| -> Vec<i64> {
-                let mut lp = vec![0i64; nblocks];
-                // Block ids are topologically ordered by construction.
-                for &(before, after) in &pre.partition.edges {
-                    lp[after] = lp[after].max(lp[before] + durs[before]);
-                }
-                lp
-            };
-            let e_lo = longest_paths(&d_min);
-            let e_hi = longest_paths(&d_max);
-            let total_lo = (0..nblocks).map(|b| e_lo[b] + d_min[b]).max().unwrap_or(0);
-            let total_hi = (0..nblocks)
-                .map(|b| e_hi[b] + d_max[b])
-                .max()
-                .unwrap_or(0)
-                .max(total_lo)
-                .max(1);
+            // The optimum is always attained by an ASAP schedule, so the
+            // makespan never exceeds the max-duration longest path.
+            let total_hi = makespan(pre, &d_max).max(1);
             // Functionally-determined ASAP schedule: every start time is
             // the max over predecessor end times (Eq. 2 with equality, which
             // preserves the optimum because the objective improves when D
@@ -760,23 +850,11 @@ fn encode_model(
             let scaled_slack = smt.mul_const(&slack, kq);
             let j = smt.add(&pos, &scaled_slack);
             // Report values in the natural `pos - kq*D` frame.
-            let mut j = j.shifted(-kq * horizon);
-            // Tighten the objective's upper bound with sound combinatorial
-            // ones. First, the per-block best conflict-free subsets of the
-            // positive part, minus the minimum possible makespan term.
-            let ub = block_bound(blocks, catalog, &cost, objective).bound - kq * total_lo;
-            j.hi = j.hi.min(ub);
-            // Second, idle <= 0: the partition chains every qubit's blocks
-            // and durations are non-negative, so each qubit's busy time is
-            // at most D and busy <= k*q*D. Combined = fidelity + idle is
-            // then at most the fidelity block optimum.
-            j.hi = j.hi.min(match objective {
-                Objective::Combined => fid_blocks.bound,
-                _ => 0,
-            });
-            j
+            j.shifted(-kq * horizon)
         }
     };
+    // The search stops, proven, at the objective's combinatorial bound.
+    objective_expr.hi = objective_expr.hi.min(*hi);
 
     let (vars, clauses) = (smt.num_sat_vars(), smt.num_clauses());
     encode_span.set_note(format!("vars={vars} clauses={clauses}"));
@@ -787,8 +865,6 @@ fn encode_model(
         smt,
         choice,
         objective_expr,
-        cost,
-        fidelity_argmax: fid_blocks.selection,
     }
 }
 
@@ -809,7 +885,6 @@ fn anchored_search(
         mut smt,
         choice,
         objective_expr,
-        ..
     } = model;
     let hint = {
         let _span = ctx.tracer.span("smt.anchor");
@@ -930,10 +1005,11 @@ pub fn evaluate_selection(
 /// Outcome of [`recheck_optimum`].
 #[derive(Debug)]
 pub enum RecheckOutcome {
-    /// The probe for a strictly better value was refuted: the cached
-    /// selection is still optimal under this hardware model. Carries the
-    /// refreshed solve result (re-scored objective value, fresh
-    /// verification data when certifying).
+    /// The cached selection is still optimal under this hardware model: it
+    /// reaches the objective's upper bound, or the probe for a strictly
+    /// better value was refuted. Carries the refreshed solve result
+    /// (re-scored objective value, fresh verification data when
+    /// certifying).
     StillOptimal(Box<SmtAdaptation>),
     /// The cached selection is stale (invalid for the re-evaluated
     /// catalog), a strictly better selection exists, or a limit tripped
@@ -942,14 +1018,16 @@ pub enum RecheckOutcome {
 }
 
 /// Re-checks a cached optimum under (possibly drifted) hardware data
-/// without a full OMT search: re-encodes the model, re-scores `chosen`,
-/// anchors the search at that value, and runs the OMT search from it. When
-/// the cached selection is still optimal this costs one SAT query if the
-/// value sits at the objective's upper bound (every fidelity optimum does:
-/// the bound is the per-block optimum), else two: the hinted model, then
-/// the refuted `objective >= value + 1` probe. A certifying context turns
-/// that refutation into the certificate, or, for a value at the upper
-/// bound, refutes `value + 1` in one more probe on the same solver.
+/// without a full OMT search, through the same decide and prove steps as
+/// [`solve_model`], anchored at the re-scored `chosen`. A cached selection
+/// whose value reaches the objective's upper bound (every fidelity optimum
+/// does: the bound is the per-block optimum) is decided with no solver and
+/// no SAT query, unless the context certifies. Otherwise the model is
+/// encoded and searched from that value unbudgeted: a selection still
+/// optimal costs two queries, the hinted model and the refuted
+/// `objective >= value + 1` probe. A certifying context turns that
+/// refutation into the certificate, or, for a value at the upper bound,
+/// refutes `value + 1` in one more probe on the same solver.
 ///
 /// # Errors
 ///
@@ -962,14 +1040,24 @@ pub fn recheck_optimum(
     ctx: &AdaptContext,
     chosen: &[usize],
 ) -> Result<RecheckOutcome, AdaptError> {
-    let blocks = Blocks::new(pre, catalog);
-    let Some(selection) = selection_from_ids(catalog, &blocks, chosen) else {
-        return Ok(RecheckOutcome::Changed);
+    let (tables, selection, expected, decided) = {
+        let mut span = ctx.tracer.span("warm_start");
+        let (tables, _) = Tables::new(pre, hw, catalog, ctx.options.objective);
+        let Some(selection) = selection_from_ids(catalog, &tables.blocks, chosen) else {
+            span.set_note("source=cached stale");
+            return Ok(RecheckOutcome::Changed);
+        };
+        let expected = tables
+            .cost
+            .evaluate(pre, catalog, &selection, ctx.options.objective);
+        let decided = tables.decides(&mut span, expected, "cached", ctx);
+        (tables, selection, expected, decided)
     };
-    let model = encode_model(pre, hw, catalog, &blocks, ctx);
-    let expected = model
-        .cost
-        .evaluate(pre, catalog, &selection, ctx.options.objective);
+    if decided {
+        let r = SmtAdaptation::decided(&selection, expected);
+        return Ok(RecheckOutcome::StillOptimal(Box::new(r)));
+    }
+    let model = encode_model(pre, catalog, &tables, ctx);
     let r = anchored_search(model, &selection, expected, None, ctx)?;
     Ok(if r.optimal && r.objective_value == expected {
         RecheckOutcome::StillOptimal(Box::new(r))
@@ -1096,7 +1184,7 @@ mod tests {
     }
 
     #[test]
-    fn recheck_confirms_optimum_in_one_query_and_flags_suboptimal() {
+    fn recheck_confirms_optimum_without_a_query_and_flags_suboptimal() {
         let mut c = Circuit::new(2);
         c.push(Gate::Cx, &[0, 1]);
         c.push(Gate::Cx, &[1, 0]);
@@ -1110,8 +1198,9 @@ mod tests {
                 assert!(r.optimal);
                 assert_eq!(r.chosen, best.chosen);
                 // A fidelity optimum sits at the objective's upper bound,
-                // so the hinted model alone confirms it.
-                assert_eq!(r.queries, 1);
+                // so the decide step confirms it without a solver.
+                assert_eq!(r.queries, 0);
+                assert_eq!(r.sat_vars, 0);
             }
             RecheckOutcome::Changed => panic!("optimal selection reported as changed"),
         }
@@ -1303,17 +1392,20 @@ mod tests {
                 ))
             };
             if subs.len() <= 16 {
-                let cost = CostData::new(&pre, &hw, &subs);
-                let blocks = Blocks::new(&pre, &subs);
-                let optima = brute_force_optima(&pre, &subs, &cost);
+                let optima = brute_force_optima(&pre, &subs, &CostData::new(&pre, &hw, &subs));
                 for (objective, optimum) in ALL_OBJECTIVES.into_iter().zip(optima) {
                     let ctx = AdaptContext::with_objective(objective);
-                    let mut model = encode_model(&pre, &hw, &subs, &blocks, &ctx);
-                    let hi = model.objective_expr.hi;
+                    let (tables, argmax) = Tables::new(&pre, &hw, &subs, objective);
+                    let hi = tables.hi;
                     proptest::prop_assert!(hi >= optimum, "{objective}: hi {hi} < {optimum}");
+                    let encoded = encode_model(&pre, &subs, &tables, &ctx).objective_expr.hi;
+                    proptest::prop_assert!(
+                        (optimum..=hi).contains(&encoded),
+                        "{objective}: encoded hi {encoded} outside [{optimum}, {hi}]"
+                    );
                     if objective == Objective::Fidelity {
                         proptest::prop_assert_eq!(hi, optimum);
-                        let (_, warm) = warm_start(&pre, &subs, &blocks, &mut model, &ctx);
+                        let (_, warm, _) = warm_start(&pre, &subs, &tables, argmax, &ctx);
                         proptest::prop_assert_eq!(warm, optimum);
                     }
                     let r = solve_model(&pre, &hw, &subs, &ctx).unwrap();
@@ -1321,7 +1413,63 @@ mod tests {
                     if r.optimal {
                         proptest::prop_assert_eq!(r.objective_value, optimum, "{}", objective);
                     }
+                    if r.queries == 0 {
+                        // Decided: no solver was built.
+                        proptest::prop_assert!(r.optimal, "{objective}");
+                        proptest::prop_assert_eq!(r.sat_vars, 0, "{}", objective);
+                        proptest::prop_assert_eq!(
+                            format!("{:?}", r.solver_stats),
+                            format!("{:?}", qca_sat::SolverStats::default())
+                        );
+                    }
                 }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// An answer decided without a solver is the answer the solver
+        /// proves: whenever an uncertified exact solve issues no query, a
+        /// certified exact solve of the same catalog, which always builds
+        /// the solver and refutes `value + 1`, returns the same selection
+        /// and value, proven.
+        #[test]
+        fn decided_answers_match_certified_solves(
+            num_qubits in 3usize..5,
+            depth in 2usize..8,
+            seed in 0u64..u64::MAX,
+            routed in 0usize..2,
+        ) {
+            let (pre, subs, hw) = if routed == 1 {
+                routed_setup(num_qubits, depth, seed)
+            } else {
+                setup(&qca_workloads::random_template_circuit(
+                    num_qubits, depth, seed, &qca_workloads::DEFAULT_TEMPLATE_GATES, true,
+                ))
+            };
+            for objective in ALL_OBJECTIVES {
+                let mut ctx = AdaptContext::with_objective(objective);
+                ctx.options.exact = true;
+                let decided = solve_model(&pre, &hw, &subs, &ctx).unwrap();
+                if decided.queries != 0 {
+                    continue;
+                }
+                let (tables, _) = Tables::new(&pre, &hw, &subs, objective);
+                proptest::prop_assert!(decided.objective_value >= tables.hi, "{objective}");
+                ctx.options.certify = true;
+                let proven = solve_model(&pre, &hw, &subs, &ctx).unwrap();
+                proptest::prop_assert!(proven.queries > 0, "{objective}");
+                proptest::prop_assert!(proven.optimal, "{objective}");
+                proptest::prop_assert!(
+                    proven.verification.as_ref().is_some_and(|v| v.certificate.is_some()),
+                    "{objective}: no certificate"
+                );
+                proptest::prop_assert_eq!(&proven.chosen, &decided.chosen, "{}", objective);
+                proptest::prop_assert_eq!(
+                    proven.objective_value, decided.objective_value, "{}", objective
+                );
             }
         }
     }

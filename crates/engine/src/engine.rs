@@ -1270,10 +1270,12 @@ mod tests {
         assert_eq!(totals.get("engine.jobs_submitted"), Some(&2));
         assert_eq!(totals.get("engine.job_completed"), Some(&2));
         let rpt = qca_trace::report::Report::from_events(&events);
-        // Per-job engine spans wrap the full solve pipeline.
+        // Per-job engine spans wrap the full solve pipeline (these fidelity
+        // answers are decided in `warm_start`, with no solver).
         assert!(rpt.phase_total_ns("engine.job").is_some());
         assert!(rpt.phase_total_ns("adapt").is_some());
-        assert!(rpt.phase_total_ns("omt.search").is_some());
+        assert!(rpt.phase_total_ns("warm_start").is_some());
+        assert!(rpt.phase_total_ns("extract").is_some());
         // The same event stream populated the metrics registry.
         assert_eq!(engine.metrics().get("jobs_completed"), 2);
         assert_eq!(engine.metrics().solve_wall_us.count(), 2);
@@ -1282,7 +1284,12 @@ mod tests {
     #[test]
     fn metrics_populated_without_a_tracer() {
         let hw = spin_qubit_model(GateTimes::D0);
-        let jobs = workload(2);
+        // Combined, so each job runs the solver whose statistics feed the
+        // registry (a fidelity answer is decided without one).
+        let jobs: Vec<AdaptJob> = workload(2)
+            .into_iter()
+            .map(|job| AdaptJob::with_objective(job.circuit, Objective::Combined))
+            .collect();
         let engine = Engine::new(config(1));
         let _ = engine.adapt_batch(&hw, &jobs);
         assert_eq!(engine.metrics().get("jobs_submitted"), 2);
@@ -1639,13 +1646,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Holds the single-flight leader inside `smt.encode` until every job
+    /// Holds the single-flight leader inside `warm_start` until every job
     /// in the batch has passed the cache-miss point, guaranteeing all of
     /// them join the leader's flight instead of racing past it.
     struct SolveGate {
         expected_jobs: usize,
         misses: AtomicUsize,
-        encodes: AtomicUsize,
+        warm_starts: AtomicUsize,
     }
 
     impl qca_trace::TraceSink for SolveGate {
@@ -1656,8 +1663,8 @@ mod tests {
                 {
                     self.misses.fetch_add(1, Ordering::SeqCst);
                 }
-                qca_trace::TraceEvent::SpanEnter { name, .. } if name.as_ref() == "smt.encode" => {
-                    self.encodes.fetch_add(1, Ordering::SeqCst);
+                qca_trace::TraceEvent::SpanEnter { name, .. } if name.as_ref() == "warm_start" => {
+                    self.warm_starts.fetch_add(1, Ordering::SeqCst);
                     while self.misses.load(Ordering::SeqCst) < self.expected_jobs {
                         std::thread::yield_now();
                     }
@@ -1678,7 +1685,7 @@ mod tests {
         let gate = Arc::new(SolveGate {
             expected_jobs: N,
             misses: AtomicUsize::new(0),
-            encodes: AtomicUsize::new(0),
+            warm_starts: AtomicUsize::new(0),
         });
         let engine = Engine::new(EngineConfig {
             tracer: qca_trace::Tracer::new(gate.clone()),
@@ -1687,9 +1694,9 @@ mod tests {
         let jobs: Vec<AdaptJob> = (0..N).map(|_| AdaptJob::new(c.clone())).collect();
         let reports = engine.adapt_batch(&hw, &jobs);
         assert_eq!(
-            gate.encodes.load(Ordering::SeqCst),
+            gate.warm_starts.load(Ordering::SeqCst),
             1,
-            "exactly one smt.encode span across {N} identical concurrent jobs"
+            "exactly one warm_start span across {N} identical concurrent jobs"
         );
         assert_eq!(
             engine.metrics().get("singleflight_coalesced"),

@@ -40,11 +40,6 @@ impl DiffGraph {
         }
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.n
-    }
-
     /// Adds the constraint `x_to >= x_from + weight`.
     ///
     /// # Panics

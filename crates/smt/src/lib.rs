@@ -9,9 +9,9 @@
 //! * bounded integers with ordering constraints (block start times),
 //! * linear objective maximization ([`omt`]).
 //!
-//! Integer arithmetic is bit-blasted to CNF ([`bitvec`]); difference-logic
-//! scheduling is additionally available in closed form ([`diff`]) for
-//! validation and ASAP schedule extraction.
+//! Integer arithmetic is bit-blasted to CNF ([`bitvec`]). The crate's tests
+//! check the bit-blasted schedules against a closed-form difference-logic
+//! scheduler (the test-only `diff` module).
 //!
 //! # Examples
 //!
@@ -38,7 +38,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod bitvec;
-pub mod diff;
+#[cfg(test)]
+mod diff;
 pub mod omt;
 pub mod record;
 mod solver;
@@ -180,6 +181,38 @@ mod proptests {
             }
             prop_assert_eq!(models, admissible);
         }
+    }
+
+    #[test]
+    fn smt_schedule_matches_difference_logic() {
+        // A diamond dependency graph with fixed durations: the SMT encoding's
+        // minimal makespan must equal the closed-form longest path.
+        let edges = [(0usize, 1usize, 10i64), (0, 2, 25), (1, 3, 12), (2, 3, 5)];
+        let mut g = diff::DiffGraph::new(4);
+        for &(a, b, w) in &edges {
+            g.add_constraint(a, b, w);
+        }
+        let sched = g.asap_schedule().unwrap();
+        let expect = diff::DiffGraph::makespan(&sched);
+
+        let cap = 200i64;
+        let mut smt = SmtSolver::new();
+        let xs: Vec<_> = (0..4).map(|_| smt.new_int(0, cap)).collect();
+        for &(a, b, w) in &edges {
+            let wexpr = smt.int_const(w);
+            let lhs = smt.add(&xs[a], &wexpr);
+            smt.assert_ge(&xs[b], &lhs);
+        }
+        let mk = smt.new_int(0, cap);
+        for x in &xs {
+            smt.assert_ge(&mk, x);
+        }
+        let capx = smt.int_const(cap);
+        let slack = smt.new_int(0, cap);
+        let tot = smt.add(&slack, &mk);
+        smt.assert_eq(&tot, &capx);
+        let best = omt::maximize(&mut smt, &slack).unwrap();
+        assert_eq!(cap - best.value, expect);
     }
 
     proptest! {

@@ -2,7 +2,6 @@
 //! problems resembling the adaptation models.
 
 use qca::sat::Solver;
-use qca::smt::diff::DiffGraph;
 use qca::smt::{omt, SmtSolver};
 
 #[test]
@@ -34,38 +33,6 @@ fn sat_and_smt_agree_on_selection_problems() {
         expect = expect.max(v);
     }
     assert_eq!(best.value, expect);
-}
-
-#[test]
-fn smt_schedule_matches_difference_logic() {
-    // A diamond dependency graph with fixed durations: the SMT encoding's
-    // minimal makespan must equal the closed-form longest path.
-    let edges = [(0usize, 1usize, 10i64), (0, 2, 25), (1, 3, 12), (2, 3, 5)];
-    let mut g = DiffGraph::new(4);
-    for &(a, b, w) in &edges {
-        g.add_constraint(a, b, w);
-    }
-    let sched = g.asap_schedule().unwrap();
-    let expect = DiffGraph::makespan(&sched);
-
-    let cap = 200i64;
-    let mut smt = SmtSolver::new();
-    let xs: Vec<_> = (0..4).map(|_| smt.new_int(0, cap)).collect();
-    for &(a, b, w) in &edges {
-        let wexpr = smt.int_const(w);
-        let lhs = smt.add(&xs[a], &wexpr);
-        smt.assert_ge(&xs[b], &lhs);
-    }
-    let mk = smt.new_int(0, cap);
-    for x in &xs {
-        smt.assert_ge(&mk, x);
-    }
-    let capx = smt.int_const(cap);
-    let slack = smt.new_int(0, cap);
-    let tot = smt.add(&slack, &mk);
-    smt.assert_eq(&tot, &capx);
-    let best = omt::maximize(&mut smt, &slack).unwrap();
-    assert_eq!(cap - best.value, expect);
 }
 
 #[test]
