@@ -16,11 +16,13 @@
 //!   the two native swap realizations.
 
 use crate::error::AdaptError;
-use crate::preprocess::{circuit_cost, Preprocessed};
+use crate::preprocess::{BlockCost, Preprocessed};
+use qca_circuit::blocks::Block;
 use qca_circuit::{Circuit, Gate};
-use qca_hw::{CouplingMap, HardwareModel};
+use qca_hw::{CouplingMap, GateCost, HardwareModel};
 use qca_num::phase::phase_insensitive_distance;
-use qca_synth::consolidate::consolidate_1q;
+use qca_num::CMat;
+use qca_synth::consolidate::{ConsolidatedSink, Consolidator};
 use qca_synth::kak::kak_decompose;
 use qca_synth::translate::gate_to_cz;
 use std::f64::consts::PI;
@@ -155,43 +157,50 @@ pub fn apply_to_block(pre: &Preprocessed, block_id: usize, subs: &[&Substitution
         }
     }
     let nq = block.qubits.len();
+    let mut merge = Consolidator::new(nq);
     let mut out = Circuit::new(nq);
     // Map: global op -> substitution covering it (by catalog position).
     let covered = |op: usize| subs.iter().find(|s| s.ops.binary_search(&op).is_ok());
     for &op in &block.ops {
         if let Some(s) = covered(op) {
             if s.ops[0] == op {
-                out.extend_from(&s.replacement);
+                for instr in s.replacement.iter() {
+                    merge.feed(instr.gate, &instr.qubits, &mut out);
+                }
             }
             continue;
         }
         let instr = &pre.source.instrs()[op];
-        let local: Vec<usize> = instr
-            .qubits
-            .iter()
-            .map(|q| {
-                block
-                    .qubits
-                    .iter()
-                    .position(|bq| bq == q)
-                    .expect("block qubit")
-            })
-            .collect();
-        if instr.gate.num_qubits() == 1 {
-            out.push(instr.gate, &local);
-        } else {
-            let translated = gate_to_cz(&instr.gate);
-            for ti in translated.iter() {
-                let mapped: Vec<usize> = ti.qubits.iter().map(|&q| local[q]).collect();
-                out.push(ti.gate, &mapped);
-            }
-        }
+        let local = block_local_qubits(block, &instr.qubits);
+        feed_local(&mut merge, &translate_local(&instr.gate, &local), &mut out);
     }
-    consolidate_1q(&out)
+    merge.finish(&mut out);
+    out
 }
 
 /// Evaluates every rule on the preprocessed circuit, returning the
 /// substitution catalog with per-substitution cost deltas.
+///
+/// Per two-qubit block the catalog lists KAK(CZ) and KAK(CZ_db) over the
+/// whole block, then, for every contiguous op range of at most
+/// `MAX_MATCH_LEN` ops holding a two-qubit gate (by start, then end), the
+/// swap realizations when the range is a SWAP and CROT when it is a CNOT
+/// in either operand order, each up to global phase.
+///
+/// Each block is walked once. Its ops are translated once into the local
+/// stream [`apply_to_block`] emits for uncovered ops, and a replay of that
+/// stream (the streaming [`Consolidator`] into a cost sink that keeps the
+/// ASAP qubit-free times and the fidelity product) advances one op per
+/// range start. A candidate covering ops `[s, e)` clones the replay at `s`,
+/// feeds its replacement and ops `e..` and flushes. That is the same
+/// sequence of 2×2 products, identity tests and priced gates as
+/// `consolidate_1q` of the rebuilt block followed by
+/// [`circuit_cost`](crate::preprocess::circuit_cost), so every delta is
+/// bit-identical to pricing the rebuilt block; the consolidated circuit
+/// itself (and its Euler angles) is never built, since every single-qubit
+/// gate costs the same. Each range start's unitaries are a running product
+/// of the ops' embedded matrices, the multiplications `Circuit::unitary`
+/// performs on the range circuit.
 ///
 /// # Errors
 ///
@@ -203,17 +212,76 @@ pub fn evaluate_substitutions(
     options: &RuleOptions,
 ) -> Result<Vec<Substitution>, AdaptError> {
     let mut catalog: Vec<Substitution> = Vec::new();
-    let swap_target = Gate::Swap.matrix();
-    let cx_target = Gate::Cx.matrix();
+    let swap = Gate::Swap.matrix();
+    let cx = Gate::Cx.matrix();
+    let reversed_cx = cx.embed_qubits(&[1, 0], 2);
+    let swap_reps = [
+        (SubstitutionKind::SwapDiabatic, Gate::SwapDiabatic),
+        (SubstitutionKind::SwapComposite, Gate::SwapComposite),
+    ]
+    .map(|(kind, gate)| {
+        let mut rep = Circuit::new(2);
+        rep.push(gate, &[0, 1]);
+        (kind, rep)
+    });
+    let crot_reps = [(0, 1), (1, 0)].map(|(ctrl, tgt)| {
+        let mut rep = Circuit::new(2);
+        rep.push(Gate::CRot(PI), &[ctrl, tgt]);
+        rep.push(Gate::S, &[ctrl]);
+        rep
+    });
 
     for block in &pre.partition.blocks {
         if block.qubits.len() != 2 {
             continue;
         }
-        let local = &pre.block_circuits[block.id];
+        let instrs = pre.source.instrs();
+        let mut stream = Vec::with_capacity(block.ops.len());
+        let mut embedded = Vec::with_capacity(block.ops.len());
+        for &op in &block.ops {
+            let local = block_local_qubits(block, &instrs[op].qubits);
+            stream.push(translate_local(&instrs[op].gate, &local));
+            embedded.push(instrs[op].gate.matrix().embed_qubits(&local, 2));
+        }
+        let base = pre.cost[block.id];
+        let first = catalog.len();
+        // Prices a candidate from the replay of the ops before it and
+        // appends it, unless the block already lists the same kind and ops.
+        let mut push = |kind: SubstitutionKind,
+                        ops: &[usize],
+                        replacement: &Circuit,
+                        prefix: &Replay,
+                        tail: &[Vec<LocalGate>]|
+         -> Result<(), AdaptError> {
+            if catalog[first..]
+                .iter()
+                .any(|s| s.kind == kind && s.ops == ops)
+            {
+                return Ok(());
+            }
+            let cost = prefix.price(replacement, tail).ok_or_else(|| {
+                AdaptError::UnsupportedGate(format!(
+                    "replacement for block {} not native",
+                    block.id
+                ))
+            })?;
+            catalog.push(Substitution {
+                id: catalog.len(),
+                kind,
+                block: block.id,
+                ops: ops.to_vec(),
+                replacement: replacement.clone(),
+                route: None,
+                delta_duration: cost.duration - base.duration,
+                delta_log_fidelity: cost.log_fidelity - base.log_fidelity,
+            });
+            Ok(())
+        };
+
+        let mut prefix = Replay::new(hw);
 
         // Whole-block KAK decompositions.
-        let kak = kak_decompose(&local.unitary());
+        let kak = kak_decompose(&pre.block_circuits[block.id].unitary());
         let kak_circ = if options.optimized_kak {
             kak.to_circuit_cz_optimized()
         } else {
@@ -228,79 +296,181 @@ pub fn evaluate_substitutions(
             };
             db.push(g, &i.qubits);
         }
-        push_candidate(
-            &mut catalog,
-            pre,
-            hw,
-            SubstitutionKind::KakCz,
-            block.id,
-            block.ops.clone(),
-            kak_circ,
-        )?;
-        push_candidate(
-            &mut catalog,
-            pre,
-            hw,
+        push(SubstitutionKind::KakCz, &block.ops, &kak_circ, &prefix, &[])?;
+        push(
             SubstitutionKind::KakCzDiabatic,
-            block.id,
-            block.ops.clone(),
-            db,
+            &block.ops,
+            &db,
+            &prefix,
+            &[],
         )?;
 
-        // Pattern matches over contiguous gate runs.
+        // Pattern matches over contiguous gate runs. Whole-block ranges are
+        // kept: a swap or CROT match can beat KAK's three CZs.
         let k = block.ops.len();
         for start in 0..k {
+            let mut u = CMat::identity(4);
+            let mut two_qubit = false;
             for end in (start + 1)..=k.min(start + MAX_MATCH_LEN) {
-                let range = &block.ops[start..end];
-                // Must contain at least one two-qubit gate; ignore
-                // the trivial whole-block range only when it would
-                // duplicate KAK (keep it: swaps of whole blocks are
-                // cheaper than KAK's 3 CZ).
-                if !range
-                    .iter()
-                    .any(|&op| pre.source.instrs()[op].gate.is_two_qubit())
-                {
+                u = &embedded[end - 1] * &u;
+                two_qubit |= instrs[block.ops[end - 1]].gate.is_two_qubit();
+                if !two_qubit {
                     continue;
                 }
-                let sub = subrange_circuit(pre, block.id, range);
-                let u = sub.unitary();
-                if phase_insensitive_distance(&u, &swap_target) < 1e-9 {
-                    for (kind, gate) in [
-                        (SubstitutionKind::SwapDiabatic, Gate::SwapDiabatic),
-                        (SubstitutionKind::SwapComposite, Gate::SwapComposite),
-                    ] {
-                        let mut rep = Circuit::new(2);
-                        rep.push(gate, &[0, 1]);
-                        push_candidate(&mut catalog, pre, hw, kind, block.id, range.to_vec(), rep)?;
+                let range = &block.ops[start..end];
+                let tail = &stream[end..];
+                if phase_insensitive_distance(&u, &swap) < 1e-9 {
+                    for (kind, rep) in &swap_reps {
+                        push(*kind, range, rep, &prefix, tail)?;
                     }
                 }
                 // CNOT-equivalent in either operand order.
-                for (ctrl, tgt) in [(0usize, 1usize), (1, 0)] {
-                    let target = if (ctrl, tgt) == (0, 1) {
-                        cx_target.clone()
-                    } else {
-                        cx_target.embed_qubits(&[1, 0], 2)
-                    };
-                    if phase_insensitive_distance(&u, &target) < 1e-9 {
-                        let mut rep = Circuit::new(2);
-                        rep.push(Gate::CRot(PI), &[ctrl, tgt]);
-                        rep.push(Gate::S, &[ctrl]);
-                        push_candidate(
-                            &mut catalog,
-                            pre,
-                            hw,
-                            SubstitutionKind::ConditionalRotation,
-                            block.id,
-                            range.to_vec(),
-                            rep,
-                        )?;
+                for (target, rep) in [&cx, &reversed_cx].into_iter().zip(&crot_reps) {
+                    if phase_insensitive_distance(&u, target) < 1e-9 {
+                        let kind = SubstitutionKind::ConditionalRotation;
+                        push(kind, range, rep, &prefix, tail)?;
                         break;
                     }
                 }
             }
+            prefix.feed(&stream[start]);
         }
     }
     Ok(catalog)
+}
+
+/// One gate of a block's translated local stream: a single-qubit gate as
+/// its matrix, or a two-qubit gate on both local qubits.
+#[derive(Debug, Clone)]
+enum LocalGate {
+    OneQubit(usize, CMat),
+    TwoQubit(Gate, [usize; 2]),
+}
+
+/// Positions of `qubits` within `block.qubits`.
+fn block_local_qubits(block: &Block, qubits: &[usize]) -> Vec<usize> {
+    qubits
+        .iter()
+        .map(|q| {
+            block
+                .qubits
+                .iter()
+                .position(|bq| bq == q)
+                .expect("block qubit")
+        })
+        .collect()
+}
+
+/// The reference translation of one op on local qubits `local`, as
+/// [`apply_to_block`] emits it for an uncovered op.
+fn translate_local(gate: &Gate, local: &[usize]) -> Vec<LocalGate> {
+    if gate.num_qubits() == 1 {
+        return vec![LocalGate::OneQubit(local[0], gate.matrix())];
+    }
+    gate_to_cz(gate)
+        .iter()
+        .map(|ti| match ti.qubits[..] {
+            [q] => LocalGate::OneQubit(local[q], ti.gate.matrix()),
+            [a, b] => LocalGate::TwoQubit(ti.gate, [local[a], local[b]]),
+            _ => unreachable!("gates act on one or two qubits"),
+        })
+        .collect()
+}
+
+/// Feeds one op's translated local stream.
+fn feed_local(merge: &mut Consolidator, op: &[LocalGate], sink: &mut impl ConsolidatedSink) {
+    for g in op {
+        match g {
+            LocalGate::OneQubit(q, m) => merge.feed_1q(*q, m),
+            LocalGate::TwoQubit(gate, qubits) => merge.feed_gate(*gate, qubits, sink),
+        }
+    }
+}
+
+/// A cost-only replay of a two-qubit block's consolidated stream: the
+/// pending single-qubit runs, and the ASAP schedule and fidelity product of
+/// everything emitted so far. Cloning it snapshots a stream prefix.
+#[derive(Debug, Clone)]
+struct Replay<'a> {
+    merge: Consolidator,
+    cost: CostSink<'a>,
+}
+
+impl<'a> Replay<'a> {
+    fn new(hw: &'a HardwareModel) -> Replay<'a> {
+        Replay {
+            merge: Consolidator::new(2),
+            cost: CostSink {
+                hw,
+                // Every single-qubit gate, the `U3` a run becomes included,
+                // has one cost class.
+                one_qubit: hw.cost(&Gate::U3(0.0, 0.0, 0.0)),
+                free: [0.0; 2],
+                fidelity: 1.0,
+                priced: true,
+            },
+        }
+    }
+
+    fn feed(&mut self, op: &[LocalGate]) {
+        feed_local(&mut self.merge, op, &mut self.cost);
+    }
+
+    /// The cost of the block that continues this prefix with
+    /// `replacement` and then the ops of `tail`, or `None` when a gate has
+    /// no price.
+    fn price(&self, replacement: &Circuit, tail: &[Vec<LocalGate>]) -> Option<BlockCost> {
+        let mut replay = self.clone();
+        for instr in replacement.iter() {
+            replay
+                .merge
+                .feed(instr.gate, &instr.qubits, &mut replay.cost);
+        }
+        for op in tail {
+            replay.feed(op);
+        }
+        replay.merge.finish(&mut replay.cost);
+        let c = replay.cost;
+        c.priced.then(|| BlockCost {
+            duration: c.free.iter().copied().fold(0.0f64, f64::max),
+            log_fidelity: c.fidelity.ln(),
+        })
+    }
+}
+
+/// Prices a consolidated stream the way `CircuitSchedule::asap` and
+/// `HardwareModel::circuit_fidelity` price the circuit it would build.
+#[derive(Debug, Clone)]
+struct CostSink<'a> {
+    hw: &'a HardwareModel,
+    one_qubit: Option<GateCost>,
+    free: [f64; 2],
+    fidelity: f64,
+    priced: bool,
+}
+
+impl CostSink<'_> {
+    fn price(&mut self, cost: Option<GateCost>, qubits: &[usize]) {
+        let Some(cost) = cost else {
+            self.priced = false;
+            return;
+        };
+        let s = qubits.iter().map(|&q| self.free[q]).fold(0.0f64, f64::max);
+        for &q in qubits {
+            self.free[q] = s + cost.duration;
+        }
+        self.fidelity *= cost.fidelity;
+    }
+}
+
+impl ConsolidatedSink for CostSink<'_> {
+    fn run(&mut self, q: usize, _u: &CMat) {
+        self.price(self.one_qubit, &[q]);
+    }
+
+    fn gate(&mut self, gate: Gate, qubits: &[usize]) {
+        self.price(self.hw.cost(&gate), qubits);
+    }
 }
 
 /// Appends one routing substitution per priced swap realization for every
@@ -377,68 +547,6 @@ pub fn append_routing_substitutions(
             )));
         }
     }
-    Ok(())
-}
-
-/// Extracts the local circuit of a contiguous op range within a block.
-fn subrange_circuit(pre: &Preprocessed, block_id: usize, range: &[usize]) -> Circuit {
-    let block = &pre.partition.blocks[block_id];
-    let mut c = Circuit::new(block.qubits.len());
-    for &op in range {
-        let instr = &pre.source.instrs()[op];
-        let local: Vec<usize> = instr
-            .qubits
-            .iter()
-            .map(|q| {
-                block
-                    .qubits
-                    .iter()
-                    .position(|bq| bq == q)
-                    .expect("block qubit")
-            })
-            .collect();
-        c.push(instr.gate, &local);
-    }
-    c
-}
-
-/// Prices a candidate substitution (applied alone) and appends it to the
-/// catalog, dropping exact duplicates (same kind and op range).
-fn push_candidate(
-    catalog: &mut Vec<Substitution>,
-    pre: &Preprocessed,
-    hw: &HardwareModel,
-    kind: SubstitutionKind,
-    block: usize,
-    ops: Vec<usize>,
-    replacement: Circuit,
-) -> Result<(), AdaptError> {
-    if catalog
-        .iter()
-        .any(|s| s.kind == kind && s.block == block && s.ops == ops)
-    {
-        return Ok(());
-    }
-    let id = catalog.len();
-    let candidate = Substitution {
-        id,
-        kind,
-        block,
-        ops,
-        replacement,
-        route: None,
-        delta_duration: 0.0,
-        delta_log_fidelity: 0.0,
-    };
-    let applied = apply_to_block(pre, block, &[&candidate]);
-    let cost = circuit_cost(&applied, hw).ok_or_else(|| {
-        AdaptError::UnsupportedGate(format!("replacement for block {block} not native"))
-    })?;
-    let base = pre.cost[block];
-    let mut candidate = candidate;
-    candidate.delta_duration = cost.duration - base.duration;
-    candidate.delta_log_fidelity = cost.log_fidelity - base.log_fidelity;
-    catalog.push(candidate);
     Ok(())
 }
 

@@ -24,7 +24,8 @@ pub struct Fingerprint {
     pub os: String,
     /// `rustc -V` of the toolchain on `PATH` (`"unknown"` when absent).
     pub rustc: String,
-    /// `git rev-parse HEAD` of the working tree (`"unknown"` outside a
+    /// `git rev-parse HEAD` of the working tree, with a `-dirty` suffix
+    /// when tracked files differ from it (`"unknown"` outside a
     /// repository).
     pub git_sha: String,
     /// Build profile of the harness itself: `release` or `debug`. Debug
@@ -42,7 +43,11 @@ impl Fingerprint {
             arch: std::env::consts::ARCH.to_string(),
             os: std::env::consts::OS.to_string(),
             rustc: command_line("rustc", &["-V"]),
-            git_sha: command_line("git", &["rev-parse", "HEAD"]),
+            git_sha: revision(
+                &command_line("git", &["rev-parse", "HEAD"]),
+                command_stdout("git", &["status", "--porcelain", "--untracked-files=no"])
+                    .as_deref(),
+            ),
             profile: if cfg!(debug_assertions) {
                 "debug".to_string()
             } else {
@@ -97,19 +102,31 @@ impl Fingerprint {
     }
 }
 
-/// First line of a command's stdout, or `"unknown"` when the command is
-/// missing or fails.
-fn command_line(program: &str, args: &[&str]) -> String {
+/// The revision a report measured: `head`, marked `-dirty` when `status`
+/// (the output of `git status --porcelain --untracked-files=no`) lists a
+/// tracked file that differs from it.
+fn revision(head: &str, status: Option<&str>) -> String {
+    match status {
+        Some(s) if head != "unknown" && !s.trim().is_empty() => format!("{head}-dirty"),
+        _ => head.to_string(),
+    }
+}
+
+/// A command's stdout, or `None` when the command is missing or fails.
+fn command_stdout(program: &str, args: &[&str]) -> Option<String> {
     Command::new(program)
         .args(args)
         .output()
         .ok()
         .filter(|o| o.status.success())
-        .and_then(|o| {
-            String::from_utf8(o.stdout)
-                .ok()
-                .and_then(|s| s.lines().next().map(|l| l.trim().to_string()))
-        })
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+}
+
+/// First line of a command's stdout, or `"unknown"` when the command is
+/// missing or fails.
+fn command_line(program: &str, args: &[&str]) -> String {
+    command_stdout(program, args)
+        .and_then(|s| s.lines().next().map(|l| l.trim().to_string()))
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
 }
@@ -137,6 +154,18 @@ mod tests {
         assert!(!fp.os.is_empty());
         assert!(!fp.rustc.is_empty());
         assert!(!fp.profile.is_empty());
+    }
+
+    #[test]
+    fn revision_marks_a_dirty_tree() {
+        let sha = "8f9bf760cd39189b9ed5539d5123d0995ae0c764";
+        assert_eq!(revision(sha, Some("")), sha);
+        assert_eq!(revision(sha, None), sha);
+        assert_eq!(
+            revision(sha, Some(" M crates/core/src/rules.rs\n")),
+            format!("{sha}-dirty")
+        );
+        assert_eq!(revision("unknown", Some(" M a.rs\n")), "unknown");
     }
 
     #[test]

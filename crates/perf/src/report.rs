@@ -43,8 +43,8 @@ pub const SCHEMA_VERSION: u64 = 1;
 pub const REPORT_KIND: &str = "qca-bench-report";
 
 /// The measured layers of the stack.
-pub const LAYERS: [&str; 8] = [
-    "num", "sat", "smt", "synth", "sim", "engine", "serve", "store",
+pub const LAYERS: [&str; 9] = [
+    "num", "sat", "smt", "synth", "core", "sim", "engine", "serve", "store",
 ];
 
 /// Layers the suite no longer measures. Committed reports that carry them
@@ -433,6 +433,7 @@ mod tests {
                 result("sat.pigeonhole/7", "sat", 5.0e6),
                 result("smt.schedule/40", "smt", 4.0e4),
                 result("synth.kak", "synth", 9.0e5),
+                result("core.rules", "core", 7.0e6),
                 result("sim.noisy_qv/4", "sim", 2.0e6),
                 result("engine.batch/w1", "engine", 2.0e8),
                 result("serve.event_loop", "serve", 1.1e6),

@@ -10,6 +10,7 @@
 //! | `engine.adapt_routed` | engine | batch adaptation of topology-stress circuits under a line coupling map, where the solver must choose SWAP-insertion routing substitutions |
 //! | `engine.recalibrate` | engine | walking the cached corpus against a drifted fidelity table, re-certifying each cached optimum |
 //! | `smt.schedule/N` | smt | bit-blasting the scheduling part of the adaptation model on a seeded N-block ASAP DAG: the `SmtSolver` calls `encode_model` makes for durations, start and end times, the makespan, the busy-time sum and one probe comparison |
+//! | `core.rules` | core | rule evaluation (`evaluate_substitutions`) over two preprocessed circuits of each Fig. 5 family: KAK per two-qubit block, every range's match test and every candidate's pricing |
 //! | `num.simultaneous_diagonalize` | num | the eigen step inside KAK: simultaneous diagonalization of the commuting real and imaginary parts of `UᵀU` for 32 Haar-random 4×4 unitaries |
 //! | `synth.kak` | synth | KAK decomposition plus CZ-circuit emission of 32 Haar-random two-qubit unitaries |
 //! | `sim.noisy_qv/N` | sim | noisy density-matrix simulation of an N-qubit depth-2 quantum-volume circuit under the spin-qubit noise model |
@@ -23,6 +24,7 @@
 use crate::fingerprint::Fingerprint;
 use crate::harness::{measure, HarnessConfig, Measurement};
 use crate::report::{BenchResult, Direction};
+use qca_adapt::rules::{evaluate_substitutions, RuleOptions};
 use qca_adapt::Objective;
 use qca_baselines::direct_translation;
 use qca_engine::{AdaptJob, Engine, EngineConfig};
@@ -119,6 +121,7 @@ pub fn run_suite(config: &SuiteConfig) -> Vec<BenchResult> {
     push(bench_adapt_routed(config));
     push(bench_recalibrate(config));
     push(bench_smt_schedule(config, 40));
+    push(bench_rules(config));
     push(bench_simultaneous_diagonalize(config));
     push(bench_kak(config));
     push(bench_noisy_sim(config, 4));
@@ -499,6 +502,69 @@ fn bench_recalibrate(config: &SuiteConfig) -> Option<BenchResult> {
         config,
         id,
         "engine",
+        &measurement,
+        true,
+        metrics,
+    ))
+}
+
+/// Rule evaluation, the largest phase of a cold request that builds no
+/// solver, on fixed Fig. 5 circuits preprocessed outside the timed loop.
+fn bench_rules(config: &SuiteConfig) -> Option<BenchResult> {
+    let id = "core.rules";
+    if !config.wants(id) {
+        return None;
+    }
+    let hw = spin_qubit_model(GateTimes::D0);
+    let mut circuits = Vec::new();
+    for seed in [3, 4] {
+        circuits.push(random_template_circuit(
+            3,
+            20,
+            seed,
+            &DEFAULT_TEMPLATE_GATES,
+            true,
+        ));
+        circuits.push(random_template_circuit(
+            4,
+            20,
+            seed,
+            &DEFAULT_TEMPLATE_GATES,
+            true,
+        ));
+        circuits.push(random_template_circuit(
+            3,
+            40,
+            seed,
+            &DEFAULT_TEMPLATE_GATES,
+            true,
+        ));
+        circuits.push(quantum_volume(4, 2, seed));
+    }
+    let pres: Vec<_> = circuits
+        .iter()
+        .map(|c| qca_adapt::preprocess::preprocess(c, &hw).expect("Fig. 5 circuits preprocess"))
+        .collect();
+    let options = RuleOptions::default();
+    let evaluate = || {
+        pres.iter()
+            .map(|pre| {
+                evaluate_substitutions(pre, &hw, &options)
+                    .expect("rules evaluate")
+                    .len()
+            })
+            .sum::<usize>()
+    };
+    let entries = evaluate();
+    let measurement = measure(&config.harness, evaluate);
+    let metrics = BTreeMap::from([
+        ("circuits".to_string(), pres.len() as f64),
+        ("entries".to_string(), entries as f64),
+    ]);
+    Some(timing_result(
+        config,
+        id,
+        "core",
         &measurement,
         true,
         metrics,

@@ -203,15 +203,18 @@ fn deadline_degrades_the_answer_instead_of_failing() {
     let response = connection
         .request(
             "POST",
-            "/v1/adapt?deadline_ms=1&exact=1",
+            "/v1/adapt?deadline_ms=1&exact=1&objective=idle",
             big_qasm(1).as_bytes(),
         )
         .expect("deadline request");
     let elapsed = t0.elapsed();
     assert_eq!(response.status, 200, "{}", response.body_text());
     let body = response.body_text();
-    // A 48-gate solve cannot finish within 1ms: the answer is the best
-    // incumbent (feasible) or a fallback — never an error, never optimal.
+    // A 48-gate idle solve (tens of ms) cannot finish within 1ms: the
+    // answer is the best incumbent (feasible) or a fallback — never an
+    // error, never optimal. (A fidelity answer is decided from its bound,
+    // with no solver, in about as long as the deadline, so it may finish
+    // first and be optimal.)
     assert!(body.contains("\"optimal\":false"), "{body}");
     assert!(
         body.contains("\"status\":\"feasible\"") || body.contains("\"status\":\"fallback\""),

@@ -4,11 +4,93 @@
 //! gate (dropping runs that multiply to the identity up to phase). This both
 //! cleans up synthesized circuits and implements the paper's cost convention
 //! that the spin platform executes an arbitrary SU(2) as a single operation.
+//!
+//! [`Consolidator`] does the merging as a stream (feed gates, then finish)
+//! into a [`ConsolidatedSink`]; [`consolidate_1q`] streams a circuit into a
+//! new [`Circuit`]. Rule evaluation streams into a cost sink instead, so it
+//! prices a consolidated circuit without building it.
 
 use crate::euler::u3_gate;
-use qca_circuit::Circuit;
+use qca_circuit::{Circuit, Gate};
 use qca_num::phase::approx_eq_up_to_phase;
 use qca_num::CMat;
+
+/// Receives the consolidated stream of a [`Consolidator`], in order.
+pub trait ConsolidatedSink {
+    /// A merged single-qubit run on qubit `q` whose product `u` is not the
+    /// identity up to phase.
+    fn run(&mut self, q: usize, u: &CMat);
+    /// A multi-qubit gate, passed through verbatim.
+    fn gate(&mut self, gate: Gate, qubits: &[usize]);
+}
+
+/// Builds the consolidated circuit: each run becomes one `U3`.
+impl ConsolidatedSink for Circuit {
+    fn run(&mut self, q: usize, u: &CMat) {
+        self.push(u3_gate(u), &[q]);
+    }
+
+    fn gate(&mut self, gate: Gate, qubits: &[usize]) {
+        self.push(gate, qubits);
+    }
+}
+
+/// Streaming single-qubit consolidation: the pending run product of each
+/// qubit. Cloning it snapshots a prefix of the stream.
+#[derive(Debug, Clone)]
+pub struct Consolidator {
+    pending: Vec<Option<CMat>>,
+}
+
+impl Consolidator {
+    /// A consolidator over `num_qubits` qubits with no pending runs.
+    pub fn new(num_qubits: usize) -> Consolidator {
+        Consolidator {
+            pending: vec![None; num_qubits],
+        }
+    }
+
+    /// Multiplies the single-qubit matrix `m` onto qubit `q`'s pending run.
+    pub fn feed_1q(&mut self, q: usize, m: &CMat) {
+        self.pending[q] = Some(match self.pending[q].take() {
+            None => m.clone(),
+            Some(acc) => m * &acc,
+        });
+    }
+
+    /// Flushes the pending runs on `qubits`, then emits the multi-qubit
+    /// `gate`.
+    pub fn feed_gate(&mut self, gate: Gate, qubits: &[usize], sink: &mut impl ConsolidatedSink) {
+        for &q in qubits {
+            self.flush(q, sink);
+        }
+        sink.gate(gate, qubits);
+    }
+
+    /// Feeds one instruction of either arity.
+    pub fn feed(&mut self, gate: Gate, qubits: &[usize], sink: &mut impl ConsolidatedSink) {
+        if gate.num_qubits() == 1 {
+            self.feed_1q(qubits[0], &gate.matrix());
+        } else {
+            self.feed_gate(gate, qubits, sink);
+        }
+    }
+
+    /// Flushes every pending run, in qubit order.
+    pub fn finish(&mut self, sink: &mut impl ConsolidatedSink) {
+        for q in 0..self.pending.len() {
+            self.flush(q, sink);
+        }
+    }
+
+    fn flush(&mut self, q: usize, sink: &mut impl ConsolidatedSink) {
+        if let Some(u) = self.pending[q].take() {
+            if !approx_eq_up_to_phase(&u, &CMat::identity(2), 1e-10) {
+                sink.run(q, &u);
+            }
+        }
+    }
+}
 
 /// Rewrites `circuit` so that no two single-qubit gates are adjacent on the
 /// same qubit: each run becomes a single [`qca_circuit::Gate::U3`] (or vanishes when the
@@ -30,34 +112,12 @@ use qca_num::CMat;
 /// assert!(out.is_empty());
 /// ```
 pub fn consolidate_1q(circuit: &Circuit) -> Circuit {
-    let nq = circuit.num_qubits();
-    let mut pending: Vec<Option<CMat>> = vec![None; nq];
-    let mut out = Circuit::new(nq);
-    let flush = |pending: &mut Vec<Option<CMat>>, out: &mut Circuit, q: usize| {
-        if let Some(u) = pending[q].take() {
-            if !approx_eq_up_to_phase(&u, &CMat::identity(2), 1e-10) {
-                out.push(u3_gate(&u), &[q]);
-            }
-        }
-    };
+    let mut merge = Consolidator::new(circuit.num_qubits());
+    let mut out = Circuit::new(circuit.num_qubits());
     for instr in circuit.iter() {
-        if instr.gate.num_qubits() == 1 {
-            let q = instr.qubits[0];
-            let m = instr.gate.matrix();
-            pending[q] = Some(match pending[q].take() {
-                None => m,
-                Some(acc) => &m * &acc,
-            });
-        } else {
-            for &q in &instr.qubits {
-                flush(&mut pending, &mut out, q);
-            }
-            out.push(instr.gate, &instr.qubits);
-        }
+        merge.feed(instr.gate, &instr.qubits, &mut out);
     }
-    for q in 0..nq {
-        flush(&mut pending, &mut out, q);
-    }
+    merge.finish(&mut out);
     out
 }
 
