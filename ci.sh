@@ -360,10 +360,14 @@ http_get() {
 }
 
 echo "== store gate: warm restart replays persisted adaptations =="
+# Both servers run with --verify, so the persisted record is a certified
+# one (audit bundle and certificate over one shared formula): written in
+# the current wire version, replayed after the restart, and audited again
+# as a cache hit.
 store_dir="$trace_dir/store"
 warm1_metrics="$trace_dir/warm1-metrics.json"
 warm2_metrics="$trace_dir/warm2-metrics.json"
-target/release/qca-serve --addr 127.0.0.1:0 --workers 1 --queue 4 \
+target/release/qca-serve --addr 127.0.0.1:0 --workers 1 --queue 4 --verify \
   --store "$store_dir" --metrics-out "$warm1_metrics" \
   > "$trace_dir/warm1.log" &
 warm_pid=$!
@@ -390,7 +394,7 @@ wait "$warm_pid" || {
   echo "store gate: first server exited non-zero on SIGTERM" >&2; exit 1; }
 # ...and a restart on the same directory must replay the record into the
 # cache, so the same circuit is answered without solving again.
-target/release/qca-serve --addr 127.0.0.1:0 --workers 1 --queue 4 \
+target/release/qca-serve --addr 127.0.0.1:0 --workers 1 --queue 4 --verify \
   --store "$store_dir" --metrics-out "$warm2_metrics" \
   > "$trace_dir/warm2.log" &
 warm_pid=$!
@@ -424,6 +428,15 @@ grep -Eq '"store_replays":[1-9]' "$warm2_metrics" || {
 }
 grep -Eq '"cache_hits":[1-9]' "$warm2_metrics" || {
   echo "store gate: post-restart request did not hit the warm cache" >&2
+  cat "$warm2_metrics" >&2; exit 1
+}
+# The replayed certified record passed its audit as a cache hit.
+grep -Eq '"verify_passed":[1-9]' "$warm2_metrics" || {
+  echo "store gate: the replayed record was not audited" >&2
+  cat "$warm2_metrics" >&2; exit 1
+}
+grep -Eq '"verify_failures":0[,}]' "$warm2_metrics" || {
+  echo "store gate: the replayed record failed its audit" >&2
   cat "$warm2_metrics" >&2; exit 1
 }
 

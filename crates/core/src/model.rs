@@ -921,13 +921,11 @@ fn anchored_search(
         .collect();
     let solver_stats = smt.stats().clone();
     let verification = if ctx.options.certify {
-        omt::certify(&mut smt, &objective_expr, &mut best);
-        smt.audit_bundle(best.model.clone())
+        let certificate = omt::certify(&mut smt, &objective_expr, &mut best);
+        smt.take_audit_bundle(best.model)
             .map(|bundle| VerificationData {
                 bundle,
-                // Cloned, not moved: the clone's vectors are sized exactly,
-                // and cached adaptations keep the certificate for good.
-                certificate: best.certificate.clone(),
+                certificate,
             })
     } else {
         None
@@ -944,7 +942,7 @@ fn anchored_search(
     // Freeing the clause database costs about as much as a probe-free
     // search; the span keeps it attributed in a trace.
     let _span = ctx.tracer.span("smt.drop");
-    drop((smt, best));
+    drop(smt);
     Ok(result)
 }
 

@@ -226,8 +226,9 @@ mod tests {
         let a = solver.new_bool();
         let b = solver.new_bool();
         let _sum = solver.pb_sum(7, &[(0, a), (3, b)]);
-        let records = solver.records().expect("recording enabled").to_vec();
-        let diags = lint_records(&records);
+        let model = qca_smt::SmtModel::from_raw_values(Vec::new());
+        let bundle = solver.take_audit_bundle(model).expect("recording enabled");
+        let diags = lint_records(&bundle.constraints);
         assert_eq!(codes(&diags), vec![LintCode::ZeroWeightTerm]);
         assert!(diags[0].message.contains("1 zero-weight term"));
     }

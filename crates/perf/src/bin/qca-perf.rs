@@ -1,14 +1,15 @@
 //! `qca-perf` — benchmark telemetry CLI.
 //!
 //! ```text
-//! qca-perf run [--quick|--full] [--pr N] [--out FILE] [--filter SUBSTR] [--repeats K]
+//! qca-perf run [--quick|--full] [--pr N] --out FILE [--filter SUBSTR] [--repeats K]
 //! qca-perf compare OLD.json NEW.json [--threshold PCT] [--noise-mult X] [--allow-missing]
 //! qca-perf check FILE... [--require-layers]
 //! ```
 //!
-//! * `run` measures the suite and writes a schema-versioned report
-//!   (default `BENCH_<pr>.json` in the current directory; `--pr` defaults
-//!   to 0 for scratch runs). `--repeats K` runs the whole suite K times
+//! * `run` measures the suite and writes a schema-versioned report to the
+//!   required `--out FILE`, checked before anything runs, so no run leaves
+//!   a report the perf gate would take for a baseline (`--pr` defaults to
+//!   0 for scratch runs). `--repeats K` runs the whole suite K times
 //!   and merges the runs, folding *cross-run* drift into each result's
 //!   recorded dispersion — intra-run samples alone understate the noise
 //!   a busy machine adds between runs, and the compare gate's noise bound
@@ -32,7 +33,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: qca-perf run [--quick|--full] [--pr N] [--out FILE] [--filter SUBSTR] [--repeats K]\n\
+        "usage: qca-perf run [--quick|--full] [--pr N] --out FILE [--filter SUBSTR] [--repeats K]\n\
          \x20      qca-perf compare OLD.json NEW.json [--threshold PCT] [--noise-mult X]\n\
          \x20                       [--allow-missing]\n\
          \x20      qca-perf check FILE... [--require-layers]"
@@ -88,6 +89,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
             _ => return usage(),
         }
     }
+    let Some(path) = out else {
+        eprintln!("qca-perf: run needs --out FILE");
+        return usage();
+    };
     let mut config = SuiteConfig::new(quick);
     config.filter = filter;
     let mode = if quick { "quick" } else { "full" };
@@ -118,7 +123,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
         fingerprint: config.fingerprint.clone(),
         results,
     };
-    let path = out.unwrap_or_else(|| format!("BENCH_{pr}.json"));
     if let Err(e) = std::fs::write(&path, report.to_json_string() + "\n") {
         eprintln!("qca-perf: cannot write {path}: {e}");
         return ExitCode::from(2);

@@ -1153,10 +1153,10 @@ mod tests {
             Some(&mut sink as &mut dyn ProofSink),
         );
         assert!(!r.unsat);
-        assert!(!sink.is_empty());
+        let steps = sink.take_steps();
+        assert!(!steps.is_empty());
         // Every strengthened clause appears as an Add before the original's
         // Delete — spot-check that at least one Add precedes some Delete.
-        let steps = sink.take_steps();
         let first_add = steps.iter().position(|s| !s.is_delete());
         let first_del = steps.iter().position(|s| s.is_delete());
         if let (Some(a), Some(d)) = (first_add, first_del) {

@@ -112,16 +112,6 @@ impl MemoryProof {
     pub fn take_steps(&self) -> Vec<ProofStep> {
         std::mem::take(&mut *self.steps.lock().expect("proof mutex poisoned"))
     }
-
-    /// Number of steps recorded so far.
-    pub fn len(&self) -> usize {
-        self.steps.lock().expect("proof mutex poisoned").len()
-    }
-
-    /// `true` when no step has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl ProofSink for MemoryProof {
@@ -289,7 +279,10 @@ mod tests {
         b.add_clause(&[lit(1), lit(-2)]);
         b.delete_clause(&[lit(3)]);
         let steps = a.take_steps();
-        assert!(b.is_empty(), "taking the steps empties the shared buffer");
+        assert!(
+            b.take_steps().is_empty(),
+            "taking the steps empties the shared buffer"
+        );
         assert_eq!(steps.len(), 2);
         assert_eq!(steps[0], ProofStep::Add(vec![lit(1), lit(-2)]));
         assert_eq!(steps[1], ProofStep::Delete(vec![lit(3)]));

@@ -144,7 +144,8 @@ pub struct Solver {
     control: SolveControl,
     n_original_clauses: usize,
     proof: Option<Box<dyn ProofSink>>,
-    recorded: Option<Vec<Vec<Lit>>>,
+    /// The shadow formula, shared with [`Solver::shadow_formula`] handles.
+    recorded: Option<Arc<crate::dimacs::Cnf>>,
 }
 
 impl Default for Solver {
@@ -279,29 +280,30 @@ impl Solver {
 
     /// Starts recording a *shadow formula*: every clause subsequently given
     /// to [`Solver::add_clause`] is stored verbatim (pre-simplification), so
-    /// the axiom set can later be exported with [`Solver::recorded_cnf`] and
-    /// re-checked by an independent tool. Clauses added through
+    /// the axiom set can later be handed out by [`Solver::shadow_formula`]
+    /// and re-checked by an independent tool. Clauses added through
     /// [`Solver::add_clause_derived`] are deliberately *not* recorded — they
     /// are consequences, not axioms.
     pub fn enable_clause_recording(&mut self) {
         if self.recorded.is_none() {
-            self.recorded = Some(Vec::new());
+            self.recorded = Some(Arc::default());
         }
     }
 
-    /// `true` while shadow-formula recording is enabled.
-    pub fn recording_enabled(&self) -> bool {
-        self.recorded.is_some()
-    }
-
     /// The shadow formula recorded since [`Solver::enable_clause_recording`],
-    /// as a [`Cnf`](crate::dimacs::Cnf) over this solver's current variable
-    /// range. `None` if recording was never enabled.
-    pub fn recorded_cnf(&self) -> Option<crate::dimacs::Cnf> {
-        self.recorded.as_ref().map(|clauses| crate::dimacs::Cnf {
-            num_vars: self.num_vars(),
-            clauses: clauses.clone(),
-        })
+    /// over this solver's current variable range, shared with the solver
+    /// rather than copied: recording a clause while a handle is alive copies
+    /// the record first. `None` if recording was never enabled.
+    pub fn shadow_formula(&mut self) -> Option<Arc<crate::dimacs::Cnf>> {
+        let num_vars = self.num_vars();
+        let recorded = self.recorded.as_mut()?;
+        if let Some(cnf) = Arc::get_mut(recorded) {
+            cnf.clauses.shrink_to_fit();
+        }
+        if recorded.num_vars != num_vars {
+            Arc::make_mut(recorded).num_vars = num_vars;
+        }
+        Some(Arc::clone(recorded))
     }
 
     #[inline]
@@ -349,7 +351,7 @@ impl Solver {
         }
         if record {
             if let Some(rec) = self.recorded.as_mut() {
-                rec.push(lits.to_vec());
+                Arc::make_mut(rec).clauses.push(lits.to_vec());
             }
         }
         self.cancel_until(0);

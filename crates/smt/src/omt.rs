@@ -19,6 +19,7 @@
 use crate::solver::{IntExpr, SmtModel, SmtSolver};
 use qca_sat::dimacs::Cnf;
 use qca_sat::{Lit, ProofStep, SolveOutcome};
+use std::sync::Arc;
 
 /// Result of a successful maximization.
 #[derive(Debug, Clone)]
@@ -39,24 +40,21 @@ pub struct Optimum {
     /// refuted it, when the search ended on a refutation; [`certify`]
     /// reuses it instead of solving again.
     pub refuted: Option<Lit>,
-    /// Independently checkable proof of optimality, set by [`certify`] on a
-    /// recording solver when `optimal` is `true`. It refutes `objective >=
-    /// value + 1` over the recorded CNF alone, so an optimum proven by a
-    /// computed `hi` is certified the same way. Absence with `optimal ==
-    /// true` means certification was not requested (or `value + 1`
-    /// overflows `i64`).
-    pub certificate: Option<OptimalityCertificate>,
 }
 
 /// An UNSAT certificate for the claim `objective <= refuted_bound - 1`:
-/// the solver's shadow formula plus the unit clause `objective >=
-/// refuted_bound`, together with the DRAT proof the searching solver
-/// logged, closed by the empty clause. `qca-verify`'s independent RUP
-/// checker validates `steps` against `cnf` without trusting the solver.
+/// the solver's shadow formula plus the unit clause `refuted`, together
+/// with the DRAT proof the searching solver logged, closed by the empty
+/// clause. `qca-verify`'s independent RUP checker validates `steps` against
+/// them without trusting the solver.
 #[derive(Debug, Clone)]
 pub struct OptimalityCertificate {
-    /// The formula refuted: shadow CNF + `objective >= refuted_bound` unit.
-    pub cnf: Cnf,
+    /// The shadow formula, without the unit: the same `Arc` as the solve's
+    /// [`AuditBundle::cnf`](crate::AuditBundle::cnf).
+    pub cnf: Arc<Cnf>,
+    /// The comparator literal `objective >= refuted_bound` the proof
+    /// refutes, taken as a unit clause after `cnf`.
+    pub refuted: Lit,
     /// DRAT proof steps ending in the empty clause.
     pub steps: Vec<ProofStep>,
     /// The bound proven unreachable (`Optimum::value + 1`).
@@ -113,21 +111,27 @@ pub fn maximize_with(
     result
 }
 
-/// Certifies a proven `opt` of `objective` on the solver that found it.
+/// Certifies a proven `opt` of `objective` on the solver that found it,
+/// returning the certificate.
 ///
 /// The refuted literal is the search's own refutation of `value + 1`, or,
 /// for an optimum proven by `hi`, the verdict of one more unbudgeted probe
 /// of `hi + 1`, run under the solver's conflict cap and stop flag. The
-/// certificate is the recorded CNF plus that literal as a unit, and its
-/// proof the solver's DRAT log, moved out of the buffer, plus the empty
-/// clause. A probe that does not come back UNSAT leaves `opt` unproven
-/// (`optimal == false`) and uncertified. Does nothing when `opt` is not
-/// proven, `value + 1` overflows, or the solver does not record.
-pub fn certify(smt: &mut SmtSolver, objective: &IntExpr, opt: &mut Optimum) {
+/// certificate shares the solver's shadow formula, which holds the probe's
+/// comparator clauses, takes that literal as its unit, and moves the
+/// solver's DRAT log out as its proof, plus the empty clause. A probe that
+/// does not come back UNSAT leaves `opt` unproven (`optimal == false`) and
+/// uncertified. Returns `None` without solving when `opt` is not proven,
+/// `value + 1` overflows, or the solver does not record.
+pub fn certify(
+    smt: &mut SmtSolver,
+    objective: &IntExpr,
+    opt: &mut Optimum,
+) -> Option<OptimalityCertificate> {
     let (true, Some(bound), Some(proof)) =
         (opt.optimal, opt.value.checked_add(1), smt.proof.clone())
     else {
-        return;
+        return None;
     };
     let tracer = smt.tracer().clone();
     let mut span = tracer.span_with("omt.certify", || format!("bound={bound}"));
@@ -137,21 +141,25 @@ pub fn certify(smt: &mut SmtSolver, objective: &IntExpr, opt: &mut Optimum) {
             Probe::Unsat(ge) => Some(ge),
             _ => None,
         });
-    let Some(ge) = refuted else {
+    let Some(refuted) = refuted else {
         span.set_note("not_refuted");
         opt.optimal = false;
-        return;
+        return None;
     };
-    let mut cnf = smt.recorded_cnf().expect("a proof-logging solver records");
-    cnf.clauses.push(vec![ge]);
+    let cnf = smt
+        .sat
+        .shadow_formula()
+        .expect("a proof-logging solver records");
     let mut steps = proof.take_steps();
     steps.push(ProofStep::Add(Vec::new()));
+    steps.shrink_to_fit();
     span.set_note("refuted");
-    opt.certificate = Some(OptimalityCertificate {
+    Some(OptimalityCertificate {
         cnf,
+        refuted,
         steps,
         refuted_bound: bound,
-    });
+    })
 }
 
 /// Verdict of one bound probe `objective >= bound`.
@@ -245,7 +253,6 @@ fn improve(
         queries,
         optimal,
         refuted,
-        certificate: None,
     })
 }
 
@@ -374,10 +381,10 @@ mod tests {
         objective: &IntExpr,
         budget: Option<u64>,
         hint: &[Lit],
-    ) -> Optimum {
+    ) -> (Optimum, Option<OptimalityCertificate>) {
         let mut best = maximize_with(smt, objective, budget, hint).expect("sat");
-        certify(smt, objective, &mut best);
-        best
+        let cert = certify(smt, objective, &mut best);
+        (best, cert)
     }
 
     #[test]
@@ -394,11 +401,10 @@ mod tests {
         // The search's own refutation is the proof: certifying solves
         // nothing more.
         let conflicts = smt.stats().conflicts;
-        certify(&mut smt, &value, &mut best);
+        let cert = certify(&mut smt, &value, &mut best).expect("certificate requested");
         assert_eq!(smt.stats().conflicts, conflicts);
         assert_eq!(best.value, 9);
         assert!(best.optimal);
-        let cert = best.certificate.expect("certificate requested");
         assert_eq!(cert.refuted_bound, 10);
         // The proof is the solver's log, closed by the empty clause, and
         // moved out of its buffer.
@@ -406,12 +412,15 @@ mod tests {
             cert.steps.last(),
             Some(ProofStep::Add(c)) if c.is_empty()
         ));
-        assert!(smt.proof.as_ref().is_some_and(|p| p.is_empty()));
-        // The formula is the recorded CNF plus the refuted probe's
-        // comparator as a unit.
-        let recorded = smt.recorded_cnf().expect("recording on");
-        assert_eq!(cert.cnf.clauses[..recorded.clauses.len()], recorded.clauses);
-        assert_eq!(cert.cnf.clauses.last(), Some(&vec![refuted]));
+        assert!(smt
+            .proof
+            .as_ref()
+            .is_some_and(|p| p.take_steps().is_empty()));
+        // The formula is the solver's own shadow formula, shared, not
+        // copied, and the unit is the refuted probe's comparator.
+        let formula = smt.sat.shadow_formula().expect("recording on");
+        assert!(Arc::ptr_eq(&cert.cnf, &formula));
+        assert_eq!(cert.refuted, refuted);
     }
 
     #[test]
@@ -422,10 +431,10 @@ mod tests {
         smt.enable_recording();
         let _ = smt.new_bool();
         let obj = smt.int_const(42);
-        let best = certified(&mut smt, &obj, None, &[]);
+        let (best, cert) = certified(&mut smt, &obj, None, &[]);
         assert_eq!(best.value, 42);
         assert!(best.optimal);
-        let cert = best.certificate.expect("certificate");
+        let cert = cert.expect("certificate");
         assert_eq!(cert.refuted_bound, 43);
     }
 
@@ -443,10 +452,10 @@ mod tests {
         let mut obj = smt.pb_sum(0, &[(5, a), (4, b)]);
         assert_eq!(obj.hi, 9);
         obj.hi = 5;
-        let best = certified(&mut smt, &obj, Some(0), &[a, !b]);
+        let (best, cert) = certified(&mut smt, &obj, Some(0), &[a, !b]);
         assert_eq!((best.value, best.queries, best.optimal), (5, 1, true));
         assert!(best.refuted.is_none(), "no search probe ran");
-        let cert = best.certificate.expect("certificate");
+        let cert = cert.expect("certificate");
         assert_eq!(cert.refuted_bound, 6);
     }
 
@@ -469,10 +478,9 @@ mod tests {
             ))),
             ..qca_sat::SolveControl::default()
         });
-        certify(&mut smt, &obj, &mut best);
+        assert!(certify(&mut smt, &obj, &mut best).is_none());
         assert_eq!(best.value, 5);
         assert!(!best.optimal);
-        assert!(best.certificate.is_none());
     }
 
     #[test]
@@ -480,10 +488,10 @@ mod tests {
         let mut smt = SmtSolver::new();
         let a = smt.new_bool();
         let obj = smt.pb_sum(0, &[(5, a)]);
-        let best = certified(&mut smt, &obj, None, &[]);
+        let (best, cert) = certified(&mut smt, &obj, None, &[]);
         assert_eq!(best.value, 5);
         assert!(best.optimal, "missing recording must not downgrade results");
-        assert!(best.certificate.is_none());
+        assert!(cert.is_none());
     }
 
     #[test]
@@ -504,18 +512,18 @@ mod tests {
             (smt, obj)
         };
         let (mut smt, obj) = build();
-        let best = certified(&mut smt, &obj, Some(0), &[]);
+        let (best, cert) = certified(&mut smt, &obj, Some(0), &[]);
         assert_eq!(best.value, 50);
         assert!(!best.optimal, "an unknown probe must not claim optimality");
-        assert!(best.certificate.is_none());
+        assert!(cert.is_none());
 
         // Same instance searched to exactness is proven optimal and
         // certified — the certificate is what separates the two outcomes.
         let (mut smt, obj) = build();
-        let best = certified(&mut smt, &obj, None, &[]);
+        let (best, cert) = certified(&mut smt, &obj, None, &[]);
         assert_eq!(best.value, 50);
         assert!(best.optimal);
-        assert!(best.certificate.is_some());
+        assert!(cert.is_some());
     }
 
     /// `(detail, note)` of every `omt.probe` span, in order.

@@ -17,6 +17,7 @@
 use crate::solver::{IntExpr, SmtModel};
 use qca_sat::dimacs::Cnf;
 use qca_sat::Lit;
+use std::sync::Arc;
 
 /// One semantic constraint as issued through the [`crate::SmtSolver`] API.
 ///
@@ -113,8 +114,10 @@ pub struct AuditBundle {
     pub constraints: Vec<RecordedConstraint>,
     /// The axiom clauses exactly as submitted to the SAT solver
     /// (pre-simplification), covering both user clauses and the bit-blasted
-    /// definitional clauses of every arithmetic expression.
-    pub cnf: Cnf,
+    /// definitional clauses of every arithmetic expression. A certified
+    /// solve's [`OptimalityCertificate`](crate::omt::OptimalityCertificate)
+    /// holds the same `Arc`.
+    pub cnf: Arc<Cnf>,
     /// The model to audit.
     pub model: SmtModel,
 }

@@ -183,29 +183,16 @@ impl SmtSolver {
         self.sat.enable_clause_recording();
     }
 
-    /// `true` while constraint recording is enabled.
-    pub fn recording_enabled(&self) -> bool {
-        self.records.is_some()
-    }
-
-    /// The constraints recorded so far (`None` if recording is disabled).
-    pub fn records(&self) -> Option<&[RecordedConstraint]> {
-        self.records.as_deref()
-    }
-
-    /// The clause-level shadow formula recorded by the underlying SAT solver
-    /// (`None` if recording is disabled).
-    pub fn recorded_cnf(&self) -> Option<qca_sat::dimacs::Cnf> {
-        self.sat.recorded_cnf()
-    }
-
-    /// Packages the recorded constraints, the shadow formula, and `model`
-    /// into an [`AuditBundle`] for `qca-verify`. `None` if recording is
-    /// disabled.
-    pub fn audit_bundle(&self, model: SmtModel) -> Option<AuditBundle> {
+    /// Moves the recorded constraints out into an [`AuditBundle`] for
+    /// `qca-verify`, with `model` and the SAT solver's shared
+    /// [`shadow_formula`](qca_sat::Solver::shadow_formula). Constraint
+    /// recording ends here. `None` if recording is disabled.
+    pub fn take_audit_bundle(&mut self, model: SmtModel) -> Option<AuditBundle> {
+        let mut constraints = self.records.take()?;
+        constraints.shrink_to_fit();
         Some(AuditBundle {
-            constraints: self.records.as_ref()?.clone(),
-            cnf: self.recorded_cnf()?,
+            constraints,
+            cnf: self.sat.shadow_formula()?,
             model,
         })
     }

@@ -35,8 +35,9 @@ use crate::wire::decode_adaptation;
 pub const MAGIC_WAL: [u8; 8] = *b"qcawal01";
 /// Magic for compacted snapshot files.
 pub const MAGIC_SNAP: [u8; 8] = *b"qcasnp01";
-/// On-disk format version, bumped on incompatible layout changes.
-pub const VERSION: u32 = 1;
+/// On-disk format version, bumped on incompatible layout changes (2: a
+/// certified record holds its formula once); other versions are discarded.
+pub const VERSION: u32 = 2;
 /// Bytes of file header preceding the first frame.
 pub const HEADER_LEN: u64 = 12;
 /// Per-frame overhead: `u32` length + `u64` checksum.

@@ -25,6 +25,7 @@ use qca_sat::{Lit, SolverStats};
 use qca_smt::omt::OptimalityCertificate;
 use qca_smt::record::{AuditBundle, RecordedConstraint};
 use qca_smt::{IntExpr, SmtModel};
+use std::sync::Arc;
 
 /// Why a payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -540,6 +541,7 @@ fn dec_constraint(d: &mut Dec) -> DResult<RecordedConstraint> {
     })
 }
 
+/// The formula a certificate shares with its bundle is written once.
 fn enc_verification(e: &mut Enc, v: &VerificationData) {
     e.len(v.bundle.constraints.len());
     for c in &v.bundle.constraints {
@@ -551,7 +553,7 @@ fn enc_verification(e: &mut Enc, v: &VerificationData) {
         None => e.u8(0),
         Some(cert) => {
             e.u8(1);
-            enc_cnf(e, &cert.cnf);
+            enc_lit(e, cert.refuted);
             e.len(cert.steps.len());
             for s in &cert.steps {
                 enc_proof_step(e, s);
@@ -567,12 +569,12 @@ fn dec_verification(d: &mut Dec) -> DResult<VerificationData> {
     for _ in 0..n {
         constraints.push(dec_constraint(d)?);
     }
-    let cnf = dec_cnf(d)?;
+    let cnf = Arc::new(dec_cnf(d)?);
     let model = dec_model(d)?;
     let certificate = match d.u8()? {
         0 => None,
         1 => {
-            let cnf = dec_cnf(d)?;
+            let refuted = dec_lit(d)?;
             let n = d.len(5)?;
             let mut steps = Vec::with_capacity(n);
             for _ in 0..n {
@@ -580,7 +582,8 @@ fn dec_verification(d: &mut Dec) -> DResult<VerificationData> {
             }
             let refuted_bound = d.i64()?;
             Some(OptimalityCertificate {
-                cnf,
+                cnf: Arc::clone(&cnf),
+                refuted,
                 steps,
                 refuted_bound,
             })

@@ -11,12 +11,15 @@ use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use qca_adapt::{
-    Adaptation, Route, SmtAdaptation, Substitution, SubstitutionKind, VerificationData,
+    adapt, AdaptContext, Adaptation, Objective, Route, SmtAdaptation, Substitution,
+    SubstitutionKind, VerificationData,
 };
 use qca_circuit::{Circuit, Gate};
+use qca_hw::{spin_qubit_model, GateTimes};
 use qca_sat::dimacs::Cnf;
 use qca_sat::proof::ProofStep;
 use qca_sat::{Lit, SolverStats};
@@ -24,6 +27,8 @@ use qca_smt::omt::OptimalityCertificate;
 use qca_smt::record::{AuditBundle, RecordedConstraint};
 use qca_smt::{IntExpr, SmtModel};
 use qca_store::{decode_adaptation, encode_adaptation, Store, StoreOptions, WAL_FILE};
+use qca_verify::audit_adaptation;
+use qca_workloads::{random_template_circuit, DEFAULT_TEMPLATE_GATES};
 
 /// Fresh scratch directory per call, cleaned up by the OS tempdir reaper.
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -204,38 +209,45 @@ fn arb_proof_step(num_vars: usize) -> impl Strategy<Value = ProofStep> {
     ]
 }
 
-fn arb_certificate() -> impl Strategy<Value = OptimalityCertificate> {
-    (arb_cnf(), -100i64..100).prop_flat_map(|(cnf, refuted_bound)| {
-        let nv = cnf.num_vars;
-        collection::vec(arb_proof_step(nv), 0..6).prop_map(move |steps| OptimalityCertificate {
-            cnf: cnf.clone(),
-            steps,
-            refuted_bound,
-        })
-    })
+/// A certificate over `cnf`, the formula of the bundle that holds it.
+fn arb_certificate(cnf: Arc<Cnf>) -> impl Strategy<Value = OptimalityCertificate> {
+    let nv = cnf.num_vars;
+    (
+        arb_lit(nv),
+        collection::vec(arb_proof_step(nv), 0..6),
+        -100i64..100,
+    )
+        .prop_map(
+            move |(refuted, steps, refuted_bound)| OptimalityCertificate {
+                cnf: Arc::clone(&cnf),
+                refuted,
+                steps,
+                refuted_bound,
+            },
+        )
 }
 
 fn arb_verification() -> impl Strategy<Value = Option<VerificationData>> {
     prop_oneof![
         Just(None),
-        (
-            arb_cnf(),
-            arb_model(),
-            prop_oneof![Just(None), arb_certificate().prop_map(Some)]
-        )
-            .prop_flat_map(|(cnf, model, certificate)| {
-                let nv = cnf.num_vars;
-                collection::vec(arb_constraint(nv), 0..6).prop_map(move |constraints| {
+        (arb_cnf(), arb_model()).prop_flat_map(|(cnf, model)| {
+            let cnf = Arc::new(cnf);
+            let nv = cnf.num_vars;
+            (
+                collection::vec(arb_constraint(nv), 0..6),
+                prop_oneof![Just(None), arb_certificate(Arc::clone(&cnf)).prop_map(Some)],
+            )
+                .prop_map(move |(constraints, certificate)| {
                     Some(VerificationData {
                         bundle: AuditBundle {
                             constraints,
-                            cnf: cnf.clone(),
+                            cnf: Arc::clone(&cnf),
                             model: model.clone(),
                         },
-                        certificate: certificate.clone(),
+                        certificate,
                     })
                 })
-            }),
+        }),
     ]
 }
 
@@ -532,5 +544,40 @@ fn leftover_snapshot_tmp_is_discarded_on_open() {
     let store = Store::open(&dir).unwrap();
     assert_eq!(store.len(), 1);
     assert!(!dir.join("snapshot.tmp").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A real certified answer keeps one formula through the store: its
+/// certificate shares the bundle's `Arc` before it is written and after it
+/// is replayed on a restart, and the replayed answer passes the audit.
+#[test]
+fn certified_adaptation_keeps_one_shared_formula_across_a_restart() {
+    let circuit = random_template_circuit(3, 6, 0x5eed_2023, &DEFAULT_TEMPLATE_GATES, true);
+    let hw = spin_qubit_model(GateTimes::D0);
+    let mut ctx = AdaptContext::with_objective(Objective::Fidelity);
+    ctx.options.exact = true;
+    ctx.options.certify = true;
+    let original = adapt(&circuit, &hw, &ctx).expect("adaptation succeeds");
+    let shares_one_formula = |a: &Adaptation| {
+        let v = a
+            .solver
+            .verification
+            .as_ref()
+            .expect("certify attaches data");
+        let cert = v.certificate.as_ref().expect("an exact solve is certified");
+        Arc::ptr_eq(&v.bundle.cnf, &cert.cnf)
+    };
+    assert!(shares_one_formula(&original));
+
+    let dir = scratch_dir("certified");
+    Store::open(&dir).unwrap().append(7, &original).unwrap();
+    let store = Store::open(&dir).unwrap();
+    let mut replayed = None;
+    store.replay(|_, a| replayed = Some(a));
+    let replayed = replayed.expect("the record replays");
+    assert!(shares_one_formula(&replayed));
+    assert_eq!(encode_adaptation(&replayed), encode_adaptation(&original));
+    audit_adaptation(&circuit, &replayed, &hw, Objective::Fidelity)
+        .expect("the replayed answer audits");
     std::fs::remove_dir_all(&dir).ok();
 }

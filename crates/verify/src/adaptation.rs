@@ -22,6 +22,7 @@ use qca_hw::{CircuitSchedule, CouplingMap, HardwareModel};
 use qca_num::phase::approx_eq_up_to_phase;
 use qca_smt::omt::OptimalityCertificate;
 use qca_smt::{AuditBundle, RecordedConstraint};
+use std::sync::Arc;
 
 use crate::drat::DratError;
 use crate::model::{audit_model, check_certificate, ModelAuditError};
@@ -398,8 +399,8 @@ pub fn audit_adaptation_with_coupling(
 }
 
 /// Checks that `cert` states the refutation of `objective_value + 1` over
-/// the bundle's own formula: its CNF is the bundle's plus one unit clause,
-/// and the bundle records that unit's literal as `lit ⇔ a >= b`, with `a`
+/// the bundle's own formula (the same `Arc`, or failing that an equal one),
+/// and that the bundle records its unit literal as `lit ⇔ a >= b`, with `a`
 /// at the reported value and `b` at the refuted bound under the bundle's
 /// model. Without this, any refutable CNF with a valid proof would pass.
 fn check_binding(
@@ -410,14 +411,13 @@ fn check_binding(
     if objective_value.checked_add(1) != Some(cert.refuted_bound) {
         return Err("the refuted bound is not the reported value plus one");
     }
-    let unit = match cert.cnf.clauses.split_last() {
-        Some((last, axioms)) if last.len() == 1 && axioms == bundle.cnf.clauses => last[0],
-        _ => return Err("the formula is not the audited one plus one unit clause"),
-    };
+    if !Arc::ptr_eq(&bundle.cnf, &cert.cnf) && bundle.cnf != cert.cnf {
+        return Err("the formula is not the audited one");
+    }
     let model = &bundle.model;
     let bound = bundle.constraints.iter().any(|c| {
         matches!(c, RecordedConstraint::GeReified { lit, a, b }
-            if *lit == unit
+            if *lit == cert.refuted
                 && model.int_value_checked(a) == Some(objective_value)
                 && model.int_value_checked(b) == Some(cert.refuted_bound))
     });
@@ -550,31 +550,32 @@ mod tests {
         };
         audit(&|_| {}).expect("the untouched certificate passes");
 
+        // An equal formula that is not the shared one passes too.
+        audit(&|cert| cert.cnf = Arc::new(Cnf::clone(&cert.cnf)))
+            .expect("an equal copy of the formula passes");
+
         // A trivially UNSAT formula with a valid proof of its own.
         let x = Var::from_index(0);
         let trivial = OptimalityCertificate {
-            cnf: Cnf {
+            cnf: Arc::new(Cnf {
                 num_vars: 1,
-                clauses: vec![vec![x.positive()], vec![x.negative()]],
-            },
+                clauses: vec![vec![x.negative()]],
+            }),
+            refuted: x.positive(),
             steps: vec![ProofStep::Add(Vec::new())],
             refuted_bound: r.solver.objective_value + 1,
         };
         check_certificate(&trivial).expect("the swapped-in proof is valid");
         let swap = |cert: &mut OptimalityCertificate| *cert = trivial.clone();
         let off_by_one = |cert: &mut OptimalityCertificate| cert.refuted_bound += 1;
-        let other_unit = |cert: &mut OptimalityCertificate| {
-            let unit = cert.cnf.clauses.last_mut().expect("unit clause");
-            unit[0] = !unit[0];
-        };
-        let no_unit = |cert: &mut OptimalityCertificate| {
-            cert.cnf.clauses.pop();
-        };
+        let negated_unit = |cert: &mut OptimalityCertificate| cert.refuted = !cert.refuted;
+        // The first choice literal: a variable of the model, no comparator.
+        let other_unit = |cert: &mut OptimalityCertificate| cert.refuted = x.positive();
         for tamper in [
             &swap as &dyn Fn(&mut OptimalityCertificate),
             &off_by_one,
+            &negated_unit,
             &other_unit,
-            &no_unit,
         ] {
             let err = audit(tamper).expect_err("an unbound certificate must fail");
             assert!(

@@ -99,31 +99,23 @@ pub struct DratStats {
 /// assert!(check_drat(&cnf, &proof).is_ok());
 /// ```
 pub fn check_drat(cnf: &Cnf, proof: &[ProofStep]) -> Result<DratStats, DratError> {
+    check_clauses(cnf.num_vars, cnf.clauses.iter().map(Vec::as_slice), proof)
+}
+
+/// [`check_drat`] over a formula given as a clause sequence on `num_vars`
+/// variables, so a caller can append clauses without copying the formula.
+pub(crate) fn check_clauses<'a>(
+    num_vars: usize,
+    clauses: impl Iterator<Item = &'a [Lit]>,
+    proof: &[ProofStep],
+) -> Result<DratStats, DratError> {
     let dimacs = |l: &Lit| i32::try_from(l.to_dimacs()).expect("DIMACS literal fits in i32");
     check(
-        cnf.num_vars,
-        cnf.clauses.iter().map(|c| c.iter().map(dimacs)),
+        num_vars,
+        clauses.map(|c| c.iter().map(dimacs)),
         proof
             .iter()
             .map(|s| (s.is_delete(), s.lits().iter().map(dimacs))),
-    )
-}
-
-/// [`check_drat`] over raw DIMACS literals: `steps` items are
-/// `(is_deletion, clause)`.
-///
-/// # Errors
-///
-/// See [`check_drat`].
-pub fn check_drat_dimacs(
-    num_vars: usize,
-    clauses: &[Vec<i32>],
-    steps: &[(bool, Vec<i32>)],
-) -> Result<DratStats, DratError> {
-    check(
-        num_vars,
-        clauses.iter().map(|c| c.iter().copied()),
-        steps.iter().map(|(d, c)| (*d, c.iter().copied())),
     )
 }
 
@@ -466,7 +458,7 @@ mod reference {
     use super::{DratError, DratStats};
     use std::collections::HashMap;
 
-    /// The reference [`super::check_drat_dimacs`].
+    /// The reference twin of the tests' `check_drat_dimacs`.
     pub(super) fn check_drat_dimacs(
         num_vars: usize,
         clauses: &[Vec<i32>],
@@ -736,6 +728,20 @@ mod tests {
 
     fn add(lits: &[i32]) -> (bool, Vec<i32>) {
         (false, lits.to_vec())
+    }
+
+    /// [`check_drat`] over raw DIMACS literals: `steps` items are
+    /// `(is_deletion, clause)`.
+    fn check_drat_dimacs(
+        num_vars: usize,
+        clauses: &[Vec<i32>],
+        steps: &[(bool, Vec<i32>)],
+    ) -> Result<DratStats, DratError> {
+        check(
+            num_vars,
+            clauses.iter().map(|c| c.iter().copied()),
+            steps.iter().map(|(d, c)| (*d, c.iter().copied())),
+        )
     }
 
     fn del(lits: &[i32]) -> (bool, Vec<i32>) {

@@ -26,7 +26,7 @@ pub use adaptation::{
     audit_adaptation, audit_adaptation_with_coupling, audit_baseline, audit_baseline_with_coupling,
     AdaptationAuditError, AdaptationAuditStats,
 };
-pub use drat::{check_drat, check_drat_dimacs, DratError, DratStats};
+pub use drat::{check_drat, DratError, DratStats};
 pub use model::{
     audit_model, check_certificate, check_reconstruction, ModelAuditError, ReconstructionError,
 };

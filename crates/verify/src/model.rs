@@ -22,7 +22,7 @@ use qca_sat::Lit;
 use qca_smt::omt::OptimalityCertificate;
 use qca_smt::{AuditBundle, IntExpr, RecordedConstraint, SmtModel};
 
-use crate::drat::{check_drat, DratError, DratStats};
+use crate::drat::{check_clauses, DratError, DratStats};
 
 /// A model audit failure: the model definitively violates a recorded
 /// constraint or a shadow-formula clause.
@@ -206,11 +206,15 @@ pub fn audit_model(bundle: &AuditBundle) -> Result<ModelAuditStats, ModelAuditEr
 }
 
 /// Validates an OMT optimality certificate with the independent DRAT/RUP
-/// checker: the certificate's proof must refute its formula. That the
-/// formula is the solve's own is checked by
-/// [`audit_adaptation`](crate::audit_adaptation).
+/// checker: the certificate's proof must refute its shadow formula plus the
+/// unit clause `refuted` (`objective >= refuted_bound`). The checker reads
+/// the formula's clauses and then the unit in place, the clause sequence
+/// the solver's log is stated over. That the formula is the solve's own is
+/// checked by [`audit_adaptation`](crate::audit_adaptation).
 pub fn check_certificate(cert: &OptimalityCertificate) -> Result<DratStats, DratError> {
-    check_drat(&cert.cnf, &cert.steps)
+    let clauses = cert.cnf.clauses.iter().map(Vec::as_slice);
+    let unit = std::slice::from_ref(&cert.refuted);
+    check_clauses(cert.cnf.num_vars, clauses.chain([unit]), &cert.steps)
 }
 
 /// A [`check_reconstruction`] failure: the extended assignment leaves a
@@ -328,7 +332,7 @@ mod tests {
     fn audits_a_sound_solve() {
         let (mut smt, _x, value) = knapsack_solver();
         let best = omt::maximize(&mut smt, &value).expect("sat");
-        let bundle = smt.audit_bundle(best.model.clone()).expect("recording on");
+        let bundle = smt.take_audit_bundle(best.model).expect("recording on");
         let stats = audit_model(&bundle).expect("audit passes");
         assert!(stats.constraints_checked > 0);
         assert!(stats.clauses_checked > 0);
@@ -353,7 +357,7 @@ mod tests {
         let cap = smt.int_const(30);
         smt.assert_ge(&cap, &mx);
         let model = smt.check().expect("sat");
-        let bundle = smt.audit_bundle(model).expect("recording on");
+        let bundle = smt.take_audit_bundle(model).expect("recording on");
         let stats = audit_model(&bundle).expect("audit passes");
         // Every recorded constraint is over pre-solve variables, so nothing
         // is indeterminate.
@@ -370,7 +374,7 @@ mod tests {
         let x = smt.new_int(1, 5);
         let y = smt.new_int(1, 5);
         let model = smt.check().expect("sat");
-        let mut bundle = smt.audit_bundle(model).expect("recording on");
+        let mut bundle = smt.take_audit_bundle(model).expect("recording on");
         bundle.constraints.push(RecordedConstraint::Add {
             out: x.clone(),
             a: x,
@@ -389,7 +393,7 @@ mod tests {
         let z = smt.new_int(0, 3);
         let bound = smt.int_const(2);
         let _ = smt.ge_reified(&z, &bound);
-        let bundle = smt.audit_bundle(best.model.clone()).expect("recording on");
+        let bundle = smt.take_audit_bundle(best.model).expect("recording on");
         let stats = audit_model(&bundle).expect("audit passes");
         assert!(stats.constraints_indeterminate > 0);
     }
@@ -398,16 +402,14 @@ mod tests {
     fn certificate_checks_and_corruption_is_rejected() {
         let (mut smt, _x, value) = knapsack_solver();
         let mut best = omt::maximize(&mut smt, &value).expect("sat");
-        omt::certify(&mut smt, &value, &mut best);
-        let cert = best.certificate.expect("certified");
+        let cert = omt::certify(&mut smt, &value, &mut best).expect("certified");
         check_certificate(&cert).expect("valid certificate");
 
-        // Dropping the terminating empty clause (and any top-level-conflict
-        // prefix that would early-accept) must break the proof... the
-        // cheapest robust corruption is to swap the formula out from under
-        // the proof: refute a weaker bound the proof does not support.
+        // The cheapest robust corruption is to swap the refuted claim out
+        // from under the proof: the negated unit asserts the bound holds,
+        // which the proof does not refute.
         let mut bad = cert.clone();
-        bad.cnf.clauses.pop(); // remove the asserted bound unit
+        bad.refuted = !bad.refuted;
         assert!(check_certificate(&bad).is_err());
     }
 }

@@ -180,8 +180,10 @@ fn exact_certified_rand_3q_d40_certificate_is_pinned() {
         .and_then(|v| v.certificate.as_ref())
         .expect("exact solve carries a certificate");
     let stats = check_certificate(cert).expect("certificate verifies");
+    // The refuted formula: the shadow formula plus the refuted unit.
+    let clauses = cert.cnf.clauses.len() + 1;
     let got = (
-        (cert.cnf.clauses.len(), cert.steps.len()),
+        (clauses, cert.steps.len()),
         (
             stats.additions_checked,
             stats.deletions_applied,
@@ -221,9 +223,11 @@ fn exact_certified_idle_rand_3q_d8_certificate_is_pinned() {
         .and_then(|v| v.certificate.as_ref())
         .expect("exact solve carries a certificate");
     let stats = check_certificate(cert).expect("certificate verifies");
+    // The refuted formula: the shadow formula plus the refuted unit.
+    let clauses = cert.cnf.clauses.len() + 1;
     let got = (
         trajectory(r),
-        (cert.cnf.clauses.len(), cert.steps.len()),
+        (clauses, cert.steps.len()),
         (
             stats.additions_checked,
             stats.deletions_applied,
