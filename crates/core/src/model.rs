@@ -416,8 +416,9 @@ fn block_bound(
 /// every qubit's blocks and durations are non-negative, so each qubit's
 /// busy time is at most `D` and busy <= k*q*D. Combined = fidelity + idle
 /// is then at most the fidelity bound. Returns the bound and, for
-/// fidelity, every block's best subset: an admissible selection attaining
-/// it unless a block hit the node cap.
+/// fidelity and combined, the fidelity block argmax (every block's best
+/// subset under the fidelity weights): an admissible selection, attaining
+/// the fidelity bound unless a block hit the node cap.
 fn objective_bound(
     pre: &Preprocessed,
     catalog: &[Substitution],
@@ -425,13 +426,16 @@ fn objective_bound(
     cost: &CostData,
     objective: Objective,
 ) -> (i64, Option<Vec<bool>>) {
-    let cap = match objective {
+    let (cap, argmax) = match objective {
         Objective::Fidelity => {
             let fid = block_bound(blocks, catalog, cost, objective);
             return (fid.bound, Some(fid.selection));
         }
-        Objective::IdleTime => 0,
-        Objective::Combined => block_bound(blocks, catalog, cost, Objective::Fidelity).bound,
+        Objective::IdleTime => (0, None),
+        Objective::Combined => {
+            let fid = block_bound(blocks, catalog, cost, Objective::Fidelity);
+            (fid.bound, Some(fid.selection))
+        }
     };
     let d_min: Vec<i64> = blocks
         .members
@@ -443,7 +447,7 @@ fn objective_bound(
         .collect();
     let linear = block_bound(blocks, catalog, cost, objective).bound
         - cost.k * cost.q * makespan(pre, &d_min);
-    (linear.min(cap), None)
+    (linear.min(cap), argmax)
 }
 
 /// The catalog indexed by block, built once per solve: every per-block
@@ -493,7 +497,7 @@ struct Tables {
 
 impl Tables {
     /// The tables of one solve, with the fidelity block argmax of
-    /// [`objective_bound`].
+    /// [`objective_bound`] (fidelity and combined only).
     fn new(
         pre: &Preprocessed,
         hw: &HardwareModel,
@@ -671,10 +675,13 @@ impl SmtAdaptation {
 
 /// The selection [`solve_model`] anchors its search at: the context's hint
 /// (a known-good selection, when still valid for this catalog) or the
-/// greedy selection, whichever scores better. For fidelity, the block
-/// argmax replaces it when strictly better; on a tie, the greedy or hinted
-/// selection is kept. Returns the selection, its objective value and its
-/// source (`hint`, `greedy` or `blocks`).
+/// greedy selection, whichever scores better. For fidelity and combined,
+/// the fidelity block argmax of [`objective_bound`] replaces it when it
+/// scores strictly better under the objective; on a tie, the greedy or
+/// hinted selection is kept. (Under combined the argmax can reach `hi`,
+/// the fidelity bound, only when its idle time is 0.) Returns the
+/// selection, its objective value and its source (`hint`, `greedy` or
+/// `blocks`).
 fn warm_start(
     pre: &Preprocessed,
     catalog: &[Substitution],
@@ -757,19 +764,18 @@ fn encode_model(
 
     let nblocks = pre.partition.blocks.len();
 
-    // Fidelity terms (Eqs. 5–6, aggregated): base + Σ 𝔽(s)·c_s. Only the
-    // fidelity objective reads the sum on its own; the combined objective
-    // folds the terms into its one PB sum below.
-    let fid_terms: Vec<(i64, qca_sat::Lit)> = cost
-        .fid_w
-        .iter()
-        .zip(&choice)
-        .map(|(&w, &l)| (w, l))
-        .collect();
-    let fid_base = cost.fid_base;
-
     let mut objective_expr: IntExpr = match objective {
-        Objective::Fidelity => smt.pb_sum(fid_base, &fid_terms),
+        // Fidelity terms (Eqs. 5–6, aggregated): base + Σ 𝔽(s)·c_s. The
+        // combined objective folds the terms into its one PB sum below.
+        Objective::Fidelity => {
+            let terms: Vec<(i64, qca_sat::Lit)> = cost
+                .fid_w
+                .iter()
+                .copied()
+                .zip(choice.iter().copied())
+                .collect();
+            smt.pb_sum(cost.fid_base, &terms)
+        }
         Objective::IdleTime | Objective::Combined => {
             // Per-block duration expressions (Eq. 3), plus per-block
             // max durations for the makespan horizon.
@@ -824,32 +830,41 @@ fn encode_model(
             // so the modeled idle time matches the measured metric.
             let k = cost.k;
             let q = cost.q;
-            let busy_terms: Vec<(i64, qca_sat::Lit)> = cost
-                .busy_w
-                .iter()
-                .zip(&choice)
-                .map(|(&w, &l)| (w, l))
-                .collect();
-            let busy_base: i64 = cost.busy_base;
-            let pos = match objective {
-                Objective::IdleTime => smt.pb_sum(busy_base, &busy_terms),
+            let kq = k * q;
+            // The makespan term enters as q*(horizon - D), a constant shift
+            // of -q*D that keeps every addend non-negative and the objective
+            // a deterministic function of the choice Booleans.
+            let slack = smt.sub_from_const(horizon, &total);
+            let j = match objective {
+                // idle = k*(Σ_b |q_b|*d_b - q*D): the busy time is read off
+                // the durations the schedule already encodes, at offset 0.
+                Objective::IdleTime => {
+                    let weighted: Vec<IntExpr> = dur_exprs
+                        .iter()
+                        .zip(&pre.partition.blocks)
+                        .map(|(d, block)| match block.qubits.len() {
+                            1 => d.clone(),
+                            n => smt.mul_const(d, n as i64),
+                        })
+                        .collect();
+                    let busy = smt.sum(&weighted);
+                    let scaled_slack = smt.mul_const(&slack, q);
+                    let unscaled = smt.add(&busy, &scaled_slack);
+                    smt.mul_const(&unscaled, k)
+                }
+                // combined = fidelity + idle: the per-substitution fidelity
+                // and busy weights merge into one PB sum.
                 Objective::Combined => {
-                    let mut terms = busy_terms.clone();
-                    for (t, f) in terms.iter_mut().zip(&fid_terms) {
-                        t.0 += f.0;
-                    }
-                    smt.pb_sum(busy_base + fid_base, &terms)
+                    let terms: Vec<(i64, qca_sat::Lit)> = (0..catalog.len())
+                        .map(|i| (cost.weight(i, objective), choice[i]))
+                        .collect();
+                    let pos = smt.pb_sum(cost.busy_base + cost.fid_base, &terms);
+                    let scaled_slack = smt.mul_const(&slack, kq);
+                    smt.add(&pos, &scaled_slack)
                 }
                 Objective::Fidelity => unreachable!(),
             };
-            // objective = pos - k*q*D. Subtraction is computed directly
-            // (pos + k*q*(horizon - D), a constant shift) so the objective
-            // stays a deterministic function of the choice Booleans.
-            let kq = k * q;
-            let slack = smt.sub_from_const(horizon, &total);
-            let scaled_slack = smt.mul_const(&slack, kq);
-            let j = smt.add(&pos, &scaled_slack);
-            // Report values in the natural `pos - kq*D` frame.
+            // Report values in the natural frame: undo the horizon shift.
             j.shifted(-kq * horizon)
         }
     };
@@ -1468,6 +1483,88 @@ mod tests {
                 proptest::prop_assert_eq!(
                     proven.objective_value, decided.objective_value, "{}", objective
                 );
+            }
+        }
+    }
+
+    /// A random admissible selection: one random route per routed block,
+    /// then each other entry with probability 1/2 when it conflicts with
+    /// nothing chosen.
+    fn random_admissible(
+        catalog: &[Substitution],
+        blocks: &Blocks,
+        rng: &mut impl rand::Rng,
+    ) -> Vec<bool> {
+        let mut selection = vec![false; catalog.len()];
+        for routes in blocks.routes.iter().filter(|r| !r.is_empty()) {
+            selection[routes[rng.gen_range(0..routes.len())]] = true;
+        }
+        for i in 0..catalog.len() {
+            let clash = blocks.members[catalog[i].block]
+                .iter()
+                .any(|&j| selection[j] && catalog[i].conflicts_with(&catalog[j]));
+            if !selection[i] && !clash && rng.gen_bool(0.5) {
+                selection[i] = true;
+            }
+        }
+        selection
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The encoded objective is the evaluator's, selection by selection:
+        /// idle is encoded from the schedule's block durations and combined
+        /// from per-substitution weights, and under any admissible
+        /// selection, assumed on its choice literals, both take exactly
+        /// `CostData::evaluate`'s value, as does fidelity.
+        #[test]
+        fn encoded_objectives_match_the_evaluator_under_any_selection(
+            num_qubits in 3usize..5,
+            depth in 2usize..8,
+            seed in 0u64..u64::MAX,
+            routed in 0usize..2,
+            pick in 0u64..u64::MAX,
+        ) {
+            use rand::SeedableRng;
+            let (pre, subs, hw) = if routed == 1 {
+                routed_setup(num_qubits, depth, seed)
+            } else {
+                setup(&qca_workloads::random_template_circuit(
+                    num_qubits, depth, seed, &qca_workloads::DEFAULT_TEMPLATE_GATES, true,
+                ))
+            };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(pick);
+            for objective in ALL_OBJECTIVES {
+                let ctx = AdaptContext::with_objective(objective);
+                let (tables, _) = Tables::new(&pre, &hw, &subs, objective);
+                let EncodedModel {
+                    mut smt,
+                    choice,
+                    objective_expr,
+                } = encode_model(&pre, &subs, &tables, &ctx);
+                for _ in 0..4 {
+                    let selection = random_admissible(&subs, &tables.blocks, &mut rng);
+                    let ids: Vec<usize> = (0..subs.len()).filter(|&i| selection[i]).collect();
+                    proptest::prop_assert_eq!(
+                        selection_from_ids(&subs, &tables.blocks, &ids),
+                        Some(selection.clone())
+                    );
+                    let assumptions: Vec<qca_sat::Lit> = choice
+                        .iter()
+                        .zip(&selection)
+                        .map(|(&lit, &on)| if on { lit } else { !lit })
+                        .collect();
+                    let model = smt
+                        .check_with_assumptions(&assumptions)
+                        .expect("an admissible selection satisfies the model");
+                    proptest::prop_assert_eq!(
+                        model.int_value(&objective_expr),
+                        tables.cost.evaluate(&pre, &subs, &selection, objective),
+                        "{}",
+                        objective
+                    );
+                }
             }
         }
     }

@@ -9,8 +9,9 @@
 //! | `engine.batch/wN` | engine | the same at N workers — marked unobservable when the machine has fewer than N cores |
 //! | `engine.adapt_routed` | engine | batch adaptation of topology-stress circuits under a line coupling map, where the solver must choose SWAP-insertion routing substitutions |
 //! | `engine.recalibrate` | engine | walking the cached corpus against a drifted fidelity table, re-certifying each cached optimum |
-//! | `smt.schedule/N` | smt | bit-blasting the scheduling part of the adaptation model on a seeded N-block ASAP DAG: the `SmtSolver` calls `encode_model` makes for durations, start and end times, the makespan, the busy-time sum and one probe comparison |
+//! | `smt.schedule/N` | smt | bit-blasting the scheduling part of the adaptation model on a seeded N-block ASAP DAG: the `SmtSolver` calls `encode_model` makes for durations, start and end times, the makespan, the idle objective read off the durations, and one probe comparison |
 //! | `core.rules` | core | rule evaluation (`evaluate_substitutions`) over two preprocessed circuits of each Fig. 5 family: KAK per two-qubit block, every range's match test and every candidate's pricing |
+//! | `core.exact_idle` | core | exact idle-time `solve_model` on three rand-3q-d6 circuits: encoding, the linear search and its final refutation of the next-better level |
 //! | `num.simultaneous_diagonalize` | num | the eigen step inside KAK: simultaneous diagonalization of the commuting real and imaginary parts of `UᵀU` for 32 Haar-random 4×4 unitaries |
 //! | `synth.kak` | synth | KAK decomposition plus CZ-circuit emission of 32 Haar-random two-qubit unitaries |
 //! | `sim.noisy_qv/N` | sim | noisy density-matrix simulation of an N-qubit depth-2 quantum-volume circuit under the spin-qubit noise model |
@@ -24,8 +25,9 @@
 use crate::fingerprint::Fingerprint;
 use crate::harness::{measure, HarnessConfig, Measurement};
 use crate::report::{BenchResult, Direction};
+use qca_adapt::model::solve_model;
 use qca_adapt::rules::{evaluate_substitutions, RuleOptions};
-use qca_adapt::Objective;
+use qca_adapt::{AdaptContext, Objective};
 use qca_baselines::direct_translation;
 use qca_engine::{AdaptJob, Engine, EngineConfig};
 use qca_hw::{spin_qubit_model, CouplingMap, GateTimes};
@@ -122,6 +124,7 @@ pub fn run_suite(config: &SuiteConfig) -> Vec<BenchResult> {
     push(bench_recalibrate(config));
     push(bench_smt_schedule(config, 40));
     push(bench_rules(config));
+    push(bench_exact_idle(config));
     push(bench_simultaneous_diagonalize(config));
     push(bench_kak(config));
     push(bench_noisy_sim(config, 4));
@@ -572,11 +575,13 @@ fn bench_rules(config: &SuiteConfig) -> Option<BenchResult> {
 }
 
 /// The scheduling part of the adaptation model, bit-blasted the way
-/// `encode_model` does it, on a seeded `n`-block ASAP DAG: per block a
-/// non-negative duration sum over three choice literals (`pb_sum_nonneg`),
-/// a start time as the `max_of` its predecessors' end times, and an end
-/// time (`add`); then the makespan, the busy-time sum (`pb_sum`), and one
-/// probe's comparison of the two (`ge_reified`).
+/// `encode_model` does it, on a seeded `n`-block ASAP DAG of two-qubit
+/// blocks: per block a non-negative duration sum over three choice literals
+/// (`pb_sum_nonneg`), a start time as the `max_of` its predecessors' end
+/// times, and an end time (`add`); then the makespan, the idle objective
+/// `k*(Σ 2*d_b + q*(horizon - D))` (`mul_const`, `sum`,
+/// `sub_from_const`), and one probe's comparison of it against a constant
+/// (`ge_reified`).
 fn bench_smt_schedule(config: &SuiteConfig, n: usize) -> Option<BenchResult> {
     let id = format!("smt.schedule/{n}");
     if !config.wants(&id) {
@@ -595,13 +600,14 @@ fn bench_smt_schedule(config: &SuiteConfig, n: usize) -> Option<BenchResult> {
             (base, deltas, preds)
         })
         .collect();
+    // The model's idle weight per nanosecond and a 4-qubit register.
+    let (k, q) = (10, 4);
     let encode = || {
         let mut smt = SmtSolver::new();
+        let mut durations: Vec<IntExpr> = Vec::with_capacity(n);
         let mut ends: Vec<IntExpr> = Vec::with_capacity(n);
-        let mut busy_terms: Vec<(i64, Lit)> = Vec::new();
         for (base, deltas, preds) in &blocks {
             let terms: Vec<(i64, Lit)> = deltas.iter().map(|&w| (w, smt.new_bool())).collect();
-            busy_terms.extend(terms.iter().map(|&(w, lit)| (2 * w, lit)));
             let duration = smt.pb_sum_nonneg(*base, &terms);
             let start = if preds.is_empty() {
                 smt.int_const(0)
@@ -610,10 +616,17 @@ fn bench_smt_schedule(config: &SuiteConfig, n: usize) -> Option<BenchResult> {
                 smt.max_of(&pred_ends)
             };
             ends.push(smt.add(&start, &duration));
+            durations.push(duration);
         }
         let makespan = smt.max_of(&ends);
-        let busy = smt.pb_sum(0, &busy_terms);
-        smt.ge_reified(&busy, &makespan);
+        let weighted: Vec<IntExpr> = durations.iter().map(|d| smt.mul_const(d, 2)).collect();
+        let busy = smt.sum(&weighted);
+        let slack = smt.sub_from_const(makespan.hi, &makespan);
+        let scaled_slack = smt.mul_const(&slack, q);
+        let unscaled = smt.add(&busy, &scaled_slack);
+        let idle = smt.mul_const(&unscaled, k);
+        let level = smt.int_const((idle.lo + idle.hi) / 2);
+        smt.ge_reified(&idle, &level);
         smt.num_clauses()
     };
     let clauses = encode();
@@ -626,6 +639,60 @@ fn bench_smt_schedule(config: &SuiteConfig, n: usize) -> Option<BenchResult> {
         config,
         &id,
         "smt",
+        &measurement,
+        true,
+        metrics,
+    ))
+}
+
+/// Exact idle-time solves of rand-3q-d6 circuits, the scheduling proofs of
+/// e2ebench's exact-proof workload: each encodes the model, searches up
+/// from the warm start with no probe budget, and refutes the next-better
+/// level. Preprocessing and rule evaluation run outside the timed loop.
+fn bench_exact_idle(config: &SuiteConfig) -> Option<BenchResult> {
+    let id = "core.exact_idle";
+    if !config.wants(id) {
+        return None;
+    }
+    let hw = spin_qubit_model(GateTimes::D0);
+    let options = RuleOptions::default();
+    let instances: Vec<_> = (0..3)
+        .map(|i| {
+            let circuit = random_template_circuit(
+                3,
+                6,
+                0x5eed_2023 + 2000 + i,
+                &DEFAULT_TEMPLATE_GATES,
+                true,
+            );
+            let pre =
+                qca_adapt::preprocess::preprocess(&circuit, &hw).expect("rand-3q-d6 preprocesses");
+            let catalog = evaluate_substitutions(&pre, &hw, &options).expect("rules evaluate");
+            (pre, catalog)
+        })
+        .collect();
+    let mut ctx = AdaptContext::with_objective(Objective::IdleTime);
+    ctx.options.exact = true;
+    let solve = || {
+        instances
+            .iter()
+            .map(|(pre, catalog)| {
+                let r = solve_model(pre, &hw, catalog, &ctx).expect("exact idle solves");
+                assert!(r.optimal, "an exact solve is proven");
+                r.solver_stats.conflicts
+            })
+            .sum::<u64>()
+    };
+    let conflicts = solve();
+    let measurement = measure(&config.harness, solve);
+    let metrics = BTreeMap::from([
+        ("circuits".to_string(), instances.len() as f64),
+        ("conflicts".to_string(), conflicts as f64),
+    ]);
+    Some(timing_result(
+        config,
+        id,
+        "core",
         &measurement,
         true,
         metrics,
@@ -1026,6 +1093,7 @@ mod tests {
         assert!(bench_adapt_routed(&config).is_none());
         assert!(bench_recalibrate(&config).is_none());
         assert!(bench_smt_schedule(&config, 20).is_none());
+        assert!(bench_exact_idle(&config).is_none());
         assert!(bench_simultaneous_diagonalize(&config).is_none());
         assert!(bench_kak(&config).is_none());
         assert!(bench_noisy_sim(&config, 2).is_none());
@@ -1080,6 +1148,21 @@ mod tests {
         assert_eq!(
             result.metrics["reused"] + result.metrics["resolved"],
             result.metrics["entries"],
+        );
+    }
+
+    #[test]
+    fn exact_idle_bench_proves_every_circuit() {
+        let result = bench_exact_idle(&tiny()).unwrap();
+        assert_eq!(
+            (result.id.as_str(), result.layer.as_str()),
+            ("core.exact_idle", "core")
+        );
+        assert!(result.value > 0.0);
+        assert_eq!(result.metrics["circuits"], 3.0);
+        assert!(
+            result.metrics["conflicts"] > 0.0,
+            "the proofs refute a level"
         );
     }
 

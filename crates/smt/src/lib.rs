@@ -63,6 +63,7 @@ mod proptests {
         MulConst(usize, i64),
         Ite(usize, usize, usize),
         Max(Vec<usize>),
+        Sum(Vec<usize>),
     }
 
     /// The node's value by integer arithmetic under the input assignment.
@@ -74,6 +75,7 @@ mod proptests {
             Node::MulConst(a, k) => k * eval(nodes, *a, x),
             Node::Ite(c, a, b) => eval(nodes, if x[*c] { *a } else { *b }, x),
             Node::Max(es) => es.iter().map(|&e| eval(nodes, e, x)).max().unwrap(),
+            Node::Sum(es) => es.iter().map(|&e| eval(nodes, e, x)).sum(),
         }
     }
 
@@ -91,7 +93,7 @@ mod proptests {
         fn expression_dags_agree_with_integer_arithmetic(
             leaves in proptest::collection::vec(
                 (-6i64..12, proptest::collection::vec(-7i64..8, 3), any::<bool>()), 1..4),
-            ops in proptest::collection::vec((0u8..6, 0usize..16, 0usize..16, 0i64..4), 0..8),
+            ops in proptest::collection::vec((0u8..7, 0usize..16, 0usize..16, 0i64..4), 0..8),
             bounds in proptest::collection::vec((0usize..16, -8i64..40), 1..4),
         ) {
             let mut smt = SmtSolver::new();
@@ -138,6 +140,11 @@ mod proptests {
                         let es = vec![a, b, (a + b) % n];
                         let picked: Vec<IntExpr> = es.iter().map(|&e| exprs[e].clone()).collect();
                         (Node::Max(es), smt.max_of(&picked))
+                    }
+                    5 => {
+                        let es = vec![a, b, (a + b) % n];
+                        let picked: Vec<IntExpr> = es.iter().map(|&e| exprs[e].clone()).collect();
+                        (Node::Sum(es), smt.sum(&picked))
                     }
                     _ => (Node::Add(a, a), smt.add(&exprs[a], &exprs[a])),
                 };

@@ -359,6 +359,23 @@ impl SmtSolver {
         out
     }
 
+    /// Sum of expressions as a balanced tree of [`SmtSolver::add`]s, so
+    /// each adder is only as wide as its subtree's bounds need; `0` for an
+    /// empty list.
+    pub fn sum(&mut self, exprs: &[IntExpr]) -> IntExpr {
+        let mut level = exprs.to_vec();
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [a, b] => self.add(a, b),
+                    _ => pair[0].clone(),
+                })
+                .collect();
+        }
+        level.pop().unwrap_or_else(|| self.int_const(0))
+    }
+
     /// A linear pseudo-Boolean sum `base + Σ w_i · b_i`.
     ///
     /// Negative weights are folded into the offset (`w·b = w - w·(1-b)`), so

@@ -23,6 +23,12 @@
 //! the database is a no-op, and literals already on the persistent trail are
 //! never retracted — they are consequences of the formula regardless of
 //! which clause first forced them, so keeping them is sound.
+//!
+//! The checker renames DIMACS variables to dense indices in the order they
+//! first appear, so its memory follows the variables the formula and proof
+//! use. A header's variable count, or one literal naming variable
+//! 2^31 − 1, sizes nothing. Renaming variables preserves every verdict and
+//! every [`DratStats`] count.
 
 use qca_sat::dimacs::Cnf;
 use qca_sat::proof::ProofStep;
@@ -99,19 +105,17 @@ pub struct DratStats {
 /// assert!(check_drat(&cnf, &proof).is_ok());
 /// ```
 pub fn check_drat(cnf: &Cnf, proof: &[ProofStep]) -> Result<DratStats, DratError> {
-    check_clauses(cnf.num_vars, cnf.clauses.iter().map(Vec::as_slice), proof)
+    check_clauses(cnf.clauses.iter().map(Vec::as_slice), proof)
 }
 
-/// [`check_drat`] over a formula given as a clause sequence on `num_vars`
-/// variables, so a caller can append clauses without copying the formula.
+/// [`check_drat`] over a formula given as a clause sequence, so a caller
+/// can append clauses without copying the formula.
 pub(crate) fn check_clauses<'a>(
-    num_vars: usize,
     clauses: impl Iterator<Item = &'a [Lit]>,
     proof: &[ProofStep],
 ) -> Result<DratStats, DratError> {
     let dimacs = |l: &Lit| i32::try_from(l.to_dimacs()).expect("DIMACS literal fits in i32");
     check(
-        num_vars,
         clauses.map(|c| c.iter().map(dimacs)),
         proof
             .iter()
@@ -119,10 +123,9 @@ pub(crate) fn check_clauses<'a>(
     )
 }
 
-/// The check itself: streams each clause and step through one reused
-/// literal buffer into the checker's arena.
+/// The check itself: streams each clause and step, renamed to dense
+/// variables, through one reused literal buffer into the checker's arena.
 fn check<C, S>(
-    num_vars: usize,
     clauses: impl Iterator<Item = C>,
     steps: impl ExactSizeIterator<Item = (bool, S)>,
 ) -> Result<DratStats, DratError>
@@ -130,13 +133,13 @@ where
     C: IntoIterator<Item = i32>,
     S: IntoIterator<Item = i32>,
 {
-    let mut chk = Checker::new(num_vars);
+    let mut chk = Checker::new();
     let mut stats = DratStats::default();
     let total = steps.len();
     let mut lits: Vec<i32> = Vec::new();
     for c in clauses {
         lits.clear();
-        lits.extend(c);
+        lits.extend(c.into_iter().map(|l| chk.dense(l)));
         chk.add_active_clause(&mut lits);
         if chk.refuted {
             // Formula conflicts at the top level on its own: any proof
@@ -151,7 +154,7 @@ where
             return Ok(stats);
         }
         lits.clear();
-        lits.extend(step);
+        lits.extend(step.into_iter().map(|l| chk.dense(l)));
         if is_delete {
             if chk.delete_clause(&mut lits) {
                 stats.deletions_applied += 1;
@@ -162,7 +165,7 @@ where
             if !chk.is_rup(&lits) {
                 return Err(DratError::NotRup {
                     step: i,
-                    clause: lits,
+                    clause: lits.iter().map(|&l| chk.dimacs(l)).collect(),
                 });
             }
             stats.additions_checked += 1;
@@ -195,7 +198,8 @@ struct Watch {
     blocker: i32,
 }
 
-/// Two-watched-literal database with a persistent top-level trail.
+/// Two-watched-literal database with a persistent top-level trail, over
+/// dense variables (see [`Checker::dense`]).
 ///
 /// Every active clause of two or more literals keeps its watches in its
 /// first two body positions; a unit clause is not watched, since loading
@@ -205,7 +209,12 @@ struct Watch {
 /// so rolling them back leaves that invariant intact without touching a
 /// watch list.
 struct Checker {
-    /// Assignment per variable index (1-based): 0 undef, 1 true, -1 false.
+    /// DIMACS variable → dense variable, numbered `1..` in order of first
+    /// appearance.
+    dense: HashMap<u32, i32>,
+    /// Dense variable → DIMACS variable; index 0 is no variable.
+    dimacs: Vec<u32>,
+    /// Assignment per dense variable (1-based): 0 undef, 1 true, -1 false.
     assign: Vec<i8>,
     /// Assigned literals, in assignment order. Never rolled back except by
     /// [`Checker::is_rup`] restoring its own assumptions.
@@ -225,22 +234,47 @@ struct Checker {
 }
 
 impl Checker {
-    fn new(num_vars: usize) -> Checker {
+    fn new() -> Checker {
         Checker {
-            assign: vec![0; num_vars + 1],
+            dense: HashMap::new(),
+            dimacs: vec![0],
+            assign: vec![0],
             trail: Vec::new(),
             arena: Vec::new(),
-            watches: vec![Vec::new(); 2 * (num_vars + 1)],
+            watches: vec![Vec::new(); 2],
             by_hash: HashMap::new(),
             refuted: false,
         }
     }
 
-    fn ensure_vars(&mut self, lits: &[i32]) {
-        let var = lits.iter().map(|l| l.unsigned_abs() as usize).max();
-        if let Some(var) = var.filter(|&v| v >= self.assign.len()) {
-            self.assign.resize(var + 1, 0);
-            self.watches.resize(2 * (var + 1), Vec::new());
+    /// The dense literal of DIMACS literal `lit`: same sign, its variable
+    /// renamed, and a variable seen for the first time numbered next, with
+    /// its assignment and watch lists allocated. Renaming is a bijection on
+    /// the variables seen, so RUP, tautologies and clause identity are
+    /// unchanged.
+    #[inline]
+    fn dense(&mut self, lit: i32) -> i32 {
+        let next = self.dimacs.len() as i32;
+        let var = *self.dense.entry(lit.unsigned_abs()).or_insert(next);
+        if var == next {
+            self.dimacs.push(lit.unsigned_abs());
+            self.assign.push(0);
+            self.watches.resize(self.watches.len() + 2, Vec::new());
+        }
+        if lit < 0 {
+            -var
+        } else {
+            var
+        }
+    }
+
+    /// The DIMACS literal of dense literal `lit`.
+    fn dimacs(&self, lit: i32) -> i32 {
+        let var = self.dimacs[lit.unsigned_abs() as usize] as i32;
+        if lit < 0 {
+            -var
+        } else {
+            var
         }
     }
 
@@ -349,7 +383,6 @@ impl Checker {
         if !Self::normalize(lits) {
             return; // tautology
         }
-        self.ensure_vars(lits);
         let cref = u32::try_from(self.arena.len()).expect("clause arena fits u32 offsets");
         let older = self
             .by_hash
@@ -422,7 +455,6 @@ impl Checker {
     /// unit propagation derive a conflict? Temporary assumptions are rolled
     /// back before returning.
     fn is_rup(&mut self, lits: &[i32]) -> bool {
-        self.ensure_vars(lits);
         let mark = self.trail.len();
         let mut conflict = false;
         for &l in lits {
@@ -733,12 +765,10 @@ mod tests {
     /// [`check_drat`] over raw DIMACS literals: `steps` items are
     /// `(is_deletion, clause)`.
     fn check_drat_dimacs(
-        num_vars: usize,
         clauses: &[Vec<i32>],
         steps: &[(bool, Vec<i32>)],
     ) -> Result<DratStats, DratError> {
         check(
-            num_vars,
             clauses.iter().map(|c| c.iter().copied()),
             steps.iter().map(|(d, c)| (*d, c.iter().copied())),
         )
@@ -754,7 +784,7 @@ mod tests {
         let clauses = vec![vec![1], vec![-1]];
         // Conflicting units refute the formula during loading; the proof is
         // not even consulted.
-        let stats = check_drat_dimacs(1, &clauses, &[]).unwrap();
+        let stats = check_drat_dimacs(&clauses, &[]).unwrap();
         assert_eq!(stats.additions_checked, 0);
     }
 
@@ -763,7 +793,7 @@ mod tests {
         // (a|b) & (!a|b) & (a|!b) & (!a|!b) — classic 2-var UNSAT.
         let clauses = vec![vec![1, 2], vec![-1, 2], vec![1, -2], vec![-1, -2]];
         let proof = vec![add(&[2]), add(&[])];
-        let stats = check_drat_dimacs(2, &clauses, &proof).unwrap();
+        let stats = check_drat_dimacs(&clauses, &proof).unwrap();
         // Installing the derived unit (2) already refutes the database by
         // persistent propagation, so the final empty clause is skipped.
         assert_eq!(stats.additions_checked, 1);
@@ -774,7 +804,7 @@ mod tests {
     fn rejects_non_rup_addition() {
         let clauses = vec![vec![1, 2]];
         let proof = vec![add(&[1])]; // not implied
-        let err = check_drat_dimacs(2, &clauses, &proof).unwrap_err();
+        let err = check_drat_dimacs(&clauses, &proof).unwrap_err();
         assert_eq!(
             err,
             DratError::NotRup {
@@ -789,7 +819,7 @@ mod tests {
         let clauses = vec![vec![1, 2], vec![-1, 2]];
         let proof = vec![add(&[2])];
         assert_eq!(
-            check_drat_dimacs(2, &clauses, &proof).unwrap_err(),
+            check_drat_dimacs(&clauses, &proof).unwrap_err(),
             DratError::NoRefutation
         );
     }
@@ -799,7 +829,7 @@ mod tests {
         let clauses = vec![vec![1, 2]];
         let proof = vec![add(&[])];
         assert!(matches!(
-            check_drat_dimacs(2, &clauses, &proof),
+            check_drat_dimacs(&clauses, &proof),
             Err(DratError::NotRup { step: 0, .. })
         ));
     }
@@ -808,7 +838,7 @@ mod tests {
     fn deletion_of_absent_clause_is_tolerated() {
         let clauses = vec![vec![1, 2], vec![-1, 2], vec![1, -2], vec![-1, -2]];
         let proof = vec![del(&[3, 4]), add(&[2]), add(&[])];
-        let stats = check_drat_dimacs(4, &clauses, &proof).unwrap();
+        let stats = check_drat_dimacs(&clauses, &proof).unwrap();
         assert_eq!(stats.deletions_ignored, 1);
         assert_eq!(stats.deletions_applied, 0);
     }
@@ -824,7 +854,7 @@ mod tests {
             vec![-1, -2],
         ];
         let proof = vec![del(&[2, 1]), add(&[2]), add(&[])];
-        let stats = check_drat_dimacs(2, &clauses, &proof).unwrap();
+        let stats = check_drat_dimacs(&clauses, &proof).unwrap();
         assert_eq!(stats.deletions_applied, 1);
     }
 
@@ -834,7 +864,7 @@ mod tests {
         let clauses = vec![vec![1, 2], vec![-1, 2]];
         let proof = vec![del(&[1, 2]), add(&[2])];
         assert!(matches!(
-            check_drat_dimacs(2, &clauses, &proof),
+            check_drat_dimacs(&clauses, &proof),
             Err(DratError::NotRup { step: 1, .. })
         ));
     }
@@ -842,15 +872,65 @@ mod tests {
     #[test]
     fn tautologies_are_inert() {
         let clauses = vec![vec![1, -1], vec![2], vec![-2]];
-        assert!(check_drat_dimacs(2, &clauses, &[]).is_ok());
+        assert!(check_drat_dimacs(&clauses, &[]).is_ok());
     }
 
     #[test]
     fn literals_beyond_declared_vars_are_tolerated() {
         // The proof may mention auxiliary variables the header undercounts.
         let clauses = vec![vec![5], vec![-5]];
-        let stats = check_drat_dimacs(1, &clauses, &[]).unwrap();
+        let stats = check_drat_dimacs(&clauses, &[]).unwrap();
         assert_eq!(stats.additions_checked, 0);
+    }
+
+    #[test]
+    fn variables_are_numbered_densely_in_order_of_first_appearance() {
+        let mut chk = Checker::new();
+        let lits: Vec<i32> = [i32::MAX, -1, -i32::MAX, 7, 1]
+            .into_iter()
+            .map(|l| chk.dense(l))
+            .collect();
+        assert_eq!(lits, [1, -2, -1, 3, 2]);
+        // Index 0 is no variable; three variables are allocated, not 2^31.
+        assert_eq!((chk.assign.len(), chk.watches.len()), (4, 8));
+        let back: Vec<i32> = lits.iter().map(|&l| chk.dimacs(l)).collect();
+        assert_eq!(back, [i32::MAX, -1, -i32::MAX, 7, 1]);
+    }
+
+    /// The largest DIMACS variable, named by the header and by formula and
+    /// proof literals, checks like any other: the same verdicts and
+    /// counts as the same formula on variables 1 and 2, and a rejected
+    /// step reports its literals in the input's numbering.
+    #[test]
+    fn the_largest_variable_number_checks_like_a_small_one() {
+        let big = i32::MAX;
+        let small = |c: &[i32]| -> Vec<i32> {
+            c.iter()
+                .map(|&l| if l.abs() == big { 2 * l.signum() } else { l })
+                .collect()
+        };
+        let clauses = vec![vec![big, 1], vec![-big, 1], vec![big, -1], vec![-big, -1]];
+        let proof = vec![del(&[3, big]), add(&[1]), add(&[])];
+        let renamed = |cs: &[Vec<i32>]| cs.iter().map(|c| small(c)).collect::<Vec<_>>();
+        let small_proof: Steps = proof.iter().map(|(d, c)| (*d, small(c))).collect();
+        let stats = check_drat(&to_cnf(big as usize, &clauses), &to_proof(&proof)).unwrap();
+        assert_eq!(
+            stats,
+            check_drat_dimacs(&renamed(&clauses), &small_proof).unwrap()
+        );
+        assert_eq!((stats.additions_checked, stats.deletions_ignored), (1, 1));
+
+        let unjustified = vec![add(&[-big])];
+        assert_eq!(
+            check_drat(
+                &to_cnf(big as usize, &clauses[..1]),
+                &to_proof(&unjustified)
+            ),
+            Err(DratError::NotRup {
+                step: 0,
+                clause: vec![-big]
+            })
+        );
     }
     type Steps = Vec<(bool, Vec<i32>)>;
 
@@ -901,7 +981,7 @@ mod tests {
     /// and the streamed `Cnf`/`ProofStep` path alike.
     fn assert_agrees(num_vars: usize, clauses: &[Vec<i32>], steps: &Steps) {
         let expected = reference::check_drat_dimacs(num_vars, clauses, steps);
-        assert_eq!(check_drat_dimacs(num_vars, clauses, steps), expected);
+        assert_eq!(check_drat_dimacs(clauses, steps), expected);
         let streamed = check_drat(&to_cnf(num_vars, clauses), &to_proof(steps));
         assert_eq!(streamed, expected);
     }
@@ -1030,7 +1110,7 @@ mod tests {
         let steps = solver_proof(n, &clauses);
         let deletions = steps.iter().filter(|s| s.0).count();
         assert!(deletions > 0, "proof has no deletions");
-        assert!(check_drat_dimacs(n, &clauses, &steps).is_ok());
+        assert!(check_drat_dimacs(&clauses, &steps).is_ok());
         assert_agrees(n, &clauses, &steps);
         for p in [0, 1, 7, 100, 997] {
             for m in [Mutation::DropLemma(p), Mutation::DeleteEarly(p, 3 * p)] {

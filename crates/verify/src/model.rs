@@ -214,7 +214,7 @@ pub fn audit_model(bundle: &AuditBundle) -> Result<ModelAuditStats, ModelAuditEr
 pub fn check_certificate(cert: &OptimalityCertificate) -> Result<DratStats, DratError> {
     let clauses = cert.cnf.clauses.iter().map(Vec::as_slice);
     let unit = std::slice::from_ref(&cert.refuted);
-    check_clauses(cert.cnf.num_vars, clauses.chain([unit]), &cert.steps)
+    check_clauses(clauses.chain([unit]), &cert.steps)
 }
 
 /// A [`check_reconstruction`] failure: the extended assignment leaves a

@@ -18,7 +18,7 @@ use qca::adapt::{
 use qca::circuit::Circuit;
 use qca::hw::{spin_qubit_model, CouplingMap, GateTimes};
 use qca::trace::{TraceEvent, Tracer};
-use qca::workloads::{random_template_circuit, DEFAULT_TEMPLATE_GATES};
+use qca::workloads::{quantum_volume, random_template_circuit, DEFAULT_TEMPLATE_GATES};
 use qca_verify::{audit_adaptation, check_certificate};
 
 /// A budgeted solve of `circuit` under `objective`, with the encoded
@@ -97,10 +97,10 @@ fn budgeted_star_coupled_rand_4q_d20_trajectories_are_pinned() {
     assert_eq!(routes, 10);
 
     let (size, idle) = budgeted(&circuit, Objective::IdleTime, star());
-    assert_eq!(size, (3_148, 16_713));
+    assert_eq!(size, (2_175, 11_331));
     assert_eq!(
         trajectory(&idle.solver),
-        (-39_600, 2, false, (9_763, 216_298, 2_000, 12))
+        (-39_600, 2, false, (8_496, 132_925, 2_000, 12))
     );
 }
 
@@ -238,9 +238,9 @@ fn exact_certified_idle_rand_3q_d8_certificate_is_pinned() {
     assert_eq!(
         got,
         (
-            (-8_130, 2, true, (6_902, 604_425, 4_285, 21)),
-            (5_002, 6_162),
-            (4_284, 1_876, 0, 2)
+            (-8_130, 2, true, (6_656, 254_473, 4_320, 21)),
+            (3_474, 6_795),
+            (4_319, 2_474, 0, 2)
         )
     );
 }
@@ -261,4 +261,29 @@ fn recalibrated_rand_3q_d6_trajectory_is_pinned() {
         (s.decisions, s.propagations, s.conflicts, s.restarts),
     );
     assert_eq!(got, (true, -987, 1, true, (0, 157, 0, 0)));
+}
+
+/// The combined objective's `hi` is the fidelity bound, attained by the
+/// fidelity block argmax. On this quantum-volume circuit that argmax also
+/// idles no qubit, so it reaches `hi` and the answer is decided with no
+/// solver; the greedy warm start stops below it.
+#[test]
+fn combined_qv_4x2_is_decided_at_the_fidelity_block_argmax() {
+    let circuit = quantum_volume(4, 2, 0x5eed_2023 + 300);
+    let hw = spin_qubit_model(GateTimes::D0);
+    let (tracer, sink) = Tracer::to_memory();
+    let ctx = AdaptContext {
+        tracer,
+        ..AdaptContext::with_objective(Objective::Combined)
+    };
+    let adaptation = adapt(&circuit, &hw, &ctx).expect("adaptation succeeds");
+    assert_eq!(
+        trajectory(&adaptation.solver),
+        (-639, 0, true, (0, 0, 0, 0))
+    );
+    let decided = sink.events().iter().any(|e| {
+        matches!(e, TraceEvent::SpanExit { note: Some(note), .. }
+            if note == "value=-639 source=blocks hi=-639 decided=true")
+    });
+    assert!(decided, "the warm start is the block argmax, at hi");
 }
